@@ -14,7 +14,7 @@ from osstar import engine
 from osstar.engine import Mode, StopConfig
 from osstar.ngram import MaxBackoffTables, build_lattice, load_arpa, \
     load_vocab
-from osstar.automaton import HmmTarget, build_q0, run_batched
+from osstar.automaton import AutomatonRefiner, HmmTarget, build_q0
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -40,7 +40,8 @@ print(f"{n_paths} candidate sentences, initial bound mass "
       f"{q.mass_log():.3f} (log)")
 
 stop = StopConfig(ar_window=100, ar_threshold=0.5, max_trials=50_000)
-res = run_batched(target, q, stop, seed=0, batch=100)
+res = engine.run(Mode.SAMPLING, target, q, AutomatonRefiner(), stop,
+                 seed=0, batch=100)
 hist = res.history
 
 print(f"\nstopped at windowed acceptance rate "

@@ -5,21 +5,20 @@ from .engine import (CSV_COLUMNS, DominationViolated, EmptyHistory, History,
                      Metrics, Mode, RatioOutOfRange, RefinementExhausted,
                      RunResult, StopConfig, TrialRecord, UnitCosts,
                      WallClockCosts, accept_or_reject, metrics, run,
-                     should_stop, write_trial_csv)
+                     should_stop, step, trial_batch, write_trial_csv)
 from .ngram import (MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported,
-                    ParseError, TokenLattice, build_lattice,
-                    build_max_backoffs, keypad_encode, load_arpa, load_vocab)
+                    ParseError, TokenLattice, build_lattice, keypad_encode,
+                    load_arpa, load_vocab)
 from .automaton import (AutomatonRefiner, HmmTarget, NoRefinementAvailable,
-                        QAutomaton, batch_step, build_q0, enumerate_paths,
-                        refine, report_ngram_counts, run_batched,
-                        sample_path, viterbi)
+                        QAutomaton, build_q0, enumerate_paths, refine,
+                        report_ngram_counts, sample_path, viterbi)
 from .graphical import (Disconnected, Forest, PairwiseModel,
                         SubspaceProposal, ising_grid, max_spanning_forest,
-                        prim_max_tree, tree_bound, tree_max, tree_sample)
+                        prim_max_tree)
 from .piecewise import (AlreadyConditioned, BenchRow, ImprovementQueue,
                         NoUnassignedNode, PiecewiseProposal, Policy,
-                        PolicyRefiner, Subspace, min_norm_refinement,
-                        policy_bench, select_refinement, write_bench_csv)
+                        PolicyRefiner, min_norm_refinement, policy_bench,
+                        select_refinement, write_bench_csv)
 
 __version__ = "0.1.0"
 
@@ -31,13 +30,11 @@ __all__ = [
     "NoUnassignedNode", "OrderUnsupported", "PairwiseModel", "ParseError",
     "PiecewiseProposal", "Policy", "PolicyRefiner", "QAutomaton",
     "RatioOutOfRange", "RefinementExhausted", "RunResult", "StopConfig",
-    "Subspace", "SubspaceProposal", "TokenLattice", "TrialRecord",
-    "UnitCosts", "WallClockCosts", "accept_or_reject", "batch_step",
-    "build_lattice", "build_max_backoffs", "build_q0", "enumerate_paths",
-    "ising_grid", "keypad_encode", "load_arpa", "load_vocab",
-    "max_spanning_forest", "metrics", "min_norm_refinement", "policy_bench",
-    "prim_max_tree",
-    "refine", "report_ngram_counts", "run", "run_batched", "sample_path",
-    "select_refinement", "should_stop", "tree_bound", "tree_max",
-    "tree_sample", "viterbi", "write_bench_csv", "write_trial_csv",
+    "SubspaceProposal", "TokenLattice", "TrialRecord", "UnitCosts",
+    "WallClockCosts", "accept_or_reject", "build_lattice", "build_q0",
+    "enumerate_paths", "ising_grid", "keypad_encode", "load_arpa",
+    "load_vocab", "max_spanning_forest", "metrics", "min_norm_refinement",
+    "policy_bench", "prim_max_tree", "refine", "report_ngram_counts", "run",
+    "sample_path", "select_refinement", "should_stop", "step",
+    "trial_batch", "viterbi", "write_bench_csv", "write_trial_csv",
 ]

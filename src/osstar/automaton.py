@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
-from .engine import History, Mode, RunResult, StopConfig, TrialRecord
 from .ngram import MaxBackoffTables, NGramLM, TokenLattice
 
 
@@ -382,70 +378,3 @@ def report_ngram_counts(q: QAutomaton) -> dict[int, int]:
                 used = ctx[len(ctx) - (e.order - 1):] if e.order > 1 else ()
                 seen[e.order].add((i, used, w))
     return {k: len(v) for k, v in seen.items()}
-
-
-def batch_step(q: QAutomaton, target, history: History, stop: StopConfig,
-               rng: np.random.Generator, batch: int, costs,
-               on_refine=None, refine_enabled: bool = True) -> bool:
-    """Draw `batch` trials from the frozen automaton, then refine once.
-
-    Records are committed in draw order; if the stop rule fires mid-batch the
-    remaining draws are discarded and no refinement happens.  The refinement
-    target is the committed reject with the largest log gap.  Returns True
-    when the caller should stop.
-    """
-    t0 = time.perf_counter()
-    draws = [sample_path(q, rng) for _ in range(batch)]
-    draw_cost = (time.perf_counter() - t0) / batch
-
-    committed: list[TrialRecord] = []
-    for config, log_q in draws:
-        if (history.trial_count >= stop.max_trials
-                or engine.should_stop(history, Mode.SAMPLING, stop)):
-            return True
-        t0 = time.perf_counter()
-        log_p = target(config)
-        eval_cost = time.perf_counter() - t0
-        if log_p > log_q + engine.LOG_TOL:
-            raise engine.DominationViolated(
-                f"log p {log_p} > log q {log_q} at {config!r}")
-        ratio = math.exp(min(0.0, log_p - log_q))
-        accepted = engine.accept_or_reject(Mode.SAMPLING, ratio, rng)
-        rec = TrialRecord(config=config, log_p=log_p, log_q=log_q,
-                          accepted=accepted,
-                          proposal_mass_log=q.mass_log(),
-                          trial_cost=costs.trial_cost(draw_cost + eval_cost, q))
-        history.append(rec)
-        committed.append(rec)
-
-    rejects = [r for r in committed if not r.accepted]
-    if rejects and refine_enabled:
-        if history.refine_count >= stop.max_refinements:
-            raise engine.RefinementExhausted(
-                f"refinement budget {stop.max_refinements} exhausted")
-        worst = max(rejects, key=lambda r: r.log_q - r.log_p)
-        t0 = time.perf_counter()
-        refine(q, worst.config)
-        history.add_refinement(
-            costs.refine_cost(time.perf_counter() - t0, q))
-        if on_refine is not None:
-            on_refine(q)
-    return False
-
-
-def run_batched(target, q: QAutomaton, stop: StopConfig, seed,
-                batch: int = 100, *, cost_model=None, on_refine=None,
-                refine_enabled: bool = True) -> RunResult:
-    """Sampling loop in batches of `batch` trials per frozen proposal."""
-    rng = np.random.default_rng(seed)
-    costs = cost_model if cost_model is not None else engine.UnitCosts()
-    history = History()
-    while (history.trial_count < stop.max_trials
-           and not engine.should_stop(history, Mode.SAMPLING, stop)):
-        if batch_step(q, target, history, stop, rng, batch, costs,
-                      on_refine=on_refine, refine_enabled=refine_enabled):
-            break
-    samples = [r.config for r in history.records if r.accepted]
-    return RunResult(mode=Mode.SAMPLING, samples=samples, argmax=None,
-                     final_proposal=q, history=history,
-                     certificate_gap_log=None)

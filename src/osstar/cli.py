@@ -16,7 +16,6 @@ per-trial CSV written by --metrics-out is byte-identical across reruns.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import os
 import sys
@@ -59,7 +58,7 @@ def _print_run_stats(history, mass_log) -> None:
     print(f"trials: {history.trial_count}  accepts: {history.accept_count}"
           f"  refinements: {history.refine_count}")
     print(f"acceptance rate: {met.ar_cumulative:.4f} cumulative"
-          f"  {met.ar_window:.4f} last-100")
+          f"  {met.ar_window:.4f} last-{history.window}")
     print(f"log Z-hat: {met.z_hat_log:.6f}  pi-hat: {met.pi_hat:.4f}"
           f"  est. cost per sample: {met.tau_tot_est:.1f}")
 
@@ -87,7 +86,8 @@ def cmd_hmm_sample(args) -> int:
                       ar_threshold=args.ar_threshold,
                       max_trials=args.max_trials,
                       max_refinements=args.max_refinements)
-    res = am.run_batched(target, q, stop, args.seed, batch=args.batch)
+    res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(), stop,
+                     args.seed, batch=args.batch)
     _print_run_stats(res.history, q.mass_log())
     print(f"table builds: {q.table_builds}")
     _print_counts(q)
@@ -100,8 +100,7 @@ def cmd_hmm_sample(args) -> int:
         for words, n in top:
             print(f"  {n / len(res.samples):.3f}  {' '.join(words)}")
     if args.metrics_out:
-        engine.write_trial_csv(res.history, args.metrics_out,
-                               ar_window=args.ar_window)
+        engine.write_trial_csv(res.history, args.metrics_out)
     return 0
 
 
@@ -138,8 +137,7 @@ def cmd_gm_sample(args) -> int:
     _print_run_stats(res.history, pw.mass_log())
     print(f"subspaces: {len(pw.leaves)}  bound builds: {pw.bound_builds}")
     if args.metrics_out:
-        engine.write_trial_csv(res.history, args.metrics_out,
-                               ar_window=args.ar_window)
+        engine.write_trial_csv(res.history, args.metrics_out)
     return 0
 
 
@@ -166,24 +164,11 @@ def cmd_gm_optimize(args) -> int:
 def cmd_gm_bench(args) -> int:
     model = _gm_model(args)
     policies = [Policy(args.policy)] if args.policy else list(Policy)
-    workers = max(1, int(os.environ.get("OSSTAR_THREADS", "1")))
-
-    def one(policy: Policy):
-        rows, pw = policy_bench(model, policy,
-                                refinements=args.refinements,
-                                trials_per_round=args.trials_per_round,
-                                seed=args.seed, retree=args.retree)
-        return policy, rows, pw
-
-    results = []
-    if workers > 1 and len(policies) > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            results = list(pool.map(one, policies))
-    else:
-        results = [one(p) for p in policies]
-
     print("policy  rounds  ar_hat  pi_hat  tau_ref  tau_tot_est")
-    for policy, rows, pw in results:
+    for policy in policies:
+        rows, _ = policy_bench(model, policy, refinements=args.refinements,
+                               trials_per_round=args.trials_per_round,
+                               seed=args.seed, retree=args.retree)
         last = rows[-1]
         print(f"{policy.value:>6}  {len(rows):>6}  {last.ar_hat:.4f}"
               f"  {last.pi_hat:.4f}  {last.tau_ref:>8.0f}"
@@ -259,7 +244,8 @@ def _selftest_checks():
     def check_sentence_sampler():
         q = am.build_q0(lattice, tables)
         stop = StopConfig(ar_window=50, ar_threshold=0.9, max_trials=5000)
-        res = am.run_batched(target, q, stop, seed=1, batch=20)
+        res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(),
+                         stop, 1, batch=20)
         assert res.history.ar_window(50) >= 0.9
         scores = {tuple(x): target(tuple(x)) for x in paths()}
         z = float(np.logaddexp.reduce(list(scores.values())))

@@ -2,14 +2,20 @@
 
 The loop draws candidate configurations from a proposal q that dominates the
 target p (q >= p pointwise), accepts with probability p/q (sampling) or iff
-the ratio certifies the maximum (optimization), and hands every rejected
-configuration to a refiner that must tighten q at that point.
+the ratio certifies the maximum (optimization), and hands a rejected
+configuration to a refiner that must tighten q at that point.  Sampling may
+draw a batch of trials from one frozen proposal; the batch is then refined
+once, at its reject with the largest log q - log p.
 
 A proposal object must provide:
     draw(rng)   -> (config, log_q_of_config)     used in sampling mode
     argmax()    -> (config, log_q_of_config)     used in optimization mode
     mass_log()  -> float   log of the total proposal mass Q(X)
     max_log()   -> float   log of max_x q(x)
+and may provide:
+    sample_many(rng, k) -> (configs, log_qs)     k draws at once, configs
+                           as the rows of an integer array; batches of
+                           more than one trial use it instead of draw
 
 A refiner must provide:
     refine(proposal, config, log_p, log_q) -> proposal
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -66,25 +73,49 @@ class TrialRecord:
 
 @dataclass
 class History:
-    """Per-trial records plus refinement cost bookkeeping."""
+    """Per-trial records, refinement cost bookkeeping and the running
+    totals behind the estimators.  Counts and cost sums are updated as each
+    trial is committed; the Z-hat sum catches up on its next read.
+
+    `window` is the length of the windowed acceptance rate that metrics()
+    reports; a run takes it from its StopConfig.
+    """
 
     records: list[TrialRecord] = field(default_factory=list)
     refine_count: int = 0
     refine_cost_total: float = 0.0
     # cumulative refinement cost at the moment each trial was committed
     refine_cost_at_trial: list[float] = field(default_factory=list)
+    window: int = 100
+    accept_count: int = 0
+    window_accepts: int = 0
+    trial_cost_sum: float = 0.0
+    # log of the sum of r_t * Q_t(X) over the first _z_count trials
+    _z_sum_log: float = -math.inf
+    _z_count: int = 0
 
     @property
     def trial_count(self) -> int:
         return len(self.records)
 
-    @property
-    def accept_count(self) -> int:
-        return sum(1 for r in self.records if r.accepted)
-
     def append(self, record: TrialRecord) -> None:
         self.records.append(record)
         self.refine_cost_at_trial.append(self.refine_cost_total)
+        self.accept_count += record.accepted
+        self.window_accepts += record.accepted
+        if len(self.records) > self.window:
+            self.window_accepts -= self.records[-self.window - 1].accepted
+        self.trial_cost_sum += record.trial_cost
+
+    def z_sum_log(self) -> float:
+        """log of the sum of r_t * Q_t(X) over all trials, added in trial
+        order; each trial is folded in once, on the first call after it."""
+        for r in itertools.islice(self.records, self._z_count, None):
+            self._z_sum_log = np.logaddexp(
+                self._z_sum_log,
+                min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
+        self._z_count = len(self.records)
+        return self._z_sum_log
 
     def add_refinement(self, cost: float) -> None:
         self.refine_count += 1
@@ -98,6 +129,8 @@ class History:
     def ar_window(self, window: int) -> float:
         if not self.records:
             return 0.0
+        if window == self.window:
+            return self.window_accepts / min(window, self.trial_count)
         tail = self.records[-window:]
         return sum(1 for r in tail if r.accepted) / len(tail)
 
@@ -109,6 +142,16 @@ class StopConfig:
     opt_ratio_tolerance: float = 0.0
     max_refinements: int = 1_000_000
     max_trials: int = 1_000_000
+
+    def __post_init__(self):
+        # a threshold above 1 is valid: it never stops on the rate
+        if self.ar_window < 1:
+            raise ValueError(f"ar_window must be >= 1, got {self.ar_window}")
+        if self.max_trials < 0:
+            raise ValueError(f"max_trials must be >= 0, got {self.max_trials}")
+        if self.max_refinements < 0:
+            raise ValueError("max_refinements must be >= 0, got "
+                             f"{self.max_refinements}")
 
 
 @dataclass
@@ -180,7 +223,7 @@ def should_stop(history: History, mode: Mode, stop: StopConfig) -> bool:
 
 
 def metrics(history: History, current_mass_log: float, n: int = 1) -> Metrics:
-    """Estimators over all trials so far.
+    """Estimators over all trials so far, read off the history's totals.
 
     Z_hat averages r_t * Q_t(X) over trials (unbiased for the target mass);
     pi_hat = Z_hat / Q_now(X) predicts the acceptance rate of the current
@@ -189,13 +232,9 @@ def metrics(history: History, current_mass_log: float, n: int = 1) -> Metrics:
     """
     if not history.records:
         raise EmptyHistory("no trials recorded")
-    acc = -math.inf
-    for r in history.records:
-        log_r = min(0.0, r.log_p - r.log_q)
-        acc = np.logaddexp(acc, log_r + r.proposal_mass_log)
-    z_hat_log = acc - math.log(history.trial_count)
+    z_hat_log = history.z_sum_log() - math.log(history.trial_count)
     pi_hat = math.exp(z_hat_log - current_mass_log)
-    tau_samp = sum(r.trial_cost for r in history.records) / history.trial_count
+    tau_samp = history.trial_cost_sum / history.trial_count
     tau_ref = history.refine_cost_total
     tau_tot = (n * tau_samp / pi_hat + tau_ref) if pi_hat > 0 else math.inf
     return Metrics(
@@ -204,53 +243,109 @@ def metrics(history: History, current_mass_log: float, n: int = 1) -> Metrics:
         tau_samp=tau_samp,
         tau_ref=tau_ref,
         ar_cumulative=history.ar_cumulative(),
-        ar_window=history.ar_window(100),
+        ar_window=history.ar_window(history.window),
         tau_tot_est=tau_tot,
     )
 
 
-def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
-        *, cost_model=None, on_refine=None) -> RunResult:
-    """Adaptive rejection loop: trial, accept-or-reject, refine on reject.
+def trial_batch(mode: Mode, target, proposal, history: History,
+                stop: StopConfig, rng: np.random.Generator, batch: int = 1,
+                costs=None) -> TrialRecord | None:
+    """Draw `batch` trials from the frozen proposal and record them.
 
-    `target` is a callable returning log p(config). `refiner` may be None to
-    freeze the proposal (rejects are then recorded but trigger nothing).
-    `on_refine(proposal)` runs after every refinement; tests use it to audit
-    domination and mass monotonicity exhaustively.
+    Each trial is draw, target, domination check, accept-or-reject, record.
+    Trials are committed in draw order.  The caller checks the stop rule
+    before the batch; once it or the trial budget fires inside the batch,
+    the rest of the batch is discarded.  Returns the committed reject with
+    the largest log q - log p, the point to refine at, or None when every
+    trial accepted or the batch was cut short.
     """
-    rng = np.random.default_rng(seed)
-    costs = cost_model if cost_model is not None else UnitCosts()
-    history = History()
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
+    if batch > 1 and mode is not Mode.SAMPLING:
+        raise ValueError("batches of more than one trial need sampling mode")
+    costs = costs if costs is not None else UnitCosts()
+    mass = proposal.mass_log()
+    t0 = time.perf_counter()
+    if mode is Mode.OPTIMIZATION:
+        draws = [proposal.argmax()]
+    elif batch > 1 and hasattr(proposal, "sample_many"):
+        configs, log_qs = proposal.sample_many(rng, batch)
+        draws = [(tuple(c), float(lq))
+                 for c, lq in zip(configs.tolist(), log_qs)]
+    else:
+        draws = [proposal.draw(rng) for _ in range(batch)]
+    draw_cost = (time.perf_counter() - t0) / batch
 
-    while (history.trial_count < stop.max_trials
-           and not should_stop(history, mode, stop)):
+    worst = None
+    for j, (config, log_q) in enumerate(draws):
+        if j and (history.trial_count >= stop.max_trials
+                  or should_stop(history, mode, stop)):
+            return None
         t0 = time.perf_counter()
-        if mode is Mode.SAMPLING:
-            config, log_q = proposal.draw(rng)
-        else:
-            config, log_q = proposal.argmax()
         log_p = target(config)
-        elapsed = time.perf_counter() - t0
+        elapsed = draw_cost + (time.perf_counter() - t0)
         if log_p > log_q + LOG_TOL:
             raise DominationViolated(
                 f"log p {log_p} > log q {log_q} at {config!r}")
         ratio = math.exp(min(0.0, log_p - log_q))
         accepted = accept_or_reject(mode, ratio, rng,
                                     tolerance=stop.opt_ratio_tolerance)
-        history.append(TrialRecord(
+        record = TrialRecord(
             config=config, log_p=log_p, log_q=log_q, accepted=accepted,
-            proposal_mass_log=proposal.mass_log(),
-            trial_cost=costs.trial_cost(elapsed, proposal)))
-        if not accepted and refiner is not None:
-            if history.refine_count >= stop.max_refinements:
-                raise RefinementExhausted(
-                    f"refinement budget {stop.max_refinements} exhausted")
-            t0 = time.perf_counter()
-            proposal = refiner.refine(proposal, config, log_p, log_q)
-            history.add_refinement(
-                costs.refine_cost(time.perf_counter() - t0, proposal))
-            if on_refine is not None:
-                on_refine(proposal)
+            proposal_mass_log=mass,
+            trial_cost=costs.trial_cost(elapsed, proposal))
+        history.append(record)
+        if not accepted and (worst is None or record.log_q - record.log_p
+                             > worst.log_q - worst.log_p):
+            worst = record
+    return worst
+
+
+def step(mode: Mode, target, proposal, refiner, history: History,
+         stop: StopConfig, rng: np.random.Generator, batch: int = 1, *,
+         costs=None, on_refine=None):
+    """One trial batch, then one refinement at its worst reject.
+
+    `refiner` may be None to freeze the proposal.  Returns the proposal,
+    which the refiner may have replaced.
+    """
+    costs = costs if costs is not None else UnitCosts()
+    worst = trial_batch(mode, target, proposal, history, stop, rng, batch,
+                        costs)
+    if worst is None or refiner is None:
+        return proposal
+    if history.refine_count >= stop.max_refinements:
+        raise RefinementExhausted(
+            f"refinement budget {stop.max_refinements} exhausted")
+    t0 = time.perf_counter()
+    proposal = refiner.refine(proposal, worst.config, worst.log_p,
+                              worst.log_q)
+    history.add_refinement(
+        costs.refine_cost(time.perf_counter() - t0, proposal))
+    if on_refine is not None:
+        on_refine(proposal)
+    return proposal
+
+
+def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
+        *, batch: int = 1, cost_model=None, on_refine=None) -> RunResult:
+    """Adaptive rejection loop: trials, accept-or-reject, refine on reject.
+
+    `target` is a callable returning log p(config). `refiner` may be None to
+    freeze the proposal (rejects are then recorded but trigger nothing).
+    `batch` trials share one frozen proposal (see step).
+    `on_refine(proposal)` runs after every refinement; tests use it to audit
+    domination and mass monotonicity exhaustively.
+    """
+    rng = np.random.default_rng(seed)
+    costs = cost_model if cost_model is not None else UnitCosts()
+    history = History(window=stop.ar_window)
+
+    while (history.trial_count < stop.max_trials
+           and not should_stop(history, mode, stop)):
+        proposal = step(mode, target, proposal, refiner, history, stop, rng,
+                        batch, costs=costs, on_refine=on_refine)
 
     samples = [r.config for r in history.records if r.accepted]
     argmax = None
@@ -261,7 +356,8 @@ def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
                 "trial budget exhausted before the optimum was certified")
         last = history.records[-1]
         argmax = last.config
-        certificate = last.log_q - last.log_p
+        # roundoff can put log q a few ulps under log p; the gap is >= 0
+        certificate = max(0.0, last.log_q - last.log_p)
     return RunResult(mode=mode, samples=samples, argmax=argmax,
                      final_proposal=proposal, history=history,
                      certificate_gap_log=certificate)
@@ -271,32 +367,22 @@ CSV_COLUMNS = ["trial", "accepted", "log_p", "log_q", "q_mass_log",
                "ar_cum", "ar_window", "z_hat_log", "pi_hat", "tau_tot_est"]
 
 
-def write_trial_csv(history: History, path, n: int = 1,
-                    ar_window: int = 100) -> None:
-    """One row per trial with running acceptance rates and estimators."""
+def write_trial_csv(history: History, path, n: int = 1) -> None:
+    """One row per trial with the acceptance rates and estimators as they
+    stood once that trial was committed."""
+    replay = History(window=history.window)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        acc_z = -math.inf
-        accepts = 0
-        window: list[bool] = []
-        cost_sum = 0.0
-        for t, rec in enumerate(history.records, start=1):
-            log_r = min(0.0, rec.log_p - rec.log_q)
-            acc_z = np.logaddexp(acc_z, log_r + rec.proposal_mass_log)
-            accepts += int(rec.accepted)
-            window.append(rec.accepted)
-            if len(window) > ar_window:
-                window.pop(0)
-            cost_sum += rec.trial_cost
-            z_hat_log = acc_z - math.log(t)
-            pi_hat = math.exp(z_hat_log - rec.proposal_mass_log)
-            tau_samp = cost_sum / t
-            tau_ref = history.refine_cost_at_trial[t - 1]
-            tau_tot = (n * tau_samp / pi_hat + tau_ref) if pi_hat > 0 else math.inf
+        for rec, tau_ref in zip(history.records,
+                                history.refine_cost_at_trial):
+            replay.refine_cost_total = tau_ref
+            replay.append(rec)
+            met = metrics(replay, rec.proposal_mass_log, n)
             writer.writerow([
-                t, int(rec.accepted), repr(rec.log_p), repr(rec.log_q),
-                repr(rec.proposal_mass_log), repr(accepts / t),
-                repr(sum(window) / len(window)), repr(z_hat_log),
-                repr(pi_hat), repr(tau_tot),
+                replay.trial_count, int(rec.accepted), repr(rec.log_p),
+                repr(rec.log_q), repr(rec.proposal_mass_log),
+                repr(met.ar_cumulative), repr(met.ar_window),
+                repr(met.z_hat_log), repr(met.pi_hat),
+                repr(met.tau_tot_est),
             ])

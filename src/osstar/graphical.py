@@ -436,16 +436,3 @@ class SubspaceProposal:
 
     def draw(self, rng: np.random.Generator):
         return self.sample(rng)
-
-
-def tree_bound(model: PairwiseModel, assigned: dict[int, int] | None = None,
-               forest: Forest | None = None) -> SubspaceProposal:
-    return SubspaceProposal(model, assigned or {}, forest)
-
-
-def tree_sample(proposal: SubspaceProposal, rng: np.random.Generator):
-    return proposal.sample(rng)
-
-
-def tree_max(proposal: SubspaceProposal):
-    return proposal.argmax()

@@ -224,10 +224,6 @@ class MaxBackoffTables:
         return best
 
 
-def build_max_backoffs(lm: NGramLM, order: int | None = None) -> MaxBackoffTables:
-    return MaxBackoffTables(lm, order=order)
-
-
 # ---------------------------------------------------------------------------
 # ITU E.161 keypad observation model
 
@@ -262,9 +258,6 @@ class TokenLattice:
     @property
     def length(self) -> int:
         return len(self.candidates)
-
-    def pobs(self, position: int) -> dict[str, float]:
-        return dict(self.candidates[position])
 
 
 def build_lattice(observations: list[str], vocab: list[str],

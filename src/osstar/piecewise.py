@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import engine
+from .engine import Mode, StopConfig
 from .graphical import (Forest, PairwiseModel, SubspaceProposal,
                         max_spanning_forest)
-
-Subspace = SubspaceProposal
 
 
 class AlreadyConditioned(ValueError):
@@ -350,59 +350,48 @@ def policy_bench(model: PairwiseModel, policy: Policy, *,
                  seed=0, retree: bool = False, n_target: int = 1):
     """Refine under one policy, measuring estimators after each step.
 
-    Each round draws a block of trials from the frozen proposal, logs one
+    Each round is one engine trial batch from the frozen proposal, logs one
     row, then applies one conditioning.  Policies I and II refine at the
-    round's first rejected trial; III and IV ignore the rejections.  Costs
-    are deterministic units: every trial costs 1, refinement cost is the
-    number of bound builds beyond the root, which charges the queue policy
-    for its lookahead.  Returns (rows, proposal).
+    round's reject with the largest log q - log p; III and IV ignore the
+    rejections.  Costs are deterministic units: every trial costs 1,
+    refinement cost is the number of bound builds beyond the root, which
+    charges the queue policy for its lookahead.  Returns (rows, proposal).
     """
-    ss = np.random.SeedSequence(seed)
-    trial_seed, policy_seed = ss.spawn(2)
+    trial_seed, policy_seed = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(trial_seed)
-    prng = np.random.default_rng(policy_seed)
     policy = Policy(policy)
     pw = PiecewiseProposal(model, retree=retree)
-    queue = ImprovementQueue(pw) if policy is Policy.QUEUE else None
+    refiner = PolicyRefiner(pw, policy, seed=policy_seed)
+    # a window of one round and an unreachable threshold: rounds run whole
+    stop = StopConfig(ar_window=trials_per_round, ar_threshold=1.1,
+                      max_trials=trials_per_round * (refinements + 1))
+    history = engine.History(window=trials_per_round)
+    # the queue's lookahead on the root leaf is paid before any trial
+    history.refine_cost_total = float(pw.bound_builds - 1)
 
     rows: list[BenchRow] = []
-    acc_z = -math.inf
-    total_trials = 0
     for k in range(refinements + 1):
-        configs, log_qs = pw.sample_many(rng, trials_per_round)
-        log_ps = model.log_p_many(configs)
-        log_r = np.minimum(0.0, log_ps - log_qs)
-        accepts = rng.random(trials_per_round) < np.exp(log_r)
+        worst = engine.trial_batch(Mode.SAMPLING, model.log_p, pw, history,
+                                   stop, rng, trials_per_round)
         mass = pw.mass_log()
-        acc_z = float(np.logaddexp(acc_z,
-                                   np.logaddexp.reduce(log_r) + mass))
-        total_trials += trials_per_round
-        z_hat_log = acc_z - math.log(total_trials)
-        pi_hat = math.exp(z_hat_log - mass)
-        tau_ref = float(pw.bound_builds - 1)
-        tau_tot = (n_target / pi_hat + tau_ref) if pi_hat > 0 else math.inf
+        met = engine.metrics(history, mass, n_target)
         rows.append(BenchRow(
-            refinement_index=k, trials=total_trials,
-            ar_hat=float(accepts.mean()), z_hat_log=z_hat_log,
-            pi_hat=pi_hat, q_mass_log=mass, tau_samp=1.0,
-            tau_ref=tau_ref, tau_tot_est=tau_tot))
+            refinement_index=k, trials=history.trial_count,
+            ar_hat=met.ar_window, z_hat_log=float(met.z_hat_log),
+            pi_hat=met.pi_hat, q_mass_log=mass, tau_samp=met.tau_samp,
+            tau_ref=met.tau_ref, tau_tot_est=met.tau_tot_est))
         if k == refinements:
             break
-        reject = None
-        if policy in (Policy.RANDOM_NODE, Policy.MAX_SLACK):
-            bad = np.flatnonzero(~accepts)
-            if len(bad):
-                reject = tuple(int(v) for v in configs[bad[0]])
-            else:
-                break  # acceptance is saturated; refining is pointless
+        if worst is None and policy in (Policy.RANDOM_NODE,
+                                        Policy.MAX_SLACK):
+            break  # acceptance is saturated; refining is pointless
+        config = worst.config if worst is not None else None
+        builds = pw.bound_builds
         try:
-            lid, node = select_refinement(pw, policy, reject, prng, queue)
+            refiner.refine(pw, config, None, None)
         except NoUnassignedNode:
             break
-        children = pw.condition(lid, node)
-        if queue is not None:
-            for cid in children:
-                queue.add_leaf(cid)
+        history.add_refinement(float(pw.bound_builds - builds))
     return rows, pw
 
 

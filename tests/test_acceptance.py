@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from osstar import engine
-from osstar.engine import Mode, StopConfig, UnitCosts
+from osstar.engine import Mode, StopConfig
 from osstar.ngram import (MaxBackoffTables, build_lattice, keypad_encode,
                           load_arpa)
-from osstar.automaton import (AutomatonRefiner, HmmTarget, batch_step,
-                              build_q0, enumerate_paths, report_ngram_counts)
+from osstar.automaton import (AutomatonRefiner, HmmTarget, build_q0,
+                              enumerate_paths, report_ngram_counts)
 from osstar.graphical import ising_grid
 from osstar.piecewise import (PiecewiseProposal, Policy, PolicyRefiner,
                               policy_bench)
@@ -148,12 +148,12 @@ def test_criterion_01_exact_hmm_sampling():
     rng = np.random.default_rng(11)
     adapt = StopConfig(ar_window=100, ar_threshold=0.6, max_trials=10**6)
     while not engine.should_stop(history, Mode.SAMPLING, adapt):
-        batch_step(q, target, history, adapt, rng, 50, UnitCosts(),
-                   on_refine=audit)
+        engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
+                    adapt, rng, 50, on_refine=audit)
     frozen = StopConfig(ar_window=100, ar_threshold=1.1, max_trials=10**7)
     while history.accept_count < 50_000:
-        batch_step(q, target, history, frozen, rng, 2000, UnitCosts(),
-                   refine_enabled=False)
+        engine.step(Mode.SAMPLING, target, q, None, history, frozen, rng,
+                    2000)
 
     samples = [r.config for r in history.records if r.accepted]
     freq = Counter(samples)
@@ -193,8 +193,8 @@ def test_criterion_03_domination_and_monotone_mass(small_decode_runs):
     rng = np.random.default_rng(3)
     stop = StopConfig(ar_window=50, ar_threshold=0.9, max_trials=10**5)
     while not engine.should_stop(history, Mode.SAMPLING, stop):
-        batch_step(q, target, history, stop, rng, 25, UnitCosts(),
-                   on_refine=audit)
+        engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
+                    stop, rng, 25, on_refine=audit)
     audited += audit.steps
     assert audit.steps > 0
 
@@ -225,13 +225,14 @@ def test_criterion_04_acceptance_rate_law():
     rng = np.random.default_rng(21)
     adapt = StopConfig(ar_window=100, ar_threshold=0.5, max_trials=10**6)
     while not engine.should_stop(history, Mode.SAMPLING, adapt):
-        batch_step(q, target, history, adapt, rng, 50, UnitCosts())
+        engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
+                    adapt, rng, 50)
     t0, a0 = history.trial_count, history.accept_count
     frozen = StopConfig(ar_window=100, ar_threshold=1.1,
                         max_trials=t0 + 100_000)
     while history.trial_count < t0 + 100_000:
-        batch_step(q, target, history, frozen, rng, 5000, UnitCosts(),
-                   refine_enabled=False)
+        engine.step(Mode.SAMPLING, target, q, None, history, frozen, rng,
+                    5000)
     ar_hmm = (history.accept_count - a0) / 100_000
     want_hmm = float(np.exp(logsumexp(log_ps) - q.mass_log()))
     assert abs(ar_hmm - want_hmm) < 0.02

@@ -231,31 +231,27 @@ def test_order_cap_changes_proposal_tables():
             assert q.score_path(x) >= target(x) - 1e-12
 
 
-def test_batch_of_one_matches_unbatched_run():
-    stop = StopConfig(ar_window=10, ar_threshold=0.9, max_trials=60)
-    _, _, q1, target = make_instance()
-    res1 = engine.run(Mode.SAMPLING, target, q1, am.AutomatonRefiner(),
-                      stop, seed=7)
-    _, _, q2, target2 = make_instance()
-    res2 = am.run_batched(target2, q2, stop, seed=7, batch=1)
-    recs1 = [(r.config, r.log_p, r.log_q, r.accepted, r.proposal_mass_log)
-             for r in res1.history.records]
-    recs2 = [(r.config, r.log_p, r.log_q, r.accepted, r.proposal_mass_log)
-             for r in res2.history.records]
-    assert recs1 == recs2
-    assert res1.history.refine_count == res2.history.refine_count
+def test_stop_rule_cuts_a_batch_short():
+    # the window fills mid-batch: the rest of the batch is discarded and
+    # nothing is refined after the cut
+    _, _, q, target = make_instance()
+    stop = StopConfig(ar_window=10, ar_threshold=0.0, max_trials=1000)
+    res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(), stop,
+                     seed=7, batch=25)
+    assert res.history.trial_count == 10
+    assert res.history.refine_count == 0
 
 
 def test_batch_reuses_tables_within_batch():
     _, _, q, target = make_instance()
     stop = StopConfig(ar_window=10, ar_threshold=1.1, max_trials=100)
-    res = am.run_batched(target, q, stop, seed=2, batch=25,
-                         refine_enabled=False)
+    res = engine.run(Mode.SAMPLING, target, q, None, stop, seed=2, batch=25)
     assert res.history.trial_count == 100
     assert q.table_builds == 1
 
     _, _, q2, target2 = make_instance()
-    res2 = am.run_batched(target2, q2, stop, seed=2, batch=25)
+    res2 = engine.run(Mode.SAMPLING, target2, q2, am.AutomatonRefiner(),
+                      stop, seed=2, batch=25)
     assert res2.history.trial_count == 100
     assert q2.table_builds <= 4  # at most one rebuild per batch
 
@@ -272,8 +268,8 @@ def test_batched_sampling_law_after_freeze():
     scores = {x: target(x) for x in am.enumerate_paths(q)}
     z = np.logaddexp.reduce(list(scores.values()))
     stop = StopConfig(ar_window=10, ar_threshold=1.1, max_trials=20_000)
-    res = am.run_batched(target, q, stop, seed=4, batch=500,
-                         refine_enabled=False)
+    res = engine.run(Mode.SAMPLING, target, q, None, stop, seed=4,
+                     batch=500)
     assert res.history.accept_count == res.history.trial_count  # q == p
     freq = {x: 0 for x in scores}
     for s in res.samples:

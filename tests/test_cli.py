@@ -67,6 +67,29 @@ def test_hmm_error_paths(hmm_files, tmp_path, capsys):
                  "--obs", "99"]) == 1
 
 
+@pytest.mark.parametrize("bad", [["--batch", "0"], ["--batch", "-5"],
+                                 ["--ar-window", "0"]])
+def test_hmm_sample_rejects_bad_numbers(hmm_files, capsys, bad):
+    arpa, vocab = hmm_files
+    rc = main(["hmm", "sample", "--arpa", arpa, "--vocab", vocab,
+               "--obs", "2", "2"] + bad)
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_hmm_sample_reports_the_run_window(hmm_files, tmp_path, capsys):
+    arpa, vocab = hmm_files
+    f = tmp_path / "m.csv"
+    assert main(["hmm", "sample", "--arpa", arpa, "--vocab", vocab,
+                 "--obs", "2", "2", "--ar-threshold", "0.8",
+                 "--ar-window", "50", "--metrics-out", str(f)]) == 0
+    assert "last-50" in capsys.readouterr().out
+    rows = f.read_text().splitlines()[1:]
+    accepted = [int(r.split(",")[1]) for r in rows]
+    want = sum(accepted[-50:]) / 50
+    assert float(rows[-1].split(",")[6]) == want >= 0.8
+
+
 def test_gm_optimize_matches_enumeration(capsys):
     rc = main(["gm", "optimize", "--grid", "3x3", "--sigma", "0.8",
                "--model-seed", "0"])
@@ -109,8 +132,7 @@ def test_gm_model_file_and_arg_validation(tmp_path, capsys):
                  "--grid", "2x2"]) == 1
 
 
-def test_gm_bench_per_policy_csvs(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OSSTAR_THREADS", "2")
+def test_gm_bench_per_policy_csvs(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["gm", "bench", "--grid", "3x3", "--sigma", "0.6",
                "--refinements", "4", "--trials-per-round", "40",

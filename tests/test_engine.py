@@ -152,6 +152,74 @@ def test_tau_tot_arithmetic():
     assert math.isclose(m.tau_tot_est, 3.01, rel_tol=1e-12)
 
 
+def test_metrics_report_the_run_window():
+    target, proposal = two_point()
+    result = run(Mode.SAMPLING, target, proposal, None,
+                 StopConfig(ar_window=50, ar_threshold=1.1, max_trials=300),
+                 seed=4)
+    h = result.history
+    assert h.window == 50
+    tail = h.records[-50:]
+    want = sum(r.accepted for r in tail) / 50
+    assert metrics(h, 0.0).ar_window == want == h.ar_window(50)
+    assert h.ar_window(100) == sum(r.accepted for r in h.records[-100:]) / 100
+
+
+def test_running_totals_match_a_pass_over_the_records():
+    h = frozen_run(300, seed=9).history
+    z = -math.inf
+    for r in h.records:
+        z = np.logaddexp(z, min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
+    assert h.z_sum_log() == z
+    assert h.accept_count == sum(r.accepted for r in h.records)
+    assert h.trial_cost_sum == sum(r.trial_cost for r in h.records)
+
+
+@pytest.mark.parametrize("bad", [{"ar_window": 0}, {"max_trials": -1},
+                                 {"max_refinements": -1}])
+def test_stop_config_rejects_bad_numbers(bad):
+    with pytest.raises(ValueError):
+        StopConfig(**bad)
+    StopConfig(ar_threshold=1.1)  # never stops on the rate: still valid
+
+
+@pytest.mark.parametrize("mode,batch", [(Mode.SAMPLING, 0),
+                                        (Mode.SAMPLING, -5),
+                                        (Mode.OPTIMIZATION, 2)])
+def test_bad_batch_raises(mode, batch):
+    target, proposal = two_point()
+    with pytest.raises(ValueError):
+        run(mode, target, proposal, None, StopConfig(max_trials=10), 0,
+            batch=batch)
+
+
+def test_batch_uses_sample_many_and_refines_at_the_worst_reject():
+    class ManyProposal(TableProposal):
+        def sample_many(self, rng, k):
+            configs = [sorted(self.table)[i] for i in rng.integers(2, size=k)]
+            return (np.array(configs),
+                    np.array([self.table[c] for c in configs]))
+
+    seen = []
+
+    class Recorder:
+        def refine(self, proposal, config, log_p, log_q):
+            seen.append(log_q - log_p)
+            return proposal
+
+    target = TableTarget({(97,): math.log(1.0), (98,): math.log(3.0)})
+    proposal = ManyProposal({(97,): math.log(2.0), (98,): math.log(4.0)})
+    result = run(Mode.SAMPLING, target, proposal, Recorder(),
+                 StopConfig(ar_threshold=1.1, max_trials=40), 1, batch=20)
+    recs = result.history.records
+    assert len(recs) == 40 and {r.config for r in recs} <= {(97,), (98,)}
+    assert len(seen) == 2
+    for k, gap in enumerate(seen):
+        batch = recs[20 * k:20 * (k + 1)]
+        assert gap == max(r.log_q - r.log_p for r in batch
+                          if not r.accepted)
+
+
 def test_metrics_empty_history_raises():
     with pytest.raises(EmptyHistory):
         metrics(History(), 0.0)

@@ -8,7 +8,7 @@ import pytest
 
 from osstar.graphical import (Disconnected, Forest, PairwiseModel,
                               SubspaceProposal, ising_grid,
-                              max_spanning_forest, prim_max_tree, tree_bound)
+                              max_spanning_forest, prim_max_tree)
 
 
 def all_configs(model):
@@ -101,7 +101,7 @@ def test_disconnected_graph_rejected_but_forest_allowed():
 
 def test_bound_dominates_and_matches_enumeration():
     m = triangle()
-    q = tree_bound(m)
+    q = SubspaceProposal(m, {})
     scores = {x: q.score(x) for x in all_configs(m)}
     for x, s in scores.items():
         assert s >= m.log_p(x) - 1e-12
@@ -118,7 +118,7 @@ def test_bound_dominates_and_matches_enumeration():
 
 def test_tree_structured_model_is_bounded_exactly():
     m = chain()
-    q = tree_bound(m)
+    q = SubspaceProposal(m, {})
     assert q.offtree_ids == []
     for x in all_configs(m):
         assert math.isclose(q.score(x), m.log_p(x), rel_tol=0, abs_tol=1e-12)
@@ -129,7 +129,7 @@ def test_tree_structured_model_is_bounded_exactly():
 
 def test_sampling_law_matches_subspace_masses():
     m = triangle()
-    q = tree_bound(m)
+    q = SubspaceProposal(m, {})
     scores = {x: q.score(x) for x in all_configs(m)}
     z = np.logaddexp.reduce(list(scores.values()))
     rng = np.random.default_rng(0)
@@ -145,7 +145,7 @@ def test_sampling_law_matches_subspace_masses():
 
 def test_sample_many_matches_law_and_scores():
     m = triangle()
-    q = tree_bound(m)
+    q = SubspaceProposal(m, {})
     scores = {x: q.score(x) for x in all_configs(m)}
     z = np.logaddexp.reduce(list(scores.values()))
     rng = np.random.default_rng(1)
@@ -189,7 +189,7 @@ def test_fully_conditioned_subspace_scores_exactly():
 @pytest.mark.parametrize("shape,seed", [((2, 2), 0), ((3, 3), 1), ((2, 3), 5)])
 def test_grid_bound_enumeration(shape, seed):
     m = ising_grid(*shape, sigma=0.8, seed=seed)
-    q = tree_bound(m)
+    q = SubspaceProposal(m, {})
     scores = {x: q.score(x) for x in all_configs(m)}
     for x, s in scores.items():
         assert s >= m.log_p(x) - 1e-12
@@ -225,7 +225,7 @@ def test_argmax_tie_takes_lexicographically_smallest():
     anti = np.log(np.array([[1.0, 2.0], [2.0, 1.0]]))
     m = PairwiseModel([2, 2], [np.zeros(2), np.zeros(2)], [(0, 1, anti)])
     # maxima tie at (0,1) and (1,0)
-    config, val = tree_bound(m).argmax()
+    config, val = SubspaceProposal(m, {}).argmax()
     assert config == (0, 1)
     assert val == pytest.approx(math.log(2.0))
 
@@ -234,6 +234,6 @@ def test_argmax_fully_tied_model_returns_zero_config():
     flat = np.zeros((2, 2))
     m = PairwiseModel([2, 2, 2], [np.zeros(2)] * 3,
                       [(0, 1, flat), (1, 2, flat)])
-    config, val = tree_bound(m).argmax()
+    config, val = SubspaceProposal(m, {}).argmax()
     assert config == (0, 0, 0)
     assert val == 0.0

@@ -10,7 +10,7 @@ import pytest
 
 from osstar.ngram import (
     MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported, ParseError,
-    build_lattice, build_max_backoffs, keypad_encode, load_arpa, load_vocab,
+    build_lattice, keypad_encode, load_arpa, load_vocab,
 )
 
 from lm_fixtures import markov_corpus, train_arpa
@@ -124,7 +124,7 @@ def brute_force_max(lm: NGramLM, word: str, context: tuple,
 
 def test_max_backoff_matches_brute_force(trained_lm):
     lm = trained_lm
-    tables = build_max_backoffs(lm)
+    tables = MaxBackoffTables(lm)
     for full_len in range(3):
         for clen in range(full_len + 1):
             for ctx in itertools.product(lm.words, repeat=clen):
@@ -138,7 +138,7 @@ def test_max_backoff_matches_brute_force(trained_lm):
 def test_max_backoff_monotone_in_context(trained_lm):
     # Extending a context can only lower the bound; the full context is exact.
     lm = trained_lm
-    tables = build_max_backoffs(lm)
+    tables = MaxBackoffTables(lm)
     full = lm.order - 1
     for ctx in itertools.product(lm.words, repeat=full):
         for w in lm.words:
@@ -153,7 +153,7 @@ def test_max_backoff_monotone_in_context(trained_lm):
 def test_max_backoff_order_cap(trained_lm):
     # A cap of 2 turns the trigram into a bigram model.
     lm = trained_lm
-    tables = build_max_backoffs(lm, order=2)
+    tables = MaxBackoffTables(lm, order=2)
     for w in lm.words:
         got = tables.value(w, (), 2)
         want = max(oracle_cond(lm, w, (u,)) for u in lm.words)

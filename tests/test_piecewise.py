@@ -277,6 +277,19 @@ def test_engine_optimization_certifies_brute_force_argmax(shape, seed):
     assert abs(res.certificate_gap_log) < 1e-9
 
 
+def test_certificate_gap_is_never_negative():
+    # q and p sum the same factors in different orders, so at the certified
+    # optimum log q - log p comes out a few ulps below zero on this grid
+    m = ising_grid(5, 5, sigma=0.5, seed=0)
+    pw = PiecewiseProposal(m)
+    res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
+                     PolicyRefiner(pw, Policy.MAX_SLACK, seed=0),
+                     StopConfig(), seed=0)
+    last = res.history.records[-1]
+    assert last.log_q - last.log_p < 0.0
+    assert res.certificate_gap_log == 0.0
+
+
 @pytest.mark.parametrize("policy", list(Policy))
 def test_policy_bench_rows_and_csv(policy, tmp_path):
     m = ising_grid(3, 3, sigma=0.6, seed=8)
