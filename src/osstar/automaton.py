@@ -321,7 +321,6 @@ def refine(q: QAutomaton, rejected: tuple, *,
 
     states = q.path_states(rejected)
     best_i, best_gap = None, 0.0
-    fallback_i = None
     for i, w in enumerate(rejected):
         e = q.contexts[i][states[i]][w]
         full = q.full_len(i)
@@ -332,11 +331,9 @@ def refine(q: QAutomaton, rejected: tuple, *,
         gap = vpart - nxt
         if gap > best_gap + 1e-15:
             best_i, best_gap = i, gap
-        if fallback_i is None:
-            exact = q.tables.value(w, tuple(rejected[i - full:i]), full)
-            if vpart - exact > 1e-12:
-                fallback_i = i
-    i = best_i if best_i is not None else fallback_i
+    i = best_i
+    if i is None:
+        i = next(iter(_slack_positions(q, rejected)), None)
     if i is None:
         raise NoRefinementAvailable(
             "rejected path already scores its exact probability")

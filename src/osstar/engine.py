@@ -7,15 +7,21 @@ configuration to a refiner that must tighten q at that point.  Sampling may
 draw a batch of trials from one frozen proposal; the batch is then refined
 once, at its reject with the largest log q - log p.
 
+Costs are counted in trials: each trial costs 1 and each refinement made by
+step() costs 1, so tau_samp is 1 and tau_ref is the refinement count.  A
+driver that charges refinements otherwise (policy_bench charges bound
+builds) passes its own cost to History.add_refinement.
+
 A proposal object must provide:
     draw(rng)   -> (config, log_q_of_config)     used in sampling mode
     argmax()    -> (config, log_q_of_config)     used in optimization mode
     mass_log()  -> float   log of the total proposal mass Q(X)
-    max_log()   -> float   log of max_x q(x)
 and may provide:
     sample_many(rng, k) -> (configs, log_qs)     k draws at once, configs
                            as the rows of an integer array; batches of
                            more than one trial use it instead of draw
+The loop never calls max_log(); only the refiners that select by
+norm="max" need it.
 
 A refiner must provide:
     refine(proposal, config, log_p, log_q) -> proposal
@@ -28,7 +34,6 @@ import csv
 import enum
 import itertools
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,18 +69,13 @@ class TrialRecord:
     log_q: float
     accepted: bool
     proposal_mass_log: float
-    trial_cost: float
-
-    @property
-    def ratio(self) -> float:
-        return math.exp(min(0.0, self.log_p - self.log_q))
 
 
 @dataclass
 class History:
     """Per-trial records, refinement cost bookkeeping and the running
-    totals behind the estimators.  Counts and cost sums are updated as each
-    trial is committed; the Z-hat sum catches up on its next read.
+    totals behind the estimators.  Counts are updated as each trial is
+    committed; the Z-hat sum catches up on its next read.
 
     `window` is the length of the windowed acceptance rate that metrics()
     reports; a run takes it from its StopConfig.
@@ -89,7 +89,6 @@ class History:
     window: int = 100
     accept_count: int = 0
     window_accepts: int = 0
-    trial_cost_sum: float = 0.0
     # log of the sum of r_t * Q_t(X) over the first _z_count trials
     _z_sum_log: float = -math.inf
     _z_count: int = 0
@@ -105,7 +104,6 @@ class History:
         self.window_accepts += record.accepted
         if len(self.records) > self.window:
             self.window_accepts -= self.records[-self.window - 1].accepted
-        self.trial_cost_sum += record.trial_cost
 
     def z_sum_log(self) -> float:
         """log of the sum of r_t * Q_t(X) over all trials, added in trial
@@ -115,7 +113,7 @@ class History:
                 self._z_sum_log,
                 min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
         self._z_count = len(self.records)
-        return self._z_sum_log
+        return float(self._z_sum_log)
 
     def add_refinement(self, cost: float) -> None:
         self.refine_count += 1
@@ -139,7 +137,6 @@ class History:
 class StopConfig:
     ar_window: int = 100
     ar_threshold: float = 0.2
-    opt_ratio_tolerance: float = 0.0
     max_refinements: int = 1_000_000
     max_trials: int = 1_000_000
 
@@ -175,35 +172,12 @@ class RunResult:
     certificate_gap_log: float | None
 
 
-class UnitCosts:
-    """Deterministic cost model: one unit per trial, one per refinement.
-
-    Keeps histories and CSV output bit-identical across reruns of one seed.
-    """
-
-    def trial_cost(self, elapsed: float, proposal) -> float:
-        return 1.0
-
-    def refine_cost(self, elapsed: float, proposal) -> float:
-        return 1.0
-
-
-class WallClockCosts:
-    """Cost model that charges measured wall time (seconds)."""
-
-    def trial_cost(self, elapsed: float, proposal) -> float:
-        return elapsed
-
-    def refine_cost(self, elapsed: float, proposal) -> float:
-        return elapsed
-
-
-def accept_or_reject(mode: Mode, ratio: float, rng: np.random.Generator,
-                     tolerance: float = 0.0) -> bool:
+def accept_or_reject(mode: Mode, ratio: float,
+                     rng: np.random.Generator) -> bool:
     """One accept/reject decision on a ratio r = p(x)/q(x).
 
-    Sampling accepts with probability r; optimization accepts iff
-    r >= 1 - tolerance (a ratio of 1 certifies the argmax exactly).
+    Sampling accepts with probability r; optimization accepts iff r is 1
+    up to roundoff (a ratio of 1 certifies the argmax exactly).
     """
     if ratio > 1.0 + LOG_TOL:
         raise RatioOutOfRange(f"acceptance ratio {ratio} exceeds 1")
@@ -211,7 +185,7 @@ def accept_or_reject(mode: Mode, ratio: float, rng: np.random.Generator,
         raise RatioOutOfRange(f"acceptance ratio {ratio} is negative")
     if mode is Mode.SAMPLING:
         return rng.random() < ratio
-    return ratio >= 1.0 - tolerance - 1e-12
+    return ratio >= 1.0 - 1e-12
 
 
 def should_stop(history: History, mode: Mode, stop: StopConfig) -> bool:
@@ -229,12 +203,13 @@ def metrics(history: History, current_mass_log: float, n: int = 1) -> Metrics:
     pi_hat = Z_hat / Q_now(X) predicts the acceptance rate of the current
     proposal; tau_tot_est = n * tau_samp / pi_hat + tau_ref estimates the
     total cost of obtaining n more exact samples if refinement stops now.
+    Costs are in trials, so tau_samp is 1.
     """
     if not history.records:
         raise EmptyHistory("no trials recorded")
     z_hat_log = history.z_sum_log() - math.log(history.trial_count)
     pi_hat = math.exp(z_hat_log - current_mass_log)
-    tau_samp = history.trial_cost_sum / history.trial_count
+    tau_samp = 1.0
     tau_ref = history.refine_cost_total
     tau_tot = (n * tau_samp / pi_hat + tau_ref) if pi_hat > 0 else math.inf
     return Metrics(
@@ -249,8 +224,8 @@ def metrics(history: History, current_mass_log: float, n: int = 1) -> Metrics:
 
 
 def trial_batch(mode: Mode, target, proposal, history: History,
-                stop: StopConfig, rng: np.random.Generator, batch: int = 1,
-                costs=None) -> TrialRecord | None:
+                stop: StopConfig, rng: np.random.Generator,
+                batch: int = 1) -> TrialRecord | None:
     """Draw `batch` trials from the frozen proposal and record them.
 
     Each trial is draw, target, domination check, accept-or-reject, record.
@@ -264,9 +239,7 @@ def trial_batch(mode: Mode, target, proposal, history: History,
         raise ValueError(f"batch must be >= 1, got {batch}")
     if batch > 1 and mode is not Mode.SAMPLING:
         raise ValueError("batches of more than one trial need sampling mode")
-    costs = costs if costs is not None else UnitCosts()
     mass = proposal.mass_log()
-    t0 = time.perf_counter()
     if mode is Mode.OPTIMIZATION:
         draws = [proposal.argmax()]
     elif batch > 1 and hasattr(proposal, "sample_many"):
@@ -275,26 +248,21 @@ def trial_batch(mode: Mode, target, proposal, history: History,
                  for c, lq in zip(configs.tolist(), log_qs)]
     else:
         draws = [proposal.draw(rng) for _ in range(batch)]
-    draw_cost = (time.perf_counter() - t0) / batch
 
     worst = None
     for j, (config, log_q) in enumerate(draws):
         if j and (history.trial_count >= stop.max_trials
                   or should_stop(history, mode, stop)):
             return None
-        t0 = time.perf_counter()
         log_p = target(config)
-        elapsed = draw_cost + (time.perf_counter() - t0)
         if log_p > log_q + LOG_TOL:
             raise DominationViolated(
                 f"log p {log_p} > log q {log_q} at {config!r}")
         ratio = math.exp(min(0.0, log_p - log_q))
-        accepted = accept_or_reject(mode, ratio, rng,
-                                    tolerance=stop.opt_ratio_tolerance)
+        accepted = accept_or_reject(mode, ratio, rng)
         record = TrialRecord(
             config=config, log_p=log_p, log_q=log_q, accepted=accepted,
-            proposal_mass_log=mass,
-            trial_cost=costs.trial_cost(elapsed, proposal))
+            proposal_mass_log=mass)
         history.append(record)
         if not accepted and (worst is None or record.log_q - record.log_p
                              > worst.log_q - worst.log_p):
@@ -304,32 +272,28 @@ def trial_batch(mode: Mode, target, proposal, history: History,
 
 def step(mode: Mode, target, proposal, refiner, history: History,
          stop: StopConfig, rng: np.random.Generator, batch: int = 1, *,
-         costs=None, on_refine=None):
+         on_refine=None):
     """One trial batch, then one refinement at its worst reject.
 
     `refiner` may be None to freeze the proposal.  Returns the proposal,
     which the refiner may have replaced.
     """
-    costs = costs if costs is not None else UnitCosts()
-    worst = trial_batch(mode, target, proposal, history, stop, rng, batch,
-                        costs)
+    worst = trial_batch(mode, target, proposal, history, stop, rng, batch)
     if worst is None or refiner is None:
         return proposal
     if history.refine_count >= stop.max_refinements:
         raise RefinementExhausted(
             f"refinement budget {stop.max_refinements} exhausted")
-    t0 = time.perf_counter()
     proposal = refiner.refine(proposal, worst.config, worst.log_p,
                               worst.log_q)
-    history.add_refinement(
-        costs.refine_cost(time.perf_counter() - t0, proposal))
+    history.add_refinement(1.0)
     if on_refine is not None:
         on_refine(proposal)
     return proposal
 
 
 def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
-        *, batch: int = 1, cost_model=None, on_refine=None) -> RunResult:
+        *, batch: int = 1, on_refine=None) -> RunResult:
     """Adaptive rejection loop: trials, accept-or-reject, refine on reject.
 
     `target` is a callable returning log p(config). `refiner` may be None to
@@ -339,13 +303,12 @@ def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
     domination and mass monotonicity exhaustively.
     """
     rng = np.random.default_rng(seed)
-    costs = cost_model if cost_model is not None else UnitCosts()
     history = History(window=stop.ar_window)
 
     while (history.trial_count < stop.max_trials
            and not should_stop(history, mode, stop)):
         proposal = step(mode, target, proposal, refiner, history, stop, rng,
-                        batch, costs=costs, on_refine=on_refine)
+                        batch, on_refine=on_refine)
 
     samples = [r.config for r in history.records if r.accepted]
     argmax = None
@@ -367,7 +330,7 @@ CSV_COLUMNS = ["trial", "accepted", "log_p", "log_q", "q_mass_log",
                "ar_cum", "ar_window", "z_hat_log", "pi_hat", "tau_tot_est"]
 
 
-def write_trial_csv(history: History, path, n: int = 1) -> None:
+def write_trial_csv(history: History, path) -> None:
     """One row per trial with the acceptance rates and estimators as they
     stood once that trial was committed."""
     replay = History(window=history.window)
@@ -378,7 +341,7 @@ def write_trial_csv(history: History, path, n: int = 1) -> None:
                                 history.refine_cost_at_trial):
             replay.refine_cost_total = tau_ref
             replay.append(rec)
-            met = metrics(replay, rec.proposal_mass_log, n)
+            met = metrics(replay, rec.proposal_mass_log)
             writer.writerow([
                 replay.trial_count, int(rec.accepted), repr(rec.log_p),
                 repr(rec.log_q), repr(rec.proposal_mass_log),

@@ -157,10 +157,6 @@ class Forest:
     order: list[int] = field(default_factory=list)  # preorder, roots first
 
     @property
-    def nodes(self) -> list[int]:
-        return self.order
-
-    @property
     def edge_ids(self) -> set[int]:
         return set(self.edge_of.values())
 

@@ -347,14 +347,14 @@ BENCH_COLUMNS = ["refinement_index", "ar_hat", "z_hat_log", "q_mass_log",
 
 def policy_bench(model: PairwiseModel, policy: Policy, *,
                  refinements: int = 40, trials_per_round: int = 200,
-                 seed=0, retree: bool = False, n_target: int = 1):
+                 seed=0, retree: bool = False):
     """Refine under one policy, measuring estimators after each step.
 
     Each round is one engine trial batch from the frozen proposal, logs one
     row, then applies one conditioning.  Policies I and II refine at the
     round's reject with the largest log q - log p; III and IV ignore the
-    rejections.  Costs are deterministic units: every trial costs 1,
-    refinement cost is the number of bound builds beyond the root, which
+    rejections.  Costs are counted in trials, as in the engine, except that
+    a refinement costs the number of bound builds beyond the root, which
     charges the queue policy for its lookahead.  Returns (rows, proposal).
     """
     trial_seed, policy_seed = np.random.SeedSequence(seed).spawn(2)
@@ -374,10 +374,10 @@ def policy_bench(model: PairwiseModel, policy: Policy, *,
         worst = engine.trial_batch(Mode.SAMPLING, model.log_p, pw, history,
                                    stop, rng, trials_per_round)
         mass = pw.mass_log()
-        met = engine.metrics(history, mass, n_target)
+        met = engine.metrics(history, mass)
         rows.append(BenchRow(
             refinement_index=k, trials=history.trial_count,
-            ar_hat=met.ar_window, z_hat_log=float(met.z_hat_log),
+            ar_hat=met.ar_window, z_hat_log=met.z_hat_log,
             pi_hat=met.pi_hat, q_mass_log=mass, tau_samp=met.tau_samp,
             tau_ref=met.tau_ref, tau_tot_est=met.tau_tot_est))
         if k == refinements:

@@ -31,9 +31,6 @@ class TableProposal:
     def mass_log(self) -> float:
         return float(np.logaddexp.reduce(sorted(self.table.values())))
 
-    def max_log(self) -> float:
-        return max(self.table.values())
-
 
 class TableTarget:
     def __init__(self, table: dict):

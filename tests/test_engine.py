@@ -65,7 +65,6 @@ def test_optimization_accept_requires_ratio_one_by_default():
     rng = np.random.default_rng(0)
     assert not accept_or_reject(Mode.OPTIMIZATION, 0.999999, rng)
     assert accept_or_reject(Mode.OPTIMIZATION, 1.0, rng)
-    assert accept_or_reject(Mode.OPTIMIZATION, 0.95, rng, tolerance=0.1)
 
 
 def test_ratio_out_of_range():
@@ -105,13 +104,13 @@ def test_should_stop_windowed_rule():
     stop = StopConfig(ar_window=4, ar_threshold=0.5)
     h = History()
     for accepted in [True, True, False]:
-        h.append(TrialRecord(("x",), 0.0, 0.0, accepted, 0.0, 1.0))
+        h.append(TrialRecord(("x",), 0.0, 0.0, accepted, 0.0))
     # only 3 trials exist: window not yet full
     assert not should_stop(h, Mode.SAMPLING, stop)
-    h.append(TrialRecord(("x",), 0.0, 0.0, False, 0.0, 1.0))
+    h.append(TrialRecord(("x",), 0.0, 0.0, False, 0.0))
     # window AR = 2/4 >= 0.5
     assert should_stop(h, Mode.SAMPLING, stop)
-    h.append(TrialRecord(("x",), 0.0, 0.0, False, 0.0, 1.0))
+    h.append(TrialRecord(("x",), 0.0, 0.0, False, 0.0))
     # window AR = 1/4 < 0.5
     assert not should_stop(h, Mode.SAMPLING, stop)
 
@@ -134,22 +133,22 @@ def test_accepts_never_trigger_refinement():
 def test_single_trial_z_hat():
     # One trial with r = 0.5 and Q(X) = 4 gives Z_hat = 2.
     h = History()
-    h.append(TrialRecord(("x",), math.log(0.5), 0.0, True,
-                         math.log(4.0), 1.0))
+    h.append(TrialRecord(("x",), math.log(0.5), 0.0, True, math.log(4.0)))
     m = metrics(h, math.log(4.0))
     assert math.isclose(math.exp(m.z_hat_log), 2.0, rel_tol=1e-12)
     assert math.isclose(m.pi_hat, 0.5, rel_tol=1e-12)
 
 
 def test_tau_tot_arithmetic():
-    # n=1, tau_samp=0.001, pi_hat=0.1, tau_ref=3 -> 3.01 s.
+    # n=1, tau_samp=1 trial, pi_hat=0.1, tau_ref=3 -> 13 trials.
     h = History()
     # one trial with ratio 0.1 against mass 1.0 => pi_hat = 0.1
-    h.append(TrialRecord(("x",), math.log(0.1), 0.0, False, 0.0, 0.001))
+    h.append(TrialRecord(("x",), math.log(0.1), 0.0, False, 0.0))
     h.add_refinement(3.0)
     m = metrics(h, 0.0, n=1)
     assert math.isclose(m.pi_hat, 0.1, rel_tol=1e-12)
-    assert math.isclose(m.tau_tot_est, 3.01, rel_tol=1e-12)
+    assert m.tau_samp == 1.0
+    assert math.isclose(m.tau_tot_est, 13.0, rel_tol=1e-12)
 
 
 def test_metrics_report_the_run_window():
@@ -172,7 +171,6 @@ def test_running_totals_match_a_pass_over_the_records():
         z = np.logaddexp(z, min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
     assert h.z_sum_log() == z
     assert h.accept_count == sum(r.accepted for r in h.records)
-    assert h.trial_cost_sum == sum(r.trial_cost for r in h.records)
 
 
 @pytest.mark.parametrize("bad", [{"ar_window": 0}, {"max_trials": -1},
@@ -214,6 +212,10 @@ def test_batch_uses_sample_many_and_refines_at_the_worst_reject():
     recs = result.history.records
     assert len(recs) == 40 and {r.config for r in recs} <= {(97,), (98,)}
     assert len(seen) == 2
+    # costs are counted in trials: one per trial, one per refinement
+    met = metrics(result.history, proposal.mass_log())
+    assert met.tau_samp == 1.0
+    assert met.tau_ref == result.history.refine_count == 2
     for k, gap in enumerate(seen):
         batch = recs[20 * k:20 * (k + 1)]
         assert gap == max(r.log_q - r.log_p for r in batch
@@ -251,7 +253,10 @@ def test_trial_csv_deterministic(tmp_path):
     engine.write_trial_csv(result.history, p1)
     engine.write_trial_csv(result.history, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
-    assert header == ("trial,accepted,log_p,log_q,q_mass_log,ar_cum,"
-                      "ar_window,z_hat_log,pi_hat,tau_tot_est")
-    assert len(p1.read_text().splitlines()) == 201
+    rows = p1.read_text().splitlines()
+    assert rows[0] == ("trial,accepted,log_p,log_q,q_mass_log,ar_cum,"
+                       "ar_window,z_hat_log,pi_hat,tau_tot_est")
+    assert len(rows) == 201
+    for row in rows[1:]:
+        for cell in row.split(","):
+            float(cell)
