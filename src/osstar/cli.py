@@ -261,7 +261,7 @@ def _selftest_checks():
                          PolicyRefiner(pw, Policy.MAX_SLACK, seed=0),
                          StopConfig(max_trials=4000), 0)
         assert res.argmax == expect, f"{res.argmax} != {expect}"
-        assert abs(res.certificate_gap_log) < 1e-9
+        assert res.certificate_gap_log == 0.0
 
     def check_gm_sampler():
         model = ising_grid(2, 2, sigma=1.0, seed=1)

@@ -69,6 +69,10 @@ class PairwiseModel:
         self.phi_max_log = [float(e.log_phi.max()) for e in self.edges]
         self.phi_range_log = [float(e.log_phi.max() - e.log_phi.min())
                               for e in self.edges]
+        # bounds the magnitude of every partial sum of log p or log q
+        self.abs_log_sum = float(
+            sum(np.abs(psi).max() for psi in self.log_psi)
+            + sum(np.abs(e.log_phi).max() for e in self.edges))
 
     @property
     def n_nodes(self) -> int:
@@ -335,23 +339,36 @@ class SubspaceProposal:
     # -- scoring -------------------------------------------------------------
 
     def score(self, config) -> float:
-        """log q(config) for a full configuration in this subspace."""
-        total = self.const
-        for j in self.free:
-            total += self.eff[j][config[j]]
-        for child, eid in self.forest.edge_of.items():
-            e = self.model.edges[eid]
-            total += e.log_phi[config[e.u], config[e.v]]
+        """log q(config) for a full configuration in this subspace.
+
+        Sums in PairwiseModel.log_p's order (nodes, then edges by id) with
+        each off-tree edge at its max entry.  Float addition is monotone,
+        so score(x) >= log_p(x) holds bit for bit, with equality when no
+        off-tree edge is below its max at x.
+        """
+        offtree = set(self.offtree_ids)
+        total = 0.0
+        for i, psi in enumerate(self.model.log_psi):
+            total += psi[config[i]]
+        for eid, e in enumerate(self.model.edges):
+            if eid in offtree:
+                total += self.model.phi_max_log[eid]
+            else:
+                total += e.log_phi[config[e.u], config[e.v]]
         return float(total)
 
     def score_many(self, configs: np.ndarray) -> np.ndarray:
+        """score() over the rows of configs, in the same order of sums."""
         configs = np.asarray(configs)
-        total = np.full(len(configs), self.const)
-        for j in self.free:
-            total += self.eff[j][configs[:, j]]
-        for eid in sorted(self.forest.edge_ids):
-            e = self.model.edges[eid]
-            total += e.log_phi[configs[:, e.u], configs[:, e.v]]
+        offtree = set(self.offtree_ids)
+        total = np.zeros(len(configs))
+        for i, psi in enumerate(self.model.log_psi):
+            total += psi[configs[:, i]]
+        for eid, e in enumerate(self.model.edges):
+            if eid in offtree:
+                total += self.model.phi_max_log[eid]
+            else:
+                total += e.log_phi[configs[:, e.u], configs[:, e.v]]
         return total
 
     # -- draws ---------------------------------------------------------------
@@ -395,7 +412,8 @@ class SubspaceProposal:
         return out, self.score_many(out)
 
     def _max_log_clamped(self, clamps: dict[int, int]) -> float:
-        """Forest max with some free nodes pinned to fixed values.
+        """Forest max with some free nodes pinned to fixed values; serves
+        only _argmax_clamped, the near-tie fallback of argmax.
 
         Masking only removes candidates from max reductions, so any
         surviving assignment accumulates exactly the same floats as in the
@@ -417,9 +435,9 @@ class SubspaceProposal:
             total += float(beta[r].max())
         return total
 
-    def argmax(self):
-        """Maximizing configuration; exact ties take the lexicographically
-        smallest configuration (node index order, then value order)."""
+    def _argmax_clamped(self) -> dict[int, int]:
+        """Free-node values of the lexicographically smallest maximizer:
+        one clamped pass per (free node, value) tried."""
         target = self._max_log_clamped({})
         values: dict[int, int] = {}
         for j in self.free:
@@ -427,6 +445,34 @@ class SubspaceProposal:
                 values[j] = v
                 if self._max_log_clamped(values) == target:
                     break
+        return values
+
+    def argmax(self):
+        """Maximizing configuration; exact ties take the lexicographically
+        smallest configuration (node index order, then value order).
+
+        Backtracks the cached max-product pass beta("max") in preorder: a
+        root takes its best value, every other node its best value given
+        its parent's, O(nodes * domain^2) with the pass itself.  If at
+        every step the runner-up trails the best by more than
+        1e-9 * max(1, model.abs_log_sum), far above the roundoff of a
+        pass, the maximizer is unique and equals what the clamped search
+        returns.  Otherwise (exact ties, as in zero-field models) it falls
+        back to _argmax_clamped, which applies the tie rule.
+        """
+        beta = self.beta("max")
+        tol = 1e-9 * max(1.0, self.model.abs_log_sum)
+        values: dict[int, int] = {}
+        for j in self.forest.order:
+            p = self.forest.parent[j]
+            logits = beta[j] if p is None else \
+                beta[j] + self._edge_to_parent(j)[:, values[p]]
+            best = int(np.argmax(logits))
+            if len(logits) > 1 and \
+                    np.partition(logits, -2)[-2] >= logits[best] - tol:
+                values = self._argmax_clamped()
+                break
+            values[j] = best
         config = self._full(values)
         return config, self.score(config)
 

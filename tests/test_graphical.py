@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from osstar.graphical import (Disconnected, Forest, PairwiseModel,
                               SubspaceProposal, ising_grid,
@@ -237,3 +238,47 @@ def test_argmax_fully_tied_model_returns_zero_config():
     config, val = SubspaceProposal(m, {}).argmax()
     assert config == (0, 0, 0)
     assert val == 0.0
+
+
+@st.composite
+def small_models(draw):
+    """Small models with integer log potentials (exact ties are common)
+    and a partial assignment; edges are any subset of the node pairs."""
+    n = draw(st.integers(2, 6))
+    domains = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ints = st.integers(-2, 2)
+    log_psi = [draw(st.lists(ints, min_size=d, max_size=d)) for d in domains]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(u, v, [draw(st.lists(ints, min_size=domains[v],
+                                   max_size=domains[v]))
+                      for _ in range(domains[u])])
+             for u, v in pairs if draw(st.booleans())]
+    model = PairwiseModel(domains, log_psi, edges)
+    assigned = {}
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        assigned[i] = draw(st.integers(0, domains[i] - 1))
+    return model, assigned
+
+
+def preorder_tie():
+    """Tree 0-2-1, so preorder (0, 2, 1) is not node order; x1 != x2 ties
+    at node 2, where the smaller value leads to the larger configuration."""
+    anti = np.log(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    return PairwiseModel([2, 2, 2], [np.zeros(2)] * 3,
+                         [(0, 2, np.zeros((2, 2))), (1, 2, anti)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_models())
+@example((preorder_tie(), {}))
+def test_argmax_matches_clamped_search_and_enumeration(case):
+    m, assigned = case
+    q = SubspaceProposal(m, assigned)
+    config, log_q = q.argmax()
+    assert config == q._full(q._argmax_clamped())
+    inside = [x for x in all_configs(m)
+              if all(x[i] == v for i, v in assigned.items())]
+    scores = {x: q.score(x) for x in inside}
+    best = max(scores.values())
+    assert config == min(x for x, s in scores.items() if s == best)
+    assert log_q == best == q.max_log()

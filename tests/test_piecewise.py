@@ -278,16 +278,40 @@ def test_engine_optimization_certifies_brute_force_argmax(shape, seed):
 
 
 def test_certificate_gap_is_never_negative():
-    # q and p sum the same factors in different orders, so at the certified
-    # optimum log q - log p comes out a few ulps below zero on this grid
+    # q is scored in p's summation order, so at the certified optimum the
+    # two sums are the same floats (this grid once read a few ulps below 0)
     m = ising_grid(5, 5, sigma=0.5, seed=0)
     pw = PiecewiseProposal(m)
     res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
                      PolicyRefiner(pw, Policy.MAX_SLACK, seed=0),
                      StopConfig(), seed=0)
     last = res.history.records[-1]
-    assert last.log_q - last.log_p < 0.0
+    assert last.log_q == last.log_p
     assert res.certificate_gap_log == 0.0
+
+
+def test_argmax_backtracks_without_clamped_passes(monkeypatch):
+    calls = {"n": 0}
+    clamped = SubspaceProposal._max_log_clamped
+
+    def counting(self, clamps):
+        calls["n"] += 1
+        return clamped(self, clamps)
+
+    monkeypatch.setattr(SubspaceProposal, "_max_log_clamped", counting)
+    m = ising_grid(5, 5, sigma=0.5, seed=0)
+    pw = PiecewiseProposal(m)
+    res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
+                     PolicyRefiner(pw, Policy.MAX_SLACK, seed=0),
+                     StopConfig(), seed=0)
+    assert res.history.trial_count > 1
+    assert calls["n"] == 0
+    # an exact tie takes the clamped search and its lexicographic rule
+    anti = np.log(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    tie = PairwiseModel([2, 2], [np.zeros(2), np.zeros(2)], [(0, 1, anti)])
+    config, _ = SubspaceProposal(tie, {}).argmax()
+    assert calls["n"] >= 1
+    assert config == (0, 1)
 
 
 @pytest.mark.parametrize("policy", list(Policy))
