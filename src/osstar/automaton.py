@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .ngram import MaxBackoffTables, NGramLM, TokenLattice
+from .ngram import MaxBackoffTables, NGramLM, NoCandidate, TokenLattice
 
 
 class NoRefinementAvailable(RuntimeError):
@@ -156,13 +156,21 @@ class QAutomaton:
 
 
 def build_q0(lattice: TokenLattice, tables: MaxBackoffTables) -> QAutomaton:
-    """Initial automaton: every word scored by its order-1 bound."""
+    """Initial automaton: every word scored by its order-1 bound.
+
+    Raises NoCandidate when every candidate at some position has
+    probability zero under the LM, so that no sentence has any mass.
+    """
     q = QAutomaton(lattice, tables)
     for i in range(lattice.length):
         edges = {}
         for word, lp in lattice.candidates[i]:
             weight = tables.value(word, (), q.full_len(i)) + lp
             edges[word] = Edge(word, 1, weight, ())
+        if all(e.weight == -math.inf for e in edges.values()):
+            raise NoCandidate(f"position {i}: every candidate "
+                              f"({', '.join(edges)}) has probability zero "
+                              "under the LM")
         q.contexts.append({(): edges})
     q.contexts.append({(): {}})
     return q

@@ -231,6 +231,18 @@ def _selftest_checks():
     def paths():
         return itertools.product("ab", repeat=3)
 
+    def check_bounds():
+        # at the full context a bound is the conditional itself, and it
+        # never increases as the context deepens
+        for full in range(lm.order):
+            for ctx in itertools.product(lm.words, repeat=full):
+                for w in lm.words:
+                    chain = [tables.value(w, ctx[full - k:], full)
+                             for k in range(full + 1)]
+                    assert chain[-1] == lm.cond_logprob(w, ctx), (w, ctx)
+                    assert all(a >= b for a, b in zip(chain, chain[1:])), \
+                        (w, ctx, chain)
+
     def check_decode():
         q = am.build_q0(lattice, tables)
         res = engine.run(Mode.OPTIMIZATION, target, q, am.AutomatonRefiner(),
@@ -276,7 +288,9 @@ def _selftest_checks():
         met = engine.metrics(res.history, pw.mass_log())
         assert abs(met.z_hat_log - log_z) < 0.25, met.z_hat_log
 
-    return [("keypad decode is exact", check_decode),
+    return [("bounds are exact at full context and monotone",
+             check_bounds),
+            ("keypad decode is exact", check_decode),
             ("sentence sampler hits rate and mass", check_sentence_sampler),
             ("grid MAP matches enumeration", check_gm_optimize),
             ("grid sampler estimates the partition sum", check_gm_sampler)]

@@ -5,7 +5,7 @@ target p (q >= p pointwise), accepts with probability p/q (sampling) or iff
 the ratio certifies the maximum (optimization), and hands a rejected
 configuration to a refiner that must tighten q at that point.  Sampling may
 draw a batch of trials from one frozen proposal; the batch is then refined
-once, at its reject with the largest log q - log p.
+once, at its reject with the largest log q - log p (up to roundoff).
 
 Costs are counted in trials: each trial costs 1 and each refinement made by
 step() costs 1, so tau_samp is 1 and tau_ref is the refinement count.  A
@@ -233,13 +233,19 @@ def trial_batch(mode: Mode, target, proposal, history: History,
     before the batch; once it or the trial budget fires inside the batch,
     the rest of the batch is discarded.  Returns the committed reject with
     the largest log q - log p, the point to refine at, or None when every
-    trial accepted or the batch was cut short.
+    trial accepted or the batch was cut short.  A later reject displaces
+    the current pick only when its gap is larger by more than LOG_TOL, so
+    gaps equal up to roundoff go to the earliest draw.  Raises ValueError
+    when the proposal's mass is not finite: nothing can be drawn from it.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if batch > 1 and mode is not Mode.SAMPLING:
         raise ValueError("batches of more than one trial need sampling mode")
     mass = proposal.mass_log()
+    if not math.isfinite(mass):
+        raise ValueError(f"proposal log mass is {mass}: there is nothing "
+                         "to draw from")
     if mode is Mode.OPTIMIZATION:
         draws = [proposal.argmax()]
     elif batch > 1 and hasattr(proposal, "sample_many"):
@@ -265,7 +271,7 @@ def trial_batch(mode: Mode, target, proposal, history: History,
             proposal_mass_log=mass)
         history.append(record)
         if not accepted and (worst is None or record.log_q - record.log_p
-                             > worst.log_q - worst.log_p):
+                             > worst.log_q - worst.log_p + LOG_TOL):
             worst = record
     return worst
 

@@ -8,13 +8,17 @@ The "max-backoff" of a word w given a short context c at level k is the max
 of the true conditional over every way of extending c with older words up to
 the full context length.  These quantities upper-bound each factor of the
 sentence probability and are exactly the edge weights the proposal automaton
-needs; they shrink monotonically as the context grows.
+needs; they shrink monotonically as the context grows.  MaxBackoffTables
+computes them a row at a time: the row of a (context, full context length)
+holds the bound of every word, so memory grows as rows x words.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 LN10 = math.log(10.0)
 
@@ -164,13 +168,21 @@ def load_arpa(text: str) -> NGramLM:
 
 
 class MaxBackoffTables:
-    """Lazy tables of max-backoff values for one LM.
+    """Memoised max-backoff rows for one LM.
 
     value(w, c, L) is the max of p(w | e + c) over all extensions e of the
     context c by older vocabulary words, up to total context length L.  The
     enumeration only branches on extension words u for which (u,) + c is the
     suffix of some stored n-gram: every other u yields the shared backoff
     value p(w | c), so one representative covers them all.
+
+    The tables hold one row per (context, L): the bound of every word at
+    once, one column per word that ends a stored n-gram plus a last column
+    of -inf for every other word.  A row is built once, from its children's
+    rows by an elementwise max, and kept, so memory grows as rows x words.
+    Every entry equals that enumeration over cond_logprob values bit for
+    bit: a conditional is the same single float add as in cond_logprob,
+    and max is exact.
     """
 
     def __init__(self, lm: NGramLM, order: int | None = None):
@@ -179,8 +191,17 @@ class MaxBackoffTables:
         if n < 1:
             raise OrderUnsupported("order cap must be >= 1")
         self.order = n
-        self._value_cache: dict[tuple, float] = {}
-        self._interesting_cache: dict[tuple, list[str]] = {}
+        ends = sorted({gram[-1] for gram in lm.logprob})
+        self._col = {w: j for j, w in enumerate(ends)}
+        self._width = len(ends) + 1
+        # explicit successors of each stored context: (columns, log-probs)
+        succ: dict[tuple, tuple[list, list]] = {}
+        for gram, lp in lm.logprob.items():
+            cols, lps = succ.setdefault(gram[:-1], ([], []))
+            cols.append(self._col[gram[-1]])
+            lps.append(lp)
+        self._succ = {ctx: (np.array(cols, dtype=np.intp), np.array(lps))
+                      for ctx, (cols, lps) in succ.items()}
         # suffixes of stored grams and of their context parts
         suf = set()
         for gram in lm.logprob:
@@ -192,36 +213,61 @@ class MaxBackoffTables:
         for gram in lm.backoff:
             for j in range(len(gram)):
                 suf.add(gram[j:])
-        self._suffixes = suf
+        # interesting extension words of each context, in lm.words order
+        rank = {w: j for j, w in enumerate(lm.words)}
+        ext: dict[tuple, list[str]] = {}
+        for s in suf:
+            if s[0] in rank:
+                ext.setdefault(s[1:], []).append(s[0])
+        for words in ext.values():
+            words.sort(key=rank.__getitem__)
+        self._ext = ext
+        self._rows: dict[tuple, np.ndarray] = {}
+        # rows that value() has read, as lists, one dict per full_len
+        self._lists: list[dict[tuple, list[float]]] = [{} for _ in range(n)]
 
-    def _interesting(self, context: tuple) -> list[str]:
-        got = self._interesting_cache.get(context)
-        if got is None:
-            got = [u for u in self.lm.words
-                   if ((u,) + context) in self._suffixes]
-            self._interesting_cache[context] = got
-        return got
+    def _cond_row(self, context: tuple) -> np.ndarray:
+        """log p(. | context) for every column, as cond_logprob adds it."""
+        accs = [0.0]
+        for j in range(len(context)):
+            accs.append(accs[-1] + self.lm.backoff.get(context[j:], 0.0))
+        row = np.full(self._width, -math.inf)
+        # shortest tail first, so the longest stored tail is written last
+        for j in range(len(context), -1, -1):
+            got = self._succ.get(context[j:])
+            if got is not None:
+                row[got[0]] = accs[j] + got[1]
+        return row
+
+    def _row(self, context: tuple, full_len: int) -> np.ndarray:
+        key = (context, full_len)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = self._build_row(context, full_len)
+        return row
+
+    def _build_row(self, context: tuple, full_len: int) -> np.ndarray:
+        if len(context) == full_len:
+            return self._cond_row(context)
+        ext = self._ext.get(context, [])
+        rows = [self._row((u,) + context, full_len) for u in ext]
+        # all uninteresting extensions collapse to the plain backoff row
+        if len(ext) < len(self.lm.words):
+            rows.append(self._row(context, len(context)))
+        if not rows:   # an LM without sentence words
+            return np.full(self._width, -math.inf)
+        return rows[0] if len(rows) == 1 else np.maximum.reduce(rows)
 
     def value(self, word: str, context: tuple, full_len: int) -> float:
         """Max of p(word | extension + context) over length-full_len contexts."""
         full_len = min(full_len, self.order - 1)
         if len(context) > full_len:
             context = context[len(context) - full_len:]
-        key = (word, context, full_len)
-        hit = self._value_cache.get(key)
-        if hit is not None:
-            return hit
-        if len(context) == full_len:
-            best = self.lm.cond_logprob(word, context)
-        else:
-            interesting = self._interesting(context)
-            # all uninteresting extensions collapse to the plain backoff value
-            best = (self.lm.cond_logprob(word, context)
-                    if len(interesting) < len(self.lm.words) else -math.inf)
-            for u in interesting:
-                best = max(best, self.value(word, (u,) + context, full_len))
-        self._value_cache[key] = best
-        return best
+        lists = self._lists[full_len]
+        row = lists.get(context)
+        if row is None:
+            row = lists[context] = self._row(context, full_len).tolist()
+        return row[self._col.get(word, -1)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from osstar.cli import main
 from osstar.engine import CSV_COLUMNS
 from osstar.graphical import PairwiseModel, ising_grid
 
-from test_ngram import TINY_ARPA
+from test_ngram import DATA, TINY_ARPA
 
 
 @pytest.fixture
@@ -65,6 +65,35 @@ def test_hmm_error_paths(hmm_files, tmp_path, capsys):
     # no candidate word for a digit string outside the vocabulary codes
     assert main(["hmm", "decode", "--arpa", arpa, "--vocab", vocab,
                  "--obs", "99"]) == 1
+
+
+KEYPAD_ARPA = str(DATA / "keypad4663.arpa")
+
+
+@pytest.mark.parametrize("command", ["decode", "sample"])
+def test_hmm_zero_mass_lattice_is_a_clean_error(tmp_path, capsys, command):
+    # wxy types 999 but is not in the LM: position 1 has no possible word
+    vocab = tmp_path / "words.txt"
+    vocab.write_text("gone\ngood\nhome\nhood\nwxy\n")
+    rc = main(["hmm", command, "--arpa", KEYPAD_ARPA, "--vocab", str(vocab),
+               "--obs", "4663", "999", "4663"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "position 1" in err
+
+
+@pytest.mark.parametrize("command", ["decode", "sample"])
+def test_hmm_words_outside_the_lm_are_never_output(tmp_path, capsys,
+                                                   command):
+    # hoof types 4663 like home but is not in the LM: it gets probability
+    # zero while its position keeps four possible words
+    vocab = tmp_path / "words.txt"
+    vocab.write_text("gone\ngood\nhome\nhood\nhoof\n")
+    rc = main(["hmm", command, "--arpa", KEYPAD_ARPA, "--vocab", str(vocab),
+               "--obs", "4663", "4663", "4663"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "hoof" not in out and ("decoded:" in out or "top samples:" in out)
 
 
 @pytest.mark.parametrize("bad", [["--batch", "0"], ["--batch", "-5"],
@@ -174,5 +203,5 @@ def test_gen_ising_file_and_stdout(tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == 5
     assert "FAIL" not in out

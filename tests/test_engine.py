@@ -10,7 +10,8 @@ import pytest
 from osstar import engine
 from osstar.engine import (
     EmptyHistory, History, Metrics, Mode, RatioOutOfRange, RefinementExhausted,
-    StopConfig, TrialRecord, accept_or_reject, metrics, run, should_stop,
+    LOG_TOL, StopConfig, TrialRecord, accept_or_reject, metrics, run,
+    should_stop, trial_batch,
 )
 
 from conftest import SnapToTargetRefiner, TableProposal, TableTarget, two_point
@@ -220,6 +221,44 @@ def test_batch_uses_sample_many_and_refines_at_the_worst_reject():
         batch = recs[20 * k:20 * (k + 1)]
         assert gap == max(r.log_q - r.log_p for r in batch
                           if not r.accepted)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_zero_mass_proposal_raises(mode):
+    # every entry -inf: Q(X) = 0, so there is nothing to draw from
+    target = TableTarget({("a",): -1.0, ("b",): -1.0})
+    proposal = TableProposal({("a",): -math.inf, ("b",): -math.inf})
+    with pytest.raises(ValueError, match="log mass"):
+        run(mode, target, proposal, None, StopConfig(max_trials=10), 0)
+
+
+class ScriptedProposal:
+    """Hands out the configs of a script in order, each with log q = 0."""
+
+    def __init__(self, configs):
+        self.configs = list(configs)
+
+    def draw(self, rng):
+        return self.configs.pop(0), 0.0
+
+    def mass_log(self) -> float:
+        return 0.0
+
+
+@pytest.mark.parametrize("later_excess, pick", [
+    (0.0, ("a",)), (0.5 * LOG_TOL, ("a",)), (2 * LOG_TOL, ("b",))])
+def test_refine_pick_breaks_roundoff_ties_toward_the_earliest_reject(
+        later_excess, pick):
+    # Both draws reject (ratio e^-50); the later gap is one ulp larger, plus
+    # `later_excess`.  Only an excess beyond LOG_TOL moves the pick.
+    log_p_b = np.nextafter(-50.0, -math.inf) - later_excess
+    target = TableTarget({("a",): -50.0, ("b",): float(log_p_b)})
+    assert 0.0 - target.table[("b",)] > 0.0 - target.table[("a",)]
+    worst = trial_batch(Mode.SAMPLING, target,
+                        ScriptedProposal([("a",), ("b",)]),
+                        History(), StopConfig(ar_threshold=1.1),
+                        np.random.default_rng(0), batch=2)
+    assert worst.config == pick
 
 
 def test_metrics_empty_history_raises():

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from osstar import automaton as am
 from osstar.ngram import (
     MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported, ParseError,
     build_lattice, keypad_encode, load_arpa, load_vocab,
@@ -16,6 +19,7 @@ from osstar.ngram import (
 from lm_fixtures import markov_corpus, train_arpa
 
 LN10 = math.log(10.0)
+DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 
 # Hand-written trigram over {a, b}: probabilities are powers of ten so the
 # log10 -> ln conversion is exact.
@@ -146,8 +150,7 @@ def test_max_backoff_monotone_in_context(trained_lm):
                      for k in range(full + 1)]
             for shallow, deep in zip(chain, chain[1:]):
                 assert shallow >= deep - 1e-12
-            assert math.isclose(chain[-1], lm.cond_logprob(w, ctx),
-                                abs_tol=1e-12)
+            assert chain[-1] == lm.cond_logprob(w, ctx)
 
 
 def test_max_backoff_order_cap(trained_lm):
@@ -158,6 +161,130 @@ def test_max_backoff_order_cap(trained_lm):
         got = tables.value(w, (), 2)
         want = max(oracle_cond(lm, w, (u,)) for u in lm.words)
         assert math.isclose(got, want, abs_tol=1e-12)
+
+
+class ScalarMaxBackoff:
+    """The max-backoff as one recursive call per (word, context, full_len):
+    the reference the row tables must match bit for bit."""
+
+    def __init__(self, lm: NGramLM, order: int | None = None):
+        self.lm = lm
+        self.order = lm.order if order is None else min(order, lm.order)
+        self._cache: dict[tuple, float] = {}
+        suf = set()
+        for gram in lm.logprob:
+            for j in range(len(gram)):
+                suf.add(gram[j:])
+            ctx = gram[:-1]
+            for j in range(len(ctx)):
+                suf.add(ctx[j:])
+        for gram in lm.backoff:
+            for j in range(len(gram)):
+                suf.add(gram[j:])
+        self._suffixes = suf
+
+    def value(self, word: str, context: tuple, full_len: int) -> float:
+        full_len = min(full_len, self.order - 1)
+        if len(context) > full_len:
+            context = context[len(context) - full_len:]
+        key = (word, context, full_len)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        if len(context) == full_len:
+            best = self.lm.cond_logprob(word, context)
+        else:
+            interesting = [u for u in self.lm.words
+                           if ((u,) + context) in self._suffixes]
+            best = (self.lm.cond_logprob(word, context)
+                    if len(interesting) < len(self.lm.words) else -math.inf)
+            for u in interesting:
+                best = max(best, self.value(word, (u,) + context, full_len))
+        self._cache[key] = best
+        return best
+
+
+def contexts_up_to(lm: NGramLM, full_len: int, exhaustive: int = 2):
+    """Every context of at most `exhaustive` words, plus every longer one
+    that is a stored context or a stored context with one older word."""
+    out = set()
+    for k in range(min(full_len, exhaustive) + 1):
+        out.update(itertools.product(lm.words, repeat=k))
+    words = set(lm.words)
+    stored = {g[j:-1] for g in lm.logprob for j in range(len(g) - 1)}
+    for c in stored:
+        if words.issuperset(c) and len(c) <= full_len:
+            out.add(c)
+            if len(c) < full_len:
+                out.update((u,) + c for u in lm.words)
+    return sorted(out)
+
+
+def assert_rows_match_scalar(lm: NGramLM, exhaustive: int = 2) -> int:
+    """Every word plus one out-of-LM word, every context up to full_len,
+    every order cap: the tables equal the scalar recursion exactly."""
+    checked = 0
+    for cap in range(2, lm.order + 1):
+        tables = MaxBackoffTables(lm, order=cap)
+        oracle = ScalarMaxBackoff(lm, order=cap)
+        for full_len in range(cap):
+            for ctx in contexts_up_to(lm, full_len, exhaustive):
+                for w in lm.words + ["zzzz"]:
+                    got = tables.value(w, ctx, full_len)
+                    assert type(got) is float
+                    assert got == oracle.value(w, ctx, full_len), \
+                        (cap, w, ctx, full_len)
+                    checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("source", ["trained", "sms24.arpa",
+                                    "keypad4663.arpa"])
+def test_max_backoff_rows_equal_scalar_recursion(trained_lm, source):
+    lm = (trained_lm if source == "trained"
+          else load_arpa((DATA / source).read_text()))
+    assert assert_rows_match_scalar(lm) > 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
+       n_words=st.integers(2, 3), n_sentences=st.integers(2, 30),
+       length=st.integers(2, 7))
+def test_max_backoff_rows_equal_scalar_on_random_lms(seed, order, n_words,
+                                                     n_sentences, length):
+    rng = np.random.default_rng(seed)
+    vocab = ["dog", "fog", "gone"][:n_words]
+    corpus = markov_corpus(rng, vocab, n_sentences, length)
+    lm = load_arpa(train_arpa(corpus, order, vocab))
+    assert assert_rows_match_scalar(lm, exhaustive=order - 1) > 0
+
+
+def test_build_q0_reads_rows_not_conditionals(trained_lm, monkeypatch):
+    # q0 comes from whole rows: no scalar conditional is evaluated, and a
+    # (context, full_len) row is built at most once, even across sentences.
+    built = []
+    build_row = MaxBackoffTables._build_row
+    cond_calls = []
+    cond = NGramLM.cond_logprob
+
+    def counting_build(self, context, full_len):
+        built.append((context, full_len))
+        return build_row(self, context, full_len)
+
+    def counting_cond(self, word, context):
+        cond_calls.append((word, context))
+        return cond(self, word, context)
+
+    monkeypatch.setattr(MaxBackoffTables, "_build_row", counting_build)
+    monkeypatch.setattr(NGramLM, "cond_logprob", counting_cond)
+    tables = MaxBackoffTables(trained_lm)
+    for obs in (["364", "4663", "364", "4663", "364"],
+                ["4663", "4663", "364", "364"]):
+        lattice = build_lattice(obs, trained_lm.words)
+        am.build_q0(lattice, tables)
+    assert cond_calls == []
+    assert built and len(built) == len(set(built))
+    assert {((), k) for k in range(trained_lm.order)} <= set(built)
 
 
 def test_keypad_encoding():
