@@ -15,8 +15,11 @@ builds) passes its own cost to History.add_refinement.
 A proposal object must provide:
     draw(rng)   -> (config, log_q_of_config)     used in sampling mode
     argmax()    -> (config, log_q_of_config)     used in optimization mode
-    mass_log()  -> float   log of the total proposal mass Q(X)
-and may provide:
+    mass_log()  -> float   log of the total proposal mass Q(X), needed in
+                           sampling mode only, read once per batch
+An optimization trial reads only argmax(): a certificate is q(x*) = p(x*)
+at the argmax, so the loop never asks for the mass (nor for the sum tables
+behind it) in that mode.  A proposal may also provide:
     sample_many(rng, k) -> (configs, log_qs)     k draws at once, configs
                            as the rows of an integer array; batches of
                            more than one trial use it instead of draw
@@ -64,6 +67,10 @@ class EmptyHistory(ValueError):
 
 @dataclass
 class TrialRecord:
+    """One trial.  `proposal_mass_log` is log Q(X) of the proposal the
+    trial was drawn from; optimization trials record no mass and store
+    nan, so their Z-hat, pi-hat and cost estimates read nan too."""
+
     config: tuple
     log_p: float
     log_q: float
@@ -107,11 +114,13 @@ class History:
 
     def z_sum_log(self) -> float:
         """log of the sum of r_t * Q_t(X) over all trials, added in trial
-        order; each trial is folded in once, on the first call after it."""
-        for r in itertools.islice(self.records, self._z_count, None):
-            self._z_sum_log = np.logaddexp(
-                self._z_sum_log,
-                min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
+        order; each trial is folded in once, on the first call after it.
+        A trial without a mass (nan) makes the sum nan."""
+        with np.errstate(invalid="ignore"):
+            for r in itertools.islice(self.records, self._z_count, None):
+                self._z_sum_log = np.logaddexp(
+                    self._z_sum_log,
+                    min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
         self._z_count = len(self.records)
         return float(self._z_sum_log)
 
@@ -211,7 +220,8 @@ def metrics(history: History, current_mass_log: float, n: int = 1) -> Metrics:
     pi_hat = math.exp(z_hat_log - current_mass_log)
     tau_samp = 1.0
     tau_ref = history.refine_cost_total
-    tau_tot = (n * tau_samp / pi_hat + tau_ref) if pi_hat > 0 else math.inf
+    # nan when a trial recorded no mass
+    tau_tot = math.inf if pi_hat == 0 else n * tau_samp / pi_hat + tau_ref
     return Metrics(
         z_hat_log=z_hat_log,
         pi_hat=pi_hat,
@@ -236,24 +246,32 @@ def trial_batch(mode: Mode, target, proposal, history: History,
     trial accepted or the batch was cut short.  A later reject displaces
     the current pick only when its gap is larger by more than LOG_TOL, so
     gaps equal up to roundoff go to the earliest draw.  Raises ValueError
-    when the proposal's mass is not finite: nothing can be drawn from it.
+    when the proposal's mass (in optimization, its maximum) is not finite:
+    nothing can be drawn from it.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if batch > 1 and mode is not Mode.SAMPLING:
         raise ValueError("batches of more than one trial need sampling mode")
-    mass = proposal.mass_log()
-    if not math.isfinite(mass):
-        raise ValueError(f"proposal log mass is {mass}: there is nothing "
-                         "to draw from")
     if mode is Mode.OPTIMIZATION:
-        draws = [proposal.argmax()]
-    elif batch > 1 and hasattr(proposal, "sample_many"):
-        configs, log_qs = proposal.sample_many(rng, batch)
-        draws = [(tuple(c), float(lq))
-                 for c, lq in zip(configs.tolist(), log_qs)]
+        # the argmax's log q is the log max, finite iff the mass is
+        mass = math.nan
+        config, log_q = proposal.argmax()
+        if not math.isfinite(log_q):
+            raise ValueError(f"proposal log max is {log_q}, so its log mass "
+                             "is too: there is nothing to draw from")
+        draws = [(config, log_q)]
     else:
-        draws = [proposal.draw(rng) for _ in range(batch)]
+        mass = proposal.mass_log()
+        if not math.isfinite(mass):
+            raise ValueError(f"proposal log mass is {mass}: there is "
+                             "nothing to draw from")
+        if batch > 1 and hasattr(proposal, "sample_many"):
+            configs, log_qs = proposal.sample_many(rng, batch)
+            draws = [(tuple(c), float(lq))
+                     for c, lq in zip(configs.tolist(), log_qs)]
+        else:
+            draws = [proposal.draw(rng) for _ in range(batch)]
 
     worst = None
     for j, (config, log_q) in enumerate(draws):
@@ -306,7 +324,8 @@ def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
     freeze the proposal (rejects are then recorded but trigger nothing).
     `batch` trials share one frozen proposal (see step).
     `on_refine(proposal)` runs after every refinement; tests use it to audit
-    domination and mass monotonicity exhaustively.
+    domination and mass monotonicity exhaustively.  Raises
+    RefinementExhausted when the trial budget allows no trial at all.
     """
     rng = np.random.default_rng(seed)
     history = History(window=stop.ar_window)
@@ -316,11 +335,14 @@ def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
         proposal = step(mode, target, proposal, refiner, history, stop, rng,
                         batch, on_refine=on_refine)
 
+    if not history.records:
+        raise RefinementExhausted(f"trial budget of {stop.max_trials} ran "
+                                  "out before any trial")
     samples = [r.config for r in history.records if r.accepted]
     argmax = None
     certificate = None
     if mode is Mode.OPTIMIZATION:
-        if not history.records or not history.records[-1].accepted:
+        if not history.records[-1].accepted:
             raise RefinementExhausted(
                 "trial budget exhausted before the optimum was certified")
         last = history.records[-1]

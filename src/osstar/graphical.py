@@ -295,8 +295,12 @@ class SubspaceProposal:
                 const += model.phi_max_log[eid]
         self.const = float(const)
         self.eff = eff
+        # a leaf is never mutated once built, so its passes and scalars
+        # are computed at most once
         self._beta: dict[str, dict[int, np.ndarray] | None] = {
             "sum": None, "max": None}
+        self._mass_log: float | None = None
+        self._max_log: float | None = None
 
     # -- tree passes ---------------------------------------------------------
 
@@ -323,18 +327,22 @@ class SubspaceProposal:
         return beta
 
     def mass_log(self) -> float:
-        beta = self.beta("sum")
-        total = self.const
-        for r in self.forest.roots:
-            total += float(np.logaddexp.reduce(beta[r]))
-        return total
+        if self._mass_log is None:
+            beta = self.beta("sum")
+            total = self.const
+            for r in self.forest.roots:
+                total += float(np.logaddexp.reduce(beta[r]))
+            self._mass_log = total
+        return self._mass_log
 
     def max_log(self) -> float:
-        beta = self.beta("max")
-        total = self.const
-        for r in self.forest.roots:
-            total += float(beta[r].max())
-        return total
+        if self._max_log is None:
+            beta = self.beta("max")
+            total = self.const
+            for r in self.forest.roots:
+                total += float(beta[r].max())
+            self._max_log = total
+        return self._max_log
 
     # -- scoring -------------------------------------------------------------
 

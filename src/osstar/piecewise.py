@@ -61,25 +61,35 @@ class PiecewiseProposal:
         self.bound_builds = 1
         self.conditionings = 0
         self._tables_cache = None
+        self._maxes_cache = None
 
     # -- bookkeeping ---------------------------------------------------------
 
     def _tables(self):
+        """Sum-semiring tables: (leaf ids, leaf log masses, log total,
+        CDF over leaves), rebuilt after a conditioning on first use."""
         if self._tables_cache is None:
             ids = sorted(self.leaves)
             masses = np.array([self.leaves[i].mass_log() for i in ids])
-            maxes = np.array([self.leaves[i].max_log() for i in ids])
             total = float(np.logaddexp.reduce(masses))
             probs = np.exp(masses - total)
-            self._tables_cache = (ids, masses, maxes, total,
-                                  np.cumsum(probs))
+            self._tables_cache = (ids, masses, total, np.cumsum(probs))
         return self._tables_cache
 
+    def _maxes(self):
+        """Max-semiring table: (leaf ids, leaf log maxima); builds no leaf's
+        sum pass."""
+        if self._maxes_cache is None:
+            ids = sorted(self.leaves)
+            self._maxes_cache = (
+                ids, np.array([self.leaves[i].max_log() for i in ids]))
+        return self._maxes_cache
+
     def mass_log(self) -> float:
-        return self._tables()[3]
+        return self._tables()[2]
 
     def max_log(self) -> float:
-        return float(self._tables()[2].max())
+        return float(self._maxes()[1].max())
 
     def leaf_of(self, config) -> int:
         for lid in sorted(self.leaves):
@@ -110,13 +120,13 @@ class PiecewiseProposal:
     # -- proposal interface --------------------------------------------------
 
     def draw(self, rng: np.random.Generator):
-        ids, _, _, total, cdf = self._tables()
+        ids, _, _, cdf = self._tables()
         r = rng.random() * cdf[-1]
         lid = ids[int(np.searchsorted(cdf, r, side="right"))]
         return self.leaves[lid].sample(rng)
 
     def sample_many(self, rng: np.random.Generator, n: int):
-        ids, _, _, _, cdf = self._tables()
+        ids, _, _, cdf = self._tables()
         r = rng.random(n) * cdf[-1]
         pick = np.searchsorted(cdf, r, side="right")
         out = np.empty((n, self.model.n_nodes), dtype=np.int64)
@@ -132,7 +142,7 @@ class PiecewiseProposal:
     def argmax(self):
         """Global maximizer; exact cross-leaf ties resolve to the
         lexicographically smallest configuration."""
-        ids, _, maxes, _, _ = self._tables()
+        ids, maxes = self._maxes()
         top = float(maxes.max())
         best = None
         for k, lid in enumerate(ids):
@@ -171,6 +181,7 @@ class PiecewiseProposal:
         del self.leaves[leaf_id]
         self.conditionings += 1
         self._tables_cache = None
+        self._maxes_cache = None
         return child_ids
 
 
@@ -277,9 +288,11 @@ def min_norm_refinement(proposal: PiecewiseProposal, reject_config,
     leaf = proposal.leaves[lid]
     if not leaf.free:
         raise NoUnassignedNode(f"subspace {lid} is fully assigned")
-    ids, masses, maxes, _, _ = proposal._tables()
-    rest_mass = [masses[k] for k, i in enumerate(ids) if i != lid]
-    rest_max = [maxes[k] for k, i in enumerate(ids) if i != lid]
+    if norm == "sum":
+        ids, values = proposal._tables()[:2]
+    else:
+        ids, values = proposal._maxes()
+    rest = [values[k] for k, i in enumerate(ids) if i != lid]
     best_node, best_val = None, math.inf
     for j in leaf.free:
         inherited = leaf.forest.without(j)
@@ -291,9 +304,9 @@ def min_norm_refinement(proposal: PiecewiseProposal, reject_config,
             vals.append(child.mass_log() if norm == "sum"
                         else child.max_log())
         if norm == "sum":
-            total = float(np.logaddexp.reduce(rest_mass + vals))
+            total = float(np.logaddexp.reduce(rest + vals))
         else:
-            total = max(rest_max + vals)
+            total = max(rest + vals)
         if total < best_val:
             best_node, best_val = j, total
     return lid, best_node

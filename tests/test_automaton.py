@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osstar import automaton as am
 from osstar import engine
 from osstar.engine import Mode, StopConfig
-from osstar.ngram import MaxBackoffTables, build_lattice, load_arpa
+from osstar.ngram import (MaxBackoffTables, build_lattice, load_arpa,
+                          load_vocab)
 
 from lm_fixtures import synthetic_instance
-from test_ngram import TINY_ARPA
+from test_ngram import DATA, TINY_ARPA
 
 
 def make_instance(obs=("2", "2", "2"), order=None, eps=0.0):
@@ -297,3 +299,44 @@ def test_random_instances_end_to_end(seed):
                      StopConfig(max_trials=5000), seed)
     assert res.argmax == expect
     assert res.certificate_gap_log == 0.0
+
+
+def test_decode_builds_no_sum_tables():
+    # optimization reads only the max semiring: the sum pass never runs
+    lm = load_arpa((DATA / "sms24.arpa").read_text())
+    vocab = load_vocab((DATA / "sms24.vocab").read_text())
+    obs = (DATA / "sms24.obs").read_text().split()
+    lattice = build_lattice(obs, vocab)
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    res = engine.run(Mode.OPTIMIZATION, am.HmmTarget(lm, lattice), q,
+                     am.AutomatonRefiner(), StopConfig(), 0)
+    assert res.history.refine_count > 0
+    assert res.certificate_gap_log == 0.0
+    assert q._beta["sum"] is None
+    assert q._beta["max"] is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
+       cluster_size=st.integers(2, 3), length=st.integers(2, 5))
+def test_decode_certifies_the_smallest_enumerated_argmax(seed, order,
+                                                        cluster_size,
+                                                        length):
+    vocab, arpa, _, obs = synthetic_instance(
+        seed, order=order, n_clusters=3, cluster_size=cluster_size,
+        length=length, n_sentences=30)
+    lm = load_arpa(arpa)
+    lattice = build_lattice(obs, vocab)
+    tables = MaxBackoffTables(lm)
+    target = am.HmmTarget(lm, lattice)
+    scores = {x: target(x)
+              for x in am.enumerate_paths(am.build_q0(lattice, tables))}
+    best = max(scores.values())
+    expect = min(x for x, s in scores.items() if s == best)
+    for norm in (None, "sum", "max"):
+        res = engine.run(Mode.OPTIMIZATION, target,
+                         am.build_q0(lattice, tables),
+                         am.AutomatonRefiner(norm=norm),
+                         StopConfig(max_trials=10_000), seed)
+        assert res.argmax == expect, norm
+        assert res.certificate_gap_log == 0.0, norm

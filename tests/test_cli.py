@@ -205,3 +205,34 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("command", [
+    ["hmm", "sample", "--obs", "2", "2"],
+    ["hmm", "decode", "--obs", "2", "2"],
+    ["gm", "sample", "--grid", "3x3"],
+    ["gm", "optimize", "--grid", "3x3"]])
+def test_zero_trial_budget_is_a_clean_error(hmm_files, capsys, command):
+    arpa, vocab = hmm_files
+    io = ["--arpa", arpa, "--vocab", vocab] if command[0] == "hmm" else []
+    assert main(command + io + ["--max-trials", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: trial budget of 0 ran out before any trial\n"
+
+
+def test_optimization_trial_csv_has_no_mass_estimators(hmm_files, tmp_path):
+    # a MAP run reads only the max semiring, so there is no Q(X) to report
+    arpa, vocab = hmm_files
+    runs = {"decode": ["hmm", "decode", "--arpa", arpa, "--vocab", vocab,
+                       "--obs", "2", "2", "2"],
+            "optimize": ["gm", "optimize", "--grid", "3x3"]}
+    for name, args in runs.items():
+        f = tmp_path / f"{name}.csv"
+        assert main(args + ["--metrics-out", str(f)]) == 0
+        rows = [line.split(",") for line in f.read_text().splitlines()]
+        assert rows[0] == CSV_COLUMNS and len(rows) > 2
+        for row in rows[1:]:
+            cells = dict(zip(CSV_COLUMNS, map(float, row)))
+            for col in ("q_mass_log", "z_hat_log", "pi_hat", "tau_tot_est"):
+                assert np.isnan(cells[col]), (name, col)
+            assert np.isfinite(cells["log_q"])

@@ -299,3 +299,44 @@ def test_trial_csv_deterministic(tmp_path):
     for row in rows[1:]:
         for cell in row.split(","):
             float(cell)
+
+
+def test_optimization_reads_only_the_argmax():
+    # a certificate is q(x*) = p(x*) at the argmax: no trial needs Q(X)
+    class NoMassProposal(TableProposal):
+        def mass_log(self):
+            raise AssertionError("optimization asked for the mass")
+
+    target, _ = two_point()
+    proposal = NoMassProposal({("a",): math.log(2.0), ("b",): math.log(4.0)})
+    result = run(Mode.OPTIMIZATION, target, proposal,
+                 SnapToTargetRefiner(target), StopConfig(), seed=0)
+    assert result.argmax == ("b",)
+    assert result.certificate_gap_log == 0.0
+    assert result.history.trial_count == 2
+    assert all(math.isnan(r.proposal_mass_log)
+               for r in result.history.records)
+
+
+def test_optimization_trial_csv_has_nan_estimators(tmp_path):
+    target, proposal = two_point()
+    result = run(Mode.OPTIMIZATION, target, proposal,
+                 SnapToTargetRefiner(target), StopConfig(), seed=0)
+    out = tmp_path / "opt.csv"
+    engine.write_trial_csv(result.history, out)
+    rows = [line.split(",") for line in out.read_text().splitlines()]
+    head = rows[0]
+    assert len(rows) == 3
+    for row in rows[1:]:
+        cells = dict(zip(head, map(float, row)))
+        for name in ("q_mass_log", "z_hat_log", "pi_hat", "tau_tot_est"):
+            assert math.isnan(cells[name]), name
+        assert cells["ar_cum"] in (0.0, 0.5)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_zero_trial_budget_raises(mode):
+    target, proposal = two_point()
+    with pytest.raises(RefinementExhausted,
+                       match="budget of 0 ran out before any trial"):
+        run(mode, target, proposal, None, StopConfig(max_trials=0), 0)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from osstar import engine
 from osstar.engine import Mode, StopConfig
@@ -391,3 +392,123 @@ def test_piecewise_argmax_tie_across_leaves():
     # both leaves peak at log 2; the smaller configuration wins
     assert config == (0, 1)
     assert val == pytest.approx(math.log(2.0))
+
+
+def count_sum_passes(monkeypatch):
+    """Count the leaf sum-semiring passes actually built from now on."""
+    built = {"sum": 0}
+    beta = SubspaceProposal.beta
+
+    def counting(self, semiring):
+        if semiring == "sum" and self._beta["sum"] is None:
+            built["sum"] += 1
+        return beta(self, semiring)
+
+    monkeypatch.setattr(SubspaceProposal, "beta", counting)
+    return built
+
+
+@pytest.mark.parametrize("policy,norm", [(Policy.RANDOM_NODE, None),
+                                         (Policy.MAX_SLACK, None),
+                                         (Policy.MAX_SLACK, "max")])
+def test_map_run_builds_no_leaf_sum_pass(policy, norm, monkeypatch):
+    built = count_sum_passes(monkeypatch)
+    m = ising_grid(4, 4, sigma=0.8, seed=1)
+    pw = PiecewiseProposal(m)
+    res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
+                     PolicyRefiner(pw, policy, seed=0, norm=norm),
+                     StopConfig(), seed=0)
+    assert res.history.refine_count > 0
+    assert res.certificate_gap_log == 0.0
+    assert built["sum"] == 0
+    assert all(leaf._beta["sum"] is None for leaf in pw.leaves.values())
+    assert pw._tables_cache is None
+
+
+def test_max_log_and_max_norm_split_build_no_sum_pass(monkeypatch):
+    built = count_sum_passes(monkeypatch)
+    m = ising_grid(3, 3, sigma=0.7, seed=2)
+    pw = PiecewiseProposal(m)
+    pw.condition(0, 4)
+    pw.condition(pw.leaf_of((0,) * 9), 0)
+    cfgs = np.array(all_configs(m))
+    assert pw.max_log() == pytest.approx(float(pw.score_all(cfgs).max()),
+                                         abs=1e-9)
+    lid, node = min_norm_refinement(pw, (0,) * 9, "max")
+    assert lid == pw.leaf_of((0,) * 9) and node in pw.leaves[lid].free
+    assert built["sum"] == 0
+    # the sum side still works, and builds what it needs only when asked
+    assert pw.mass_log() == pytest.approx(logsumexp(pw.score_all(cfgs)),
+                                          abs=1e-9)
+    assert built["sum"] == len(pw.leaves)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("retree", [False, True])
+def test_cached_leaf_scalars_equal_a_fresh_build(mode, retree):
+    # leaves cache mass_log()/max_log() once; after every refinement each
+    # cached value must equal a rebuild of the same leaf, bit for bit, and
+    # the piecewise totals must equal a fresh reduction in sorted-id order
+    m = ising_grid(3, 3, sigma=1.0, seed=6)
+    pw = PiecewiseProposal(m, retree=retree)
+    audits = {"n": 0}
+
+    def audit(proposal):
+        audits["n"] += 1
+        masses, maxes = [], []
+        for lid in sorted(proposal.leaves):
+            leaf = proposal.leaves[lid]
+            # one fresh leaf per scalar, so neither is read off the other
+            masses.append(
+                SubspaceProposal(m, leaf.assigned, leaf.forest).mass_log())
+            maxes.append(
+                SubspaceProposal(m, leaf.assigned, leaf.forest).max_log())
+            assert leaf.mass_log() == masses[-1]
+            assert leaf.max_log() == maxes[-1]
+        assert proposal.mass_log() == np.logaddexp.reduce(masses)
+        assert proposal.max_log() == max(maxes)
+
+    stop = (StopConfig() if mode is Mode.OPTIMIZATION else
+            StopConfig(ar_window=50, ar_threshold=0.6, max_trials=20_000))
+    res = engine.run(mode, m.log_p, pw,
+                     PolicyRefiner(pw, Policy.MAX_SLACK, seed=1), stop,
+                     seed=3, on_refine=audit)
+    assert audits["n"] == res.history.refine_count > 0
+
+
+@st.composite
+def pairwise_models(draw):
+    """2-7 nodes, domains 2-3, any edge subset (disconnected ones too) and
+    integer log potentials, so every sum is exact and ties are exact; some
+    models have no field at all, where ties are the rule."""
+    n = draw(st.integers(2, 7))
+    domains = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
+    ints = st.integers(-2, 2)
+    if draw(st.booleans()):
+        log_psi = [[0] * d for d in domains]
+    else:
+        log_psi = [draw(st.lists(ints, min_size=d, max_size=d))
+                   for d in domains]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(u, v, [draw(st.lists(ints, min_size=domains[v],
+                                   max_size=domains[v]))
+                      for _ in range(domains[u])])
+             for u, v in pairs if draw(st.booleans())]
+    return PairwiseModel(domains, log_psi, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairwise_models(), st.integers(0, 2**16))
+def test_certified_argmax_is_the_smallest_enumerated_maximizer(m, seed):
+    scores = {x: m.log_p(x) for x in all_configs(m)}
+    best = max(scores.values())
+    expect = min(x for x, s in scores.items() if s == best)
+    variants = [(policy, None) for policy in Policy] + \
+        [(Policy.MAX_SLACK, "sum"), (Policy.MAX_SLACK, "max")]
+    for policy, norm in variants:
+        pw = PiecewiseProposal(m)
+        res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
+                         PolicyRefiner(pw, policy, seed=seed, norm=norm),
+                         StopConfig(), seed)
+        assert res.argmax == expect, (policy, norm)
+        assert res.certificate_gap_log == 0.0, (policy, norm)
