@@ -10,12 +10,31 @@ built automaton scores every word with an order-1 bound, and one refinement
 tightens exactly one edge by one order (adding deeper context states as
 needed to route the offending path into the tightened edge).  Path weights
 therefore never increase, and the tightened path strictly drops.
+
+Every state at layer i has one edge per candidate word of position i, in
+the lattice's order, so a layer is compiled to a dense states x candidates
+block (`Layer`): edge weights, edge orders and destination rows into layer
+i + 1, with an append-only context -> row map (row 0 is the empty context).
+A refinement writes these arrays in two places only: deepening an edge
+rewrites its weight and order cell, and adding a state appends one row and
+reroutes the edges of layer i - 1 whose longest stored suffix it now is.
+
+Cached, per semiring ("sum" for sampling, "max" for the argmax):
+  beta[i]   downstream aggregate of every state of layer i, one numpy
+            reduction over vals[i] = weight + beta[i + 1][dest];
+  vals[i]   kept for the readers: a state's draw CDF (sum) or its best
+            edge (max) is computed from its row on first visit and memoised.
+A refinement at position i marks layers 0..i dirty; the next read rebuilds
+beta and vals of exactly those layers, top down, and drops their memos.
+Layers above i keep their arrays, beta rows and memos.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -26,14 +45,64 @@ class NoRefinementAvailable(RuntimeError):
     """The rejected path already scores exactly its target probability."""
 
 
-class Edge:
-    __slots__ = ("word", "order", "weight", "dest")
+class Layer(Mapping):
+    """One position of the automaton as dense arrays.
 
-    def __init__(self, word: str, order: int, weight: float, dest: tuple):
-        self.word = word
-        self.order = order
-        self.weight = weight
-        self.dest = dest
+    Row r is the state ctxs[r]; column j is the candidate word words[j].
+    weight[r, j], order[r, j] and dest[r, j] are that edge's log weight,
+    the n-gram order of its bound and its destination row in the next
+    layer.  `perm` lists the columns in sorted-word order (the tie and draw
+    order) and `ending[s]` the rows whose context ends with s, every suffix
+    s included.  As a mapping, context -> that state's weight row.
+    """
+
+    def __init__(self, words, weights):
+        self.words = tuple(words)
+        self.col = {w: j for j, w in enumerate(self.words)}
+        self.perm = tuple(sorted(range(len(self.words)),
+                                 key=self.words.__getitem__))
+        self.ctxs: list[tuple] = [()]
+        self.rows: dict[tuple, int] = {(): 0}
+        self.ending: dict[tuple, list[int]] = {(): [0]}
+        n = len(self.words)
+        self.weight = np.array(weights, dtype=np.float64).reshape(1, n)
+        self.order = np.ones((1, n), dtype=np.int64)
+        self.dest = np.zeros((1, n), dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.ctxs)
+
+    def __iter__(self):
+        return iter(self.ctxs)
+
+    def __contains__(self, ctx) -> bool:
+        return ctx in self.rows
+
+    def __getitem__(self, ctx) -> np.ndarray:
+        return self.weight[self.rows[ctx]]
+
+    def append(self, ctx: tuple, weight, order, dest) -> int:
+        """Add state ctx with the given edge rows; returns its row."""
+        row = len(self.ctxs)
+        self.ctxs.append(ctx)
+        self.rows[ctx] = row
+        for k in range(len(ctx) + 1):
+            self.ending.setdefault(ctx[k:], []).append(row)
+        self.weight = np.vstack((self.weight, weight))
+        self.order = np.vstack((self.order, order))
+        self.dest = np.vstack((self.dest, dest))
+        return row
+
+    def copy(self) -> "Layer":
+        c = Layer.__new__(Layer)
+        c.words, c.col, c.perm = self.words, self.col, self.perm
+        c.ctxs = list(self.ctxs)
+        c.rows = dict(self.rows)
+        c.ending = {s: list(rows) for s, rows in self.ending.items()}
+        c.weight = self.weight.copy()
+        c.order = self.order.copy()
+        c.dest = self.dest.copy()
+        return c
 
 
 class HmmTarget:
@@ -62,12 +131,14 @@ class QAutomaton:
         self.order = tables.order
         self.length = lattice.length
         self.pobs = [dict(col) for col in lattice.candidates]
-        # contexts[i]: ctx tuple -> {word: Edge}; layer `length` is final
-        self.contexts: list[dict[tuple, dict[str, Edge]]] = []
+        # contexts[i]: the compiled layer i; layer `length` is final
+        self.contexts: list[Layer] = []
         self.table_builds = 0
         self.refinements = 0
         self._beta: dict[str, list | None] = {"sum": None, "max": None}
         self._dirty: dict[str, int] = {"sum": -1, "max": -1}
+        self._vals: dict[str, list] = {}
+        self._memo: dict[str, list[dict]] = {}
 
     # -- structure ---------------------------------------------------------
 
@@ -75,12 +146,13 @@ class QAutomaton:
         """Longest usable context at position i (shorter near the start)."""
         return min(i, self.order - 1)
 
-    def _dest(self, i: int, tup: tuple) -> tuple:
-        """Longest suffix of tup stored at layer i."""
-        layer = self.contexts[i]
-        for k in range(len(tup), -1, -1):
-            if tup[len(tup) - k:] in layer:
-                return tup[len(tup) - k:]
+    def _dest(self, i: int, tup: tuple) -> int:
+        """Row of the longest suffix of tup stored at layer i."""
+        rows = self.contexts[i].rows
+        for k in range(len(tup) + 1):
+            row = rows.get(tup[k:])
+            if row is not None:
+                return row
         raise AssertionError("empty context missing")
 
     def _invalidate(self, layer: int) -> None:
@@ -89,35 +161,60 @@ class QAutomaton:
                 self._dirty[semiring] = max(self._dirty[semiring], layer)
 
     def beta(self, semiring: str) -> list:
-        """Per-state downstream aggregates, recomputed only where dirty."""
+        """Per-layer arrays of downstream aggregates, indexed by row, with
+        only the dirty layers rebuilt: one numpy reduction per layer."""
         cached = self._beta[semiring]
         dirty = self._dirty[semiring]
         if cached is not None and dirty < 0:
             return cached
-        agg = (np.logaddexp.reduce if semiring == "sum" else max)
         if cached is None:
-            cached = [None] * (self.length + 1)
-            cached[self.length] = {(): 0.0}
+            cached = [None] * self.length + [np.zeros(1)]
+            self._vals[semiring] = [None] * self.length
+            self._memo[semiring] = [{} for _ in range(self.length)]
             dirty = self.length - 1
+        vals, memo = self._vals[semiring], self._memo[semiring]
         for i in range(dirty, -1, -1):
-            layer = {}
-            nxt = cached[i + 1]
-            for ctx, edges in self.contexts[i].items():
-                vals = [e.weight + nxt[e.dest] for e in edges.values()]
-                layer[ctx] = float(agg(vals)) if semiring == "sum" else max(vals)
-            cached[i] = layer
+            layer = self.contexts[i]
+            v = layer.weight + cached[i + 1][layer.dest]
+            cached[i] = (np.logaddexp.reduce(v, axis=1) if semiring == "sum"
+                         else v.max(axis=1))
+            vals[i] = v
+            memo[i] = {}
         self._beta[semiring] = cached
         self._dirty[semiring] = -1
         self.table_builds += 1
         return cached
 
+    def _draw_table(self, i: int, row: int):
+        """(CDF over the sorted words, its total) of state `row` at layer i,
+        built from its vals row and memoised until that layer's sum beta
+        is rebuilt.  Called on a memo miss only."""
+        vrow = self._vals["sum"][i][row].tolist()
+        logits = [vrow[j] for j in self.contexts[i].perm]
+        m = max(logits)
+        # math.exp, not np.exp: the two can differ in the last bit, and a
+        # changed CDF bit can change a draw of a fixed seed
+        probs = [math.exp(l - m) for l in logits]
+        got = self._memo["sum"][i][row] = (list(itertools.accumulate(probs)),
+                                           sum(probs))
+        return got
+
+    def _best_col(self, i: int, row: int) -> int:
+        """Column of the first maximum of state `row`'s edges in sorted-word
+        order, memoised until that layer's max beta is rebuilt.  Called on
+        a memo miss only."""
+        vrow = self._vals["max"][i][row].tolist()
+        got = self._memo["max"][i][row] = max(self.contexts[i].perm,
+                                              key=vrow.__getitem__)
+        return got
+
     # -- proposal interface (engine duck type) ------------------------------
 
     def mass_log(self) -> float:
-        return self.beta("sum")[0][()]
+        return float(self.beta("sum")[0][0])
 
     def max_log(self) -> float:
-        return self.beta("max")[0][()]
+        return float(self.beta("max")[0][0])
 
     def draw(self, rng: np.random.Generator):
         return sample_path(self, rng)
@@ -127,30 +224,28 @@ class QAutomaton:
 
     # -- path utilities ------------------------------------------------------
 
-    def path_states(self, words: tuple) -> list[tuple]:
-        states = []
-        ctx = ()
-        for i, w in enumerate(words):
-            states.append(ctx)
-            ctx = self.contexts[i][ctx][w].dest
-        return states
+    def path_rows(self, words: tuple) -> list[int]:
+        """Row of the state the path occupies at each of its positions."""
+        rows = []
+        row = 0
+        for layer, w in zip(self.contexts, words):
+            rows.append(row)
+            row = layer.dest.item(row, layer.col[w])
+        return rows
 
     def score_path(self, words: tuple) -> float:
         total = 0.0
-        ctx = ()
-        for i, w in enumerate(words):
-            e = self.contexts[i][ctx][w]
-            total += e.weight
-            ctx = e.dest
+        row = 0
+        for layer, w in zip(self.contexts, words):
+            j = layer.col[w]
+            total += layer.weight.item(row, j)
+            row = layer.dest.item(row, j)
         return total
 
     def clone(self) -> "QAutomaton":
         """Structural copy sharing the immutable lattice and bound tables."""
         c = QAutomaton(self.lattice, self.tables)
-        for layer in self.contexts:
-            c.contexts.append({ctx: {w: Edge(w, e.order, e.weight, e.dest)
-                                     for w, e in edges.items()}
-                               for ctx, edges in layer.items()})
+        c.contexts = [layer.copy() for layer in self.contexts]
         c.refinements = self.refinements
         return c
 
@@ -163,112 +258,102 @@ def build_q0(lattice: TokenLattice, tables: MaxBackoffTables) -> QAutomaton:
     """
     q = QAutomaton(lattice, tables)
     for i in range(lattice.length):
-        edges = {}
-        for word, lp in lattice.candidates[i]:
-            weight = tables.value(word, (), q.full_len(i)) + lp
-            edges[word] = Edge(word, 1, weight, ())
-        if all(e.weight == -math.inf for e in edges.values()):
+        words = [word for word, _ in lattice.candidates[i]]
+        weights = [tables.value(word, (), q.full_len(i)) + lp
+                   for word, lp in lattice.candidates[i]]
+        if all(wt == -math.inf for wt in weights):
             raise NoCandidate(f"position {i}: every candidate "
-                              f"({', '.join(edges)}) has probability zero "
+                              f"({', '.join(words)}) has probability zero "
                               "under the LM")
-        q.contexts.append({(): edges})
-    q.contexts.append({(): {}})
+        q.contexts.append(Layer(words, weights))
+    q.contexts.append(Layer((), ()))
     return q
 
 
 def viterbi(q: QAutomaton):
     """Highest-weight path; ties pick the lexicographically smaller word."""
-    beta = q.beta("max")
+    q.beta("max")
+    memo = q._memo["max"]
     words = []
     total = 0.0
-    ctx = ()
+    row = 0
     for i in range(q.length):
-        edges = q.contexts[i][ctx]
-        best_word, best_val, best_edge = None, -math.inf, None
-        for w in sorted(edges):
-            e = edges[w]
-            val = e.weight + beta[i + 1][e.dest]
-            if val > best_val:
-                best_word, best_val, best_edge = w, val, e
-        words.append(best_word)
-        total += best_edge.weight
-        ctx = best_edge.dest
+        layer = q.contexts[i]
+        j = memo[i].get(row)
+        if j is None:
+            j = q._best_col(i, row)
+        words.append(layer.words[j])
+        total += layer.weight.item(row, j)
+        row = layer.dest.item(row, j)
     return tuple(words), total
 
 
 def sample_path(q: QAutomaton, rng: np.random.Generator):
     """Exact draw x ~ q / Q(X): backward sums, forward edge sampling."""
-    beta = q.beta("sum")
+    q.beta("sum")
+    memo = q._memo["sum"]
     words = []
     total = 0.0
-    ctx = ()
+    row = 0
     for i in range(q.length):
-        edges = q.contexts[i][ctx]
-        order = sorted(edges)
-        logits = [edges[w].weight + beta[i + 1][edges[w].dest] for w in order]
-        m = max(logits)
-        probs = [math.exp(l - m) for l in logits]
-        r = rng.random() * sum(probs)
-        acc = 0.0
-        pick = len(order) - 1
-        for j, p in enumerate(probs):
-            acc += p
-            if r < acc:
-                pick = j
-                break
-        e = edges[order[pick]]
-        words.append(e.word)
-        total += e.weight
-        ctx = e.dest
+        layer = q.contexts[i]
+        table = memo[i].get(row)
+        if table is None:
+            table = q._draw_table(i, row)
+        cdf, mass = table
+        # the first CDF entry above r; r at or past the last entry (by
+        # roundoff against the total) takes the last word
+        pick = bisect.bisect_right(cdf, rng.random() * mass)
+        j = layer.perm[min(pick, len(cdf) - 1)]
+        words.append(layer.words[j])
+        total += layer.weight.item(row, j)
+        row = layer.dest.item(row, j)
     return tuple(words), total
 
 
 def _add_state(q: QAutomaton, words: tuple, i: int, ctx: tuple) -> None:
-    """Insert state (i, ctx) for a history suffix of the path `words`,
-    recursively ensuring the path can route into it, and reroute layer i."""
-    if ctx in q.contexts[i]:
-        return
+    """Insert state (i, ctx), the history suffix of the path `words` one
+    word longer than the path's state at i, and reroute the layer i - 1
+    edges it captures.
+
+    Layers stay suffix-closed: a state is added only once its suffix one
+    word shorter is stored (first, recursively, at layer i - 1 for the
+    path's own history).  So ctx[1:] is stored and is the ancestor whose
+    edges the new state copies, and no stored context ends in ctx yet:
+    every edge (c, w) of layer i - 1 with c + (w,) ending in ctx lands on
+    a shorter suffix until now, and on ctx from now on."""
+    layer = q.contexts[i]
     if len(ctx) >= 2:
-        prev = q.path_states(words)[i - 1]
+        prev = q.contexts[i - 1].ctxs[q.path_rows(words)[i - 1]]
         if len(prev) < len(ctx) - 1:
             _add_state(q, words, i - 1, tuple(words[i - len(ctx):i - 1]))
-    # clone edges from the longest stored proper suffix
-    anc = None
-    for k in range(len(ctx) - 1, -1, -1):
-        if ctx[len(ctx) - k:] in q.contexts[i]:
-            anc = ctx[len(ctx) - k:]
-            break
-    new_edges = {}
-    for w, e in q.contexts[i][anc].items():
-        new_edges[w] = Edge(w, e.order, e.weight,
-                            q._dest(i + 1, ctx + (w,)))
-    q.contexts[i][ctx] = new_edges
-    # adding a state can capture routes from the previous layer
-    if i > 0:
-        for src_ctx, edges in q.contexts[i - 1].items():
-            for w, e in edges.items():
-                e.dest = q._dest(i, src_ctx + (w,))
+    anc = layer.rows[ctx[1:]]
+    row = layer.append(ctx, layer.weight[anc], layer.order[anc],
+                       [q._dest(i + 1, ctx + (w,)) for w in layer.words])
+    prev = q.contexts[i - 1]
+    prev.dest[prev.ending[ctx[:-1]], prev.col[ctx[-1]]] = row
     q._invalidate(i)
 
 
 def _deepen_at(q: QAutomaton, rejected: tuple, i: int) -> None:
     """Deepen the rejected path's edge at position i until its weight
     strictly drops (or the context order is exhausted)."""
-    states = q.path_states(rejected)
+    layer = q.contexts[i]
     w = rejected[i]
+    j = layer.col[w]
     full = q.full_len(i)
-    old_weight = q.contexts[i][states[i]][w].weight
+    row = q.path_rows(rejected)[i]
+    old_weight = layer.weight.item(row, j)
     while True:
-        e = q.contexts[i][states[i]][w]
-        order = e.order
+        order = layer.order.item(row, j)
         new_ctx = tuple(rejected[i - order:i])
-        if len(states[i]) < order:
+        if len(layer.ctxs[row]) < order:
             _add_state(q, rejected, i, new_ctx)
-            states = q.path_states(rejected)
-            e = q.contexts[i][states[i]][w]
-        e.order = order + 1
-        e.weight = q.tables.value(w, new_ctx, full) + q.pobs[i][w]
-        if e.weight < old_weight - 1e-15 or e.order > full:
+            row = q.path_rows(rejected)[i]
+        weight = q.tables.value(w, new_ctx, full) + q.pobs[i][w]
+        layer.order[row, j] = order + 1
+        layer.weight[row, j] = weight
+        if weight < old_weight - 1e-15 or order + 1 > full:
             break
     q._invalidate(i)
 
@@ -276,15 +361,16 @@ def _deepen_at(q: QAutomaton, rejected: tuple, i: int) -> None:
 def _slack_positions(q: QAutomaton, rejected: tuple) -> list[int]:
     """Positions whose edge on the rejected path still sits strictly above
     the deepest available bound, i.e. where deepening can drop the path."""
-    states = q.path_states(rejected)
+    rows = q.path_rows(rejected)
     out = []
     for i, w in enumerate(rejected):
-        e = q.contexts[i][states[i]][w]
+        layer = q.contexts[i]
+        j = layer.col[w]
         full = q.full_len(i)
-        if e.order > full:
+        if layer.order.item(rows[i], j) > full:
             continue
         exact = q.tables.value(w, tuple(rejected[i - full:i]), full)
-        if e.weight - q.pobs[i][w] - exact > 1e-12:
+        if layer.weight.item(rows[i], j) - q.pobs[i][w] - exact > 1e-12:
             out.append(i)
     return out
 
@@ -327,15 +413,17 @@ def refine(q: QAutomaton, rejected: tuple, *,
         q.refinements += 1
         return q
 
-    states = q.path_states(rejected)
+    rows = q.path_rows(rejected)
     best_i, best_gap = None, 0.0
     for i, w in enumerate(rejected):
-        e = q.contexts[i][states[i]][w]
+        layer = q.contexts[i]
+        j = layer.col[w]
+        order = layer.order.item(rows[i], j)
         full = q.full_len(i)
-        if e.order > full:
+        if order > full:
             continue
-        vpart = e.weight - q.pobs[i][w]
-        nxt = q.tables.value(w, tuple(rejected[i - e.order:i]), full)
+        vpart = layer.weight.item(rows[i], j) - q.pobs[i][w]
+        nxt = q.tables.value(w, tuple(rejected[i - order:i]), full)
         gap = vpart - nxt
         if gap > best_gap + 1e-15:
             best_i, best_gap = i, gap
@@ -378,8 +466,9 @@ def report_ngram_counts(q: QAutomaton) -> dict[int, int]:
     """
     seen: dict[int, set] = {k: set() for k in range(1, q.order + 1)}
     for i in range(q.length):
-        for ctx, edges in q.contexts[i].items():
-            for w, e in edges.items():
-                used = ctx[len(ctx) - (e.order - 1):] if e.order > 1 else ()
-                seen[e.order].add((i, used, w))
+        layer = q.contexts[i]
+        for ctx, orders in zip(layer.ctxs, layer.order.tolist()):
+            for w, order in zip(layer.words, orders):
+                used = ctx[len(ctx) - (order - 1):] if order > 1 else ()
+                seen[order].add((i, used, w))
     return {k: len(v) for k, v in seen.items()}

@@ -1,5 +1,6 @@
 """Proposal-automaton tests against path enumeration oracles."""
 
+import collections
 import math
 
 import numpy as np
@@ -340,3 +341,377 @@ def test_decode_certifies_the_smallest_enumerated_argmax(seed, order,
                          StopConfig(max_trials=10_000), seed)
         assert res.argmax == expect, norm
         assert res.certificate_gap_log == 0.0, norm
+
+
+# -- the dict-walking oracle ---------------------------------------------
+# The automaton as nested {ctx: {word: (weight, dest ctx)}} dicts and the
+# per-state loops over them that the compiled layers replaced: the reference
+# that beta, sample_path and viterbi must match bit for bit.
+
+def dict_view(q):
+    """Layer i as {ctx: {word: (weight, dest ctx)}}, words in lattice order."""
+    view = []
+    for layer, nxt in zip(q.contexts, q.contexts[1:]):
+        view.append({
+            ctx: {w: (layer.weight.item(r, j),
+                      nxt.ctxs[layer.dest.item(r, j)])
+                  for j, w in enumerate(layer.words)}
+            for r, ctx in enumerate(layer.ctxs)})
+    view.append({(): {}})
+    return view
+
+
+def oracle_beta(view, semiring):
+    beta = [None] * (len(view) - 1) + [{(): 0.0}]
+    for i in range(len(view) - 2, -1, -1):
+        nxt = beta[i + 1]
+        beta[i] = {}
+        for ctx, edges in view[i].items():
+            vals = [wt + nxt[dest] for wt, dest in edges.values()]
+            beta[i][ctx] = (float(np.logaddexp.reduce(vals))
+                            if semiring == "sum" else max(vals))
+    return beta
+
+
+def oracle_viterbi(view, beta):
+    words, total, ctx = [], 0.0, ()
+    for i in range(len(view) - 1):
+        edges = view[i][ctx]
+        best_word, best_val = None, -math.inf
+        for w in sorted(edges):
+            wt, dest = edges[w]
+            if wt + beta[i + 1][dest] > best_val:
+                best_word, best_val = w, wt + beta[i + 1][dest]
+        words.append(best_word)
+        wt, ctx = edges[best_word]
+        total += wt
+    return tuple(words), total
+
+
+def oracle_sample_path(view, beta, rng):
+    words, total, ctx = [], 0.0, ()
+    for i in range(len(view) - 1):
+        edges = view[i][ctx]
+        order = sorted(edges)
+        logits = [edges[w][0] + beta[i + 1][edges[w][1]] for w in order]
+        m = max(logits)
+        probs = [math.exp(l - m) for l in logits]
+        r = rng.random() * sum(probs)
+        acc = 0.0
+        pick = len(order) - 1
+        for j, p in enumerate(probs):
+            acc += p
+            if r < acc:
+                pick = j
+                break
+        words.append(order[pick])
+        wt, ctx = edges[order[pick]]
+        total += wt
+    return tuple(words), total
+
+
+def assert_matches_oracle(q, draws=1000, seed=0):
+    """Per-state sum and max beta, `draws` draws of one seed, and the
+    Viterbi path with its score, all == the dict-walking oracle."""
+    view = dict_view(q)
+    want = {sr: oracle_beta(view, sr) for sr in ("sum", "max")}
+    for sr in ("sum", "max"):
+        got = q.beta(sr)
+        for i, layer in enumerate(q.contexts):
+            assert dict(zip(layer.ctxs, got[i].tolist())) == want[sr][i]
+    assert am.viterbi(q) == oracle_viterbi(view, want["max"])
+    rng_q, rng_o = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        assert q.draw(rng_q) == oracle_sample_path(view, want["sum"], rng_o)
+
+
+def lm_and_lattice(name):
+    if name == "sms24":
+        lm = load_arpa((DATA / "sms24.arpa").read_text())
+        vocab = load_vocab((DATA / "sms24.vocab").read_text())
+        obs = (DATA / "sms24.obs").read_text().split()
+    elif name == "keypad4663":
+        lm = load_arpa((DATA / "keypad4663.arpa").read_text())
+        vocab = load_vocab((DATA / "keypad4663.vocab").read_text())
+        obs = ["4663"] * 4
+    else:
+        seed = int(name.removeprefix("random"))
+        vocab, arpa, _, obs = synthetic_instance(
+            seed, order=4, n_clusters=4, cluster_size=3, length=5,
+            n_sentences=60)
+        lm = load_arpa(arpa)
+    return lm, build_lattice(obs, vocab)
+
+
+ORACLE_INSTANCES = ["sms24", "keypad4663", "random0", "random1"]
+
+
+@pytest.mark.parametrize("mode", [Mode.SAMPLING, Mode.OPTIMIZATION])
+@pytest.mark.parametrize("name", ORACLE_INSTANCES)
+def test_compiled_layers_match_dict_oracle(name, mode):
+    lm, lattice = lm_and_lattice(name)
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    assert_matches_oracle(q)
+    audits = []
+    res = engine.run(mode, am.HmmTarget(lm, lattice), q,
+                     am.AutomatonRefiner(), StopConfig(), 0,
+                     on_refine=lambda qq: audits.append(
+                         assert_matches_oracle(qq, seed=len(audits))))
+    assert len(audits) == res.history.refine_count > 0
+
+
+@pytest.mark.parametrize("norm", ["sum", "max"])
+@pytest.mark.parametrize("name, mode", [("sms24", Mode.OPTIMIZATION),
+                                        ("keypad4663", Mode.SAMPLING),
+                                        ("random0", Mode.SAMPLING)])
+def test_norm_clones_match_dict_oracle(name, mode, norm, monkeypatch):
+    # every clone a norm refinement deepens is audited as it was scored
+    lm, lattice = lm_and_lattice(name)
+    clones = []
+    clone = am.QAutomaton.clone
+
+    def recording_clone(self):
+        clones.append(clone(self))
+        return clones[-1]
+
+    monkeypatch.setattr(am.QAutomaton, "clone", recording_clone)
+    audited = collections.Counter()
+
+    def audit(qq):
+        for c in clones:
+            assert_matches_oracle(c, seed=audited["clones"])
+            audited["clones"] += 1
+        clones.clear()
+        assert_matches_oracle(qq)
+        audited["refinements"] += 1
+
+    res = engine.run(mode, am.HmmTarget(lm, lattice),
+                     am.build_q0(lattice, MaxBackoffTables(lm)),
+                     am.AutomatonRefiner(norm=norm), StopConfig(), 0,
+                     on_refine=audit)
+    assert audited["refinements"] == res.history.refine_count > 0
+    assert audited["clones"] >= audited["refinements"]
+
+
+# -- the compiled arrays against a fresh compile --------------------------
+
+def assert_fresh_compile(q):
+    """Every layer equals one compiled from scratch out of its state list
+    and edge orders alone: weights from the bound tables, destinations by
+    longest stored suffix, the row map, suffix index and sort order."""
+    for i, layer in enumerate(q.contexts):
+        cands = q.lattice.candidates[i] if i < q.length else []
+        words = tuple(w for w, _ in cands)
+        assert layer.words == words
+        assert layer.col == {w: j for j, w in enumerate(words)}
+        assert layer.perm == tuple(sorted(range(len(words)),
+                                          key=words.__getitem__))
+        assert layer.ctxs[0] == ()
+        assert layer.rows == {c: r for r, c in enumerate(layer.ctxs)}
+        assert all(ctx[1:] in layer.rows for ctx in layer.ctxs[1:])
+        ending = {}
+        for r, ctx in enumerate(layer.ctxs):
+            for k in range(len(ctx) + 1):
+                ending.setdefault(ctx[k:], []).append(r)
+        assert layer.ending == ending
+        shape = (len(layer.ctxs), len(words))
+        assert layer.weight.shape == layer.order.shape == shape
+        assert layer.dest.shape == shape
+        if i == q.length:
+            continue
+        full = q.full_len(i)
+        nxt = q.contexts[i + 1].ctxs
+        weight, dest = [], []
+        for ctx, orders in zip(layer.ctxs, layer.order.tolist()):
+            assert all(1 <= o <= full + 1 and o - 1 <= len(ctx)
+                       for o in orders)
+            weight.append([q.tables.value(w, ctx[len(ctx) - (o - 1):], full)
+                           + q.pobs[i][w] for w, o in zip(words, orders)])
+            dest.append([max((r for r, c in enumerate(nxt)
+                              if (ctx + (w,))[len(ctx) + 1 - len(c):] == c),
+                             key=lambda r: len(nxt[r])) for w in words])
+        assert np.array_equal(layer.weight, np.array(weight))
+        assert np.array_equal(layer.dest, np.array(dest))
+
+
+def pick_probability(q, x):
+    """Probability that sample_path's per-step picks produce x."""
+    q.beta("sum")
+    prob, row = 1.0, 0
+    for i, w in enumerate(x):
+        layer = q.contexts[i]
+        cdf, mass = (q._memo["sum"][i].get(row)
+                     or q._draw_table(i, row))
+        k = layer.perm.index(layer.col[w])
+        lo = cdf[k - 1] if k else 0.0
+        # r = u * mass with u in [0, 1): the last word also takes r >= cdf
+        hi = cdf[k] if k < len(cdf) - 1 else mass
+        prob *= (hi - lo) / mass
+        row = layer.dest.item(row, layer.col[w])
+    return prob
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
+       cluster_size=st.integers(2, 3), length=st.integers(2, 5),
+       norm=st.sampled_from([None, "sum", "max"]),
+       mode=st.sampled_from([Mode.SAMPLING, Mode.OPTIMIZATION]))
+def test_every_refinement_keeps_the_compiled_automaton_exact(
+        seed, order, cluster_size, length, norm, mode):
+    vocab, arpa, _, obs = synthetic_instance(
+        seed, order=order, n_clusters=3, cluster_size=cluster_size,
+        length=length, n_sentences=30)
+    lm = load_arpa(arpa)
+    lattice = build_lattice(obs, vocab)
+    target = am.HmmTarget(lm, lattice)
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    paths = list(am.enumerate_paths(q))
+    exact = {x: target(x) for x in paths}
+    prev = {x: q.score_path(x) for x in paths}
+
+    class Recording(am.AutomatonRefiner):
+        def refine(self, proposal, config, log_p, log_q):
+            self.rejected = config
+            return super().refine(proposal, config, log_p, log_q)
+
+    refiner = Recording(norm=norm)
+    audits = []
+
+    def audit(qq):
+        scores = {x: qq.score_path(x) for x in paths}
+        for x in paths:
+            assert scores[x] >= exact[x] - 1e-9
+            assert scores[x] <= prev[x] + 1e-12
+        assert scores[refiner.rejected] < prev[refiner.rejected] - 1e-15
+        prev.update(scores)
+        assert math.isclose(qq.mass_log(),
+                            np.logaddexp.reduce(list(scores.values())),
+                            rel_tol=0, abs_tol=1e-10)
+        assert math.isclose(qq.max_log(), max(scores.values()),
+                            rel_tol=0, abs_tol=1e-12)
+        assert_fresh_compile(qq)
+        for x in paths:
+            assert abs(pick_probability(qq, x)
+                       - math.exp(scores[x] - qq.mass_log())) <= 1e-9
+        audits.append(1)
+
+    stop = StopConfig(ar_window=20, ar_threshold=0.999, max_trials=300)
+    res = engine.run(mode, target, q, refiner, stop, seed, on_refine=audit)
+    assert len(audits) == res.history.refine_count
+
+
+# -- mechanism ---------------------------------------------------------------
+
+def refined_sms24(trials=60):
+    """sms24 after a short sampling run, so layers hold deeper states."""
+    lm, lattice = lm_and_lattice("sms24")
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    target = am.HmmTarget(lm, lattice)
+    engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(),
+               StopConfig(ar_threshold=1.1, max_trials=trials), 0)
+    return q, target
+
+
+def test_refinement_at_i_keeps_every_layer_above_i():
+    q, _ = refined_sms24()
+    rng = np.random.default_rng(0)
+
+    def snapshot():
+        for sr in ("sum", "max"):
+            q.beta(sr)
+        for _ in range(50):
+            q.draw(rng)
+        q.argmax()
+        return [(layer, layer.weight, layer.order, layer.dest)
+                + tuple(q._beta[sr][k] for sr in ("sum", "max"))
+                + tuple(q._vals[sr][k] if k < q.length else None
+                        for sr in ("sum", "max"))
+                + tuple(q._memo[sr][k] if k < q.length else None
+                        for sr in ("sum", "max"))
+                for k, layer in enumerate(q.contexts)]
+
+    i = 3
+    x = next(p for p in am.enumerate_paths(q)
+             if q.contexts[i].order.item(q.path_rows(p)[i],
+                                         q.contexts[i].col[p[i]])
+             > len(q.contexts[i].ctxs[q.path_rows(p)[i]]))
+    before = snapshot()
+    states = len(q.contexts[i])
+    am._deepen_at(q, x, i)
+    assert len(q.contexts[i]) > states  # the deepening added a state
+    after = snapshot()
+    for k in range(len(q.contexts)):
+        same = [a is b for a, b in zip(before[k], after[k])]
+        if k > i:
+            assert all(same), k
+        else:
+            # beta, vals and memos of both semirings were rebuilt
+            assert not any(same[4:]), k
+
+
+def test_frozen_run_builds_no_table_and_each_cdf_once(monkeypatch):
+    q, target = refined_sms24()
+    q = q.clone()
+    q.mass_log()
+    builds = q.table_builds
+    built = collections.Counter()
+    draw_table = am.QAutomaton._draw_table
+
+    def counting(self, i, row):
+        built[i, row] += 1
+        return draw_table(self, i, row)
+
+    monkeypatch.setattr(am.QAutomaton, "_draw_table", counting)
+    res = engine.run(Mode.SAMPLING, target, q, None,
+                     StopConfig(ar_window=1000, ar_threshold=1.0,
+                                max_trials=1000), 1)
+    assert res.history.trial_count == 1000
+    assert q.table_builds == builds
+    visited = {(i, row) for rec in res.history.records
+               for i, row in enumerate(q.path_rows(rec.config))}
+    assert set(built) == visited and set(built.values()) == {1}
+
+
+def test_add_state_reroutes_only_the_captured_edges(monkeypatch):
+    q, _ = refined_sms24()
+
+    def extension(x, i):
+        """The path's state at i, one word deeper, if the path already
+        sits deep enough at i - 1 that nothing is added there first."""
+        rows = q.path_rows(x)
+        depth = len(q.contexts[i].ctxs[rows[i]]) + 1
+        prev_depth = len(q.contexts[i - 1].ctxs[rows[i - 1]])
+        if depth <= i and prev_depth >= depth - 1:
+            return tuple(x[i - depth:i])
+        return None
+
+    i, x, ctx = next((i, x, extension(x, i)) for x in am.enumerate_paths(q)
+                     for i in range(2, q.length) if extension(x, i))
+    layer, prev = q.contexts[i], q.contexts[i - 1]
+    calls = collections.Counter()
+    dest = am.QAutomaton._dest
+
+    def counting(self, k, tup):
+        calls[k] += 1
+        return dest(self, k, tup)
+
+    monkeypatch.setattr(am.QAutomaton, "_dest", counting)
+    before = prev.dest.copy()
+    am._add_state(q, x, i, ctx)
+    # one lookup per edge of the new row, none for the edges of layer i - 1
+    # (rerouting them all by lookup took one per edge of that layer)
+    assert calls == {i + 1: len(layer.words)}
+    changed = np.argwhere(before != prev.dest).tolist()
+    assert sorted(r for r, _ in changed) == prev.ending[ctx[:-1]]
+    assert {c for _, c in changed} == {prev.col[ctx[-1]]}
+    assert all(prev.dest[r, c] == layer.rows[ctx] for r, c in changed)
+    assert_fresh_compile(q)
+
+
+def test_layers_report_states_and_edges_as_mappings():
+    q, _ = refined_sms24()
+    states = sum(len(layer) for layer in q.contexts)
+    edges = sum(len(edges) for layer in q.contexts for edges in layer.values())
+    assert states == sum(len(layer.ctxs) for layer in q.contexts)
+    assert edges == sum(layer.weight.size for layer in q.contexts)
+    assert all(ctx in layer for layer in q.contexts for ctx in layer)

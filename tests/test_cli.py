@@ -1,5 +1,6 @@
 """Command line interface tests."""
 
+import hashlib
 import itertools
 import json
 
@@ -236,3 +237,50 @@ def test_optimization_trial_csv_has_no_mass_estimators(hmm_files, tmp_path):
             for col in ("q_mass_log", "z_hat_log", "pi_hat", "tau_tot_est"):
                 assert np.isnan(cells[col]), (name, col)
             assert np.isfinite(cells["log_q"])
+
+
+SMS24 = ["--arpa", str(DATA / "sms24.arpa"),
+         "--vocab", str(DATA / "sms24.vocab"),
+         "--obs", *(DATA / "sms24.obs").read_text().split(), "--seed", "0"]
+
+# stdout and the sha256 of the --metrics-out CSV on demos/data/sms24 at seed
+# 0, pinned byte for byte: the draw and refinement streams must not change
+GOLDEN = {
+    "sample-batch-1": (["sample", "--batch", "1"], """\
+trials: 100  accepts: 42  refinements: 58
+acceptance rate: 0.4200 cumulative  0.4200 last-100
+log Z-hat: -10.736369  pi-hat: 1.2534  est. cost per sample: 58.8
+table builds: 59
+bound contexts  order-1: 24  order-2: 50  order-3: 8  order-4: 0  order-5: 0
+top samples:
+  1.000  mgz gvt wqq gvu xhp qxc
+""", "79a0d8c98f8212182d84147216246fbf3f3e685539a6d5d9a7b5adcec6489acd"),
+    "sample-default-batch": (["sample"], """\
+trials: 4219  accepts: 132  refinements: 42
+acceptance rate: 0.0313 cumulative  0.2000 last-100
+log Z-hat: -10.998303  pi-hat: 0.2076  est. cost per sample: 46.8
+table builds: 43
+bound contexts  order-1: 24  order-2: 42  order-3: 0  order-4: 0  order-5: 0
+top samples:
+  0.970  mgz gvt wqq gvu xhp qxc
+  0.015  mhx gvt wqq gvu xhp qxc
+  0.008  mgy gvt wqq gvu xhp qxc
+  0.008  mgz gvt wqq gtt wis pxa
+""", "f36a169fcf24668f46534859eb5e442eb2f199e9d7422a5a9e0353fb69cfef1d"),
+    "decode": (["decode"], """\
+decoded: mgz gvt wqq gvu xhp qxc
+log p: -11.184072
+certificate gap (log): 0
+trials: 7  refinements: 6
+bound contexts  order-1: 24  order-2: 6  order-3: 2  order-4: 2  order-5: 1
+""", "6f3c7b64c76f99c5e7a75651421aa0c1e4819666eee747ff77c00f0c48f7fd4c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_sms24_streams_are_pinned(name, tmp_path, capsys):
+    command, stdout, csv_sha = GOLDEN[name]
+    f = tmp_path / "m.csv"
+    assert main(["hmm", *command, *SMS24, "--metrics-out", str(f)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(f.read_bytes()).hexdigest() == csv_sha
