@@ -134,7 +134,6 @@ class QAutomaton:
         # contexts[i]: the compiled layer i; layer `length` is final
         self.contexts: list[Layer] = []
         self.table_builds = 0
-        self.refinements = 0
         self._beta: dict[str, list | None] = {"sum": None, "max": None}
         self._dirty: dict[str, int] = {"sum": -1, "max": -1}
         self._vals: dict[str, list] = {}
@@ -246,7 +245,6 @@ class QAutomaton:
         """Structural copy sharing the immutable lattice and bound tables."""
         c = QAutomaton(self.lattice, self.tables)
         c.contexts = [layer.copy() for layer in self.contexts]
-        c.refinements = self.refinements
         return c
 
 
@@ -311,68 +309,52 @@ def sample_path(q: QAutomaton, rng: np.random.Generator):
     return tuple(words), total
 
 
-def _add_state(q: QAutomaton, words: tuple, i: int, ctx: tuple) -> None:
+def _add_state(q: QAutomaton, words: tuple, rows: list[int], i: int,
+               ctx: tuple) -> None:
     """Insert state (i, ctx), the history suffix of the path `words` one
-    word longer than the path's state at i, and reroute the layer i - 1
-    edges it captures.
+    word longer than the path's state rows[i], reroute the layer i - 1
+    edges it captures and set rows[i] to the new row.
 
     Layers stay suffix-closed: a state is added only once its suffix one
     word shorter is stored (first, recursively, at layer i - 1 for the
     path's own history).  So ctx[1:] is stored and is the ancestor whose
     edges the new state copies, and no stored context ends in ctx yet:
     every edge (c, w) of layer i - 1 with c + (w,) ending in ctx lands on
-    a shorter suffix until now, and on ctx from now on."""
-    layer = q.contexts[i]
-    if len(ctx) >= 2:
-        prev = q.contexts[i - 1].ctxs[q.path_rows(words)[i - 1]]
-        if len(prev) < len(ctx) - 1:
-            _add_state(q, words, i - 1, tuple(words[i - len(ctx):i - 1]))
+    a shorter suffix until now, and on ctx from now on.  No context of
+    layer i + 1 is ctx plus a word (a state's prefix is stored one layer
+    up before it is added), so the path's rows past i do not move."""
+    layer, prev = q.contexts[i], q.contexts[i - 1]
+    if len(ctx) - 1 > len(prev.ctxs[rows[i - 1]]):
+        _add_state(q, words, rows, i - 1, tuple(words[i - len(ctx):i - 1]))
     anc = layer.rows[ctx[1:]]
     row = layer.append(ctx, layer.weight[anc], layer.order[anc],
                        [q._dest(i + 1, ctx + (w,)) for w in layer.words])
-    prev = q.contexts[i - 1]
     prev.dest[prev.ending[ctx[:-1]], prev.col[ctx[-1]]] = row
+    rows[i] = row
     q._invalidate(i)
 
 
-def _deepen_at(q: QAutomaton, rejected: tuple, i: int) -> None:
+def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int],
+               i: int) -> None:
     """Deepen the rejected path's edge at position i until its weight
-    strictly drops (or the context order is exhausted)."""
+    strictly drops (or the context order is exhausted).  rows is the
+    path's state rows, kept current as states are added."""
     layer = q.contexts[i]
     w = rejected[i]
     j = layer.col[w]
     full = q.full_len(i)
-    row = q.path_rows(rejected)[i]
-    old_weight = layer.weight.item(row, j)
+    old_weight = layer.weight.item(rows[i], j)
     while True:
-        order = layer.order.item(row, j)
+        order = layer.order.item(rows[i], j)
         new_ctx = tuple(rejected[i - order:i])
-        if len(layer.ctxs[row]) < order:
-            _add_state(q, rejected, i, new_ctx)
-            row = q.path_rows(rejected)[i]
+        if len(layer.ctxs[rows[i]]) < order:
+            _add_state(q, rejected, rows, i, new_ctx)
         weight = q.tables.value(w, new_ctx, full) + q.pobs[i][w]
-        layer.order[row, j] = order + 1
-        layer.weight[row, j] = weight
+        layer.order[rows[i], j] = order + 1
+        layer.weight[rows[i], j] = weight
         if weight < old_weight - 1e-15 or order + 1 > full:
             break
     q._invalidate(i)
-
-
-def _slack_positions(q: QAutomaton, rejected: tuple) -> list[int]:
-    """Positions whose edge on the rejected path still sits strictly above
-    the deepest available bound, i.e. where deepening can drop the path."""
-    rows = q.path_rows(rejected)
-    out = []
-    for i, w in enumerate(rejected):
-        layer = q.contexts[i]
-        j = layer.col[w]
-        full = q.full_len(i)
-        if layer.order.item(rows[i], j) > full:
-            continue
-        exact = q.tables.value(w, tuple(rejected[i - full:i]), full)
-        if layer.weight.item(rows[i], j) - q.pobs[i][w] - exact > 1e-12:
-            out.append(i)
-    return out
 
 
 def refine(q: QAutomaton, rejected: tuple, *,
@@ -387,7 +369,7 @@ def refine(q: QAutomaton, rejected: tuple, *,
     exact conditional is deepened instead.
 
     norm="sum" or norm="max" replaces that cheap pointwise selection with
-    the exhaustive criterion: every candidate position is deepened on a
+    the exhaustive criterion: every position with slack is deepened on a
     clone of the automaton and the one minimizing the resulting total mass
     (respectively global max) is applied, leftmost on near-ties.  Each
     candidate costs a full table rebuild, hence opt-in.
@@ -395,46 +377,43 @@ def refine(q: QAutomaton, rejected: tuple, *,
     Raises NoRefinementAvailable when the path already scores its exact
     probability.
     """
-    if norm is not None:
-        if norm not in ("sum", "max"):
-            raise ValueError(f"norm must be 'sum' or 'max', got {norm!r}")
-        cands = _slack_positions(q, rejected)
-        if not cands:
-            raise NoRefinementAvailable(
-                "rejected path already scores its exact probability")
-        best_i, best_val = None, math.inf
-        for i in cands:
-            c = q.clone()
-            _deepen_at(c, rejected, i)
-            val = c.mass_log() if norm == "sum" else c.max_log()
-            if val < best_val - 1e-15:
-                best_i, best_val = i, val
-        _deepen_at(q, rejected, best_i)
-        q.refinements += 1
-        return q
-
+    if norm not in (None, "sum", "max"):
+        raise ValueError(f"norm must be 'sum' or 'max', got {norm!r}")
     rows = q.path_rows(rejected)
+    # one scan of the positions whose edge on the path is below full order:
+    # the bound part of each such edge's weight, and the largest one-order
+    # gap (leftmost on ties)
+    sites = []
     best_i, best_gap = None, 0.0
-    for i, w in enumerate(rejected):
+    for i, (w, row) in enumerate(zip(rejected, rows)):
         layer = q.contexts[i]
         j = layer.col[w]
-        order = layer.order.item(rows[i], j)
+        order = layer.order.item(row, j)
         full = q.full_len(i)
         if order > full:
             continue
-        vpart = layer.weight.item(rows[i], j) - q.pobs[i][w]
-        nxt = q.tables.value(w, tuple(rejected[i - order:i]), full)
-        gap = vpart - nxt
+        vpart = layer.weight.item(row, j) - q.pobs[i][w]
+        sites.append((i, w, vpart, full))
+        gap = vpart - q.tables.value(w, tuple(rejected[i - order:i]), full)
         if gap > best_gap + 1e-15:
             best_i, best_gap = i, gap
-    i = best_i
-    if i is None:
-        i = next(iter(_slack_positions(q, rejected)), None)
-    if i is None:
+    # the positions with slack against the deepest bound, leftmost first
+    slack = (i for i, w, vpart, full in sites if vpart - q.tables.value(
+        w, tuple(rejected[i - full:i]), full) > 1e-12)
+    if norm is not None:
+        best_i, best_val = None, math.inf
+        for i in slack:
+            c = q.clone()
+            _deepen_at(c, rejected, list(rows), i)
+            val = c.mass_log() if norm == "sum" else c.max_log()
+            if val < best_val - 1e-15:
+                best_i, best_val = i, val
+    elif best_i is None:
+        best_i = next(slack, None)
+    if best_i is None:
         raise NoRefinementAvailable(
             "rejected path already scores its exact probability")
-    _deepen_at(q, rejected, i)
-    q.refinements += 1
+    _deepen_at(q, rejected, rows, best_i)
     return q
 
 

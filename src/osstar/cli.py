@@ -164,11 +164,14 @@ def cmd_gm_optimize(args) -> int:
 def cmd_gm_bench(args) -> int:
     model = _gm_model(args)
     policies = [Policy(args.policy)] if args.policy else list(Policy)
+    # run every policy first: a bad count fails before the table starts
+    runs = [(policy, policy_bench(model, policy,
+                                  refinements=args.refinements,
+                                  trials_per_round=args.trials_per_round,
+                                  seed=args.seed, retree=args.retree)[0])
+            for policy in policies]
     print("policy  rounds  ar_hat  pi_hat  tau_ref  tau_tot_est")
-    for policy in policies:
-        rows, _ = policy_bench(model, policy, refinements=args.refinements,
-                               trials_per_round=args.trials_per_round,
-                               seed=args.seed, retree=args.retree)
+    for policy, rows in runs:
         last = rows[-1]
         print(f"{policy.value:>6}  {len(rows):>6}  {last.ar_hat:.4f}"
               f"  {last.pi_hat:.4f}  {last.tau_ref:>8.0f}"

@@ -150,7 +150,9 @@ class StopConfig:
     max_trials: int = 1_000_000
 
     def __post_init__(self):
-        # a threshold above 1 is valid: it never stops on the rate
+        # above 1 is valid (never stops on the rate); NaN would never stop
+        if math.isnan(self.ar_threshold):
+            raise ValueError("ar_threshold must be a number, got nan")
         if self.ar_window < 1:
             raise ValueError(f"ar_window must be >= 1, got {self.ar_window}")
         if self.max_trials < 0:

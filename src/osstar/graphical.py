@@ -393,9 +393,9 @@ class SubspaceProposal:
             p = self.forest.parent[j]
             logits = beta[j] if p is None else \
                 beta[j] + self._edge_to_parent(j)[:, values[p]]
-            probs = np.exp(logits - logits.max())
-            r = rng.random() * probs.sum()
-            values[j] = int(np.searchsorted(np.cumsum(probs), r,
+            # scale by the CDF's last entry: a pairwise sum can exceed it
+            cdf = np.cumsum(np.exp(logits - logits.max()))
+            values[j] = int(np.searchsorted(cdf, rng.random() * cdf[-1],
                                             side="right"))
         config = self._full(values)
         return config, self.score(config)

@@ -59,7 +59,6 @@ class PiecewiseProposal:
         self.leaves: dict[int, SubspaceProposal] = {0: root}
         self._next_id = 1
         self.bound_builds = 1
-        self.conditionings = 0
         self._tables_cache = None
         self._maxes_cache = None
 
@@ -69,7 +68,7 @@ class PiecewiseProposal:
         """Sum-semiring tables: (leaf ids, leaf log masses, log total,
         CDF over leaves), rebuilt after a conditioning on first use."""
         if self._tables_cache is None:
-            ids = sorted(self.leaves)
+            ids = list(self.leaves)
             masses = np.array([self.leaves[i].mass_log() for i in ids])
             total = float(np.logaddexp.reduce(masses))
             probs = np.exp(masses - total)
@@ -80,9 +79,8 @@ class PiecewiseProposal:
         """Max-semiring table: (leaf ids, leaf log maxima); builds no leaf's
         sum pass."""
         if self._maxes_cache is None:
-            ids = sorted(self.leaves)
-            self._maxes_cache = (
-                ids, np.array([self.leaves[i].max_log() for i in ids]))
+            self._maxes_cache = (list(self.leaves), np.array(
+                [leaf.max_log() for leaf in self.leaves.values()]))
         return self._maxes_cache
 
     def mass_log(self) -> float:
@@ -92,8 +90,7 @@ class PiecewiseProposal:
         return float(self._maxes()[1].max())
 
     def leaf_of(self, config) -> int:
-        for lid in sorted(self.leaves):
-            leaf = self.leaves[lid]
+        for lid, leaf in self.leaves.items():
             if all(config[j] == v for j, v in leaf.assigned.items()):
                 return lid
         raise KeyError(f"no leaf contains {config!r}")
@@ -105,8 +102,7 @@ class PiecewiseProposal:
         """q over many configs at once; verifies the partition en passant."""
         configs = np.asarray(configs)
         out = np.full(len(configs), np.nan)
-        for lid in sorted(self.leaves):
-            leaf = self.leaves[lid]
+        for leaf in self.leaves.values():
             mask = np.ones(len(configs), dtype=bool)
             for j, v in leaf.assigned.items():
                 mask &= configs[:, j] == v
@@ -154,6 +150,18 @@ class PiecewiseProposal:
 
     # -- refinement ----------------------------------------------------------
 
+    def _split(self, leaf: SubspaceProposal, node: int,
+               forests=None) -> list[SubspaceProposal]:
+        """Bounds of leaf's children on node, one per value, on the given
+        forests or else the leaf's forest minus node; counts the builds."""
+        values = range(self.model.domains[node])
+        if forests is None:
+            forests = [leaf.forest.without(node)] * len(values)
+        children = [SubspaceProposal(self.model, {**leaf.assigned, node: v}, f)
+                    for v, f in zip(values, forests)]
+        self.bound_builds += len(children)
+        return children
+
     def condition(self, leaf_id: int, node: int) -> list[int]:
         """Split one leaf on one node; returns the new leaf ids."""
         leaf = self.leaves.get(leaf_id)
@@ -162,24 +170,16 @@ class PiecewiseProposal:
         if node in leaf.assigned:
             raise AlreadyConditioned(f"node {node} already set in "
                                      f"subspace {leaf_id}")
-        inherited = leaf.forest.without(node)
-        child_ids = []
-        for v in range(self.model.domains[node]):
-            child = SubspaceProposal(
-                self.model, {**leaf.assigned, node: v}, inherited)
-            self.bound_builds += 1
-            if self.retree:
-                fresh = SubspaceProposal(
-                    self.model, child.assigned,
-                    max_spanning_forest(self.model, child.free))
-                self.bound_builds += 1
-                if fresh.mass_log() < child.mass_log():
-                    child = fresh
-            self.leaves[self._next_id] = child
-            child_ids.append(self._next_id)
-            self._next_id += 1
+        children = self._split(leaf, node)
+        if self.retree:
+            fresh = self._split(leaf, node, [
+                max_spanning_forest(self.model, c.free) for c in children])
+            children = [f if f.mass_log() < c.mass_log() else c
+                        for c, f in zip(children, fresh)]
+        child_ids = list(range(self._next_id, self._next_id + len(children)))
+        self.leaves.update(zip(child_ids, children))
+        self._next_id += len(children)
         del self.leaves[leaf_id]
-        self.conditionings += 1
         self._tables_cache = None
         self._maxes_cache = None
         return child_ids
@@ -196,17 +196,11 @@ class ImprovementQueue:
     def __init__(self, proposal: PiecewiseProposal):
         self.proposal = proposal
         self.heap: list[tuple[float, int, int]] = []
-        for lid in sorted(proposal.leaves):
+        for lid in proposal.leaves:
             self.add_leaf(lid)
 
     def _improvement_log(self, leaf: SubspaceProposal, node: int) -> float:
-        inherited = leaf.forest.without(node)
-        masses = []
-        for v in range(self.proposal.model.domains[node]):
-            child = SubspaceProposal(
-                self.proposal.model, {**leaf.assigned, node: v}, inherited)
-            self.proposal.bound_builds += 1
-            masses.append(child.mass_log())
+        masses = [c.mass_log() for c in self.proposal._split(leaf, node)]
         diff = float(np.logaddexp.reduce(masses)) - leaf.mass_log()
         if diff >= -1e-15:
             return -math.inf
@@ -243,8 +237,7 @@ def select_refinement(proposal: PiecewiseProposal, policy: Policy,
         return queue.pop()
     if policy is Policy.MASS_LEAF:
         best_lid, best_mass = None, -math.inf
-        for lid in sorted(proposal.leaves):
-            leaf = proposal.leaves[lid]
+        for lid, leaf in proposal.leaves.items():
             if leaf.free and leaf.mass_log() > best_mass:
                 best_lid, best_mass = lid, leaf.mass_log()
         if best_lid is None:
@@ -266,11 +259,7 @@ def select_refinement(proposal: PiecewiseProposal, policy: Policy,
         for j in (e.u, e.v):
             if j in slack:
                 slack[j] += gap
-    node, best = None, -1.0
-    for j in leaf.free:
-        if slack[j] > best:
-            node, best = j, slack[j]
-    return lid, node
+    return lid, max(leaf.free, key=slack.__getitem__)
 
 
 def min_norm_refinement(proposal: PiecewiseProposal, reject_config,
@@ -288,25 +277,15 @@ def min_norm_refinement(proposal: PiecewiseProposal, reject_config,
     leaf = proposal.leaves[lid]
     if not leaf.free:
         raise NoUnassignedNode(f"subspace {lid} is fully assigned")
-    if norm == "sum":
-        ids, values = proposal._tables()[:2]
-    else:
-        ids, values = proposal._maxes()
+    ids, values = (proposal._tables()[:2] if norm == "sum"
+                   else proposal._maxes())
     rest = [values[k] for k, i in enumerate(ids) if i != lid]
     best_node, best_val = None, math.inf
     for j in leaf.free:
-        inherited = leaf.forest.without(j)
-        vals = []
-        for v in range(proposal.model.domains[j]):
-            child = SubspaceProposal(proposal.model,
-                                     {**leaf.assigned, j: v}, inherited)
-            proposal.bound_builds += 1
-            vals.append(child.mass_log() if norm == "sum"
-                        else child.max_log())
-        if norm == "sum":
-            total = float(np.logaddexp.reduce(rest + vals))
-        else:
-            total = max(rest + vals)
+        vals = [c.mass_log() if norm == "sum" else c.max_log()
+                for c in proposal._split(leaf, j)]
+        total = (float(np.logaddexp.reduce(rest + vals)) if norm == "sum"
+                 else max(rest + vals))
         if total < best_val:
             best_node, best_val = j, total
     return lid, best_node
@@ -370,6 +349,11 @@ def policy_bench(model: PairwiseModel, policy: Policy, *,
     a refinement costs the number of bound builds beyond the root, which
     charges the queue policy for its lookahead.  Returns (rows, proposal).
     """
+    if refinements < 0:
+        raise ValueError(f"refinements must be >= 0, got {refinements}")
+    if trials_per_round < 1:
+        raise ValueError("trials_per_round must be >= 1, got "
+                         f"{trials_per_round}")
     trial_seed, policy_seed = np.random.SeedSequence(seed).spawn(2)
     rng = np.random.default_rng(trial_seed)
     policy = Policy(policy)

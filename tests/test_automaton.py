@@ -159,10 +159,25 @@ def test_deep_refinement_keeps_domination_everywhere():
     assert any(len(ctx) >= 2 for layer in q.contexts for ctx in layer)
 
 
+def slack_positions(q, x):
+    """Reference: positions whose edge on path x sits more than 1e-12
+    above the deepest available bound, i.e. where deepening can drop x."""
+    rows = q.path_rows(x)
+    out = []
+    for i, w in enumerate(x):
+        layer, full = q.contexts[i], q.full_len(i)
+        j = layer.col[w]
+        if layer.order.item(rows[i], j) > full:
+            continue
+        exact = q.tables.value(w, tuple(x[i - full:i]), full)
+        if layer.weight.item(rows[i], j) - q.pobs[i][w] - exact > 1e-12:
+            out.append(i)
+    return out
+
+
 def test_clone_is_isolated_from_refinement():
     _, _, q, _ = make_instance()
-    x = next(p for p in am.enumerate_paths(q)
-             if am._slack_positions(q, p))
+    x = next(p for p in am.enumerate_paths(q) if slack_positions(q, p))
     mass_before = q.mass_log()
     score_before = q.score_path(x)
     c = q.clone()
@@ -175,20 +190,19 @@ def test_clone_is_isolated_from_refinement():
 def test_norm_selection_matches_candidate_minimum():
     _, _, q, _ = make_instance()
     x = next(p for p in am.enumerate_paths(q)
-             if len(am._slack_positions(q, p)) >= 2)
-    cands = am._slack_positions(q, x)
+             if len(slack_positions(q, p)) >= 2)
+    cands = slack_positions(q, x)
     for norm, value_of in (("sum", am.QAutomaton.mass_log),
                            ("max", am.QAutomaton.max_log)):
         vals = []
         for i in cands:
             c = q.clone()
-            am._deepen_at(c, x, i)
+            am._deepen_at(c, x, c.path_rows(x), i)
             vals.append(value_of(c))
         r = q.clone()
         am.refine(r, x, norm=norm)
         assert value_of(r) == pytest.approx(min(vals), abs=1e-12)
         assert r.score_path(x) < q.score_path(x) - 1e-15
-        assert r.refinements == q.refinements + 1
     with pytest.raises(ValueError):
         am.refine(q.clone(), x, norm="l7")
 
@@ -637,7 +651,7 @@ def test_refinement_at_i_keeps_every_layer_above_i():
              > len(q.contexts[i].ctxs[q.path_rows(p)[i]]))
     before = snapshot()
     states = len(q.contexts[i])
-    am._deepen_at(q, x, i)
+    am._deepen_at(q, x, q.path_rows(x), i)
     assert len(q.contexts[i]) > states  # the deepening added a state
     after = snapshot()
     for k in range(len(q.contexts)):
@@ -697,7 +711,7 @@ def test_add_state_reroutes_only_the_captured_edges(monkeypatch):
 
     monkeypatch.setattr(am.QAutomaton, "_dest", counting)
     before = prev.dest.copy()
-    am._add_state(q, x, i, ctx)
+    am._add_state(q, x, q.path_rows(x), i, ctx)
     # one lookup per edge of the new row, none for the edges of layer i - 1
     # (rerouting them all by lookup took one per edge of that layer)
     assert calls == {i + 1: len(layer.words)}
@@ -715,3 +729,40 @@ def test_layers_report_states_and_edges_as_mappings():
     assert states == sum(len(layer.ctxs) for layer in q.contexts)
     assert edges == sum(layer.weight.size for layer in q.contexts)
     assert all(ctx in layer for layer in q.contexts for ctx in layer)
+
+
+@pytest.mark.parametrize("norm", [None, "sum"])
+def test_refine_walks_the_rejected_path_once(monkeypatch, norm):
+    q, _ = refined_sms24()
+    x = next(p for p in am.enumerate_paths(q)
+             if len(slack_positions(q, p)) >= 2)
+    calls = []
+    path_rows = am.QAutomaton.path_rows
+
+    def counting(self, words):
+        calls.append(words)
+        return path_rows(self, words)
+
+    monkeypatch.setattr(am.QAutomaton, "path_rows", counting)
+    score = q.score_path(x)
+    am.refine(q, x, norm=norm)
+    assert calls == [x]
+    assert q.score_path(x) < score - 1e-15
+
+
+def test_deepening_keeps_the_threaded_rows_current():
+    q, _ = refined_sms24()
+    rng = np.random.default_rng(3)
+    added = collections.Counter()
+    for _ in range(40):
+        x, _ = q.draw(rng)
+        for i in slack_positions(q, x):
+            c = q.clone()
+            rows = c.path_rows(x)
+            states = [len(layer) for layer in c.contexts]
+            am._deepen_at(c, x, rows, i)
+            assert rows == c.path_rows(x)
+            added[sum(len(layer) > n
+                      for layer, n in zip(c.contexts, states))] += 1
+    # deepenings that added no state, one, and one per layer of a chain
+    assert added[0] and added[1] and max(added) >= 2

@@ -284,3 +284,18 @@ def test_sms24_streams_are_pinned(name, tmp_path, capsys):
     assert main(["hmm", *command, *SMS24, "--metrics-out", str(f)]) == 0
     assert capsys.readouterr().out == stdout
     assert hashlib.sha256(f.read_bytes()).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize("bad", [["--refinements", "-1"],
+                                 ["--trials-per-round", "0"]])
+def test_gm_bench_rejects_bad_counts_before_printing(capsys, bad):
+    assert main(["gm", "bench", "--grid", "3x3"] + bad) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+
+
+def test_gm_sample_rejects_a_nan_threshold(capsys):
+    assert main(["gm", "sample", "--grid", "2x2",
+                 "--ar-threshold", "nan"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")

@@ -175,7 +175,8 @@ def test_running_totals_match_a_pass_over_the_records():
 
 
 @pytest.mark.parametrize("bad", [{"ar_window": 0}, {"max_trials": -1},
-                                 {"max_refinements": -1}])
+                                 {"max_refinements": -1},
+                                 {"ar_threshold": math.nan}])
 def test_stop_config_rejects_bad_numbers(bad):
     with pytest.raises(ValueError):
         StopConfig(**bad)

@@ -282,3 +282,21 @@ def test_argmax_matches_clamped_search_and_enumeration(case):
     best = max(scores.values())
     assert config == min(x for x, s in scores.items() if s == best)
     assert log_q == best == q.max_log()
+
+
+class TopRng:
+    """Stub generator whose every uniform is the largest double below 1."""
+
+    def random(self, n=None):
+        u = 1 - 2.0 ** -53
+        return u if n is None else np.full(n, u)
+
+
+def test_sample_stays_inside_a_wide_domain():
+    # with 16 values numpy's pairwise probs.sum() exceeds the cumsum's last
+    # entry here, so scaling by it sent the search past the last value
+    log_psi = np.random.default_rng(0).normal(size=16) * 8
+    sp = SubspaceProposal(PairwiseModel([16], [log_psi], []), {})
+    config, _ = sp.sample(TopRng())
+    assert config == (15,)
+    assert sp.sample_many(TopRng(), 1)[0].tolist() == [[15]]

@@ -380,7 +380,6 @@ def test_min_norm_refinement_charges_lookahead():
     ref.refine(pw, (0, 0, 0, 0), 0.0, 0.0)
     # root + 4 candidate nodes x 2 scratch children + 2 committed children
     assert pw.bound_builds == 1 + 8 + 2
-    assert pw.conditionings == 1
 
 
 def test_piecewise_argmax_tie_across_leaves():
@@ -512,3 +511,43 @@ def test_certified_argmax_is_the_smallest_enumerated_maximizer(m, seed):
                          StopConfig(), seed)
         assert res.argmax == expect, (policy, norm)
         assert res.certificate_gap_log == 0.0, (policy, norm)
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_leaves_stay_in_increasing_id_order(policy):
+    m = ising_grid(3, 3, sigma=1.0, seed=4)
+    pw = PiecewiseProposal(m)
+    refiner = PolicyRefiner(pw, policy, seed=1)
+    res = engine.run(Mode.SAMPLING, m.log_p, pw, refiner,
+                     StopConfig(ar_threshold=0.9, max_trials=3000), 0)
+    assert res.history.refine_count >= 5
+    assert list(pw.leaves) == sorted(pw.leaves)
+
+
+@pytest.mark.parametrize("retree", [False, True])
+def test_every_bound_build_is_counted(retree, monkeypatch):
+    built = [0]
+    init = SubspaceProposal.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubspaceProposal, "__init__", counting)
+    m = ising_grid(2, 3, sigma=0.8, seed=5)
+    pw = PiecewiseProposal(m, retree=retree)
+    assert built == [pw.bound_builds] == [1]
+
+    def delta(step):
+        built[0], before = 0, pw.bound_builds
+        out = step()
+        assert built[0] == pw.bound_builds - before > 0
+        return out
+
+    queue = delta(lambda: ImprovementQueue(pw))
+    children = delta(lambda: pw.condition(0, 2))
+    assert pw.bound_builds - 1 - 6 * 2 == 2 * (2 if retree else 1)
+    for cid in children:
+        delta(lambda: queue.add_leaf(cid))
+    for norm in ("sum", "max"):
+        delta(lambda: min_norm_refinement(pw, (0, 1, 1, 0, 1, 0), norm))
