@@ -12,9 +12,8 @@ from .ngram import (MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported,
 from .automaton import (AutomatonRefiner, HmmTarget, NoRefinementAvailable,
                         QAutomaton, build_q0, enumerate_paths, refine,
                         report_ngram_counts, sample_path, viterbi)
-from .graphical import (Disconnected, Forest, PairwiseModel,
-                        SubspaceProposal, ising_grid, max_spanning_forest,
-                        prim_max_tree)
+from .graphical import (Forest, PairwiseModel, SubspaceProposal, ising_grid,
+                        max_spanning_forest)
 from .piecewise import (AlreadyConditioned, BenchRow, ImprovementQueue,
                         NoUnassignedNode, PiecewiseProposal, Policy,
                         PolicyRefiner, min_norm_refinement, policy_bench,
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlreadyConditioned", "AutomatonRefiner", "BenchRow", "CSV_COLUMNS",
-    "Disconnected", "DominationViolated", "EmptyHistory", "Forest",
+    "DominationViolated", "EmptyHistory", "Forest",
     "History", "HmmTarget", "ImprovementQueue", "MaxBackoffTables",
     "Metrics", "Mode", "NGramLM", "NoCandidate", "NoRefinementAvailable",
     "NoUnassignedNode", "OrderUnsupported", "PairwiseModel", "ParseError",
@@ -34,7 +33,7 @@ __all__ = [
     "build_lattice", "build_q0",
     "enumerate_paths", "ising_grid", "keypad_encode", "load_arpa",
     "load_vocab", "max_spanning_forest", "metrics", "min_norm_refinement",
-    "policy_bench", "prim_max_tree", "refine", "report_ngram_counts", "run",
+    "policy_bench", "refine", "report_ngram_counts", "run",
     "sample_path", "select_refinement", "should_stop", "step",
     "trial_batch", "viterbi", "write_bench_csv", "write_trial_csv",
 ]

@@ -134,12 +134,12 @@ class History:
         return self.accept_count / self.trial_count
 
     def ar_window(self, window: int) -> float:
-        if not self.records:
-            return 0.0
-        if window == self.window:
+        if window == self.window and self.records:
             return self.window_accepts / min(window, self.trial_count)
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
         tail = self.records[-window:]
-        return sum(1 for r in tail if r.accepted) / len(tail)
+        return sum(1 for r in tail if r.accepted) / len(tail) if tail else 0.0
 
 
 @dataclass

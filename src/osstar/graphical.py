@@ -11,14 +11,9 @@ the sum and the max of q over a subspace are exact tree computations.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class Disconnected(RuntimeError):
-    """A spanning tree was requested for a graph that is not connected."""
 
 
 @dataclass
@@ -28,9 +23,16 @@ class ModelEdge:
     log_phi: np.ndarray
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 class PairwiseModel:
     def __init__(self, domains: list[int], log_psi: list, edges: list):
-        self.domains = [int(d) for d in domains]
+        self.domains = [_integer(d, f"domain of node {i}")
+                        for i, d in enumerate(domains)]
         if any(d < 1 for d in self.domains):
             raise ValueError("domains must be positive")
         n = len(self.domains)
@@ -48,7 +50,7 @@ class PairwiseModel:
         self.edges: list[ModelEdge] = []
         seen = set()
         for u, v, log_phi in edges:
-            u, v = int(u), int(v)
+            u, v = _integer(u, "edge end u"), _integer(v, "edge end v")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u >= v:
@@ -109,13 +111,18 @@ class PairwiseModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PairwiseModel":
-        nodes = sorted(data["nodes"], key=lambda n: n["id"])
-        if [n["id"] for n in nodes] != list(range(len(nodes))):
-            raise ValueError("node ids must be 0..n-1")
-        return cls(domains=[n["domain"] for n in nodes],
-                   log_psi=[n["log_psi"] for n in nodes],
-                   edges=[(e["u"], e["v"], e["log_phi"])
-                          for e in data["edges"]])
+        try:
+            nodes = sorted(data["nodes"], key=lambda n: n["id"])
+            if [n["id"] for n in nodes] != list(range(len(nodes))):
+                raise ValueError("node ids must be 0..n-1")
+            return cls(domains=[n["domain"] for n in nodes],
+                       log_psi=[n["log_psi"] for n in nodes],
+                       edges=[(e["u"], e["v"], e["log_phi"])
+                              for e in data["edges"]])
+        except KeyError as exc:
+            raise ValueError(f"model has no {exc} key") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed model: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "PairwiseModel":
@@ -148,6 +155,10 @@ def ising_grid(rows: int, cols: int, sigma: float = 0.5,
     return PairwiseModel(domains=[2] * n,
                          log_psi=[[-hi, hi] for hi in h],
                          edges=edges)
+
+
+# semiring -> reduction of a beta vector or message block over axis 0
+_REDUCE = {"sum": np.logaddexp.reduce, "max": np.maximum.reduce}
 
 
 @dataclass
@@ -215,46 +226,25 @@ def _prim_component(model: PairwiseModel, free: set, start: int):
         chosen.append((eid, inside, outside))
 
 
-def _forest_from(components) -> Forest:
+def max_spanning_forest(model: PairwiseModel, free) -> Forest:
+    """Per-component maximum spanning trees over the free nodes, by log
+    range max phi / min phi: the forest keeps the potentials whose neglect
+    would cost the most.  Each tree is rooted at its smallest node."""
+    free = set(free)
     roots, parent, children, edge_of = [], {}, {}, {}
-    for start, nodes, chosen in components:
+    for start in sorted(free):
+        if start in parent:
+            continue
+        nodes, chosen = _prim_component(model, free, start)
         roots.append(start)
         parent[start] = None
         for j in nodes:
-            children.setdefault(j, [])
+            children[j] = []
         for eid, inside, outside in chosen:
             parent[outside] = inside
             children[inside].append(outside)
             edge_of[outside] = eid
-    return _rooted(sorted(roots), parent, children, edge_of)
-
-
-def max_spanning_forest(model: PairwiseModel, free) -> Forest:
-    """Per-component maximum spanning trees over the free nodes."""
-    free = set(free)
-    seen: set[int] = set()
-    components = []
-    for start in sorted(free):
-        if start in seen:
-            continue
-        nodes, chosen = _prim_component(model, free, start)
-        seen |= nodes
-        components.append((start, nodes, chosen))
-    return _forest_from(components)
-
-
-def prim_max_tree(model: PairwiseModel) -> Forest:
-    """Maximum spanning tree of the whole model graph.
-
-    Edge weight is the log range max phi / min phi, so the tree keeps the
-    potentials whose neglect would cost the most.  Raises Disconnected if
-    the graph has more than one component.
-    """
-    forest = max_spanning_forest(model, range(model.n_nodes))
-    if len(forest.roots) > 1 and model.n_nodes > 1:
-        raise Disconnected(
-            f"graph has {len(forest.roots)} components")
-    return forest
+    return _rooted(roots, parent, children, edge_of)
 
 
 class SubspaceProposal:
@@ -288,9 +278,7 @@ class SubspaceProposal:
                 eff[e.v] = eff[e.v] + e.log_phi[self.assigned[e.u], :]
             elif av:
                 eff[e.u] = eff[e.u] + e.log_phi[:, self.assigned[e.v]]
-            elif eid in tree_ids:
-                pass
-            else:
+            elif eid not in tree_ids:
                 self.offtree_ids.append(eid)
                 const += model.phi_max_log[eid]
         self.const = float(const)
@@ -309,39 +297,45 @@ class SubspaceProposal:
         e = self.model.edges[self.forest.edge_of[child]]
         return e.log_phi if e.u == child else e.log_phi.T
 
-    def beta(self, semiring: str) -> dict[int, np.ndarray]:
-        cached = self._beta[semiring]
-        if cached is not None:
-            return cached
+    def _pass(self, semiring: str, clamps=None) -> dict[int, np.ndarray]:
+        """Backward messages in the semiring.  A clamped node is masked to
+        its pinned value before its children's messages are added: that only
+        removes candidates from max reductions, so every surviving
+        assignment accumulates exactly the floats of the unclamped pass."""
+        reduce = _REDUCE[semiring]
         beta: dict[int, np.ndarray] = {}
         for j in reversed(self.forest.order):
             b = self.eff[j]
+            if clamps and j in clamps:
+                mask = np.full(len(b), -np.inf)
+                mask[clamps[j]] = 0.0
+                b = b + mask
             for c in self.forest.children[j]:
-                m = beta[c][:, None] + self._edge_to_parent(c)
-                if semiring == "sum":
-                    b = b + np.logaddexp.reduce(m, axis=0)
-                else:
-                    b = b + m.max(axis=0)
+                b = b + reduce(beta[c][:, None] + self._edge_to_parent(c),
+                               axis=0)
             beta[j] = b
-        self._beta[semiring] = beta
         return beta
+
+    def _fold(self, semiring: str, beta: dict[int, np.ndarray]) -> float:
+        """const plus each root's reduced beta, in root order."""
+        total = self.const
+        for r in self.forest.roots:
+            total += float(_REDUCE[semiring](beta[r]))
+        return total
+
+    def beta(self, semiring: str) -> dict[int, np.ndarray]:
+        if self._beta[semiring] is None:
+            self._beta[semiring] = self._pass(semiring)
+        return self._beta[semiring]
 
     def mass_log(self) -> float:
         if self._mass_log is None:
-            beta = self.beta("sum")
-            total = self.const
-            for r in self.forest.roots:
-                total += float(np.logaddexp.reduce(beta[r]))
-            self._mass_log = total
+            self._mass_log = self._fold("sum", self.beta("sum"))
         return self._mass_log
 
     def max_log(self) -> float:
         if self._max_log is None:
-            beta = self.beta("max")
-            total = self.const
-            for r in self.forest.roots:
-                total += float(beta[r].max())
-            self._max_log = total
+            self._max_log = self._fold("max", self.beta("max"))
         return self._max_log
 
     # -- scoring -------------------------------------------------------------
@@ -379,69 +373,67 @@ class SubspaceProposal:
                 total += e.log_phi[configs[:, e.u], configs[:, e.v]]
         return total
 
+    def slack(self, config) -> dict[int, float]:
+        """Per free node, the sum over its off-tree edges of how far each
+        edge's max entry exceeds its value at config (all >= 0)."""
+        slack = {j: 0.0 for j in self.free}
+        for eid in self.offtree_ids:
+            e = self.model.edges[eid]
+            gap = self.model.phi_max_log[eid] - \
+                float(e.log_phi[config[e.u], config[e.v]])
+            slack[e.u] += gap
+            slack[e.v] += gap
+        return slack
+
     # -- draws ---------------------------------------------------------------
 
     def _full(self, values: dict[int, int]) -> tuple:
         return tuple(self.assigned.get(i, values.get(i))
                      for i in range(self.model.n_nodes))
 
-    def sample(self, rng: np.random.Generator):
-        """Exact draw from q restricted to this subspace."""
-        beta = self.beta("sum")
-        values: dict[int, int] = {}
+    def _descend(self, beta: dict[int, np.ndarray], pick) -> dict | None:
+        """Preorder walk setting each node to pick(its logits given the
+        parent's value: an int, or n values giving an (n, domain) block);
+        None as soon as pick returns None."""
+        values = {}
         for j in self.forest.order:
             p = self.forest.parent[j]
             logits = beta[j] if p is None else \
-                beta[j] + self._edge_to_parent(j)[:, values[p]]
+                beta[j] + self._edge_to_parent(j).T[values[p]]
+            values[j] = pick(logits)
+            if values[j] is None:
+                return None
+        return values
+
+    def sample(self, rng: np.random.Generator):
+        """Exact draw from q restricted to this subspace."""
+        def pick(logits):
             # scale by the CDF's last entry: a pairwise sum can exceed it
             cdf = np.cumsum(np.exp(logits - logits.max()))
-            values[j] = int(np.searchsorted(cdf, rng.random() * cdf[-1],
-                                            side="right"))
-        config = self._full(values)
+            return int(np.searchsorted(cdf, rng.random() * cdf[-1],
+                                       side="right"))
+        config = self._full(self._descend(self.beta("sum"), pick))
         return config, self.score(config)
 
     def sample_many(self, rng: np.random.Generator, n: int):
         """Vectorized draws: one uniform block per free node, fixed order."""
-        beta = self.beta("sum")
-        out = np.empty((n, self.model.n_nodes), dtype=np.int64)
-        for i, v in self.assigned.items():
-            out[:, i] = v
-        for j in self.forest.order:
-            p = self.forest.parent[j]
-            if p is None:
-                logits = np.broadcast_to(beta[j], (n, len(beta[j])))
-            else:
-                logits = beta[j][None, :] + \
-                    self._edge_to_parent(j).T[out[:, p], :]
+        def pick(logits):
+            logits = np.broadcast_to(logits, (n, logits.shape[-1]))
             probs = np.exp(logits - logits.max(axis=1, keepdims=True))
             cdf = np.cumsum(probs, axis=1)
             r = rng.random(n) * cdf[:, -1]
-            out[:, j] = (r[:, None] >= cdf).sum(axis=1)
+            return (r[:, None] >= cdf).sum(axis=1)
+        out = np.empty((n, self.model.n_nodes), dtype=np.int64)
+        values = {**self.assigned, **self._descend(self.beta("sum"), pick)}
+        for j, v in values.items():
+            out[:, j] = v
         return out, self.score_many(out)
 
     def _max_log_clamped(self, clamps: dict[int, int]) -> float:
         """Forest max with some free nodes pinned to fixed values; serves
-        only _argmax_clamped, the near-tie fallback of argmax.
-
-        Masking only removes candidates from max reductions, so any
-        surviving assignment accumulates exactly the same floats as in the
-        unclamped pass; equality against the unclamped max is exact.
-        """
-        beta: dict[int, np.ndarray] = {}
-        for j in reversed(self.forest.order):
-            b = self.eff[j]
-            if j in clamps:
-                mask = np.full(len(b), -np.inf)
-                mask[clamps[j]] = 0.0
-                b = b + mask
-            for c in self.forest.children[j]:
-                m = beta[c][:, None] + self._edge_to_parent(c)
-                b = b + m.max(axis=0)
-            beta[j] = b
-        total = self.const
-        for r in self.forest.roots:
-            total += float(beta[r].max())
-        return total
+        only _argmax_clamped, the near-tie fallback of argmax.  Equality
+        against the unclamped max is exact (see _pass)."""
+        return self._fold("max", self._pass("max", clamps))
 
     def _argmax_clamped(self) -> dict[int, int]:
         """Free-node values of the lexicographically smallest maximizer:
@@ -468,19 +460,17 @@ class SubspaceProposal:
         returns.  Otherwise (exact ties, as in zero-field models) it falls
         back to _argmax_clamped, which applies the tie rule.
         """
-        beta = self.beta("max")
         tol = 1e-9 * max(1.0, self.model.abs_log_sum)
-        values: dict[int, int] = {}
-        for j in self.forest.order:
-            p = self.forest.parent[j]
-            logits = beta[j] if p is None else \
-                beta[j] + self._edge_to_parent(j)[:, values[p]]
+
+        def pick(logits):
             best = int(np.argmax(logits))
             if len(logits) > 1 and \
                     np.partition(logits, -2)[-2] >= logits[best] - tol:
-                values = self._argmax_clamped()
-                break
-            values[j] = best
+                return None
+            return best
+        values = self._descend(self.beta("max"), pick)
+        if values is None:
+            values = self._argmax_clamped()
         config = self._full(values)
         return config, self.score(config)
 

@@ -141,12 +141,15 @@ def load_arpa(text: str) -> NGramLM:
                     f"got {len(fields)}", lineno)
             try:
                 prob = float(fields[0]) * LN10
-                gram = tuple(fields[1:current + 1])
-                logprob[gram] = prob
-                if has_bow:
-                    backoff[gram] = float(fields[-1]) * LN10
+                bow = float(fields[-1]) * LN10 if has_bow else 0.0
             except ValueError:
                 raise ParseError(f"bad float in {line!r}", lineno)
+            if not (prob < math.inf and bow < math.inf):
+                raise ParseError(f"NaN or +inf number in {line!r}", lineno)
+            gram = tuple(fields[1:current + 1])
+            logprob[gram] = prob
+            if has_bow:
+                backoff[gram] = bow
             seen[current] += 1
             continue
         if state == "done":

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import engine
 from .engine import Mode, StopConfig
-from .graphical import (Forest, PairwiseModel, SubspaceProposal,
-                        max_spanning_forest)
+from .graphical import PairwiseModel, SubspaceProposal, max_spanning_forest
 
 
 class AlreadyConditioned(ValueError):
@@ -52,6 +51,10 @@ class Policy(enum.Enum):
 
 
 class PiecewiseProposal:
+    """Leaf subspaces and their bounds.  A MAP run builds no leaf's sum pass
+    unless retree is on: each child then keeps the forest of smaller mass,
+    so every leaf computes its mass."""
+
     def __init__(self, model: PairwiseModel, retree: bool = False):
         self.model = model
         self.retree = retree
@@ -60,7 +63,6 @@ class PiecewiseProposal:
         self._next_id = 1
         self.bound_builds = 1
         self._tables_cache = None
-        self._maxes_cache = None
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -76,12 +78,10 @@ class PiecewiseProposal:
         return self._tables_cache
 
     def _maxes(self):
-        """Max-semiring table: (leaf ids, leaf log maxima); builds no leaf's
-        sum pass."""
-        if self._maxes_cache is None:
-            self._maxes_cache = (list(self.leaves), np.array(
-                [leaf.max_log() for leaf in self.leaves.values()]))
-        return self._maxes_cache
+        """Max-semiring table: (leaf ids, leaf log maxima), a gather of the
+        leaves' cached scalars; builds no leaf's sum pass."""
+        return list(self.leaves), np.array(
+            [leaf.max_log() for leaf in self.leaves.values()])
 
     def mass_log(self) -> float:
         return self._tables()[2]
@@ -181,7 +181,6 @@ class PiecewiseProposal:
         self._next_id += len(children)
         del self.leaves[leaf_id]
         self._tables_cache = None
-        self._maxes_cache = None
         return child_ids
 
 
@@ -251,15 +250,7 @@ def select_refinement(proposal: PiecewiseProposal, policy: Policy,
     if policy is Policy.RANDOM_NODE:
         return lid, leaf.free[int(rng.integers(len(leaf.free)))]
     # MAX_SLACK: where does the bound overshoot this configuration most
-    slack = {j: 0.0 for j in leaf.free}
-    for eid in leaf.offtree_ids:
-        e = proposal.model.edges[eid]
-        gap = proposal.model.phi_max_log[eid] - \
-            float(e.log_phi[reject_config[e.u], reject_config[e.v]])
-        for j in (e.u, e.v):
-            if j in slack:
-                slack[j] += gap
-    return lid, max(leaf.free, key=slack.__getitem__)
+    return lid, max(leaf.free, key=leaf.slack(reject_config).__getitem__)
 
 
 def min_norm_refinement(proposal: PiecewiseProposal, reject_config,

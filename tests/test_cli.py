@@ -68,6 +68,19 @@ def test_hmm_error_paths(hmm_files, tmp_path, capsys):
                  "--obs", "99"]) == 1
 
 
+@pytest.mark.parametrize("command", ["decode", "sample"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_hmm_nan_or_infinite_arpa_is_a_clean_error(hmm_files, tmp_path,
+                                                    capsys, command, bad):
+    _, vocab = hmm_files
+    arpa = tmp_path / "bad.arpa"
+    arpa.write_text(TINY_ARPA.replace("-0.5\ta b", f"{bad}\ta b"))
+    assert main(["hmm", command, "--arpa", str(arpa), "--vocab", vocab,
+                 "--obs", "2", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: line 13: NaN or +inf")
+
+
 KEYPAD_ARPA = str(DATA / "keypad4663.arpa")
 
 
@@ -160,6 +173,20 @@ def test_gm_model_file_and_arg_validation(tmp_path, capsys):
     assert main(["gm", "optimize", "--model", str(model_file)]) == 0
     assert main(["gm", "optimize", "--model", str(model_file),
                  "--grid", "2x2"]) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"nodes": [{"id": 0, "domain": 2, "log_psi": [0, 0]}]}',
+    '{"nodes": [{"id": 0, "log_psi": [0, 0]}], "edges": []}',
+    '{"nodes": 5, "edges": []}', '[1, 2]',
+    '{"nodes": [{"id": 0, "domain": 2.5, "log_psi": [0, 0]}], "edges": []}',
+])
+def test_gm_malformed_model_file_is_a_clean_error(tmp_path, capsys, text):
+    model_file = tmp_path / "m.json"
+    model_file.write_text(text)
+    assert main(["gm", "optimize", "--model", str(model_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
 
 
 def test_gm_bench_per_policy_csvs(tmp_path, capsys):
@@ -299,3 +326,72 @@ def test_gm_sample_rejects_a_nan_threshold(capsys):
                  "--ar-threshold", "nan"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+# stdout and the sha256 of the --metrics-out CSV of the grid commands, pinned
+# byte for byte: forest passes, draws, argmax tie search and refinement
+# streams must not change (the 3x3 zero-field grid ties at every node)
+GM_GOLDEN = {
+    "sample-ising-iv": (
+        ["sample", "--model", str(DATA / "ising_4x4.json"), "--policy", "iv"],
+        """\
+trials: 100  accepts: 90  refinements: 10
+acceptance rate: 0.9000 cumulative  0.9000 last-100
+log Z-hat: 31.926890  pi-hat: 0.9696  est. cost per sample: 11.0
+subspaces: 11  bound builds: 557
+""", "fa7e985245c0e7d114f09c41426064f75bd365fc2982ba58cac0b05e0641966c"),
+    "sample-ii-retree": (
+        ["sample", "--grid", "4x4", "--policy", "ii", "--retree"], """\
+trials: 100  accepts: 87  refinements: 13
+acceptance rate: 0.8700 cumulative  0.8700 last-100
+log Z-hat: 14.107341  pi-hat: 0.9476  est. cost per sample: 14.1
+subspaces: 14  bound builds: 53
+""", "42755cf3ca573e2e704e4e050862962168e71101ae7e80773e3abae8ba33a00f"),
+    "optimize-iii": (
+        ["optimize", "--grid", "5x5", "--sigma", "1.0", "--model-seed", "3",
+         "--policy", "iii"], """\
+argmax: 1000110101100000001101110
+log p: 41.909787
+certificate gap (log): 0
+trials: 50  refinements: 49  subspaces: 50
+""", "a3e46b39ecc978e0eb52ddc272df0f946e30648fe770e8228ab590ee8005dff7"),
+    "optimize-zero-field": (
+        ["optimize", "--grid", "3x3", "--sigma", "0"], """\
+argmax: 000000000
+log p: 0.000000
+certificate gap (log): 0
+trials: 1  refinements: 0  subspaces: 1
+""", "ae154a77df6ad102a6fb89220504f5c0d59d7b42a05f0ddc7bb76df635f74a6d"),
+}
+
+GM_BENCH_GOLDEN = {
+    "i": ("     i      31  0.5000  0.5418        60  61.8",
+          "2b74b995a922ff70788cee0cd122873df8f84ee47fe4fd36310178e19986f51b"),
+    "ii": ("    ii      29  1.0000  0.9941        56  57.0",
+           "cf2093edc1cf91a2af07e106c43344a220107f347c88960e22cda004838846b9"),
+    "iii": ("   iii      31  0.6150  0.6132        60  61.6",
+            "06eab28957b183f3de8257cad33aab48760caf8ce7f9c34fa0f619574deca0c0"),
+    "iv": ("    iv      31  0.9950  0.9984      1480  1481.0",
+           "259d07f4ccb1f10b7b94dc4dbcb2fba0cc5679b7e59faa211a310d0d65d51514"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GM_GOLDEN))
+def test_gm_streams_are_pinned(name, tmp_path, capsys):
+    command, stdout, csv_sha = GM_GOLDEN[name]
+    f = tmp_path / "m.csv"
+    assert main(["gm", *command, "--metrics-out", str(f)]) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256(f.read_bytes()).hexdigest() == csv_sha
+
+
+def test_gm_bench_csvs_are_pinned(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["gm", "bench", "--grid", "4x4", "--sigma", "1.2",
+                 "--refinements", "30", "--out", str(out)]) == 0
+    lines = ["policy  rounds  ar_hat  pi_hat  tau_ref  tau_tot_est"]
+    for label, (row, csv_sha) in GM_BENCH_GOLDEN.items():
+        f = tmp_path / f"bench_{label}.csv"
+        lines += [row, f"wrote {f}"]
+        assert hashlib.sha256(f.read_bytes()).hexdigest() == csv_sha, label
+    assert capsys.readouterr().out.splitlines() == lines

@@ -116,6 +116,21 @@ def test_should_stop_windowed_rule():
     assert not should_stop(h, Mode.SAMPLING, stop)
 
 
+def test_ar_window_rejects_a_window_below_one():
+    h = History(window=4)
+    for accepted in [True, False, False, False]:
+        h.append(TrialRecord(("x",), 0.0, 0.0, accepted, 0.0))
+    assert h.ar_window(4) == 0.25 and h.ar_window(3) == 0.0
+    # records[-0:] is the whole list and records[-1:] the last trial, so a
+    # window of 0 or -1 would read a rate over the wrong trials
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            h.ar_window(bad)
+        with pytest.raises(ValueError):
+            History().ar_window(bad)
+    assert History().ar_window(5) == 0.0
+
+
 def test_accepts_never_trigger_refinement():
     calls = []
 

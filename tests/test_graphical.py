@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osstar.graphical import (Disconnected, Forest, PairwiseModel,
-                              SubspaceProposal, ising_grid,
-                              max_spanning_forest, prim_max_tree)
+from osstar.graphical import (PairwiseModel, SubspaceProposal, ising_grid,
+                              max_spanning_forest)
 
 
 def all_configs(model):
@@ -52,6 +51,37 @@ def test_model_validation():
                                             "log_psi": [0, 0]}], "edges": []})
 
 
+NODE = {"id": 0, "domain": 2, "log_psi": [0, 0]}
+
+
+@pytest.mark.parametrize("data, match", [
+    ({"nodes": [NODE]}, "no 'edges' key"),
+    ({"nodes": [{"id": 0, "log_psi": [0, 0]}], "edges": []}, "no 'domain'"),
+    ({"nodes": 5, "edges": []}, "malformed model"),
+    ([NODE], "malformed model"),
+    ({"nodes": [{**NODE, "domain": 2.5}], "edges": []},
+     "domain of node 0 must be an integer, got 2.5"),
+    ({"nodes": [{**NODE, "domain": True}], "edges": []},
+     "must be an integer, got True"),
+    ({"nodes": [NODE, {**NODE, "id": 1}],
+      "edges": [{"u": 0.9, "v": 1, "log_phi": [[0, 0], [0, 0]]}]},
+     "edge end u must be an integer, got 0.9"),
+    ({"nodes": [NODE, {**NODE, "id": 1}],
+      "edges": [{"u": 0, "v": False, "log_phi": [[0, 0], [0, 0]]}]},
+     "edge end v must be an integer, got False"),
+])
+def test_malformed_model_data_is_a_value_error(data, match):
+    with pytest.raises(ValueError, match=match):
+        PairwiseModel.from_dict(data)
+
+
+def test_integer_values_of_any_int_type_load():
+    m = PairwiseModel([np.int64(2), 3], [[0, 0], [0, 0, 0]],
+                      [(np.int32(0), 1, np.zeros((2, 3)))])
+    assert m.domains == [2, 3] and (m.edges[0].u, m.edges[0].v) == (0, 1)
+    assert PairwiseModel.from_dict(m.to_dict()).domains == [2, 3]
+
+
 def test_json_roundtrip_is_exact():
     m = triangle()
     m2 = PairwiseModel.from_json(m.to_json())
@@ -85,16 +115,14 @@ def rng_free_model(ranges):
 
 def test_prim_keeps_largest_ranges():
     m = rng_free_model([3.0, 1.0, 2.0])
-    assert prim_max_tree(m).edge_ids == {0, 2}
+    assert max_spanning_forest(m, range(m.n_nodes)).edge_ids == {0, 2}
     # all ranges equal: ties resolved toward the smallest edge id
     m = rng_free_model([1.0, 1.0, 1.0])
-    assert prim_max_tree(m).edge_ids == {0, 1}
+    assert max_spanning_forest(m, range(m.n_nodes)).edge_ids == {0, 1}
 
 
 def test_disconnected_graph_rejected_but_forest_allowed():
     m = PairwiseModel([2, 2, 2], [[0, 0]] * 3, [(0, 1, [[0, 1], [1, 0]])])
-    with pytest.raises(Disconnected):
-        prim_max_tree(m)
     forest = max_spanning_forest(m, [0, 1, 2])
     assert forest.roots == [0, 2]
     assert forest.edge_ids == {0}
@@ -206,7 +234,7 @@ def test_grid_bound_enumeration(shape, seed):
 
 def test_forest_without_node():
     m = ising_grid(3, 3, sigma=0.5, seed=9)
-    f = prim_max_tree(m)
+    f = max_spanning_forest(m, range(m.n_nodes))
     assert sorted(f.order) == list(range(9))
     g = f.without(4)
     assert sorted(g.order) == [0, 1, 2, 3, 5, 6, 7, 8]

@@ -85,6 +85,24 @@ def test_parse_error_reports_line_number():
         load_arpa(TINY_ARPA.replace("ngram 2=2", "ngram 2=3"))
 
 
+@pytest.mark.parametrize("old, line", [("-0.5\ta b", 13), ("-0.2", 8),
+                                       ("-0.6\ta a b", 16)])
+@pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "+inf", "1e308"])
+def test_nan_or_positive_infinite_numbers_are_parse_errors(old, line, bad):
+    # "-0.2" is the backoff of unigram a; 1e308 overflows once scaled to ln
+    text = TINY_ARPA.replace(old, old.replace(old.split("\t")[0], bad))
+    with pytest.raises(ParseError, match="NaN or \\+inf") as err:
+        load_arpa(text)
+    assert err.value.line == line
+
+
+def test_negative_infinity_is_log_zero():
+    lm = load_arpa(TINY_ARPA.replace("-0.5\ta b", "-inf\ta b")
+                   .replace("-0.2", "-inf"))
+    assert lm.logprob[("a", "b")] == -math.inf
+    assert lm.backoff[("a",)] == -math.inf
+
+
 def test_order_above_five_rejected():
     with pytest.raises(OrderUnsupported):
         NGramLM(6, {}, {})

@@ -551,3 +551,51 @@ def test_every_bound_build_is_counted(retree, monkeypatch):
         delta(lambda: queue.add_leaf(cid))
     for norm in ("sum", "max"):
         delta(lambda: min_norm_refinement(pw, (0, 1, 1, 0, 1, 0), norm))
+
+
+@st.composite
+def enumerable_models(draw):
+    """2-5 nodes, domains 1-3 and integer log potentials in [-2, 2] (exact
+    sums, exact ties); each node pair is an edge with odds 3 to 1, so most
+    models have cycles and a loose bound to refine."""
+    n = draw(st.integers(2, 5))
+    domains = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ints = st.integers(-2, 2)
+    log_psi = [draw(st.lists(ints, min_size=d, max_size=d)) for d in domains]
+    edges = [(u, v, [draw(st.lists(ints, min_size=domains[v],
+                                   max_size=domains[v]))
+                      for _ in range(domains[u])])
+             for u in range(n) for v in range(u + 1, n)
+             if draw(st.integers(0, 3))]
+    return PairwiseModel(domains, log_psi, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(enumerable_models(), st.integers(0, 2**16))
+def test_every_refinement_dominates_and_never_grows(m, seed):
+    """After each refinement of a sampling run, under every policy and norm,
+    with and without retree: q >= p on every configuration and the mass does
+    not grow; without retree no configuration's q grows.  Both comparisons
+    of q are exact, since q is summed in p's order.  A fully assigned leaf
+    scores exactly p, so no reject can reach one and NoUnassignedNode must
+    never escape the refiner."""
+    cfgs = np.array(all_configs(m))
+    log_p = m.log_p_many(cfgs)
+    variants = [(policy, None) for policy in Policy] + \
+        [(Policy.MAX_SLACK, "sum"), (Policy.MAX_SLACK, "max")]
+    for (policy, norm), retree in itertools.product(variants, (False, True)):
+        pw = PiecewiseProposal(m, retree=retree)
+        last = {"score": pw.score_all(cfgs), "mass": pw.mass_log()}
+
+        def audit(proposal):
+            score = proposal.score_all(cfgs)
+            assert (score >= log_p).all(), (policy, norm, retree)
+            if not retree:
+                assert (score <= last["score"]).all(), (policy, norm)
+            assert proposal.mass_log() <= last["mass"] + 1e-9
+            last.update(score=score, mass=proposal.mass_log())
+
+        engine.run(Mode.SAMPLING, m.log_p, pw,
+                   PolicyRefiner(pw, policy, seed=seed, norm=norm),
+                   StopConfig(ar_window=30, ar_threshold=1.0,
+                              max_trials=300), seed, on_refine=audit)
