@@ -100,6 +100,12 @@ class History:
     _z_sum_log: float = -math.inf
     _z_count: int = 0
 
+    def __post_init__(self):
+        # append() keeps window_accepts for this window, and a window
+        # below 1 would subtract the trial it has just added
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+
     @property
     def trial_count(self) -> int:
         return len(self.records)

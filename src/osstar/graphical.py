@@ -6,6 +6,11 @@ of conditioned nodes keeps unary factors and the pairwise factors on a
 spanning forest of the free nodes exactly, and replaces every remaining
 pairwise factor by its maximum entry, so q(x) >= p(x) pointwise and both
 the sum and the max of q over a subspace are exact tree computations.
+
+A split conditions one more node k of a bound on its own forest minus k.
+Only the free neighbours of k and their ancestors can change; a child
+bound builds those nodes' unaries, beta arrays, messages and argmax picks
+and shares every other node's with its parent, bit for bit as a full build.
 """
 
 from __future__ import annotations
@@ -256,39 +261,90 @@ class SubspaceProposal:
     """
 
     def __init__(self, model: PairwiseModel, assigned: dict[int, int],
-                 forest: Forest | None = None):
+                 forest: Forest | None = None,
+                 parent_leaf: SubspaceProposal | None = None):
+        """A bound on the subspace `assigned`, over `forest` or else a
+        fresh maximum spanning forest of the free nodes.
+
+        With parent_leaf, the bound is a child of a split of parent_leaf on
+        the one node k that `assigned` adds, over parent_leaf.forest minus
+        k (the default forest, or `forest` when given).  Conditioning k can
+        change only the changed set: each free neighbour of k, whose unary
+        gains k's row, with its ancestors in this forest.  k's forest
+        parent is such a neighbour, so the ancestors whose subtree lost k
+        are in the set.  Every other node keeps the parent's unary, beta,
+        message and argmax picks, shared by reference; the parent leaf
+        itself is not kept.  The result is bit for bit that of a full
+        build.
+        """
         self.model = model
         self.assigned = dict(assigned)
         self.free = sorted(i for i in range(model.n_nodes)
                            if i not in self.assigned)
-        if forest is None:
-            forest = max_spanning_forest(model, self.free)
+        # the parent leaf's (beta, messages) per semiring, reused outside
+        # the changed set until this bound computes its own pass
+        self._base: dict[str, tuple | None] = {"sum": None, "max": None}
+        if parent_leaf is None:
+            if forest is None:
+                forest = max_spanning_forest(model, self.free)
+            self.eff = {j: self._eff_row(j) for j in self.free}
+            self._changed = set(self.free)
+            # node -> {parent value, None at a root -> argmax pick}
+            self._picks: dict[int, dict] = {j: {} for j in self.free}
+        else:
+            (k,) = set(parent_leaf.free) - set(self.free)
+            if forest is None:
+                forest = parent_leaf.forest.without(k)
+            neighbours = [v for _, v in model.adjacency[k]
+                          if v not in self.assigned]
+            self.eff = {j: b for j, b in parent_leaf.eff.items() if j != k}
+            for v in neighbours:
+                self.eff[v] = self._eff_row(v)
+            changed: set[int] = set()
+            for j in neighbours:
+                while j is not None and j not in changed:
+                    changed.add(j)
+                    j = forest.parent[j]
+            self._changed = changed
+            for sr, beta in parent_leaf._beta.items():
+                if beta is not None:
+                    self._base[sr] = (beta, parent_leaf._msg[sr])
+            self._picks = {j: {} if j in changed else parent_leaf._picks[j]
+                           for j in self.free}
         self.forest = forest
         const = 0.0
         for i in sorted(self.assigned):
             const += model.log_psi[i][self.assigned[i]]
-        eff = {j: model.log_psi[j].copy() for j in self.free}
         tree_ids = forest.edge_ids
         self.offtree_ids: list[int] = []
         for eid, e in enumerate(model.edges):
             au, av = e.u in self.assigned, e.v in self.assigned
             if au and av:
                 const += e.log_phi[self.assigned[e.u], self.assigned[e.v]]
-            elif au:
-                eff[e.v] = eff[e.v] + e.log_phi[self.assigned[e.u], :]
-            elif av:
-                eff[e.u] = eff[e.u] + e.log_phi[:, self.assigned[e.v]]
-            elif eid not in tree_ids:
+            elif not (au or av) and eid not in tree_ids:
                 self.offtree_ids.append(eid)
                 const += model.phi_max_log[eid]
         self.const = float(const)
-        self.eff = eff
         # a leaf is never mutated once built, so its passes and scalars
         # are computed at most once
         self._beta: dict[str, dict[int, np.ndarray] | None] = {
             "sum": None, "max": None}
+        # per semiring, each non-root node's message to its forest parent
+        self._msg: dict[str, dict[int, np.ndarray] | None] = {
+            "sum": None, "max": None}
         self._mass_log: float | None = None
         self._max_log: float | None = None
+
+    def _eff_row(self, j: int) -> np.ndarray:
+        """Free node j's unary: log psi_j plus the row of each factor to an
+        assigned neighbour, added in edge-id order."""
+        b = self.model.log_psi[j]
+        for eid, other in self.model.adjacency[j]:
+            if other in self.assigned:
+                e = self.model.edges[eid]
+                b = b + (e.log_phi[self.assigned[other], :] if e.u == other
+                         else e.log_phi[:, self.assigned[other]])
+        return b
 
     # -- tree passes ---------------------------------------------------------
 
@@ -297,23 +353,37 @@ class SubspaceProposal:
         e = self.model.edges[self.forest.edge_of[child]]
         return e.log_phi if e.u == child else e.log_phi.T
 
-    def _pass(self, semiring: str, clamps=None) -> dict[int, np.ndarray]:
-        """Backward messages in the semiring.  A clamped node is masked to
-        its pinned value before its children's messages are added: that only
-        removes candidates from max reductions, so every surviving
-        assignment accumulates exactly the floats of the unclamped pass."""
+    def _pass(self, semiring: str, clamps=None,
+              msg: dict | None = None) -> dict[int, np.ndarray]:
+        """Backward pass in the semiring: beta per node, and into msg (when
+        given) each non-root node's message to its parent.  A clamped node
+        is masked to its pinned value before its children's messages are
+        added: that only removes candidates from max reductions, so every
+        surviving assignment accumulates exactly the floats of the
+        unclamped pass.  An unclamped pass takes the parent leaf's beta and
+        message outside the changed set when the parent had computed that
+        pass."""
         reduce = _REDUCE[semiring]
+        base = None if clamps else self._base[semiring]
+        msg = {} if msg is None else msg
+        parent = self.forest.parent
         beta: dict[int, np.ndarray] = {}
         for j in reversed(self.forest.order):
+            if base is not None and j not in self._changed:
+                beta[j] = base[0][j]
+                if parent[j] is not None:
+                    msg[j] = base[1][j]
+                continue
             b = self.eff[j]
             if clamps and j in clamps:
                 mask = np.full(len(b), -np.inf)
                 mask[clamps[j]] = 0.0
                 b = b + mask
             for c in self.forest.children[j]:
-                b = b + reduce(beta[c][:, None] + self._edge_to_parent(c),
-                               axis=0)
+                b = b + msg[c]
             beta[j] = b
+            if parent[j] is not None:
+                msg[j] = reduce(b[:, None] + self._edge_to_parent(j), axis=0)
         return beta
 
     def _fold(self, semiring: str, beta: dict[int, np.ndarray]) -> float:
@@ -325,7 +395,10 @@ class SubspaceProposal:
 
     def beta(self, semiring: str) -> dict[int, np.ndarray]:
         if self._beta[semiring] is None:
-            self._beta[semiring] = self._pass(semiring)
+            self._msg[semiring] = {}
+            self._beta[semiring] = self._pass(semiring,
+                                              msg=self._msg[semiring])
+            self._base[semiring] = None
         return self._beta[semiring]
 
     def mass_log(self) -> float:
@@ -391,18 +464,27 @@ class SubspaceProposal:
         return tuple(self.assigned.get(i, values.get(i))
                      for i in range(self.model.n_nodes))
 
-    def _descend(self, beta: dict[int, np.ndarray], pick) -> dict | None:
+    def _descend(self, beta: dict[int, np.ndarray], pick,
+                 memo: dict[int, dict] | None = None) -> dict | None:
         """Preorder walk setting each node to pick(its logits given the
         parent's value: an int, or n values giving an (n, domain) block);
-        None as soon as pick returns None."""
+        None as soon as pick returns None.  With memo (node -> {parent
+        value, None at a root -> pick}) a pick already made for the same
+        parent value is read back instead of computed."""
         values = {}
         for j in self.forest.order:
             p = self.forest.parent[j]
-            logits = beta[j] if p is None else \
-                beta[j] + self._edge_to_parent(j).T[values[p]]
-            values[j] = pick(logits)
-            if values[j] is None:
+            key = None if p is None else values[p]
+            if memo is not None and key in memo[j]:
+                v = memo[j][key]
+            else:
+                v = pick(beta[j] if p is None else
+                         beta[j] + self._edge_to_parent(j).T[key])
+                if memo is not None:
+                    memo[j][key] = v
+            if v is None:
                 return None
+            values[j] = v
         return values
 
     def sample(self, rng: np.random.Generator):
@@ -458,7 +540,9 @@ class SubspaceProposal:
         1e-9 * max(1, model.abs_log_sum), far above the roundoff of a
         pass, the maximizer is unique and equals what the clamped search
         returns.  Otherwise (exact ties, as in zero-field models) it falls
-        back to _argmax_clamped, which applies the tie rule.
+        back to _argmax_clamped, which applies the tie rule.  Picks are
+        memoised per (node, parent value), near ties as None, and a child
+        leaf reads its parent's picks outside its changed set.
         """
         tol = 1e-9 * max(1.0, self.model.abs_log_sum)
 
@@ -468,7 +552,7 @@ class SubspaceProposal:
                     np.partition(logits, -2)[-2] >= logits[best] - tol:
                 return None
             return best
-        values = self._descend(self.beta("max"), pick)
+        values = self._descend(self.beta("max"), pick, self._picks)
         if values is None:
             values = self._argmax_clamped()
         config = self._full(values)

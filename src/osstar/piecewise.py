@@ -153,11 +153,15 @@ class PiecewiseProposal:
     def _split(self, leaf: SubspaceProposal, node: int,
                forests=None) -> list[SubspaceProposal]:
         """Bounds of leaf's children on node, one per value, on the given
-        forests or else the leaf's forest minus node; counts the builds."""
+        forests or else the leaf's forest minus node; counts the builds.
+        Children on the leaf's forest share with it whatever conditioning
+        node leaves unchanged; children on given forests build in full."""
         values = range(self.model.domains[node])
+        parent = leaf if forests is None else None
         if forests is None:
             forests = [leaf.forest.without(node)] * len(values)
-        children = [SubspaceProposal(self.model, {**leaf.assigned, node: v}, f)
+        children = [SubspaceProposal(self.model, {**leaf.assigned, node: v}, f,
+                                     parent_leaf=parent)
                     for v, f in zip(values, forests)]
         self.bound_builds += len(children)
         return children

@@ -131,6 +131,15 @@ def test_ar_window_rejects_a_window_below_one():
     assert History().ar_window(5) == 0.0
 
 
+@pytest.mark.parametrize("bad", [0, -1])
+def test_history_rejects_a_window_below_one(bad):
+    # window 0 divided by zero on the rate's fast path, and append()
+    # subtracted the trial it had just added from the window count
+    with pytest.raises(ValueError, match=f"window must be >= 1, got {bad}"):
+        History(window=bad)
+    assert History(window=1).window == 1
+
+
 def test_accepts_never_trigger_refinement():
     calls = []
 

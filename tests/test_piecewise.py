@@ -1,7 +1,9 @@
 """Partition-proposal tests: conditioning, policies, and the bench."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -599,3 +601,161 @@ def test_every_refinement_dominates_and_never_grows(m, seed):
                    PolicyRefiner(pw, policy, seed=seed, norm=norm),
                    StopConfig(ar_window=30, ar_threshold=1.0,
                               max_trials=300), seed, on_refine=audit)
+
+
+def assert_leaves_match_fresh_builds(m, proposal):
+    """Every computed pass of every leaf (beta and messages, node by node)
+    and every leaf's argmax equal those of a full build of the same leaf."""
+    for leaf in proposal.leaves.values():
+        fresh = SubspaceProposal(m, leaf.assigned, leaf.forest)
+        for semiring in ("sum", "max"):
+            if leaf._beta[semiring] is None:
+                continue
+            msg = {}
+            want = fresh._pass(semiring, msg=msg)
+            got = leaf.beta(semiring)
+            assert got.keys() == want.keys() and \
+                leaf._msg[semiring].keys() == msg.keys()
+            assert all(np.array_equal(got[j], want[j]) for j in want)
+            assert all(np.array_equal(leaf._msg[semiring][j], msg[j])
+                       for j in msg)
+        assert leaf.argmax() == fresh.argmax()
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 4)])
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("retree", [False, True])
+def test_split_children_match_fresh_builds(shape, mode, retree):
+    # children share their parent's unchanged arrays and argmax picks;
+    # after every refinement each leaf must still equal a full build
+    m = ising_grid(*shape, sigma=0.5, seed=6)
+    stop = (StopConfig() if mode is Mode.OPTIMIZATION else
+            StopConfig(ar_window=50, ar_threshold=0.8, max_trials=3000))
+    variants = [(policy, None) for policy in Policy] + \
+        [(Policy.MAX_SLACK, "sum"), (Policy.MAX_SLACK, "max")]
+    for policy, norm in variants:
+        pw = PiecewiseProposal(m, retree=retree)
+        audits = {"n": 0}
+
+        def audit(proposal):
+            audits["n"] += 1
+            assert_leaves_match_fresh_builds(m, proposal)
+
+        res = engine.run(mode, m.log_p, pw,
+                         PolicyRefiner(pw, policy, seed=2, norm=norm), stop,
+                         seed=5, on_refine=audit)
+        assert audits["n"] == res.history.refine_count > 0, (policy, norm)
+
+
+@st.composite
+def split_sequences(draw):
+    """2-6 nodes, domains 1-3, any edge subset (so forests may be
+    disconnected), integer log potentials, and a sequence of splits; before
+    each split the leaf may or may not have computed each pass and its
+    argmax, so children meet every mix of shareable state."""
+    n = draw(st.integers(2, 6))
+    domains = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ints = st.integers(-2, 2)
+    log_psi = [draw(st.lists(ints, min_size=d, max_size=d)) for d in domains]
+    edges = [(u, v, [draw(st.lists(ints, min_size=domains[v],
+                                   max_size=domains[v]))
+                      for _ in range(domains[u])])
+             for u in range(n) for v in range(u + 1, n)
+             if draw(st.booleans())]
+    steps = draw(st.lists(st.tuples(st.integers(0, 10**6),
+                                    st.integers(0, 10**6),
+                                    st.sets(st.sampled_from(
+                                        ["sum", "max", "argmax"]))),
+                          max_size=6))
+    return PairwiseModel(domains, log_psi, edges), steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_sequences())
+def test_shared_children_equal_fresh_builds_on_random_models(case):
+    m, steps = case
+    pw = PiecewiseProposal(m)
+    for leaf_pick, node_pick, used in steps:
+        open_ids = [lid for lid, leaf in pw.leaves.items() if leaf.free]
+        if not open_ids:
+            break
+        lid = open_ids[leaf_pick % len(open_ids)]
+        leaf = pw.leaves[lid]
+        for what in sorted(used):
+            leaf.argmax() if what == "argmax" else leaf.beta(what)
+        pw.condition(lid, leaf.free[node_pick % len(leaf.free)])
+        for child in pw.leaves.values():
+            fresh = SubspaceProposal(m, child.assigned, child.forest)
+            assert child.mass_log() == fresh.mass_log()
+            assert child.max_log() == fresh.max_log()
+        assert_leaves_match_fresh_builds(m, pw)
+
+
+def changed_set(parent, child, node):
+    """Ancestors of node in parent's forest, and each free neighbour of node
+    with its ancestors in child's forest."""
+    changed = set()
+    starts = [(parent.forest.parent[node], parent.forest)] + \
+        [(v, child.forest) for _, v in child.model.adjacency[node]
+         if v not in child.assigned]
+    for j, forest in starts:
+        while j is not None:
+            changed.add(j)
+            j = forest.parent[j]
+    return changed
+
+
+def test_children_share_everything_outside_the_changed_set(monkeypatch):
+    m = ising_grid(5, 5, sigma=0.5, seed=0)
+    pw = PiecewiseProposal(m)
+    root = pw.leaves[0]
+    root.argmax()
+    root_beta = root.beta("max")
+    seen = {j: set(root._picks[j]) for j in root.free}
+    node = 12  # the centre: four free neighbours
+    assert root.forest.parent[node] is not None and root.forest.children[node]
+    children = [pw.leaves[cid] for cid in pw.condition(0, node)]
+    computed = []
+    edge_to_parent = SubspaceProposal._edge_to_parent
+
+    def counting(self, child):
+        computed.append(child)
+        return edge_to_parent(self, child)
+
+    monkeypatch.setattr(SubspaceProposal, "_edge_to_parent", counting)
+    for child in children:
+        changed = changed_set(root, child, node)
+        assert 0 < len(changed) < len(child.free)
+        beta = child.beta("max")
+        for j in child.free:
+            assert (beta[j] is root_beta[j]) == (j not in changed), j
+        # a non-root pick is computed only in the changed set, or for a
+        # parent value the root's descent never met
+        computed.clear()
+        config, _ = child.argmax()
+        parent = child.forest.parent
+        non_roots = [j for j in child.free if parent[j] is not None]
+        assert sorted(computed) == [
+            j for j in non_roots
+            if j in changed or config[parent[j]] not in seen[j]]
+        assert len(computed) < len(non_roots)
+        assert config == SubspaceProposal(m, child.assigned,
+                                          child.forest).argmax()[0]
+
+
+def test_conditioned_away_leaf_is_freed():
+    m = ising_grid(4, 4, sigma=0.5, seed=1)
+    pw = PiecewiseProposal(m)
+    pw.mass_log(), pw.argmax()
+    dead = weakref.ref(pw.leaves[0])
+    children = pw.condition(0, 5)
+    gc.collect()
+    assert dead() is None
+    # the children still read the arrays they share with the freed leaf
+    assert_leaves_match_fresh_builds(m, pw)
+    pw.mass_log(), pw.argmax()
+    dead = weakref.ref(pw.leaves[children[0]])
+    pw.condition(children[0], 6)
+    gc.collect()
+    assert dead() is None
+    assert_leaves_match_fresh_builds(m, pw)
