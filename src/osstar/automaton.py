@@ -38,6 +38,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
+from .engine import tie_tolerance
 from .ngram import MaxBackoffTables, NGramLM, NoCandidate, TokenLattice
 
 
@@ -138,6 +139,9 @@ class QAutomaton:
         self._dirty: dict[str, int] = {"sum": -1, "max": -1}
         self._vals: dict[str, list] = {}
         self._memo: dict[str, list[dict]] = {}
+        # viterbi's last path and its state rows, for refine; dropped on
+        # any change of structure
+        self._descent: tuple | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -155,6 +159,7 @@ class QAutomaton:
         raise AssertionError("empty context missing")
 
     def _invalidate(self, layer: int) -> None:
+        self._descent = None
         for semiring in ("sum", "max"):
             if self._beta[semiring] is not None:
                 self._dirty[semiring] = max(self._dirty[semiring], layer)
@@ -269,19 +274,91 @@ def build_q0(lattice: TokenLattice, tables: MaxBackoffTables) -> QAutomaton:
 
 
 def viterbi(q: QAutomaton):
-    """Highest-weight path; ties pick the lexicographically smaller word."""
+    """Highest-weight path; ties pick the lexicographically smaller path.
+
+    The descent takes at each state the first maximum, in sorted-word
+    order, of its edges' backward max sums.  Those sums can rank two paths
+    whose left-to-right totals (p's order of summation) are equal an ulp
+    apart, so when some pick of the descent was a near tie and the path is
+    one the engine could certify, the answer is _smallest_argmax's instead.
+    """
     q.beta("max")
     memo = q._memo["max"]
-    words = []
+    words, rows = [], []
     total = 0.0
     row = 0
+    # whether some edge below full order is above p's term by more than
+    # 1e-12: the engine cannot certify such a path
+    loose = False
     for i in range(q.length):
         layer = q.contexts[i]
         j = memo[i].get(row)
         if j is None:
             j = q._best_col(i, row)
         words.append(layer.words[j])
-        total += layer.weight.item(row, j)
+        rows.append(row)
+        weight = layer.weight.item(row, j)
+        if not loose and layer.order.item(row, j) <= q.full_len(i):
+            loose = _excess(q, words, i, weight) > 1e-12
+        total += weight
+        row = layer.dest.item(row, j)
+    words = tuple(words)
+    q._descent = (words, rows)
+    if loose:
+        return words, total
+    # a near tie: a runner-up within tol of a pick on the path
+    tol = _tie_tol(q)
+    vals = q._vals["max"]
+    if any(np.count_nonzero(v >= v.max() - tol) > 1
+           for v in (vals[i][row] for i, row in enumerate(rows))):
+        return _smallest_argmax(q, tol)
+    return words, total
+
+
+def _tie_tol(q: QAutomaton) -> float:
+    """tie_tolerance scaled by the sum over positions of the largest
+    finite |edge weight|, a bound on any path's sum of |weights|."""
+    return tie_tolerance(sum(
+        float(np.abs(layer.weight[np.isfinite(layer.weight)]).max(
+            initial=0.0)) for layer in q.contexts[:q.length]))
+
+
+def _forward_max(q: QAutomaton, i: int, row: int, total: float) -> float:
+    """Largest left-to-right total of a path whose words before position i
+    sum to `total` and lead to state `row` of layer i: one forward
+    max-plus pass.  Float addition is monotone, so the pass is exact."""
+    alpha = np.full(len(q.contexts[i]), -np.inf)
+    alpha[row] = total
+    for layer, nxt in zip(q.contexts[i:q.length], q.contexts[i + 1:]):
+        out = np.full(len(nxt), -np.inf)
+        np.maximum.at(out, layer.dest, alpha[:, None] + layer.weight)
+        alpha = out
+    return float(alpha[0])
+
+
+def _smallest_argmax(q: QAutomaton, tol: float):
+    """The lexicographically smallest of the paths with the largest
+    left-to-right total, and that total.  Word by word, each of the state's
+    top columns (backward max sum within tol of its best, in sorted-word
+    order) but the last is tried with one forward pass.  A column outside
+    the top trails by more than summation roundoff, so it cannot reach the
+    largest total, and the last top column must reach it."""
+    target = _forward_max(q, 0, 0, 0.0)
+    words = []
+    total = 0.0
+    row = 0
+    for i in range(q.length):
+        layer = q.contexts[i]
+        vrow = q._vals["max"][i][row]
+        best = vrow.max()
+        top = [j for j in layer.perm if vrow[j] >= best - tol]
+        for j in top:
+            t = total + layer.weight.item(row, j)
+            if j == top[-1] or _forward_max(
+                    q, i + 1, layer.dest.item(row, j), t) == target:
+                break
+        words.append(layer.words[j])
+        total = t
         row = layer.dest.item(row, j)
     return tuple(words), total
 
@@ -365,8 +442,9 @@ def refine(q: QAutomaton, rejected: tuple, *,
     between the current edge bound and the next deeper bound (leftmost on
     ties), then deepens that edge until its weight strictly drops; in the
     common case that is a single new context weight.  If every one-order
-    gap is zero, the leftmost position with any remaining slack against the
-    exact conditional is deepened instead.
+    gap is zero, the leftmost position with slack is deepened instead: an
+    edge weight above p's term there by more than 1e-12, or by any amount
+    when no such edge is left.
 
     norm="sum" or norm="max" replaces that cheap pointwise selection with
     the exhaustive criterion: every position with slack is deepened on a
@@ -374,15 +452,18 @@ def refine(q: QAutomaton, rejected: tuple, *,
     (respectively global max) is applied, leftmost on near-ties.  Each
     candidate costs a full table rebuild, hence opt-in.
 
-    Raises NoRefinementAvailable when the path already scores its exact
-    probability.
+    Raises NoRefinementAvailable when the path already scores p term by
+    term.
     """
     if norm not in (None, "sum", "max"):
         raise ValueError(f"norm must be 'sum' or 'max', got {norm!r}")
-    rows = q.path_rows(rejected)
+    # the rows the descent found, when the path viterbi just returned is
+    # the one rejected
+    rows = (q._descent[1] if q._descent and q._descent[0] == rejected
+            else q.path_rows(rejected))
     # one scan of the positions whose edge on the path is below full order:
-    # the bound part of each such edge's weight, and the largest one-order
-    # gap (leftmost on ties)
+    # each such edge's weight, and the largest one-order gap (leftmost on
+    # ties)
     sites = []
     best_i, best_gap = None, 0.0
     for i, (w, row) in enumerate(zip(rejected, rows)):
@@ -392,14 +473,19 @@ def refine(q: QAutomaton, rejected: tuple, *,
         full = q.full_len(i)
         if order > full:
             continue
-        vpart = layer.weight.item(row, j) - q.pobs[i][w]
-        sites.append((i, w, vpart, full))
-        gap = vpart - q.tables.value(w, tuple(rejected[i - order:i]), full)
+        weight = layer.weight.item(row, j)
+        sites.append((i, weight))
+        gap = weight - q.pobs[i][w] - q.tables.value(
+            w, tuple(rejected[i - order:i]), full)
         if gap > best_gap + 1e-15:
             best_i, best_gap = i, gap
-    # the positions with slack against the deepest bound, leftmost first
-    slack = (i for i, w, vpart, full in sites if vpart - q.tables.value(
-        w, tuple(rejected[i - full:i]), full) > 1e-12)
+    if norm is not None or best_i is None:
+        excess = [(i, _excess(q, rejected, i, weight))
+                  for i, weight in sites]
+        # an excess of at most 1e-12 is refined only when no other is left
+        slack = ([i for i, e in excess if e > 1e-12]
+                 or [i for i, e in excess if e > 0])
+        best_i = next(iter(slack), None)
     if norm is not None:
         best_i, best_val = None, math.inf
         for i in slack:
@@ -408,13 +494,20 @@ def refine(q: QAutomaton, rejected: tuple, *,
             val = c.mass_log() if norm == "sum" else c.max_log()
             if val < best_val - 1e-15:
                 best_i, best_val = i, val
-    elif best_i is None:
-        best_i = next(slack, None)
     if best_i is None:
         raise NoRefinementAvailable(
             "rejected path already scores its exact probability")
     _deepen_at(q, rejected, rows, best_i)
     return q
+
+
+def _excess(q: QAutomaton, words, i: int, weight: float) -> float:
+    """How far `weight`, the weight of the path's edge at position i, is
+    above p's term there: the weight of the edge's full-context bound."""
+    w = words[i]
+    full = q.full_len(i)
+    return weight - (q.tables.value(w, tuple(words[i - full:i]), full)
+                     + q.pobs[i][w])
 
 
 class AutomatonRefiner:

@@ -2,10 +2,11 @@
 
 The loop draws candidate configurations from a proposal q that dominates the
 target p (q >= p pointwise), accepts with probability p/q (sampling) or iff
-the ratio certifies the maximum (optimization), and hands a rejected
-configuration to a refiner that must tighten q at that point.  Sampling may
-draw a batch of trials from one frozen proposal; the batch is then refined
-once, at its reject with the largest log q - log p (up to roundoff).
+log q <= log p, which certifies the maximum (optimization), and hands a
+rejected configuration to a refiner that must tighten q at that point.
+Sampling may draw a batch of trials from one frozen proposal; the batch is
+then refined once, at its reject with the largest log q - log p (up to
+roundoff).
 
 Costs are counted in trials: each trial costs 1 and each refinement made by
 step() costs 1, so tau_samp is 1 and tau_ref is the refinement count.  A
@@ -42,6 +43,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LOG_TOL = 1e-9
+
+
+def tie_tolerance(scale: float) -> float:
+    """How close a runner-up may come to the best candidate of an argmax
+    descent before the pick counts as a near tie.  scale bounds the sum of
+    the magnitudes of a configuration's log terms, so the tolerance is far
+    above the roundoff by which two orders of summation can disagree."""
+    return 1e-9 * max(1.0, scale)
 
 
 class Mode(enum.Enum):
@@ -193,8 +202,11 @@ def accept_or_reject(mode: Mode, ratio: float,
                      rng: np.random.Generator) -> bool:
     """One accept/reject decision on a ratio r = p(x)/q(x).
 
-    Sampling accepts with probability r; optimization accepts iff r is 1
-    up to roundoff (a ratio of 1 certifies the argmax exactly).
+    Sampling accepts with probability r; optimization accepts iff r is 1:
+    q(x) = p(x) certifies the argmax, and a q above p by a few ulps
+    certifies nothing, so the refiner must tighten it.  trial_batch makes
+    the optimization decision on the logs, since exp rounds a ratio one
+    ulp of log q below 1 up to 1 when |log q| < 0.5.
     """
     if ratio > 1.0 + LOG_TOL:
         raise RatioOutOfRange(f"acceptance ratio {ratio} exceeds 1")
@@ -202,7 +214,7 @@ def accept_or_reject(mode: Mode, ratio: float,
         raise RatioOutOfRange(f"acceptance ratio {ratio} is negative")
     if mode is Mode.SAMPLING:
         return rng.random() < ratio
-    return ratio >= 1.0 - 1e-12
+    return ratio >= 1.0
 
 
 def should_stop(history: History, mode: Mode, stop: StopConfig) -> bool:
@@ -290,8 +302,11 @@ def trial_batch(mode: Mode, target, proposal, history: History,
         if log_p > log_q + LOG_TOL:
             raise DominationViolated(
                 f"log p {log_p} > log q {log_q} at {config!r}")
-        ratio = math.exp(min(0.0, log_p - log_q))
-        accepted = accept_or_reject(mode, ratio, rng)
+        if mode is Mode.OPTIMIZATION:
+            accepted = log_p >= log_q
+        else:
+            accepted = accept_or_reject(
+                mode, math.exp(min(0.0, log_p - log_q)), rng)
         record = TrialRecord(
             config=config, log_p=log_p, log_q=log_q, accepted=accepted,
             proposal_mass_log=mass)

@@ -6,6 +6,8 @@ of conditioned nodes keeps unary factors and the pairwise factors on a
 spanning forest of the free nodes exactly, and replaces every remaining
 pairwise factor by its maximum entry, so q(x) >= p(x) pointwise and both
 the sum and the max of q over a subspace are exact tree computations.
+One sum scores both: log q(x) is log p(x) summed in the same order with
+the replaced factors at their maximum entry, so q >= p holds bit for bit.
 
 A split conditions one more node k of a bound on its own forest minus k.
 Only the free neighbours of k and their ancestors can change; a child
@@ -19,6 +21,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .engine import tie_tolerance
 
 
 @dataclass
@@ -86,20 +90,33 @@ class PairwiseModel:
         return len(self.domains)
 
     def log_p(self, config) -> float:
+        return self._log_sum(config)
+
+    def log_p_many(self, configs: np.ndarray) -> np.ndarray:
+        return self._log_sum_many(np.asarray(configs))
+
+    def _log_sum(self, config, capped=frozenset()) -> float:
+        """p's terms at config in p's order (nodes, then edges by id), with
+        each edge in capped at its max entry.  log p caps none and a bound
+        caps its off-tree edges: float addition is monotone, so the bound
+        is >= log p bit for bit."""
         total = 0.0
         for i, psi in enumerate(self.log_psi):
             total += psi[config[i]]
-        for e in self.edges:
-            total += e.log_phi[config[e.u], config[e.v]]
+        for eid, e in enumerate(self.edges):
+            total += (self.phi_max_log[eid] if eid in capped
+                      else e.log_phi[config[e.u], config[e.v]])
         return float(total)
 
-    def log_p_many(self, configs: np.ndarray) -> np.ndarray:
-        configs = np.asarray(configs)
+    def _log_sum_many(self, configs: np.ndarray,
+                      capped=frozenset()) -> np.ndarray:
+        """_log_sum over the rows of configs, the same floats per row."""
         total = np.zeros(len(configs))
         for i, psi in enumerate(self.log_psi):
             total += psi[configs[:, i]]
-        for e in self.edges:
-            total += e.log_phi[configs[:, e.u], configs[:, e.v]]
+        for eid, e in enumerate(self.edges):
+            total += (self.phi_max_log[eid] if eid in capped
+                      else e.log_phi[configs[:, e.u], configs[:, e.v]])
         return total
 
     def to_dict(self) -> dict:
@@ -325,6 +342,7 @@ class SubspaceProposal:
                 self.offtree_ids.append(eid)
                 const += model.phi_max_log[eid]
         self.const = float(const)
+        self._capped = frozenset(self.offtree_ids)
         # a leaf is never mutated once built, so its passes and scalars
         # are computed at most once
         self._beta: dict[str, dict[int, np.ndarray] | None] = {
@@ -414,37 +432,15 @@ class SubspaceProposal:
     # -- scoring -------------------------------------------------------------
 
     def score(self, config) -> float:
-        """log q(config) for a full configuration in this subspace.
-
-        Sums in PairwiseModel.log_p's order (nodes, then edges by id) with
-        each off-tree edge at its max entry.  Float addition is monotone,
-        so score(x) >= log_p(x) holds bit for bit, with equality when no
-        off-tree edge is below its max at x.
-        """
-        offtree = set(self.offtree_ids)
-        total = 0.0
-        for i, psi in enumerate(self.model.log_psi):
-            total += psi[config[i]]
-        for eid, e in enumerate(self.model.edges):
-            if eid in offtree:
-                total += self.model.phi_max_log[eid]
-            else:
-                total += e.log_phi[config[e.u], config[e.v]]
-        return float(total)
+        """log q(config) for a full configuration in this subspace: p's sum
+        with each off-tree edge at its max entry, so score(x) >= log_p(x)
+        bit for bit, with equality when every off-tree edge is at its max
+        at x."""
+        return self.model._log_sum(config, self._capped)
 
     def score_many(self, configs: np.ndarray) -> np.ndarray:
-        """score() over the rows of configs, in the same order of sums."""
-        configs = np.asarray(configs)
-        offtree = set(self.offtree_ids)
-        total = np.zeros(len(configs))
-        for i, psi in enumerate(self.model.log_psi):
-            total += psi[configs[:, i]]
-        for eid, e in enumerate(self.model.edges):
-            if eid in offtree:
-                total += self.model.phi_max_log[eid]
-            else:
-                total += e.log_phi[configs[:, e.u], configs[:, e.v]]
-        return total
+        """score() over the rows of configs, the same floats per row."""
+        return self.model._log_sum_many(np.asarray(configs), self._capped)
 
     def slack(self, config) -> dict[int, float]:
         """Per free node, the sum over its off-tree edges of how far each
@@ -537,14 +533,14 @@ class SubspaceProposal:
         root takes its best value, every other node its best value given
         its parent's, O(nodes * domain^2) with the pass itself.  If at
         every step the runner-up trails the best by more than
-        1e-9 * max(1, model.abs_log_sum), far above the roundoff of a
-        pass, the maximizer is unique and equals what the clamped search
-        returns.  Otherwise (exact ties, as in zero-field models) it falls
-        back to _argmax_clamped, which applies the tie rule.  Picks are
-        memoised per (node, parent value), near ties as None, and a child
-        leaf reads its parent's picks outside its changed set.
+        tie_tolerance(model.abs_log_sum), the maximizer is unique and
+        equals what the clamped search returns.  Otherwise (exact ties, as
+        in zero-field models) it falls back to _argmax_clamped, which
+        applies the tie rule.  Picks are memoised per (node, parent value),
+        near ties as None, and a child leaf reads its parent's picks
+        outside its changed set.
         """
-        tol = 1e-9 * max(1.0, self.model.abs_log_sum)
+        tol = tie_tolerance(self.model.abs_log_sum)
 
         def pick(logits):
             best = int(np.argmax(logits))

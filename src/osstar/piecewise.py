@@ -7,8 +7,9 @@ conditioned node, and every pairwise factor the node touched becomes exact
 in the children, so the bound can only tighten: q_child(x) <= q_parent(x)
 pointwise on each child subspace.
 
-With retree=True each child also tries a freshly computed spanning forest
-of its own free nodes and keeps whichever bound has the smaller total mass.
+With retree=True each child also tries a maximum spanning forest of its
+free nodes, computed once per split since siblings share their free set,
+and keeps whichever bound has the smaller total mass.
 That preserves mass monotonicity but not the pointwise guarantee, so it is
 off by default.
 """
@@ -151,18 +152,18 @@ class PiecewiseProposal:
     # -- refinement ----------------------------------------------------------
 
     def _split(self, leaf: SubspaceProposal, node: int,
-               forests=None) -> list[SubspaceProposal]:
-        """Bounds of leaf's children on node, one per value, on the given
-        forests or else the leaf's forest minus node; counts the builds.
-        Children on the leaf's forest share with it whatever conditioning
-        node leaves unchanged; children on given forests build in full."""
-        values = range(self.model.domains[node])
-        parent = leaf if forests is None else None
-        if forests is None:
-            forests = [leaf.forest.without(node)] * len(values)
-        children = [SubspaceProposal(self.model, {**leaf.assigned, node: v}, f,
-                                     parent_leaf=parent)
-                    for v, f in zip(values, forests)]
+               forest=None) -> list[SubspaceProposal]:
+        """Bounds of leaf's children on node, one per value, all on the
+        given forest or else on the leaf's forest minus node; counts the
+        builds.  Children on the leaf's forest share with it whatever
+        conditioning node leaves unchanged; children on a given forest
+        build in full."""
+        parent = leaf if forest is None else None
+        if forest is None:
+            forest = leaf.forest.without(node)
+        children = [SubspaceProposal(self.model, {**leaf.assigned, node: v},
+                                     forest, parent_leaf=parent)
+                    for v in range(self.model.domains[node])]
         self.bound_builds += len(children)
         return children
 
@@ -176,8 +177,8 @@ class PiecewiseProposal:
                                      f"subspace {leaf_id}")
         children = self._split(leaf, node)
         if self.retree:
-            fresh = self._split(leaf, node, [
-                max_spanning_forest(self.model, c.free) for c in children])
+            fresh = self._split(leaf, node, max_spanning_forest(
+                self.model, children[0].free))
             children = [f if f.mass_log() < c.mass_log() else c
                         for c, f in zip(children, fresh)]
         child_ids = list(range(self._next_id, self._next_id + len(children)))

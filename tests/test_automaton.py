@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osstar import automaton as am
 from osstar import engine
@@ -334,6 +334,12 @@ def test_decode_builds_no_sum_tables():
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
        cluster_size=st.integers(2, 3), length=st.integers(2, 5))
+# two paths tie left to right under q and p, and their backward max sums
+# differ by an ulp in favour of the lexicographically larger one
+@example(seed=31, order=3, cluster_size=3, length=4)
+# the argmax's order-2 bound sits one ulp above p: q(x*) = p(x*) needs one
+# more refinement
+@example(seed=4194305, order=3, cluster_size=2, length=4)
 def test_decode_certifies_the_smallest_enumerated_argmax(seed, order,
                                                         cluster_size,
                                                         length):
@@ -748,6 +754,35 @@ def test_refine_walks_the_rejected_path_once(monkeypatch, norm):
     am.refine(q, x, norm=norm)
     assert calls == [x]
     assert q.score_path(x) < score - 1e-15
+
+
+def test_refine_reads_the_rows_viterbi_found(monkeypatch):
+    # refining the path viterbi just returned reuses the descent's rows;
+    # a change of structure drops them, so a second refine walks the path
+    q, _ = refined_sms24()
+    x, _ = am.viterbi(q)
+    assert len(slack_positions(q, x)) >= 2
+    want = q.path_rows(x)
+    calls = []
+    path_rows = am.QAutomaton.path_rows
+
+    def counting(self, words):
+        calls.append(words)
+        return path_rows(self, words)
+
+    monkeypatch.setattr(am.QAutomaton, "path_rows", counting)
+    deepened = []
+    deepen_at = am._deepen_at
+
+    def recording(q, rejected, rows, i):
+        deepened.append(list(rows))
+        deepen_at(q, rejected, rows, i)
+
+    monkeypatch.setattr(am, "_deepen_at", recording)
+    am.refine(q, x)
+    assert calls == [] and deepened == [want]
+    am.refine(q, x)
+    assert calls == [x]
 
 
 def test_deepening_keeps_the_threaded_rows_current():

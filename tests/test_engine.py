@@ -68,6 +68,25 @@ def test_optimization_accept_requires_ratio_one_by_default():
     assert accept_or_reject(Mode.OPTIMIZATION, 1.0, rng)
 
 
+def test_optimization_rejects_q_one_ulp_above_p_near_log_one():
+    # for |log q| < 0.5, exp of minus one ulp of log q rounds to 1, so only
+    # a comparison of the logs sees that q(x) is above p(x)
+    log_p = -0.3
+    log_q = math.nextafter(log_p, math.inf)
+    assert math.exp(log_p - log_q) == 1.0
+    target = TableTarget({("a",): log_p})
+    history = History()
+    worst = trial_batch(Mode.OPTIMIZATION, target,
+                        TableProposal({("a",): log_q}), history,
+                        StopConfig(), np.random.default_rng(0))
+    assert not history.records[0].accepted
+    assert worst is history.records[0]
+    result = run(Mode.OPTIMIZATION, target, TableProposal({("a",): log_q}),
+                 SnapToTargetRefiner(target), StopConfig(), seed=0)
+    assert [r.accepted for r in result.history.records] == [False, True]
+    assert result.certificate_gap_log == 0.0
+
+
 def test_ratio_out_of_range():
     rng = np.random.default_rng(0)
     with pytest.raises(RatioOutOfRange):

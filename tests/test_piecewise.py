@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from osstar import engine
+from osstar import engine, graphical, piecewise
 from osstar.engine import Mode, StopConfig
 from osstar.graphical import PairwiseModel, SubspaceProposal, ising_grid
 from osstar.piecewise import (AlreadyConditioned, ImprovementQueue,
@@ -648,16 +648,17 @@ def test_split_children_match_fresh_builds(shape, mode, retree):
 
 
 @st.composite
-def split_sequences(draw):
+def split_sequences(draw, values=st.integers(-2, 2)):
     """2-6 nodes, domains 1-3, any edge subset (so forests may be
-    disconnected), integer log potentials, and a sequence of splits; before
-    each split the leaf may or may not have computed each pass and its
-    argmax, so children meet every mix of shareable state."""
+    disconnected), log potentials drawn from values (integers by default),
+    and a sequence of splits; before each split the leaf may or may not
+    have computed each pass and its argmax, so children meet every mix of
+    shareable state."""
     n = draw(st.integers(2, 6))
     domains = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    ints = st.integers(-2, 2)
-    log_psi = [draw(st.lists(ints, min_size=d, max_size=d)) for d in domains]
-    edges = [(u, v, [draw(st.lists(ints, min_size=domains[v],
+    log_psi = [draw(st.lists(values, min_size=d, max_size=d))
+               for d in domains]
+    edges = [(u, v, [draw(st.lists(values, min_size=domains[v],
                                    max_size=domains[v]))
                       for _ in range(domains[u])])
              for u in range(n) for v in range(u + 1, n)
@@ -689,6 +690,70 @@ def test_shared_children_equal_fresh_builds_on_random_models(case):
             assert child.mass_log() == fresh.mass_log()
             assert child.max_log() == fresh.max_log()
         assert_leaves_match_fresh_builds(m, pw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_sequences(st.floats(-3, 3, allow_nan=False)), st.booleans())
+def test_p_and_q_are_one_sum_bit_for_bit(case, retree):
+    # non-integer potentials, so the order of the sums shows in the bits
+    m, steps = case
+    pw = PiecewiseProposal(m, retree=retree)
+    for leaf_pick, node_pick, _ in steps:
+        open_ids = [lid for lid, leaf in pw.leaves.items() if leaf.free]
+        if not open_ids:
+            break
+        lid = open_ids[leaf_pick % len(open_ids)]
+        leaf = pw.leaves[lid]
+        pw.condition(lid, leaf.free[node_pick % len(leaf.free)])
+    cfgs = np.array(all_configs(m))
+    log_p = m.log_p_many(cfgs)
+    assert log_p.tolist() == [m.log_p(x) for x in all_configs(m)]
+    for leaf in pw.leaves.values():
+        rows = [x for x in all_configs(m)
+                if all(x[j] == v for j, v in leaf.assigned.items())]
+        score = leaf.score_many(np.array(rows))
+        for x, s in zip(rows, score.tolist()):
+            assert s == leaf.score(x)
+            assert s >= m.log_p(x)
+            if all(m.edges[e].log_phi[x[m.edges[e].u], x[m.edges[e].v]]
+                   == m.phi_max_log[e] for e in leaf.offtree_ids):
+                assert s == m.log_p(x)
+
+
+@pytest.mark.parametrize("norm", [None, "sum"])
+def test_retree_split_builds_one_fresh_forest(norm, monkeypatch):
+    # one maximum spanning forest for the root and one per retree split,
+    # none for lookahead splits; the children of a split share one forest
+    forests = []
+
+    def recording(model, free):
+        forests.append(prim(model, free))
+        return forests[-1]
+
+    prim = graphical.max_spanning_forest
+    monkeypatch.setattr(graphical, "max_spanning_forest", recording)
+    monkeypatch.setattr(piecewise, "max_spanning_forest", recording)
+    splits = []
+    split = PiecewiseProposal._split
+
+    def recording_split(self, leaf, node, forest=None):
+        splits.append((forest, split(self, leaf, node, forest)))
+        return splits[-1][1]
+
+    monkeypatch.setattr(PiecewiseProposal, "_split", recording_split)
+    m = ising_grid(3, 3, sigma=0.8, seed=5)
+    pw = PiecewiseProposal(m, retree=True)
+    assert len(forests) == 1
+    res = engine.run(Mode.SAMPLING, m.log_p, pw,
+                     PolicyRefiner(pw, Policy.MAX_SLACK, seed=1, norm=norm),
+                     StopConfig(ar_window=50, ar_threshold=0.6,
+                                max_trials=20_000), seed=3)
+    fresh = [f for f, _ in splits if f is not None]
+    assert len(forests) == 1 + len(fresh) == 1 + res.history.refine_count
+    assert [id(f) for f in fresh] == [id(f) for f in forests[1:]]
+    for forest, children in splits:
+        assert len({id(c.forest) for c in children}) == 1
+        assert forest is None or children[0].forest is forest
 
 
 def changed_set(parent, child, node):
