@@ -9,8 +9,9 @@ of the true conditional over every way of extending c with older words up to
 the full context length.  These quantities upper-bound each factor of the
 sentence probability and are exactly the edge weights the proposal automaton
 needs; they shrink monotonically as the context grows.  MaxBackoffTables
-computes them a row at a time: the row of a (context, full context length)
-holds the bound of every word, so memory grows as rows x words.
+builds all of them when the LM is loaded, in one pass over its contexts,
+level by level: the row of a (context, full context length) holds the bound
+of every word, so memory grows as rows x words.
 """
 
 from __future__ import annotations
@@ -147,6 +148,9 @@ def load_arpa(text: str) -> NGramLM:
             if not (prob < math.inf and bow < math.inf):
                 raise ParseError(f"NaN or +inf number in {line!r}", lineno)
             gram = tuple(fields[1:current + 1])
+            if gram in logprob:
+                raise ParseError(
+                    f"duplicate {current}-gram {' '.join(gram)!r}", lineno)
             logprob[gram] = prob
             if has_bow:
                 backoff[gram] = bow
@@ -170,8 +174,122 @@ def load_arpa(text: str) -> NGramLM:
     return NGramLM(order, logprob, backoff)
 
 
+@dataclass
+class _Contexts:
+    """The contexts the tables hold, one row each, shortest first.
+
+    Level k, the contexts of k words, is rows bounds[k]:bounds[k+1].  In a
+    level the contexts whose oldest word is a sentence word come first:
+    they are the extensions their parent's max ranges over.
+    """
+
+    index: dict[tuple, int]   # context -> row
+    bounds: list[int]
+    kids: list[int]           # per level, how many lead with a sentence word
+    parent: np.ndarray        # row of c[1:]
+    bow: np.ndarray           # backoff weight of c, 0.0 where none is stored
+    # the stored successors (c, w) of row c, in CSR layout: entries
+    # start[c]:start[c+1] of col (w's column) and lp (log p(w | c))
+    start: np.ndarray
+    col: np.ndarray
+    lp: np.ndarray
+    open: np.ndarray          # some sentence word u leaves (u,) + c unheld
+
+
+def _held_contexts(lm: NGramLM, n: int, col: dict) -> _Contexts:
+    """The suffixes of at most n-1 words of the stored grams, of their
+    context parts and of the backoff keys: the contexts whose extensions
+    can differ from the plain backoff."""
+    grams = list(lm.logprob)
+    heads = [gram[:-1] for gram in grams]
+    held = new = set(grams).union(heads, lm.backoff)
+    while new:   # close under dropping the oldest word
+        new = {c[1:] for c in new} - held
+        held |= new
+    levels: list[list[tuple]] = [[] for _ in range(n)]
+    for c in held:
+        if len(c) < n:
+            levels[len(c)].append(c)
+    words = set(lm.words)
+    index = {(): 0}
+    bounds, kids, parent = [0, 1], [0], [0]
+    for ctxs in levels[1:]:
+        led = [c for c in ctxs if c[0] in words]
+        ctxs = led + [c for c in ctxs if c[0] not in words]
+        parent.extend(index[c[1:]] for c in ctxs)
+        index.update(zip(ctxs, range(bounds[-1], bounds[-1] + len(ctxs))))
+        kids.append(len(led))
+        bounds.append(bounds[-1] + len(ctxs))
+    rows = len(index)
+    parent = np.array(parent, dtype=np.intp)
+    # the row of each gram's head; a head of n or more words (-1) is never read
+    at = np.fromiter((index.get(h, -1) for h in heads), np.intp, len(heads))
+    cols = np.fromiter((col[gram[-1]] for gram in grams), np.intp, len(grams))
+    lps = np.fromiter(lm.logprob.values(), float, len(grams))
+    order = np.flatnonzero(at >= 0)
+    order = order[np.argsort(at[order], kind="stable")]
+    start = np.zeros(rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(at[order], minlength=rows), out=start[1:])
+    led = np.concatenate([np.arange(b, b + m) for b, m in zip(bounds, kids)])
+    return _Contexts(
+        index, bounds, kids, parent,
+        np.fromiter((lm.backoff.get(c, 0.0) for c in index), float, rows),
+        start, cols[order], lps[order],
+        np.bincount(parent[led], minlength=rows) < len(words))
+
+
+def _cond_rows(cx: _Contexts, width: int) -> np.ndarray:
+    """log p(. | c) of every held context c, as cond_logprob adds it."""
+    rows = len(cx.parent)
+    t = np.arange(rows)
+    acc = np.zeros(rows)
+    # step j reads the tail c[j:] of every context of more than j words,
+    # with the left-to-right sum of the backoffs of the longer tails
+    reads = []
+    for lo in cx.bounds[1:-1]:
+        reads.append((lo, t[lo:].copy(), acc[lo:].copy()))
+        acc[lo:] += cx.bow[t[lo:]]
+        t[lo:] = cx.parent[t[lo:]]
+    # shortest tail first, so the longest stored tail is written last.
+    # Every context ends at (), with the sum of all its backoffs: one
+    # masked broadcast writes the unigrams, most of the entries
+    unigram = np.zeros(width)
+    stored = np.zeros(width, dtype=bool)
+    unigram[cx.col[:cx.start[1]]] = cx.lp[:cx.start[1]]
+    stored[cx.col[:cx.start[1]]] = True
+    out = np.full((rows, width), -math.inf)
+    np.add(acc[:, None], unigram, out=out, where=stored)
+    for lo, tail, acc in reversed(reads):
+        # who: the context of each entry; k: its tail's CSR entries in turn
+        count = cx.start[tail + 1] - cx.start[tail]
+        who = np.repeat(np.arange(lo, rows), count)
+        k = np.repeat(cx.start[tail] - np.cumsum(count) + count, count)
+        k += np.arange(len(k))
+        out[who, cx.col[k]] = acc[who - lo] + cx.lp[k]
+    return out
+
+
+def _max_rows(cx: _Contexts, cond: np.ndarray, full_len: int) -> np.ndarray:
+    """The rows at full_len of every context of at most full_len words."""
+    rows = cond[:cx.bounds[full_len + 1]].copy()
+    # a shorter context starts from its conditional row, the value every
+    # unheld extension (u,) + c shares, or from -inf when it has none
+    short = cx.bounds[full_len]
+    rows[:short][~cx.open[:short]] = -math.inf
+    flat = rows.reshape(-1)
+    width = rows.shape[1]
+    # level k into level k-1, top down, so each level is final when read;
+    # maximum.at, unlike reduceat, needs no grouping and is faster here
+    for k in range(full_len, 0, -1):
+        lo = cx.bounds[k]
+        hi = lo + cx.kids[k]
+        into = cx.parent[lo:hi, None] * width + np.arange(width)
+        np.maximum.at(flat, into.reshape(-1), rows[lo:hi].reshape(-1))
+    return rows
+
+
 class MaxBackoffTables:
-    """Memoised max-backoff rows for one LM.
+    """Max-backoff rows for one LM, all built when the LM is loaded.
 
     value(w, c, L) is the max of p(w | e + c) over all extensions e of the
     context c by older vocabulary words, up to total context length L.  The
@@ -179,13 +297,15 @@ class MaxBackoffTables:
     suffix of some stored n-gram: every other u yields the shared backoff
     value p(w | c), so one representative covers them all.
 
-    The tables hold one row per (context, L): the bound of every word at
-    once, one column per word that ends a stored n-gram plus a last column
-    of -inf for every other word.  A row is built once, from its children's
-    rows by an elementwise max, and kept, so memory grows as rows x words.
-    Every entry equals that enumeration over cond_logprob values bit for
-    bit: a conditional is the same single float add as in cond_logprob,
-    and max is exact.
+    The tables hold one row per (context, L) for every such suffix c: the
+    bound of every word at once, one column per word that ends a stored
+    n-gram plus a last column of -inf for every other word.  The constructor
+    builds them level by level, one context length at a time, with a few
+    numpy calls per level: first the conditional rows, then, for each L,
+    every shorter context's row as the elementwise max of its children's
+    rows.  Memory grows as rows x words.  Every entry equals that
+    enumeration over cond_logprob values bit for bit: a conditional is the
+    same float adds as in cond_logprob, and max is exact.
     """
 
     def __init__(self, lm: NGramLM, order: int | None = None):
@@ -197,69 +317,13 @@ class MaxBackoffTables:
         ends = sorted({gram[-1] for gram in lm.logprob})
         self._col = {w: j for j, w in enumerate(ends)}
         self._width = len(ends) + 1
-        # explicit successors of each stored context: (columns, log-probs)
-        succ: dict[tuple, tuple[list, list]] = {}
-        for gram, lp in lm.logprob.items():
-            cols, lps = succ.setdefault(gram[:-1], ([], []))
-            cols.append(self._col[gram[-1]])
-            lps.append(lp)
-        self._succ = {ctx: (np.array(cols, dtype=np.intp), np.array(lps))
-                      for ctx, (cols, lps) in succ.items()}
-        # suffixes of stored grams and of their context parts
-        suf = set()
-        for gram in lm.logprob:
-            for j in range(len(gram)):
-                suf.add(gram[j:])
-            ctx = gram[:-1]
-            for j in range(len(ctx)):
-                suf.add(ctx[j:])
-        for gram in lm.backoff:
-            for j in range(len(gram)):
-                suf.add(gram[j:])
-        # interesting extension words of each context, in lm.words order
-        rank = {w: j for j, w in enumerate(lm.words)}
-        ext: dict[tuple, list[str]] = {}
-        for s in suf:
-            if s[0] in rank:
-                ext.setdefault(s[1:], []).append(s[0])
-        for words in ext.values():
-            words.sort(key=rank.__getitem__)
-        self._ext = ext
-        self._rows: dict[tuple, np.ndarray] = {}
+        cx = _held_contexts(lm, n, self._col)
+        self._index = cx.index
+        cond = _cond_rows(cx, self._width)
+        # self._rows[L][i]: the row at full length L of the context in row i
+        self._rows = [_max_rows(cx, cond, L) for L in range(n)]
         # rows that value() has read, as lists, one dict per full_len
         self._lists: list[dict[tuple, list[float]]] = [{} for _ in range(n)]
-
-    def _cond_row(self, context: tuple) -> np.ndarray:
-        """log p(. | context) for every column, as cond_logprob adds it."""
-        accs = [0.0]
-        for j in range(len(context)):
-            accs.append(accs[-1] + self.lm.backoff.get(context[j:], 0.0))
-        row = np.full(self._width, -math.inf)
-        # shortest tail first, so the longest stored tail is written last
-        for j in range(len(context), -1, -1):
-            got = self._succ.get(context[j:])
-            if got is not None:
-                row[got[0]] = accs[j] + got[1]
-        return row
-
-    def _row(self, context: tuple, full_len: int) -> np.ndarray:
-        key = (context, full_len)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = self._build_row(context, full_len)
-        return row
-
-    def _build_row(self, context: tuple, full_len: int) -> np.ndarray:
-        if len(context) == full_len:
-            return self._cond_row(context)
-        ext = self._ext.get(context, [])
-        rows = [self._row((u,) + context, full_len) for u in ext]
-        # all uninteresting extensions collapse to the plain backoff row
-        if len(ext) < len(self.lm.words):
-            rows.append(self._row(context, len(context)))
-        if not rows:   # an LM without sentence words
-            return np.full(self._width, -math.inf)
-        return rows[0] if len(rows) == 1 else np.maximum.reduce(rows)
 
     def value(self, word: str, context: tuple, full_len: int) -> float:
         """Max of p(word | extension + context) over length-full_len contexts."""
@@ -269,7 +333,21 @@ class MaxBackoffTables:
         lists = self._lists[full_len]
         row = lists.get(context)
         if row is None:
-            row = lists[context] = self._row(context, full_len).tolist()
+            i = self._index.get(context)
+            if i is not None:
+                got = self._rows[full_len][i]
+            elif self.lm.words or len(context) == full_len:
+                # an unheld context has no held extension, so at every
+                # full_len its row is its conditional row.  It and its tails
+                # down to the longest held one store no gram and no backoff:
+                # their 0.0 backoffs leave that tail's conditional row as is
+                tail = context[1:]
+                while (i := self._index.get(tail)) is None:
+                    tail = tail[1:]
+                got = self._rows[len(tail)][i]
+            else:   # no sentence word extends context
+                got = np.full(self._width, -math.inf)
+            row = lists[context] = got.tolist()
         return row[self._col.get(word, -1)]
 
 

@@ -11,7 +11,7 @@ from osstar.cli import main
 from osstar.engine import CSV_COLUMNS
 from osstar.graphical import PairwiseModel, ising_grid
 
-from test_ngram import DATA, TINY_ARPA
+from test_ngram import DATA, DUPLICATE_ARPA, NO_WORDS_ARPA, TINY_ARPA
 
 
 @pytest.fixture
@@ -79,6 +79,29 @@ def test_hmm_nan_or_infinite_arpa_is_a_clean_error(hmm_files, tmp_path,
                  "--obs", "2", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: line 13: NaN or +inf")
+
+
+@pytest.mark.parametrize("command", ["decode", "sample"])
+def test_hmm_duplicate_ngram_is_a_clean_error(hmm_files, tmp_path, capsys,
+                                              command):
+    _, vocab = hmm_files
+    arpa = tmp_path / "dup.arpa"
+    arpa.write_text(DUPLICATE_ARPA)
+    assert main(["hmm", command, "--arpa", str(arpa), "--vocab", vocab,
+                 "--obs", "2", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: line 10: duplicate 1-gram 'a'\n"
+
+
+def test_hmm_lm_without_sentence_words_is_a_clean_error(tmp_path, capsys):
+    arpa = tmp_path / "lm.arpa"
+    arpa.write_text(NO_WORDS_ARPA)
+    vocab = tmp_path / "words.txt"
+    vocab.write_text("dog\nfog\n")
+    assert main(["hmm", "decode", "--arpa", str(arpa), "--vocab", str(vocab),
+                 "--obs", "364", "364"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: position 0:")
 
 
 KEYPAD_ARPA = str(DATA / "keypad4663.arpa")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from osstar import automaton as am
+from osstar import ngram
 from osstar.ngram import (
     MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported, ParseError,
     build_lattice, keypad_encode, load_arpa, load_vocab,
@@ -39,6 +40,32 @@ ngram 3=1
 
 \\3-grams:
 -0.6	a a b
+
+\\end\\
+"""
+
+# TINY_ARPA with a second unigram a on line 10, declared in the count
+DUPLICATE_ARPA = (TINY_ARPA.replace("ngram 1=2", "ngram 1=3")
+                  .replace("-0.7\tb\t-0.1\n", "-0.7\tb\t-0.1\n-0.9\ta\n"))
+
+# Only pseudo tokens: no word a typed sentence can contain.
+NO_WORDS_ARPA = """
+\\data\\
+ngram 1=3
+ngram 2=2
+ngram 3=1
+
+\\1-grams:
+-0.5	<s>	-0.3
+-0.4	</s>
+-0.6	<unk>	-0.2
+
+\\2-grams:
+-0.2	<s> <unk>	-0.1
+-0.1	<unk> </s>
+
+\\3-grams:
+-0.3	<s> <unk> </s>
 
 \\end\\
 """
@@ -96,6 +123,17 @@ def test_nan_or_positive_infinite_numbers_are_parse_errors(old, line, bad):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text, line, gram", [
+    (DUPLICATE_ARPA, 10, "1-gram 'a'"),
+    (TINY_ARPA.replace("ngram 2=2", "ngram 2=3")
+     .replace("-0.5\ta b\n", "-0.5\ta b\n-0.1\ta a\n"), 14, "2-gram 'a a'"),
+], ids=["unigram", "bigram"])
+def test_duplicate_ngram_is_a_parse_error(text, line, gram):
+    with pytest.raises(ParseError, match=f"duplicate {gram}") as err:
+        load_arpa(text)
+    assert err.value.line == line
+
+
 def test_negative_infinity_is_log_zero():
     lm = load_arpa(TINY_ARPA.replace("-0.5\ta b", "-inf\ta b")
                    .replace("-0.2", "-inf"))
@@ -114,6 +152,17 @@ def trained_lm():
     vocab = ["dog", "fog", "gone", "good"]
     corpus = markov_corpus(rng, vocab, 60, 6)
     return load_arpa(train_arpa(corpus, 3, vocab))
+
+
+@pytest.fixture(scope="module")
+def pseudo_tokens_lm():
+    # sentences wrapped in <s> ... </s>, some words typed as <unk>: the LM
+    # has <s> w and w </s> grams and pseudo tokens inside contexts
+    rng = np.random.default_rng(11)
+    vocab = ["dog", "fog", "gone", "good"]
+    corpus = [["<s>"] + [w if rng.random() > 0.15 else "<unk>" for w in s]
+              + ["</s>"] for s in markov_corpus(rng, vocab, 40, 5)]
+    return load_arpa(train_arpa(corpus, 3, vocab + ["<s>", "</s>", "<unk>"]))
 
 
 def test_trained_lm_matches_oracle(trained_lm):
@@ -239,15 +288,18 @@ def contexts_up_to(lm: NGramLM, full_len: int, exhaustive: int = 2):
 
 
 def assert_rows_match_scalar(lm: NGramLM, exhaustive: int = 2) -> int:
-    """Every word plus one out-of-LM word, every context up to full_len,
-    every order cap: the tables equal the scalar recursion exactly."""
+    """Every token plus one out-of-LM word, every order cap, every context
+    up to full_len and every row the tables hold: the tables equal the
+    scalar recursion exactly."""
     checked = 0
-    for cap in range(2, lm.order + 1):
+    for cap in range(1, lm.order + 1):
         tables = MaxBackoffTables(lm, order=cap)
         oracle = ScalarMaxBackoff(lm, order=cap)
         for full_len in range(cap):
-            for ctx in contexts_up_to(lm, full_len, exhaustive):
-                for w in lm.words + ["zzzz"]:
+            held = {c for c in tables._index if len(c) <= full_len}
+            for ctx in sorted(held.union(
+                    contexts_up_to(lm, full_len, exhaustive))):
+                for w in lm.vocab + ["zzzz"]:
                     got = tables.value(w, ctx, full_len)
                     assert type(got) is float
                     assert got == oracle.value(w, ctx, full_len), \
@@ -256,11 +308,11 @@ def assert_rows_match_scalar(lm: NGramLM, exhaustive: int = 2) -> int:
     return checked
 
 
-@pytest.mark.parametrize("source", ["trained", "sms24.arpa",
+@pytest.mark.parametrize("source", ["trained", "pseudo_tokens", "sms24.arpa",
                                     "keypad4663.arpa"])
-def test_max_backoff_rows_equal_scalar_recursion(trained_lm, source):
-    lm = (trained_lm if source == "trained"
-          else load_arpa((DATA / source).read_text()))
+def test_max_backoff_rows_equal_scalar_recursion(request, source):
+    lm = (load_arpa((DATA / source).read_text()) if source.endswith(".arpa")
+          else request.getfixturevalue(f"{source}_lm"))
     assert assert_rows_match_scalar(lm) > 0
 
 
@@ -277,32 +329,93 @@ def test_max_backoff_rows_equal_scalar_on_random_lms(seed, order, n_words,
     assert assert_rows_match_scalar(lm, exhaustive=order - 1) > 0
 
 
-def test_build_q0_reads_rows_not_conditionals(trained_lm, monkeypatch):
-    # q0 comes from whole rows: no scalar conditional is evaluated, and a
-    # (context, full_len) row is built at most once, even across sentences.
-    built = []
-    build_row = MaxBackoffTables._build_row
-    cond_calls = []
-    cond = NGramLM.cond_logprob
+_TOKENS = ["dog", "fog", "gone", "<s>", "</s>", "<unk>"]
+_GRAMS = st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4).map(tuple)
 
-    def counting_build(self, context, full_len):
-        built.append((context, full_len))
-        return build_row(self, context, full_len)
+
+@settings(max_examples=50, deadline=None)
+@given(order=st.integers(1, 4),
+       logprob=st.dictionaries(_GRAMS, st.floats(-5, 0) | st.just(-math.inf),
+                               max_size=25),
+       backoff=st.dictionaries(_GRAMS, st.floats(-3, 3) | st.just(-math.inf),
+                               max_size=8))
+def test_max_backoff_rows_equal_scalar_on_arbitrary_lms(order, logprob,
+                                                        backoff):
+    # grams and backoff keys drawn at random: not closed under suffixes or
+    # prefixes, pseudo tokens anywhere, positive backoffs, perhaps no
+    # sentence word at all, as a pruned or hand-edited ARPA file may be
+    lm = NGramLM(order, {g: lp for g, lp in logprob.items()
+                         if len(g) <= order}, backoff)
+    assert assert_rows_match_scalar(lm, exhaustive=order - 1) > 0
+
+
+def test_build_q0_reads_rows_not_conditionals(trained_lm, monkeypatch):
+    # The tables build every row when the LM is loaded, each once, from the
+    # stored grams: no scalar conditional is evaluated.  q0 then reads whole
+    # rows and computes none, even across sentences.
+    cond_calls, cond_builds, max_builds = [], [], []
+    cond = NGramLM.cond_logprob
+    cond_rows, max_rows = ngram._cond_rows, ngram._max_rows
 
     def counting_cond(self, word, context):
         cond_calls.append((word, context))
         return cond(self, word, context)
 
-    monkeypatch.setattr(MaxBackoffTables, "_build_row", counting_build)
+    def counting_cond_rows(cx, width):
+        cond_builds.append(width)
+        return cond_rows(cx, width)
+
+    def counting_max_rows(cx, cond, full_len):
+        max_builds.append(full_len)
+        return max_rows(cx, cond, full_len)
+
     monkeypatch.setattr(NGramLM, "cond_logprob", counting_cond)
+    monkeypatch.setattr(ngram, "_cond_rows", counting_cond_rows)
+    monkeypatch.setattr(ngram, "_max_rows", counting_max_rows)
     tables = MaxBackoffTables(trained_lm)
+    order = trained_lm.order
+    assert cond_calls == []
+    # one pass builds every conditional row, one per full length the rest;
+    # each holds one row per context of at most full_len words
+    assert len(cond_builds) == 1 and max_builds == list(range(order))
+    for k in range(order):
+        assert len(tables._rows[k]) == sum(len(c) <= k for c in tables._index)
+        assert tables._rows[k][tables._index[()]].shape == (tables._width,)
+
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(np, name)
+
+    monkeypatch.setattr(ngram, "np", CountingNumpy())
     for obs in (["364", "4663", "364", "4663", "364"],
                 ["4663", "4663", "364", "364"]):
         lattice = build_lattice(obs, trained_lm.words)
         am.build_q0(lattice, tables)
-    assert cond_calls == []
-    assert built and len(built) == len(set(built))
-    assert {((), k) for k in range(trained_lm.order)} <= set(built)
+    assert calls == [] and cond_calls == []
+    assert len(cond_builds) == 1 and len(max_builds) == order
+
+
+def test_lm_without_sentence_words():
+    # No sentence word has a probability, and no context has an extension:
+    # every bound of a sentence word, and every bound over a longer context,
+    # is -inf; q0 is a clean NoCandidate.
+    lm = load_arpa(NO_WORDS_ARPA)
+    assert lm.words == [] and lm.order == 3
+    tables = MaxBackoffTables(lm)
+    for full_len in range(lm.order):
+        for ctx in [(), ("dog",), ("<s>",), ("<unk>",), ("dog", "<s>"),
+                    ("<s>", "<unk>")]:
+            if len(ctx) > full_len:
+                continue
+            for w in lm.vocab + ["dog"]:
+                if w == "dog" or len(ctx) < full_len:
+                    assert tables.value(w, ctx, full_len) == -math.inf
+    assert assert_rows_match_scalar(lm) > 0
+    with pytest.raises(NoCandidate, match="position 0"):
+        am.build_q0(build_lattice(["364"], ["dog"]), tables)
 
 
 def test_keypad_encoding():
