@@ -9,16 +9,19 @@ the sum and the max of q over a subspace are exact tree computations.
 One sum scores both: log q(x) is log p(x) summed in the same order with
 the replaced factors at their maximum entry, so q >= p holds bit for bit.
 
+Each forest comes from one heap-ordered Prim pass, max_spanning_forest.
 A split conditions one more node k of a bound on its own forest minus k.
 Only the free neighbours of k and their ancestors can change; a child
 bound builds those nodes' unaries, beta arrays, messages and argmax picks
-and shares every other node's with its parent, bit for bit as a full build.
+and shares every other node's with its parent.  A full build is the same
+path with no parent and every free node changed, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,11 +194,8 @@ class Forest:
     parent: dict[int, int | None]
     children: dict[int, list[int]]
     edge_of: dict[int, int]  # node -> model edge id linking it to its parent
-    order: list[int] = field(default_factory=list)  # preorder, roots first
-
-    @property
-    def edge_ids(self) -> set[int]:
-        return set(self.edge_of.values())
+    order: list[int]  # preorder, roots first
+    edge_ids: frozenset[int]  # the values of edge_of
 
     def without(self, node: int) -> "Forest":
         """The forest after deleting one node: its children become roots."""
@@ -222,50 +222,39 @@ def _rooted(roots, parent, children, edge_of) -> Forest:
             order.append(j)
             stack.extend(sorted(children[j], reverse=True))
     return Forest(roots=roots, parent=parent, children=children,
-                  edge_of=edge_of, order=order)
-
-
-def _prim_component(model: PairwiseModel, free: set, start: int):
-    """Maximum spanning tree of start's component by phi range, greedy.
-
-    Ties between crossing edges go to the smallest edge id.
-    """
-    in_tree = {start}
-    chosen: list[tuple[int, int, int]] = []  # (edge_id, inside, outside)
-    while True:
-        best = None
-        for j in in_tree:
-            for eid, other in model.adjacency[j]:
-                if other in in_tree or other not in free:
-                    continue
-                key = (model.phi_range_log[eid], -eid)
-                if best is None or key > best[0]:
-                    best = (key, eid, j, other)
-        if best is None:
-            return in_tree, chosen
-        _, eid, inside, outside = best
-        in_tree.add(outside)
-        chosen.append((eid, inside, outside))
+                  edge_of=edge_of, order=order,
+                  edge_ids=frozenset(edge_of.values()))
 
 
 def max_spanning_forest(model: PairwiseModel, free) -> Forest:
     """Per-component maximum spanning trees over the free nodes, by log
     range max phi / min phi: the forest keeps the potentials whose neglect
-    would cost the most.  Each tree is rooted at its smallest node."""
+    would cost the most.
+
+    Prim's algorithm with a heap: each tree grows from its smallest node by
+    the crossing edge of largest range, ties to the smallest edge id (heap
+    key (-range, edge id)), and each node is linked to its tree as it
+    joins, so its parent's children list is in joining order.
+    """
     free = set(free)
     roots, parent, children, edge_of = [], {}, {}, {}
     for start in sorted(free):
         if start in parent:
             continue
-        nodes, chosen = _prim_component(model, free, start)
         roots.append(start)
-        parent[start] = None
-        for j in nodes:
-            children[j] = []
-        for eid, inside, outside in chosen:
-            parent[outside] = inside
-            children[inside].append(outside)
-            edge_of[outside] = eid
+        heap = [(0.0, None, None, start)]  # (-range, edge id, inside, node)
+        while heap:
+            _, eid, inside, j = heapq.heappop(heap)
+            if j in parent:
+                continue
+            parent[j], children[j] = inside, []
+            if inside is not None:
+                children[inside].append(j)
+                edge_of[j] = eid
+            for e, other in model.adjacency[j]:
+                if other in free and other not in parent:
+                    heapq.heappush(
+                        heap, (-model.phi_range_log[e], e, j, other))
     return _rooted(roots, parent, children, edge_of)
 
 
@@ -284,61 +273,58 @@ class SubspaceProposal:
         fresh maximum spanning forest of the free nodes.
 
         With parent_leaf, the bound is a child of a split of parent_leaf on
-        the one node k that `assigned` adds, over parent_leaf.forest minus
-        k (the default forest, or `forest` when given).  Conditioning k can
+        the one node k that `assigned` adds to parent_leaf's values, and
+        `forest` must be parent_leaf.forest minus k.  Conditioning k can
         change only the changed set: each free neighbour of k, whose unary
         gains k's row, with its ancestors in this forest.  k's forest
         parent is such a neighbour, so the ancestors whose subtree lost k
         are in the set.  Every other node keeps the parent's unary, beta,
         message and argmax picks, shared by reference; the parent leaf
-        itself is not kept.  The result is bit for bit that of a full
-        build.
+        itself is not kept.  Without parent_leaf every free node is in the
+        changed set.  Either way the result is bit for bit a full build's.
         """
         self.model = model
         self.assigned = dict(assigned)
         self.free = sorted(i for i in range(model.n_nodes)
                            if i not in self.assigned)
-        # the parent leaf's (beta, messages) per semiring, reused outside
-        # the changed set until this bound computes its own pass
-        self._base: dict[str, tuple | None] = {"sum": None, "max": None}
         if parent_leaf is None:
             if forest is None:
                 forest = max_spanning_forest(model, self.free)
-            self.eff = {j: self._eff_row(j) for j in self.free}
-            self._changed = set(self.free)
-            # node -> {parent value, None at a root -> argmax pick}
-            self._picks: dict[int, dict] = {j: {} for j in self.free}
+            touched = set(self.free)
         else:
-            (k,) = set(parent_leaf.free) - set(self.free)
+            k = self._added_node(parent_leaf)
             if forest is None:
-                forest = parent_leaf.forest.without(k)
-            neighbours = [v for _, v in model.adjacency[k]
-                          if v not in self.assigned]
-            self.eff = {j: b for j, b in parent_leaf.eff.items() if j != k}
-            for v in neighbours:
-                self.eff[v] = self._eff_row(v)
-            changed: set[int] = set()
-            for j in neighbours:
-                while j is not None and j not in changed:
-                    changed.add(j)
-                    j = forest.parent[j]
-            self._changed = changed
-            for sr, beta in parent_leaf._beta.items():
-                if beta is not None:
-                    self._base[sr] = (beta, parent_leaf._msg[sr])
-            self._picks = {j: {} if j in changed else parent_leaf._picks[j]
-                           for j in self.free}
+                raise ValueError("a child bound needs its forest: the "
+                                 f"parent's forest minus node {k}")
+            touched = {v for _, v in model.adjacency[k]
+                       if v not in self.assigned}
+        self._changed: set[int] = set()
+        for j in touched:
+            while j is not None and j not in self._changed:
+                self._changed.add(j)
+                j = forest.parent[j]
+        self.eff = {j: self._eff_row(j) if j in touched else parent_leaf.eff[j]
+                    for j in self.free}
+        # node -> {parent value, None at a root -> argmax pick}
+        self._picks: dict[int, dict] = {
+            j: {} if j in self._changed else parent_leaf._picks[j]
+            for j in self.free}
+        # the parent leaf's (beta, messages) per semiring, reused outside
+        # the changed set until this bound computes its own pass
+        self._base: dict[str, tuple | None] = {
+            sr: None if parent_leaf is None or parent_leaf._beta[sr] is None
+            else (parent_leaf._beta[sr], parent_leaf._msg[sr])
+            for sr in ("sum", "max")}
         self.forest = forest
         const = 0.0
         for i in sorted(self.assigned):
             const += model.log_psi[i][self.assigned[i]]
-        tree_ids = forest.edge_ids
         self.offtree_ids: list[int] = []
         for eid, e in enumerate(model.edges):
             au, av = e.u in self.assigned, e.v in self.assigned
             if au and av:
                 const += e.log_phi[self.assigned[e.u], self.assigned[e.v]]
-            elif not (au or av) and eid not in tree_ids:
+            elif not (au or av) and eid not in forest.edge_ids:
                 self.offtree_ids.append(eid)
                 const += model.phi_max_log[eid]
         self.const = float(const)
@@ -352,6 +338,19 @@ class SubspaceProposal:
             "sum": None, "max": None}
         self._mass_log: float | None = None
         self._max_log: float | None = None
+
+    def _added_node(self, parent_leaf: SubspaceProposal) -> int:
+        """The one node this bound assigns beyond parent_leaf's values."""
+        differ = [i for i, v in parent_leaf.assigned.items()
+                  if self.assigned.get(i) != v]
+        if differ:
+            raise ValueError("a child bound must keep its parent's values; "
+                             f"it differs at nodes {differ}")
+        added = sorted(self.assigned.keys() - parent_leaf.assigned.keys())
+        if len(added) != 1:
+            raise ValueError("a child bound assigns exactly one node more "
+                             f"than its parent, not {len(added)}: {added}")
+        return added[0]
 
     def _eff_row(self, j: int) -> np.ndarray:
         """Free node j's unary: log psi_j plus the row of each factor to an

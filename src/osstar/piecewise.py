@@ -194,7 +194,10 @@ class ImprovementQueue:
 
     On every new leaf the exact mass drop of conditioning each free node is
     computed by building the would-be children, so this policy pays its
-    lookahead in bound builds.  Entries for dead leaves are skipped on pop.
+    lookahead in bound builds.  The children are built on the leaf's own
+    forest minus the node even with retree, which may then keep a fresh
+    forest of smaller mass: under retree the drop a conditioning realises
+    can exceed its score.  Entries for dead leaves are skipped on pop.
     """
 
     def __init__(self, proposal: PiecewiseProposal):
@@ -265,7 +268,10 @@ def min_norm_refinement(proposal: PiecewiseProposal, reject_config,
     Conditions each free node in turn on scratch children and keeps the
     split minimizing the resulting total mass ("sum") or global max
     ("max"); smallest node id on exact ties.  Lookahead builds are charged
-    to bound_builds like the queue policy's.
+    to bound_builds like the queue policy's.  As in the queue, each split
+    is scored on the leaf's own forest even with retree, which keeps each
+    child's forest of smaller mass: under retree the realised total mass
+    can fall below the score, and the realised max can differ either way.
     """
     if norm not in ("sum", "max"):
         raise ValueError(f"norm must be 'sum' or 'max', got {norm!r}")

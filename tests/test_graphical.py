@@ -250,6 +250,117 @@ def test_forest_without_node():
     assert 4 not in g.parent and 4 not in g.children
 
 
+def reference_forest(model, free):
+    """The quadratic Prim scan: per component from its smallest free node,
+    rescan every tree node's edges for the crossing edge of largest
+    (range, -edge id), then link the chosen edges in the order chosen."""
+    free = set(free)
+    roots, parent, children, edge_of = [], {}, {}, {}
+    for start in sorted(free):
+        if start in parent:
+            continue
+        in_tree, chosen = {start}, []
+        while True:
+            best = None
+            for j in in_tree:
+                for eid, other in model.adjacency[j]:
+                    if other in in_tree or other not in free:
+                        continue
+                    key = (model.phi_range_log[eid], -eid)
+                    if best is None or key > best[0]:
+                        best = (key, eid, j, other)
+            if best is None:
+                break
+            _, eid, inside, outside = best
+            in_tree.add(outside)
+            chosen.append((eid, inside, outside))
+        roots.append(start)
+        parent[start] = None
+        for j in in_tree:
+            children[j] = []
+        for eid, inside, outside in chosen:
+            parent[outside] = inside
+            children[inside].append(outside)
+            edge_of[outside] = eid
+    order = []
+    for r in roots:
+        stack = [r]
+        while stack:
+            j = stack.pop()
+            order.append(j)
+            stack.extend(sorted(children[j], reverse=True))
+    return roots, parent, children, edge_of, order
+
+
+@st.composite
+def forest_cases(draw):
+    """Models of 1-9 nodes with half-integer potentials, so phi ranges tie
+    and zero-range edges occur, and a free subset, which may split the
+    graph into several components."""
+    n = draw(st.integers(1, 9))
+    domains = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    halves = st.integers(-3, 3).map(lambda k: k / 2)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(u, v, [draw(st.lists(halves, min_size=domains[v],
+                                   max_size=domains[v]))
+                      for _ in range(domains[u])])
+             for u, v in pairs if draw(st.booleans())]
+    model = PairwiseModel(domains, [np.zeros(d) for d in domains], edges)
+    return model, draw(st.sets(st.integers(0, n - 1)))
+
+
+def path_of_three():
+    """Path 0-1-2 with equal ranges: freeing {0, 2} cuts it in two."""
+    phi = [[0.0, 0.5], [0.5, 0.0]]
+    return PairwiseModel([2, 2, 2], [np.zeros(2)] * 3,
+                         [(0, 1, phi), (1, 2, phi)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(forest_cases())
+@example((path_of_three(), {0, 2}))
+@example((rng_free_model([1.0, 1.0, 1.0]), {0, 1, 2}))
+def test_max_spanning_forest_matches_the_quadratic_scan(case):
+    m, free = case
+    f = max_spanning_forest(m, free)
+    roots, parent, children, edge_of, order = reference_forest(m, free)
+    assert f.roots == roots
+    assert f.parent == parent
+    assert f.edge_of == edge_of
+    assert f.children == children  # lists in order: messages add in it
+    assert f.order == order
+    assert f.edge_ids == set(edge_of.values())
+
+
+def split_case():
+    m = ising_grid(2, 2, 1.0, seed=3)
+    return m, SubspaceProposal(m, {0: 0})
+
+
+def test_child_must_keep_its_parents_values():
+    # a child that changed node 0 would reuse the parent's unary rows and
+    # report a log mass of 7.3417 against 7.2533 for its own subspace
+    m, parent = split_case()
+    with pytest.raises(ValueError, match="keep its parent's values"):
+        SubspaceProposal(m, {0: 1, 1: 0}, parent.forest.without(1),
+                         parent_leaf=parent)
+
+
+@pytest.mark.parametrize("assigned, count", [({0: 0}, 0),
+                                             ({0: 0, 1: 0, 2: 1}, 2)])
+def test_child_must_add_exactly_one_node(assigned, count):
+    m, parent = split_case()
+    with pytest.raises(ValueError, match="exactly one node more than its "
+                                         f"parent, not {count}"):
+        SubspaceProposal(m, assigned, parent.forest, parent_leaf=parent)
+
+
+def test_child_must_be_given_its_forest():
+    m, parent = split_case()
+    with pytest.raises(ValueError, match="needs its forest"):
+        SubspaceProposal(m, {0: 0, 1: 1}, parent_leaf=parent)
+
+
 def test_argmax_tie_takes_lexicographically_smallest():
     anti = np.log(np.array([[1.0, 2.0], [2.0, 1.0]]))
     m = PairwiseModel([2, 2], [np.zeros(2), np.zeros(2)], [(0, 1, anti)])
