@@ -2,10 +2,9 @@
 upper bounds, with sentence-lattice and pairwise-model backends."""
 
 from .engine import (CSV_COLUMNS, DominationViolated, EmptyHistory, History,
-                     Metrics, Mode, RatioOutOfRange, RefinementExhausted,
-                     RunResult, StopConfig, TrialRecord, accept_or_reject,
-                     metrics, run, should_stop, step, trial_batch,
-                     write_trial_csv)
+                     Metrics, Mode, RefinementExhausted, RunResult,
+                     StopConfig, TrialRecord, metrics, run, should_stop, step,
+                     trial_batch, write_trial_csv)
 from .ngram import (MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported,
                     ParseError, TokenLattice, build_lattice, keypad_encode,
                     load_arpa, load_vocab)
@@ -28,9 +27,8 @@ __all__ = [
     "Metrics", "Mode", "NGramLM", "NoCandidate", "NoRefinementAvailable",
     "NoUnassignedNode", "OrderUnsupported", "PairwiseModel", "ParseError",
     "PiecewiseProposal", "Policy", "PolicyRefiner", "QAutomaton",
-    "RatioOutOfRange", "RefinementExhausted", "RunResult", "StopConfig",
-    "SubspaceProposal", "TokenLattice", "TrialRecord", "accept_or_reject",
-    "build_lattice", "build_q0",
+    "RefinementExhausted", "RunResult", "StopConfig", "SubspaceProposal",
+    "TokenLattice", "TrialRecord", "build_lattice", "build_q0",
     "enumerate_paths", "ising_grid", "keypad_encode", "load_arpa",
     "load_vocab", "max_spanning_forest", "metrics", "min_norm_refinement",
     "policy_bench", "refine", "report_ngram_counts", "run",

@@ -8,6 +8,11 @@ Sampling may draw a batch of trials from one frozen proposal; the batch is
 then refined once, at its reject with the largest log q - log p (up to
 roundoff).
 
+Domination is exact on the returned logs: every trial needs
+log p(x) <= log q(x) as floats, with no tolerance, and a nan on either side
+is a violation.  Either raises DominationViolated, so an optimization trial
+accepts only at log p(x) == log q(x) and certifies a gap of exactly 0.
+
 Costs are counted in trials: each trial costs 1 and each refinement made by
 step() costs 1, so tau_samp is 1 and tau_ref is the refinement count.  A
 driver that charges refinements otherwise (policy_bench charges bound
@@ -59,11 +64,8 @@ class Mode(enum.Enum):
 
 
 class DominationViolated(RuntimeError):
-    """A trial saw log p(x) > log q(x) + tolerance: the bound is not a bound."""
-
-
-class RatioOutOfRange(ValueError):
-    """Acceptance ratio above 1 + tolerance."""
+    """A trial saw log p(x) > log q(x), or a nan on either side: the bound
+    is not a bound."""
 
 
 class RefinementExhausted(RuntimeError):
@@ -198,25 +200,6 @@ class RunResult:
     certificate_gap_log: float | None
 
 
-def accept_or_reject(mode: Mode, ratio: float,
-                     rng: np.random.Generator) -> bool:
-    """One accept/reject decision on a ratio r = p(x)/q(x).
-
-    Sampling accepts with probability r; optimization accepts iff r is 1:
-    q(x) = p(x) certifies the argmax, and a q above p by a few ulps
-    certifies nothing, so the refiner must tighten it.  trial_batch makes
-    the optimization decision on the logs, since exp rounds a ratio one
-    ulp of log q below 1 up to 1 when |log q| < 0.5.
-    """
-    if ratio > 1.0 + LOG_TOL:
-        raise RatioOutOfRange(f"acceptance ratio {ratio} exceeds 1")
-    if ratio < 0.0:
-        raise RatioOutOfRange(f"acceptance ratio {ratio} is negative")
-    if mode is Mode.SAMPLING:
-        return rng.random() < ratio
-    return ratio >= 1.0
-
-
 def should_stop(history: History, mode: Mode, stop: StopConfig) -> bool:
     if mode is Mode.OPTIMIZATION:
         return bool(history.records) and history.records[-1].accepted
@@ -265,9 +248,10 @@ def trial_batch(mode: Mode, target, proposal, history: History,
     the largest log q - log p, the point to refine at, or None when every
     trial accepted or the batch was cut short.  A later reject displaces
     the current pick only when its gap is larger by more than LOG_TOL, so
-    gaps equal up to roundoff go to the earliest draw.  Raises ValueError
-    when the proposal's mass (in optimization, its maximum) is not finite:
-    nothing can be drawn from it.
+    gaps equal up to roundoff go to the earliest draw; this tie is the only
+    use of LOG_TOL.  Raises DominationViolated unless log p <= log q holds
+    exactly, and ValueError when the proposal's mass (in optimization, its
+    maximum) is not finite: nothing can be drawn from it.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -299,14 +283,17 @@ def trial_batch(mode: Mode, target, proposal, history: History,
                   or should_stop(history, mode, stop)):
             return None
         log_p = target(config)
-        if log_p > log_q + LOG_TOL:
+        # also false when either side is nan
+        if not log_p <= log_q:
+            what = ("log p is nan" if math.isnan(log_p) else
+                    "log q is nan" if math.isnan(log_q) else "log p > log q")
             raise DominationViolated(
-                f"log p {log_p} > log q {log_q} at {config!r}")
+                f"{what}: log p {log_p}, log q {log_q} at {config!r}")
         if mode is Mode.OPTIMIZATION:
+            # the logs are equal: q(x) = p(x) certifies the maximum
             accepted = log_p >= log_q
         else:
-            accepted = accept_or_reject(
-                mode, math.exp(min(0.0, log_p - log_q)), rng)
+            accepted = rng.random() < math.exp(min(0.0, log_p - log_q))
         record = TrialRecord(
             config=config, log_p=log_p, log_q=log_q, accepted=accepted,
             proposal_mass_log=mass)
@@ -370,8 +357,7 @@ def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
                 "trial budget exhausted before the optimum was certified")
         last = history.records[-1]
         argmax = last.config
-        # roundoff can put log q a few ulps under log p; the gap is >= 0
-        certificate = max(0.0, last.log_q - last.log_p)
+        certificate = last.log_q - last.log_p
     return RunResult(mode=mode, samples=samples, argmax=argmax,
                      final_proposal=proposal, history=history,
                      certificate_gap_log=certificate)

@@ -9,8 +9,8 @@ import pytest
 
 from osstar import engine
 from osstar.engine import (
-    EmptyHistory, History, Metrics, Mode, RatioOutOfRange, RefinementExhausted,
-    LOG_TOL, StopConfig, TrialRecord, accept_or_reject, metrics, run,
+    DominationViolated, EmptyHistory, History, Metrics, Mode,
+    RefinementExhausted, LOG_TOL, StopConfig, TrialRecord, metrics, run,
     should_stop, trial_batch,
 )
 
@@ -62,12 +62,6 @@ def test_optimization_snap_refiner_certificate():
     assert [r.accepted for r in result.history.records] == [False, True]
 
 
-def test_optimization_accept_requires_ratio_one_by_default():
-    rng = np.random.default_rng(0)
-    assert not accept_or_reject(Mode.OPTIMIZATION, 0.999999, rng)
-    assert accept_or_reject(Mode.OPTIMIZATION, 1.0, rng)
-
-
 def test_optimization_rejects_q_one_ulp_above_p_near_log_one():
     # for |log q| < 0.5, exp of minus one ulp of log q rounds to 1, so only
     # a comparison of the logs sees that q(x) is above p(x)
@@ -87,19 +81,37 @@ def test_optimization_rejects_q_one_ulp_above_p_near_log_one():
     assert result.certificate_gap_log == 0.0
 
 
-def test_ratio_out_of_range():
-    rng = np.random.default_rng(0)
-    with pytest.raises(RatioOutOfRange):
-        accept_or_reject(Mode.SAMPLING, 1.001, rng)
-    # tolerance just above 1 is allowed (float fuzz)
-    assert accept_or_reject(Mode.OPTIMIZATION, 1.0 + 5e-10, rng)
+class FixedDraw:
+    """Every draw and the argmax are `config` with the same log q."""
+
+    def __init__(self, config, log_q):
+        self.config, self.log_q = config, log_q
+
+    def draw(self, rng):
+        return self.config, self.log_q
+
+    def argmax(self):
+        return self.config, self.log_q
+
+    def mass_log(self) -> float:
+        return 0.0
+
+
+class KeepRefiner:
+    """Hands back the proposal unchanged."""
+
+    def refine(self, proposal, config, log_p, log_q):
+        return proposal
 
 
 def test_sampling_accept_probability_matches_ratio():
-    rng = np.random.default_rng(42)
     n = 200_000
-    hits = sum(accept_or_reject(Mode.SAMPLING, 0.3, rng) for _ in range(n))
-    assert abs(hits / n - 0.3) < 0.01
+    history = History()
+    trial_batch(Mode.SAMPLING, TableTarget({("a",): math.log(0.3)}),
+                FixedDraw(("a",), 0.0), history, StopConfig(ar_threshold=1.1),
+                np.random.default_rng(42), batch=n)
+    assert history.trial_count == n
+    assert abs(history.accept_count / n - 0.3) < 0.01
 
 
 def test_domination_violation_detected():
@@ -108,6 +120,28 @@ def test_domination_violation_detected():
     with pytest.raises(engine.DominationViolated):
         run(Mode.SAMPLING, target, proposal, None,
             StopConfig(max_trials=10), seed=0)
+
+
+ONE_ULP_ABOVE = math.nextafter(-0.3, math.inf)
+
+
+@pytest.mark.parametrize("mode, log_p, log_q, what", [
+    (Mode.SAMPLING, math.nan, 0.0, "log p is nan"),
+    (Mode.OPTIMIZATION, math.nan, 0.0, "log p is nan"),
+    (Mode.SAMPLING, 0.0, math.nan, "log q is nan"),
+    (Mode.SAMPLING, ONE_ULP_ABOVE, -0.3, "log p > log q"),
+    (Mode.OPTIMIZATION, ONE_ULP_ABOVE, -0.3, "log p > log q"),
+])
+def test_domination_is_exact_and_nan_violates_it(mode, log_p, log_q, what):
+    # A p one ulp above q is neither an exact sample nor a certified
+    # maximum.  Every comparison with a nan is false, so a check of
+    # log p > log q would pass a nan: exp(min(0, nan)) is a ratio of 1, and
+    # in optimization a nan log p rejects until the refinement budget runs
+    # out.
+    stop = StopConfig(ar_threshold=1.1, max_trials=50, max_refinements=5)
+    with pytest.raises(DominationViolated, match=what):
+        run(mode, TableTarget({("a",): log_p}), FixedDraw(("a",), log_q),
+            KeepRefiner(), stop, seed=0)
 
 
 def test_refinement_budget_error():

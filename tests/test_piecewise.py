@@ -603,6 +603,62 @@ def test_every_refinement_dominates_and_never_grows(m, seed):
                               max_trials=300), seed, on_refine=audit)
 
 
+def cdf_pick_probabilities(cdf):
+    """Probability of each index under searchsorted(cdf, u * cdf[-1],
+    side="right") with u uniform on [0, 1)."""
+    return np.diff(cdf, prepend=0.0) / cdf[-1]
+
+
+def node_pick_probabilities(leaf):
+    """{(node, parent value or None at a root): pick probability of each
+    value}, from the CDF that SubspaceProposal.sample draws by."""
+    beta = leaf.beta("sum")
+    out = {}
+    for j in leaf.forest.order:
+        p = leaf.forest.parent[j]
+        for key in [None] if p is None else range(leaf.model.domains[p]):
+            logits = (beta[j] if p is None else
+                      beta[j] + leaf._edge_to_parent(j).T[key])
+            out[j, key] = cdf_pick_probabilities(
+                np.cumsum(np.exp(logits - logits.max())))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(enumerable_models(), st.integers(0, 2**16))
+def test_every_refinement_keeps_the_grid_law_exact(m, seed):
+    """After each refinement of a sampling run, under every policy and norm,
+    with and without retree: a draw picks each leaf with probability
+    Q(leaf) / Q(X), and within its leaf each configuration x with
+    probability q(x) / Q(leaf), node by node down the leaf's forest."""
+    cfgs = all_configs(m)
+    variants = [(policy, None) for policy in Policy] + \
+        [(Policy.MAX_SLACK, "sum"), (Policy.MAX_SLACK, "max")]
+    for (policy, norm), retree in itertools.product(variants, (False, True)):
+        pw = PiecewiseProposal(m, retree=retree)
+
+        def audit(proposal):
+            _, masses, total, cdf = proposal._tables()
+            for prob, mass in zip(cdf_pick_probabilities(cdf), masses):
+                assert abs(prob - math.exp(mass - total)) <= 1e-9
+            picks = {lid: node_pick_probabilities(leaf)
+                     for lid, leaf in proposal.leaves.items()}
+            for x in cfgs:
+                lid = proposal.leaf_of(x)
+                leaf = proposal.leaves[lid]
+                prob = 1.0
+                for j in leaf.forest.order:
+                    p = leaf.forest.parent[j]
+                    prob *= picks[lid][j, None if p is None else x[p]][x[j]]
+                want = math.exp(leaf.score(x) - leaf.mass_log())
+                assert abs(prob - want) <= 1e-9, (policy, norm, retree)
+
+        engine.run(Mode.SAMPLING, m.log_p, pw,
+                   PolicyRefiner(pw, policy, seed=seed, norm=norm),
+                   StopConfig(ar_window=30, ar_threshold=1.0,
+                              max_trials=300), seed, on_refine=audit)
+
+
 def assert_leaves_match_fresh_builds(m, proposal):
     """Every computed pass of every leaf (beta and messages, node by node)
     and every leaf's argmax equal those of a full build of the same leaf."""
