@@ -189,18 +189,17 @@ class QAutomaton:
         self.table_builds += 1
         return cached
 
-    def _draw_table(self, i: int, row: int):
-        """(CDF over the sorted words, its total) of state `row` at layer i,
-        built from its vals row and memoised until that layer's sum beta
-        is rebuilt.  Called on a memo miss only."""
+    def _draw_table(self, i: int, row: int) -> list[float]:
+        """CDF over the sorted words of state `row` at layer i, built from
+        its vals row and memoised until that layer's sum beta is rebuilt.
+        Called on a memo miss only."""
         vrow = self._vals["sum"][i][row].tolist()
         logits = [vrow[j] for j in self.contexts[i].perm]
         m = max(logits)
         # math.exp, not np.exp: the two can differ in the last bit, and a
         # changed CDF bit can change a draw of a fixed seed
-        probs = [math.exp(l - m) for l in logits]
-        got = self._memo["sum"][i][row] = (list(itertools.accumulate(probs)),
-                                           sum(probs))
+        got = self._memo["sum"][i][row] = list(itertools.accumulate(
+            math.exp(l - m) for l in logits))
         return got
 
     def _best_col(self, i: int, row: int) -> int:
@@ -372,14 +371,13 @@ def sample_path(q: QAutomaton, rng: np.random.Generator):
     row = 0
     for i in range(q.length):
         layer = q.contexts[i]
-        table = memo[i].get(row)
-        if table is None:
-            table = q._draw_table(i, row)
-        cdf, mass = table
-        # the first CDF entry above r; r at or past the last entry (by
-        # roundoff against the total) takes the last word
-        pick = bisect.bisect_right(cdf, rng.random() * mass)
-        j = layer.perm[min(pick, len(cdf) - 1)]
+        cdf = memo[i].get(row)
+        if cdf is None:
+            cdf = q._draw_table(i, row)
+        # the top word adds exp(0) = 1, so cdf[-1] >= 1 and a uniform
+        # u < 1 gives r = u * cdf[-1] < cdf[-1]: the first entry above r
+        # exists and rises there, so its word has nonzero probability
+        j = layer.perm[bisect.bisect_right(cdf, rng.random() * cdf[-1])]
         words.append(layer.words[j])
         total += layer.weight.item(row, j)
         row = layer.dest.item(row, j)

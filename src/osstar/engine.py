@@ -9,9 +9,11 @@ then refined once, at its reject with the largest log q - log p (up to
 roundoff).
 
 Domination is exact on the returned logs: every trial needs
-log p(x) <= log q(x) as floats, with no tolerance, and a nan on either side
-is a violation.  Either raises DominationViolated, so an optimization trial
-accepts only at log p(x) == log q(x) and certifies a gap of exactly 0.
+log p(x) <= log q(x) as floats, with no tolerance, and a finite log q(x), as
+q draws no point of zero mass.  A nan on either side is a violation too.
+Each raises DominationViolated, so an optimization trial accepts only at
+log p(x) == log q(x) and certifies a gap of exactly 0; a point of finite
+log q and log p = -inf is a plain reject.
 
 Costs are counted in trials: each trial costs 1 and each refinement made by
 step() costs 1, so tau_samp is 1 and tau_ref is the refinement count.  A
@@ -64,8 +66,8 @@ class Mode(enum.Enum):
 
 
 class DominationViolated(RuntimeError):
-    """A trial saw log p(x) > log q(x), or a nan on either side: the bound
-    is not a bound."""
+    """A trial saw log p(x) > log q(x), a nan on either side or a log q(x)
+    that is not finite: the bound is not a bound."""
 
 
 class RefinementExhausted(RuntimeError):
@@ -208,14 +210,14 @@ def should_stop(history: History, mode: Mode, stop: StopConfig) -> bool:
     return history.ar_window(stop.ar_window) >= stop.ar_threshold
 
 
-def metrics(history: History, current_mass_log: float, n: int = 1) -> Metrics:
+def metrics(history: History, current_mass_log: float) -> Metrics:
     """Estimators over all trials so far, read off the history's totals.
 
     Z_hat averages r_t * Q_t(X) over trials (unbiased for the target mass);
     pi_hat = Z_hat / Q_now(X) predicts the acceptance rate of the current
-    proposal; tau_tot_est = n * tau_samp / pi_hat + tau_ref estimates the
-    total cost of obtaining n more exact samples if refinement stops now.
-    Costs are in trials, so tau_samp is 1.
+    proposal; tau_tot_est = tau_samp / pi_hat + tau_ref estimates the total
+    cost of obtaining one more exact sample if refinement stops now.  Costs
+    are in trials, so tau_samp is 1.
     """
     if not history.records:
         raise EmptyHistory("no trials recorded")
@@ -224,7 +226,7 @@ def metrics(history: History, current_mass_log: float, n: int = 1) -> Metrics:
     tau_samp = 1.0
     tau_ref = history.refine_cost_total
     # nan when a trial recorded no mass
-    tau_tot = math.inf if pi_hat == 0 else n * tau_samp / pi_hat + tau_ref
+    tau_tot = math.inf if pi_hat == 0 else tau_samp / pi_hat + tau_ref
     return Metrics(
         z_hat_log=z_hat_log,
         pi_hat=pi_hat,
@@ -250,8 +252,8 @@ def trial_batch(mode: Mode, target, proposal, history: History,
     the current pick only when its gap is larger by more than LOG_TOL, so
     gaps equal up to roundoff go to the earliest draw; this tie is the only
     use of LOG_TOL.  Raises DominationViolated unless log p <= log q holds
-    exactly, and ValueError when the proposal's mass (in optimization, its
-    maximum) is not finite: nothing can be drawn from it.
+    exactly with log q finite, and ValueError when the proposal's mass (in
+    optimization, its maximum) is not finite: nothing can be drawn from it.
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
@@ -283,10 +285,11 @@ def trial_batch(mode: Mode, target, proposal, history: History,
                   or should_stop(history, mode, stop)):
             return None
         log_p = target(config)
-        # also false when either side is nan
-        if not log_p <= log_q:
+        # the comparison is also false when either side is nan
+        if not (log_p <= log_q and math.isfinite(log_q)):
             what = ("log p is nan" if math.isnan(log_p) else
-                    "log q is nan" if math.isnan(log_q) else "log p > log q")
+                    f"log q is {log_q}" if not math.isfinite(log_q) else
+                    "log p > log q")
             raise DominationViolated(
                 f"{what}: log p {log_p}, log q {log_q} at {config!r}")
         if mode is Mode.OPTIMIZATION:

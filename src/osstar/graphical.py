@@ -198,19 +198,23 @@ class Forest:
     edge_ids: frozenset[int]  # the values of edge_of
 
     def without(self, node: int) -> "Forest":
-        """The forest after deleting one node: its children become roots."""
+        """The forest after deleting one node: its children become roots.
+        Only the children list of node's parent changes; every other list
+        is shared, as a forest is never mutated once built."""
         if node not in self.parent:
             raise KeyError(f"node {node} not in forest")
-        parent = {j: p for j, p in self.parent.items() if j != node}
-        children = {j: [c for c in cs if c != node]
-                    for j, cs in self.children.items() if j != node}
-        edge_of = {j: e for j, e in self.edge_of.items() if j != node}
-        roots = [r for r in self.roots if r != node]
-        for c in self.children[node]:
+        parent, children = dict(self.parent), dict(self.children)
+        edge_of = dict(self.edge_of)
+        up = parent.pop(node)
+        edge_of.pop(node, None)
+        kids = children.pop(node)
+        if up is not None:
+            children[up] = [c for c in children[up] if c != node]
+        for c in kids:
             parent[c] = None
-            edge_of.pop(c, None)
-            roots.append(c)
-        return _rooted(sorted(roots), parent, children, edge_of)
+            del edge_of[c]
+        roots = sorted([r for r in self.roots if r != node] + kids)
+        return _rooted(roots, parent, children, edge_of)
 
 
 def _rooted(roots, parent, children, edge_of) -> Forest:
@@ -370,38 +374,29 @@ class SubspaceProposal:
         e = self.model.edges[self.forest.edge_of[child]]
         return e.log_phi if e.u == child else e.log_phi.T
 
-    def _pass(self, semiring: str, clamps=None,
-              msg: dict | None = None) -> dict[int, np.ndarray]:
-        """Backward pass in the semiring: beta per node, and into msg (when
-        given) each non-root node's message to its parent.  A clamped node
-        is masked to its pinned value before its children's messages are
-        added: that only removes candidates from max reductions, so every
-        surviving assignment accumulates exactly the floats of the
-        unclamped pass.  An unclamped pass takes the parent leaf's beta and
-        message outside the changed set when the parent had computed that
-        pass."""
+    def _pass(self, semiring: str, eff: dict[int, np.ndarray],
+              base: tuple | None) -> tuple[dict, dict]:
+        """Backward pass in the semiring over the unaries eff: (beta per
+        node, each non-root node's message to its parent).  base is the
+        parent leaf's (beta, messages) in this semiring, read outside the
+        changed set, or None to compute every node."""
         reduce = _REDUCE[semiring]
-        base = None if clamps else self._base[semiring]
-        msg = {} if msg is None else msg
         parent = self.forest.parent
         beta: dict[int, np.ndarray] = {}
+        msg: dict[int, np.ndarray] = {}
         for j in reversed(self.forest.order):
             if base is not None and j not in self._changed:
                 beta[j] = base[0][j]
                 if parent[j] is not None:
                     msg[j] = base[1][j]
                 continue
-            b = self.eff[j]
-            if clamps and j in clamps:
-                mask = np.full(len(b), -np.inf)
-                mask[clamps[j]] = 0.0
-                b = b + mask
+            b = eff[j]
             for c in self.forest.children[j]:
                 b = b + msg[c]
             beta[j] = b
             if parent[j] is not None:
                 msg[j] = reduce(b[:, None] + self._edge_to_parent(j), axis=0)
-        return beta
+        return beta, msg
 
     def _fold(self, semiring: str, beta: dict[int, np.ndarray]) -> float:
         """const plus each root's reduced beta, in root order."""
@@ -412,9 +407,8 @@ class SubspaceProposal:
 
     def beta(self, semiring: str) -> dict[int, np.ndarray]:
         if self._beta[semiring] is None:
-            self._msg[semiring] = {}
-            self._beta[semiring] = self._pass(semiring,
-                                              msg=self._msg[semiring])
+            self._beta[semiring], self._msg[semiring] = self._pass(
+                semiring, self.eff, self._base[semiring])
             self._base[semiring] = None
         return self._beta[semiring]
 
@@ -508,9 +502,17 @@ class SubspaceProposal:
 
     def _max_log_clamped(self, clamps: dict[int, int]) -> float:
         """Forest max with some free nodes pinned to fixed values; serves
-        only _argmax_clamped, the near-tie fallback of argmax.  Equality
-        against the unclamped max is exact (see _pass)."""
-        return self._fold("max", self._pass("max", clamps))
+        only _argmax_clamped, the near-tie fallback of argmax.  A pinned
+        node's unary is masked to its value before its children's messages
+        are added: that only removes candidates from max reductions, so
+        every surviving assignment accumulates exactly the floats of the
+        unclamped pass, and equality against the unclamped max is exact."""
+        eff = dict(self.eff)
+        for j, v in clamps.items():
+            mask = np.full(len(eff[j]), -np.inf)
+            mask[v] = 0.0
+            eff[j] = eff[j] + mask
+        return self._fold("max", self._pass("max", eff, None)[0])
 
     def _argmax_clamped(self) -> dict[int, int]:
         """Free-node values of the lexicographically smallest maximizer:
@@ -552,6 +554,3 @@ class SubspaceProposal:
             values = self._argmax_clamped()
         config = self._full(values)
         return config, self.score(config)
-
-    def draw(self, rng: np.random.Generator):
-        return self.sample(rng)

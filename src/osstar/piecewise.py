@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,17 +79,12 @@ class PiecewiseProposal:
             self._tables_cache = (ids, masses, total, np.cumsum(probs))
         return self._tables_cache
 
-    def _maxes(self):
-        """Max-semiring table: (leaf ids, leaf log maxima), a gather of the
-        leaves' cached scalars; builds no leaf's sum pass."""
-        return list(self.leaves), np.array(
-            [leaf.max_log() for leaf in self.leaves.values()])
-
     def mass_log(self) -> float:
         return self._tables()[2]
 
     def max_log(self) -> float:
-        return float(self._maxes()[1].max())
+        """The largest leaf's cached max; builds no leaf's sum pass."""
+        return max(leaf.max_log() for leaf in self.leaves.values())
 
     def leaf_of(self, config) -> int:
         for lid, leaf in self.leaves.items():
@@ -138,16 +134,11 @@ class PiecewiseProposal:
 
     def argmax(self):
         """Global maximizer; exact cross-leaf ties resolve to the
-        lexicographically smallest configuration."""
-        ids, maxes = self._maxes()
-        top = float(maxes.max())
-        best = None
-        for k, lid in enumerate(ids):
-            if maxes[k] == top:
-                cand = self.leaves[lid].argmax()
-                if best is None or cand[0] < best[0]:
-                    best = cand
-        return best
+        lexicographically smallest configuration (leaves' configurations
+        differ, so the comparison never reaches the scores)."""
+        top = self.max_log()
+        return min(leaf.argmax() for leaf in self.leaves.values()
+                   if leaf.max_log() == top)
 
     # -- refinement ----------------------------------------------------------
 
@@ -233,6 +224,17 @@ class ImprovementQueue:
                       and node not in self.proposal.leaves[lid].assigned)
 
 
+def _rejected_leaf(proposal: PiecewiseProposal,
+                   config) -> tuple[int, SubspaceProposal]:
+    """The id and bound of the leaf holding a rejected configuration;
+    raises NoUnassignedNode when that leaf has no free node."""
+    lid = proposal.leaf_of(config)
+    leaf = proposal.leaves[lid]
+    if not leaf.free:
+        raise NoUnassignedNode(f"subspace {lid} is fully assigned")
+    return lid, leaf
+
+
 def select_refinement(proposal: PiecewiseProposal, policy: Policy,
                       reject_config, rng: np.random.Generator,
                       queue: ImprovementQueue | None = None):
@@ -243,18 +245,14 @@ def select_refinement(proposal: PiecewiseProposal, policy: Policy,
             raise ValueError("queue policy needs an ImprovementQueue")
         return queue.pop()
     if policy is Policy.MASS_LEAF:
-        best_lid, best_mass = None, -math.inf
-        for lid, leaf in proposal.leaves.items():
-            if leaf.free and leaf.mass_log() > best_mass:
-                best_lid, best_mass = lid, leaf.mass_log()
-        if best_lid is None:
+        # the first refinable leaf of largest mass in id order
+        lid = max((lid for lid, leaf in proposal.leaves.items() if leaf.free),
+                  key=lambda i: proposal.leaves[i].mass_log(), default=None)
+        if lid is None:
             raise NoUnassignedNode("every subspace is fully assigned")
-        free = proposal.leaves[best_lid].free
-        return best_lid, free[int(rng.integers(len(free)))]
-    lid = proposal.leaf_of(reject_config)
-    leaf = proposal.leaves[lid]
-    if not leaf.free:
-        raise NoUnassignedNode(f"subspace {lid} is fully assigned")
+        free = proposal.leaves[lid].free
+        return lid, free[int(rng.integers(len(free)))]
+    lid, leaf = _rejected_leaf(proposal, reject_config)
     if policy is Policy.RANDOM_NODE:
         return lid, leaf.free[int(rng.integers(len(leaf.free)))]
     # MAX_SLACK: where does the bound overshoot this configuration most
@@ -275,17 +273,12 @@ def min_norm_refinement(proposal: PiecewiseProposal, reject_config,
     """
     if norm not in ("sum", "max"):
         raise ValueError(f"norm must be 'sum' or 'max', got {norm!r}")
-    lid = proposal.leaf_of(reject_config)
-    leaf = proposal.leaves[lid]
-    if not leaf.free:
-        raise NoUnassignedNode(f"subspace {lid} is fully assigned")
-    ids, values = (proposal._tables()[:2] if norm == "sum"
-                   else proposal._maxes())
-    rest = [values[k] for k, i in enumerate(ids) if i != lid]
+    lid, leaf = _rejected_leaf(proposal, reject_config)
+    value = operator.methodcaller("mass_log" if norm == "sum" else "max_log")
+    rest = [value(other) for i, other in proposal.leaves.items() if i != lid]
     best_node, best_val = None, math.inf
     for j in leaf.free:
-        vals = [c.mass_log() if norm == "sum" else c.max_log()
-                for c in proposal._split(leaf, j)]
+        vals = [value(c) for c in proposal._split(leaf, j)]
         total = (float(np.logaddexp.reduce(rest + vals)) if norm == "sum"
                  else max(rest + vals))
         if total < best_val:

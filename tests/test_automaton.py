@@ -1,7 +1,9 @@
 """Proposal-automaton tests against path enumeration oracles."""
 
 import collections
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -11,11 +13,12 @@ from osstar import automaton as am
 from osstar import engine
 from osstar.engine import Mode, StopConfig
 from osstar.graphical import PairwiseModel, SubspaceProposal
-from osstar.ngram import (MaxBackoffTables, build_lattice, load_arpa,
-                          load_vocab)
+from osstar.ngram import (MaxBackoffTables, TokenLattice, build_lattice,
+                          load_arpa, load_vocab)
 from osstar.piecewise import PiecewiseProposal
 
 from lm_fixtures import synthetic_instance
+from test_graphical import TopRng
 from test_ngram import DATA, TINY_ARPA
 
 
@@ -418,7 +421,9 @@ def oracle_sample_path(view, beta, rng):
         logits = [edges[w][0] + beta[i + 1][edges[w][1]] for w in order]
         m = max(logits)
         probs = [math.exp(l - m) for l in logits]
-        r = rng.random() * sum(probs)
+        # scaled by the left-to-right total, not the compensated sum() of
+        # Python 3.12 on
+        r = rng.random() * functools.reduce(operator.add, probs)
         acc = 0.0
         pick = len(order) - 1
         for j, p in enumerate(probs):
@@ -562,13 +567,11 @@ def pick_probability(q, x):
     prob, row = 1.0, 0
     for i, w in enumerate(x):
         layer = q.contexts[i]
-        cdf, mass = (q._memo["sum"][i].get(row)
-                     or q._draw_table(i, row))
+        cdf = q._memo["sum"][i].get(row) or q._draw_table(i, row)
         k = layer.perm.index(layer.col[w])
         lo = cdf[k - 1] if k else 0.0
-        # r = u * mass with u in [0, 1): the last word also takes r >= cdf
-        hi = cdf[k] if k < len(cdf) - 1 else mass
-        prob *= (hi - lo) / mass
+        # r = u * cdf[-1] with u in [0, 1)
+        prob *= (cdf[k] - lo) / cdf[-1]
         row = layer.dest.item(row, layer.col[w])
     return prob
 
@@ -695,6 +698,29 @@ def refined_sms24(trials=60):
     engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(),
                StopConfig(ar_threshold=1.1, max_trials=trials), 0)
     return q, target
+
+
+# TINY_ARPA plus a word z of probability zero in every context
+ZERO_Z_ARPA = (TINY_ARPA.replace("ngram 1=2", "ngram 1=3")
+               .replace("-0.7\tb\t-0.1\n", "-0.7\tb\t-0.1\n-inf\tz\n"))
+
+
+def test_top_uniform_draws_no_word_of_zero_probability():
+    # z sorts last, so a uniform scaled past the CDF's last entry would
+    # take it; drawn at q0 and after each of a few refinements
+    lm = load_arpa(ZERO_Z_ARPA)
+    lattice = TokenLattice(["2", "2", "9", "2"],
+                           [[("a", -0.1), ("b", -0.2), ("z", 0.0)]] * 4)
+    target = am.HmmTarget(lm, lattice)
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    for _ in range(4):
+        words, log_q = am.sample_path(q, TopRng())
+        assert "z" not in words
+        assert -math.inf < target(words) <= log_q
+        try:
+            am.refine(q, words)
+        except am.NoRefinementAvailable:
+            break
 
 
 def test_refinement_at_i_keeps_every_layer_above_i():

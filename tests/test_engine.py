@@ -131,6 +131,8 @@ ONE_ULP_ABOVE = math.nextafter(-0.3, math.inf)
     (Mode.SAMPLING, 0.0, math.nan, "log q is nan"),
     (Mode.SAMPLING, ONE_ULP_ABOVE, -0.3, "log p > log q"),
     (Mode.OPTIMIZATION, ONE_ULP_ABOVE, -0.3, "log p > log q"),
+    # a point of zero q mass: exp(min(0, -inf - -inf)) would be a ratio of 1
+    (Mode.SAMPLING, -math.inf, -math.inf, "log q is -inf"),
 ])
 def test_domination_is_exact_and_nan_violates_it(mode, log_p, log_q, what):
     # A p one ulp above q is neither an exact sample nor a certified
@@ -142,6 +144,14 @@ def test_domination_is_exact_and_nan_violates_it(mode, log_p, log_q, what):
     with pytest.raises(DominationViolated, match=what):
         run(mode, TableTarget({("a",): log_p}), FixedDraw(("a",), log_q),
             KeepRefiner(), stop, seed=0)
+
+
+def test_zero_p_draw_of_finite_q_rejects():
+    res = run(Mode.SAMPLING, TableTarget({("a",): -math.inf}),
+              FixedDraw(("a",), 0.0), None,
+              StopConfig(ar_threshold=1.1, max_trials=20), seed=0)
+    assert res.history.trial_count == 20
+    assert res.history.accept_count == 0
 
 
 def test_refinement_budget_error():
@@ -218,12 +228,12 @@ def test_single_trial_z_hat():
 
 
 def test_tau_tot_arithmetic():
-    # n=1, tau_samp=1 trial, pi_hat=0.1, tau_ref=3 -> 13 trials.
+    # one more sample: tau_samp=1 trial, pi_hat=0.1, tau_ref=3 -> 13 trials.
     h = History()
     # one trial with ratio 0.1 against mass 1.0 => pi_hat = 0.1
     h.append(TrialRecord(("x",), math.log(0.1), 0.0, False, 0.0))
     h.add_refinement(3.0)
-    m = metrics(h, 0.0, n=1)
+    m = metrics(h, 0.0)
     assert math.isclose(m.pi_hat, 0.1, rel_tol=1e-12)
     assert m.tau_samp == 1.0
     assert math.isclose(m.tau_tot_est, 13.0, rel_tol=1e-12)

@@ -250,6 +250,48 @@ def test_forest_without_node():
     assert 4 not in g.parent and 4 not in g.children
 
 
+def reference_without(f, node):
+    """Forest.without by comprehensions: fresh copies of every list, and
+    the preorder of the sorted roots walked again."""
+    parent = {j: p for j, p in f.parent.items() if j != node}
+    children = {j: [c for c in cs if c != node]
+                for j, cs in f.children.items() if j != node}
+    edge_of = {j: e for j, e in f.edge_of.items() if j != node}
+    roots = [r for r in f.roots if r != node]
+    for c in f.children[node]:
+        parent[c] = None
+        edge_of.pop(c, None)
+        roots.append(c)
+    roots.sort()
+    order = []
+    for r in roots:
+        stack = [r]
+        while stack:
+            j = stack.pop()
+            order.append(j)
+            stack.extend(sorted(children[j], reverse=True))
+    return roots, parent, children, edge_of, order
+
+
+@pytest.mark.parametrize("shape,seed", [((3, 3), 9), ((4, 5), 1),
+                                        ((5, 5), 0), ((6, 4), 3)])
+def test_forest_without_matches_the_comprehensions(shape, seed):
+    m = ising_grid(*shape, sigma=0.5, seed=seed)
+    full = max_spanning_forest(m, range(m.n_nodes))
+    # every node of the full forest, then every node of one split of it,
+    # whose lists are shared with the full forest's
+    cases = [(full, k) for k in full.order]
+    half = full.without(full.order[len(full.order) // 2])
+    cases += [(half, k) for k in half.order]
+    for f, k in cases:
+        g = f.without(k)
+        roots, parent, children, edge_of, order = reference_without(f, k)
+        assert g.order == order and g.roots == roots
+        assert g.parent == parent and g.children == children
+        assert g.edge_of == edge_of
+        assert g.edge_ids == frozenset(edge_of.values())
+
+
 def reference_forest(model, free):
     """The quadratic Prim scan: per component from its smallest free node,
     rescan every tree node's edges for the crossing edge of largest

@@ -667,8 +667,7 @@ def assert_leaves_match_fresh_builds(m, proposal):
         for semiring in ("sum", "max"):
             if leaf._beta[semiring] is None:
                 continue
-            msg = {}
-            want = fresh._pass(semiring, msg=msg)
+            want, msg = fresh._pass(semiring, fresh.eff, None)
             got = leaf.beta(semiring)
             assert got.keys() == want.keys() and \
                 leaf._msg[semiring].keys() == msg.keys()
