@@ -34,19 +34,19 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
 from .engine import tie_tolerance
-from .ngram import MaxBackoffTables, NGramLM, NoCandidate, TokenLattice
+from .ngram import (MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported,
+                    TokenLattice)
 
 
 class NoRefinementAvailable(RuntimeError):
     """The rejected path already scores exactly its target probability."""
 
 
-class Layer(Mapping):
+class Layer:
     """One position of the automaton as dense arrays.
 
     Row r is the state ctxs[r]; column j is the candidate word words[j].
@@ -54,7 +54,7 @@ class Layer(Mapping):
     the n-gram order of its bound and its destination row in the next
     layer.  `perm` lists the columns in sorted-word order (the tie and draw
     order) and `ending[s]` the rows whose context ends with s, every suffix
-    s included.  As a mapping, context -> that state's weight row.
+    s included.
     """
 
     def __init__(self, words, weights):
@@ -70,17 +70,14 @@ class Layer(Mapping):
         self.order = np.ones((1, n), dtype=np.int64)
         self.dest = np.zeros((1, n), dtype=np.intp)
 
+    # perfbench's size record (workloads._record_size) counts states as
+    # len(layer) and edges as the lengths of layer.values()
     def __len__(self) -> int:
         return len(self.ctxs)
 
-    def __iter__(self):
-        return iter(self.ctxs)
-
-    def __contains__(self, ctx) -> bool:
-        return ctx in self.rows
-
-    def __getitem__(self, ctx) -> np.ndarray:
-        return self.weight[self.rows[ctx]]
+    def values(self) -> np.ndarray:
+        """The weight rows, one per state."""
+        return self.weight
 
     def append(self, ctx: tuple, weight, order, dest) -> int:
         """Add state ctx with the given edge rows; returns its row."""
@@ -114,6 +111,8 @@ class HmmTarget:
         self.lm = lm
         self.lattice = lattice
         self.order = lm.order if order is None else min(order, lm.order)
+        if self.order < 1:
+            raise OrderUnsupported("order cap must be >= 1")
         self._pobs = [dict(col) for col in lattice.candidates]
 
     def __call__(self, words: tuple) -> float:
@@ -326,10 +325,10 @@ def _forward_max(q: QAutomaton, i: int, row: int, total: float) -> float:
     """Largest left-to-right total of a path whose words before position i
     sum to `total` and lead to state `row` of layer i: one forward
     max-plus pass.  Float addition is monotone, so the pass is exact."""
-    alpha = np.full(len(q.contexts[i]), -np.inf)
+    alpha = np.full(len(q.contexts[i].ctxs), -np.inf)
     alpha[row] = total
     for layer, nxt in zip(q.contexts[i:q.length], q.contexts[i + 1:]):
-        out = np.full(len(nxt), -np.inf)
+        out = np.full(len(nxt.ctxs), -np.inf)
         np.maximum.at(out, layer.dest, alpha[:, None] + layer.weight)
         alpha = out
     return float(alpha[0])
@@ -439,10 +438,11 @@ def refine(q: QAutomaton, rejected: tuple, *,
     Default selection picks the position with the largest one-order gap
     between the current edge bound and the next deeper bound (leftmost on
     ties), then deepens that edge until its weight strictly drops; in the
-    common case that is a single new context weight.  If every one-order
-    gap is zero, the leftmost position with slack is deepened instead: an
-    edge weight above p's term there by more than 1e-12, or by any amount
-    when no such edge is left.
+    common case that is a single new context weight.  A one-order gap
+    counts only above 1e-12: a smaller one is roundoff, and the edge may
+    have no slack at all.  If no gap counts, the leftmost position with
+    slack is deepened instead: an edge weight above p's term there by more
+    than 1e-12, or by any amount when no such edge is left.
 
     norm="sum" or norm="max" replaces that cheap pointwise selection with
     the exhaustive criterion: every position with slack is deepened on a
@@ -460,10 +460,11 @@ def refine(q: QAutomaton, rejected: tuple, *,
     rows = (q._descent[1] if q._descent and q._descent[0] == rejected
             else q.path_rows(rejected))
     # one scan of the positions whose edge on the path is below full order:
-    # each such edge's weight, and the largest one-order gap (leftmost on
-    # ties)
+    # each such edge's weight, and the largest one-order gap above 1e-12
+    # (leftmost on ties); a smaller gap is roundoff, possibly on an edge
+    # with no slack
     sites = []
-    best_i, best_gap = None, 0.0
+    best_i, best_gap = None, 1e-12
     for i, (w, row) in enumerate(zip(rejected, rows)):
         layer = q.contexts[i]
         j = layer.col[w]

@@ -164,6 +164,8 @@ def ising_grid(rows: int, cols: int, sigma: float = 0.5,
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid must be at least 1x1")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
     rng = np.random.default_rng(seed)
     n = rows * cols
     h = rng.normal(0.0, sigma, size=n)

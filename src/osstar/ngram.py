@@ -81,10 +81,6 @@ class NGramLM:
         self._cond_cache[key] = value
         return value
 
-    def conditional_mass(self, context: tuple) -> float:
-        """Sum of p(w|context) over the full vocabulary (validity check)."""
-        return sum(math.exp(self.cond_logprob(w, context)) for w in self.vocab)
-
 
 def load_arpa(text: str) -> NGramLM:
     """Parse ARPA-format text (log10 weights) into an NGramLM (natural log)."""

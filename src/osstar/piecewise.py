@@ -95,21 +95,6 @@ class PiecewiseProposal:
     def score(self, config) -> float:
         return self.leaves[self.leaf_of(config)].score(config)
 
-    def score_all(self, configs: np.ndarray) -> np.ndarray:
-        """q over many configs at once; verifies the partition en passant."""
-        configs = np.asarray(configs)
-        out = np.full(len(configs), np.nan)
-        for leaf in self.leaves.values():
-            mask = np.ones(len(configs), dtype=bool)
-            for j, v in leaf.assigned.items():
-                mask &= configs[:, j] == v
-            mask &= np.isnan(out)
-            if mask.any():
-                out[mask] = leaf.score_many(configs[mask])
-        if np.isnan(out).any():
-            raise AssertionError("subspaces do not cover the space")
-        return out
-
     # -- proposal interface --------------------------------------------------
 
     def draw(self, rng: np.random.Generator):
@@ -217,11 +202,6 @@ class ImprovementQueue:
             if leaf is not None and node not in leaf.assigned:
                 return lid, node
         raise NoUnassignedNode("improvement queue is empty")
-
-    def active_triples(self) -> list[tuple[float, int, int]]:
-        return sorted((-neg, lid, node) for neg, lid, node in self.heap
-                      if lid in self.proposal.leaves
-                      and node not in self.proposal.leaves[lid].assigned)
 
 
 def _rejected_leaf(proposal: PiecewiseProposal,

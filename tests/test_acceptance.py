@@ -69,13 +69,13 @@ class RefinementAudit:
         self.mass_fn = mass_fn
         self.prev = np.asarray(score_fn(), dtype=float)
         self.prev_mass = mass_fn()
-        assert np.all(self.log_ps <= self.prev + 1e-9)
+        assert np.all(self.log_ps <= self.prev)
         self.steps = 0
 
     def __call__(self, proposal) -> None:
         cur = np.asarray(self.score_fn(), dtype=float)
-        assert np.all(self.log_ps <= cur + 1e-9), "bound fell below target"
-        assert np.all(cur <= self.prev + 1e-9), "bound increased somewhere"
+        assert np.all(self.log_ps <= cur), "bound fell below target"
+        assert np.all(cur <= self.prev), "bound increased somewhere"
         mass = self.mass_fn()
         assert mass <= self.prev_mass + 1e-9, "proposal mass increased"
         self.prev = cur
@@ -90,7 +90,7 @@ def hmm_audit(q, paths, log_ps) -> RefinementAudit:
 
 def gm_audit(pw, configs, log_ps) -> RefinementAudit:
     return RefinementAudit(
-        log_ps, lambda: pw.score_all(configs), pw.mass_log)
+        log_ps, lambda: [pw.score(x) for x in configs], pw.mass_log)
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,8 @@ from osstar import automaton as am
 from osstar import engine
 from osstar.engine import Mode, StopConfig
 from osstar.graphical import PairwiseModel, SubspaceProposal
-from osstar.ngram import (MaxBackoffTables, TokenLattice, build_lattice,
-                          load_arpa, load_vocab)
+from osstar.ngram import (MaxBackoffTables, OrderUnsupported, TokenLattice,
+                          build_lattice, load_arpa, load_vocab)
 from osstar.piecewise import PiecewiseProposal
 
 from lm_fixtures import synthetic_instance
@@ -38,7 +38,7 @@ def all_scores(q):
 def test_q0_dominates_every_path():
     _, _, q, target = make_instance()
     for x, s in all_scores(q).items():
-        assert s >= target(x) - 1e-12
+        assert s >= target(x)
 
 
 def test_mass_and_max_match_enumeration():
@@ -92,8 +92,8 @@ def test_refinement_is_monotone_with_strict_drop_at_reject():
         old_reject = prev[refiner.last]
         for x in paths:
             s = qq.score_path(x)
-            assert s <= prev[x] + 1e-9
-            assert s >= target(x) - 1e-9
+            assert s <= prev[x]
+            assert s >= target(x)
             prev[x] = s
         assert prev[refiner.last] < old_reject - 1e-15
 
@@ -156,12 +156,12 @@ def test_deep_refinement_keeps_domination_everywhere():
         except am.NoRefinementAvailable:
             continue
         for y in paths:
-            assert q.score_path(y) >= target(y) - 1e-12
+            assert q.score_path(y) >= target(y)
         scores = [q.score_path(y) for y in paths]
         assert math.isclose(q.mass_log(), np.logaddexp.reduce(scores),
                             rel_tol=0, abs_tol=1e-10)
     # deep states were created along the way
-    assert any(len(ctx) >= 2 for layer in q.contexts for ctx in layer)
+    assert any(len(ctx) >= 2 for layer in q.contexts for ctx in layer.ctxs)
 
 
 def slack_positions(q, x):
@@ -242,6 +242,16 @@ def test_target_order_cap():
     assert math.isclose(t2(x), want, rel_tol=0, abs_tol=1e-12)
 
 
+@pytest.mark.parametrize("order", [0, -3])
+def test_target_rejects_an_order_cap_below_one(order):
+    lm = load_arpa((DATA / "keypad4663.arpa").read_text())
+    lattice = build_lattice(["4663"] * 2, ["good", "home"])
+    with pytest.raises(OrderUnsupported, match="order cap must be >= 1"):
+        am.HmmTarget(lm, lattice, order=order)
+    with pytest.raises(OrderUnsupported, match="order cap must be >= 1"):
+        MaxBackoffTables(lm, order=order)
+
+
 def test_order_cap_changes_proposal_tables():
     lm = load_arpa(TINY_ARPA)
     lattice = build_lattice(["2", "2", "2"], ["a", "b"])
@@ -250,7 +260,7 @@ def test_order_cap_changes_proposal_tables():
         q = am.build_q0(lattice, tables)
         target = am.HmmTarget(lm, lattice, order=cap)
         for x in am.enumerate_paths(q):
-            assert q.score_path(x) >= target(x) - 1e-12
+            assert q.score_path(x) >= target(x)
 
 
 def test_stop_rule_cuts_a_batch_short():
@@ -312,7 +322,7 @@ def test_random_instances_end_to_end(seed):
     target = am.HmmTarget(lm, lattice)
     scores = {x: target(x) for x in am.enumerate_paths(q)}
     for x, s in scores.items():
-        assert q.score_path(x) >= s - 1e-9
+        assert q.score_path(x) >= s
     best = max(scores.values())
     expect = sorted(x for x, s in scores.items() if s >= best)[0]
     res = engine.run(Mode.OPTIMIZATION, target, q, am.AutomatonRefiner(),
@@ -581,6 +591,13 @@ def pick_probability(q, x):
        cluster_size=st.integers(2, 3), length=st.integers(2, 5),
        norm=st.sampled_from([None, "sum", "max"]),
        mode=st.sampled_from([Mode.SAMPLING, Mode.OPTIMIZATION]))
+# a one-order gap of roundoff at a site with no slack must not be picked
+# over a zero gap at a site with slack, or the rejected path never drops
+@example(seed=404755, order=4, cluster_size=3, length=5, norm=None,
+         mode=Mode.SAMPLING)
+# an excess of one ulp, refined down to exactly p
+@example(seed=4194305, order=3, cluster_size=2, length=4, norm=None,
+         mode=Mode.OPTIMIZATION)
 def test_every_refinement_keeps_the_compiled_automaton_exact(
         seed, order, cluster_size, length, norm, mode):
     vocab, arpa, _, obs = synthetic_instance(
@@ -606,8 +623,11 @@ def test_every_refinement_keeps_the_compiled_automaton_exact(
         scores = {x: qq.score_path(x) for x in paths}
         for x in paths:
             assert scores[x] >= exact[x]
-            assert scores[x] <= prev[x] + 1e-12
-        assert scores[refiner.rejected] < prev[refiner.rejected] - 1e-15
+            assert scores[x] <= prev[x]
+        # the rejected path drops, unless it lands on p itself: an excess
+        # of one ulp allows no larger drop
+        x = refiner.rejected
+        assert scores[x] < prev[x] - 1e-15 or scores[x] == exact[x]
         prev.update(scores)
         assert math.isclose(qq.mass_log(),
                             np.logaddexp.reduce(list(scores.values())),
@@ -747,9 +767,9 @@ def test_refinement_at_i_keeps_every_layer_above_i():
                                          q.contexts[i].col[p[i]])
              > len(q.contexts[i].ctxs[q.path_rows(p)[i]]))
     before = snapshot()
-    states = len(q.contexts[i])
+    states = len(q.contexts[i].ctxs)
     am._deepen_at(q, x, q.path_rows(x), i)
-    assert len(q.contexts[i]) > states  # the deepening added a state
+    assert len(q.contexts[i].ctxs) > states  # the deepening added a state
     after = snapshot()
     for k in range(len(q.contexts)):
         same = [a is b for a, b in zip(before[k], after[k])]
@@ -819,13 +839,13 @@ def test_add_state_reroutes_only_the_captured_edges(monkeypatch):
     assert_fresh_compile(q)
 
 
-def test_layers_report_states_and_edges_as_mappings():
+def test_layers_report_states_and_edges_for_the_size_record():
+    # perfbench's size record reads len(layer) and layer.values()
     q, _ = refined_sms24()
     states = sum(len(layer) for layer in q.contexts)
     edges = sum(len(edges) for layer in q.contexts for edges in layer.values())
     assert states == sum(len(layer.ctxs) for layer in q.contexts)
     assert edges == sum(layer.weight.size for layer in q.contexts)
-    assert all(ctx in layer for layer in q.contexts for ctx in layer)
 
 
 @pytest.mark.parametrize("norm", [None, "sum"])
@@ -885,10 +905,10 @@ def test_deepening_keeps_the_threaded_rows_current():
         for i in slack_positions(q, x):
             c = q.clone()
             rows = c.path_rows(x)
-            states = [len(layer) for layer in c.contexts]
+            states = [len(layer.ctxs) for layer in c.contexts]
             am._deepen_at(c, x, rows, i)
             assert rows == c.path_rows(x)
-            added[sum(len(layer) > n
+            added[sum(len(layer.ctxs) > n
                       for layer, n in zip(c.contexts, states))] += 1
     # deepenings that added no state, one, and one per layer of a chain
     assert added[0] and added[1] and max(added) >= 2

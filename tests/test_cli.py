@@ -251,6 +251,15 @@ def test_gen_ising_file_and_stdout(tmp_path, capsys):
     assert len(data["nodes"]) == 2
 
 
+@pytest.mark.parametrize("command", [["gm", "sample", "--grid", "3x3"],
+                                     ["gen", "ising", "--grid", "3x3"]])
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+def test_bad_sigma_is_a_clean_error(capsys, command, sigma):
+    assert main(command + ["--sigma", sigma]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: sigma must be finite")
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -179,8 +179,8 @@ def test_trained_lm_conditionals_normalized(trained_lm):
     lm = trained_lm
     for ctx_len in range(3):
         for ctx in itertools.product(lm.vocab, repeat=ctx_len):
-            assert lm.conditional_mass(ctx) <= 1.0 + 1e-6
-            assert lm.conditional_mass(ctx) > 0.99
+            mass = sum(math.exp(lm.cond_logprob(w, ctx)) for w in lm.vocab)
+            assert 0.99 < mass <= 1.0 + 1e-6
 
 
 def brute_force_max(lm: NGramLM, word: str, context: tuple,
