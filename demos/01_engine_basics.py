@@ -42,7 +42,7 @@ class TableProposal:
 class SnapRefiner:
     """One-step refinement: make the bound exact at the rejected point."""
 
-    def refine(self, proposal, config, log_p, log_q):
+    def refine(self, proposal, config):
         proposal.bounds[config] = TARGET[config]
         return proposal
 

@@ -15,8 +15,8 @@ from .graphical import (Forest, PairwiseModel, SubspaceProposal, ising_grid,
                         max_spanning_forest)
 from .piecewise import (AlreadyConditioned, BenchRow, ImprovementQueue,
                         NoUnassignedNode, PiecewiseProposal, Policy,
-                        PolicyRefiner, min_norm_refinement, policy_bench,
-                        select_refinement, write_bench_csv)
+                        PolicyRefiner, policy_bench, select_refinement,
+                        write_bench_csv)
 
 __version__ = "0.1.0"
 
@@ -30,8 +30,8 @@ __all__ = [
     "RefinementExhausted", "RunResult", "StopConfig", "SubspaceProposal",
     "TokenLattice", "TrialRecord", "build_lattice", "build_q0",
     "enumerate_paths", "ising_grid", "keypad_encode", "load_arpa",
-    "load_vocab", "max_spanning_forest", "metrics", "min_norm_refinement",
-    "policy_bench", "refine", "report_ngram_counts", "run",
-    "sample_path", "select_refinement", "should_stop", "step",
-    "trial_batch", "viterbi", "write_bench_csv", "write_trial_csv",
+    "load_vocab", "max_spanning_forest", "metrics", "policy_bench",
+    "refine", "report_ngram_counts", "run", "sample_path",
+    "select_refinement", "should_stop", "step", "trial_batch", "viterbi",
+    "write_bench_csv", "write_trial_csv",
 ]

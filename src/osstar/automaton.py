@@ -91,17 +91,6 @@ class Layer:
         self.dest = np.vstack((self.dest, dest))
         return row
 
-    def copy(self) -> "Layer":
-        c = Layer.__new__(Layer)
-        c.words, c.col, c.perm = self.words, self.col, self.perm
-        c.ctxs = list(self.ctxs)
-        c.rows = dict(self.rows)
-        c.ending = {s: list(rows) for s, rows in self.ending.items()}
-        c.weight = self.weight.copy()
-        c.order = self.order.copy()
-        c.dest = self.dest.copy()
-        return c
-
 
 class HmmTarget:
     """log p(x) = sum_i [ lm(x_i | preceding words) + obs(i, x_i) ]."""
@@ -215,9 +204,6 @@ class QAutomaton:
     def mass_log(self) -> float:
         return float(self.beta("sum")[0][0])
 
-    def max_log(self) -> float:
-        return float(self.beta("max")[0][0])
-
     def draw(self, rng: np.random.Generator):
         return sample_path(self, rng)
 
@@ -243,12 +229,6 @@ class QAutomaton:
             total += layer.weight.item(row, j)
             row = layer.dest.item(row, j)
         return total
-
-    def clone(self) -> "QAutomaton":
-        """Structural copy sharing the immutable lattice and bound tables."""
-        c = QAutomaton(self.lattice, self.tables)
-        c.contexts = [layer.copy() for layer in self.contexts]
-        return c
 
 
 def build_q0(lattice: TokenLattice, tables: MaxBackoffTables) -> QAutomaton:
@@ -431,11 +411,10 @@ def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int],
     q._invalidate(i)
 
 
-def refine(q: QAutomaton, rejected: tuple, *,
-           norm: str | None = None) -> QAutomaton:
+def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     """Tighten the bound at the rejected path.
 
-    Default selection picks the position with the largest one-order gap
+    The refinement picks the position with the largest one-order gap
     between the current edge bound and the next deeper bound (leftmost on
     ties), then deepens that edge until its weight strictly drops; in the
     common case that is a single new context weight.  A one-order gap
@@ -444,17 +423,9 @@ def refine(q: QAutomaton, rejected: tuple, *,
     slack is deepened instead: an edge weight above p's term there by more
     than 1e-12, or by any amount when no such edge is left.
 
-    norm="sum" or norm="max" replaces that cheap pointwise selection with
-    the exhaustive criterion: every position with slack is deepened on a
-    clone of the automaton and the one minimizing the resulting total mass
-    (respectively global max) is applied, leftmost on near-ties.  Each
-    candidate costs a full table rebuild, hence opt-in.
-
     Raises NoRefinementAvailable when the path already scores p term by
     term.
     """
-    if norm not in (None, "sum", "max"):
-        raise ValueError(f"norm must be 'sum' or 'max', got {norm!r}")
     # the rows the descent found, when the path viterbi just returned is
     # the one rejected
     rows = (q._descent[1] if q._descent and q._descent[0] == rejected
@@ -478,21 +449,12 @@ def refine(q: QAutomaton, rejected: tuple, *,
             w, tuple(rejected[i - order:i]), full)
         if gap > best_gap + 1e-15:
             best_i, best_gap = i, gap
-    if norm is not None or best_i is None:
+    if best_i is None:
         excess = [(i, _excess(q, rejected, i, weight))
                   for i, weight in sites]
         # an excess of at most 1e-12 is refined only when no other is left
-        slack = ([i for i, e in excess if e > 1e-12]
-                 or [i for i, e in excess if e > 0])
-        best_i = next(iter(slack), None)
-    if norm is not None:
-        best_i, best_val = None, math.inf
-        for i in slack:
-            c = q.clone()
-            _deepen_at(c, rejected, list(rows), i)
-            val = c.mass_log() if norm == "sum" else c.max_log()
-            if val < best_val - 1e-15:
-                best_i, best_val = i, val
+        best_i = next((i for i, e in excess if e > 1e-12),
+                      next((i for i, e in excess if e > 0), None))
     if best_i is None:
         raise NoRefinementAvailable(
             "rejected path already scores its exact probability")
@@ -510,17 +472,10 @@ def _excess(q: QAutomaton, words, i: int, weight: float) -> float:
 
 
 class AutomatonRefiner:
-    """Adapter giving the engine loop the one-step refinement.
+    """Adapter giving the engine loop the one-step refinement."""
 
-    norm=None keeps the cheap largest-gap selection; "sum" or "max" picks
-    the candidate position by exhaustive norm evaluation instead.
-    """
-
-    def __init__(self, norm: str | None = None):
-        self.norm = norm
-
-    def refine(self, proposal: QAutomaton, config, log_p, log_q):
-        return refine(proposal, config, norm=self.norm)
+    def refine(self, proposal: QAutomaton, config):
+        return refine(proposal, config)
 
 
 def enumerate_paths(q: QAutomaton):

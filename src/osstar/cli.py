@@ -117,17 +117,24 @@ def _gm_model(args) -> PairwiseModel:
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ValueError(f"bad grid spec {text!r}, expected ROWSxCOLS")
-    return int(parts[0]), int(parts[1])
+    try:
+        rows, cols = map(int, text.lower().split("x"))
+    except ValueError:
+        raise ValueError(
+            f"bad grid spec {text!r}, expected ROWSxCOLS") from None
+    return rows, cols
 
 
-def cmd_gm_sample(args) -> int:
+def _gm_setup(args):
     model = _gm_model(args)
     pw = PiecewiseProposal(model, retree=args.retree)
     trial_seed, policy_seed = np.random.SeedSequence(args.seed).spawn(2)
     refiner = PolicyRefiner(pw, Policy(args.policy), seed=policy_seed)
+    return model, pw, refiner, trial_seed
+
+
+def cmd_gm_sample(args) -> int:
+    model, pw, refiner, trial_seed = _gm_setup(args)
     stop = StopConfig(ar_window=args.ar_window,
                       ar_threshold=args.ar_threshold,
                       max_trials=args.max_trials,
@@ -142,10 +149,7 @@ def cmd_gm_sample(args) -> int:
 
 
 def cmd_gm_optimize(args) -> int:
-    model = _gm_model(args)
-    pw = PiecewiseProposal(model, retree=args.retree)
-    trial_seed, policy_seed = np.random.SeedSequence(args.seed).spawn(2)
-    refiner = PolicyRefiner(pw, Policy(args.policy), seed=policy_seed)
+    model, pw, refiner, trial_seed = _gm_setup(args)
     stop = StopConfig(max_trials=args.max_trials,
                       max_refinements=args.max_refinements)
     res = engine.run(Mode.OPTIMIZATION, model.log_p, pw, refiner, stop,

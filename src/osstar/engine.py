@@ -31,11 +31,9 @@ behind it) in that mode.  A proposal may also provide:
     sample_many(rng, k) -> (configs, log_qs)     k draws at once, configs
                            as the rows of an integer array; batches of
                            more than one trial use it instead of draw
-The loop never calls max_log(); only the refiners that select by
-norm="max" need it.
 
 A refiner must provide:
-    refine(proposal, config, log_p, log_q) -> proposal
+    refine(proposal, config) -> proposal
 It may mutate the proposal in place and return it.
 """
 
@@ -321,8 +319,7 @@ def step(mode: Mode, target, proposal, refiner, history: History,
     if history.refine_count >= stop.max_refinements:
         raise RefinementExhausted(
             f"refinement budget {stop.max_refinements} exhausted")
-    proposal = refiner.refine(proposal, worst.config, worst.log_p,
-                              worst.log_q)
+    proposal = refiner.refine(proposal, worst.config)
     history.add_refinement(1.0)
     if on_refine is not None:
         on_refine(proposal)

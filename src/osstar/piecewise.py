@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,17 +203,6 @@ class ImprovementQueue:
         raise NoUnassignedNode("improvement queue is empty")
 
 
-def _rejected_leaf(proposal: PiecewiseProposal,
-                   config) -> tuple[int, SubspaceProposal]:
-    """The id and bound of the leaf holding a rejected configuration;
-    raises NoUnassignedNode when that leaf has no free node."""
-    lid = proposal.leaf_of(config)
-    leaf = proposal.leaves[lid]
-    if not leaf.free:
-        raise NoUnassignedNode(f"subspace {lid} is fully assigned")
-    return lid, leaf
-
-
 def select_refinement(proposal: PiecewiseProposal, policy: Policy,
                       reject_config, rng: np.random.Generator,
                       queue: ImprovementQueue | None = None):
@@ -232,62 +220,28 @@ def select_refinement(proposal: PiecewiseProposal, policy: Policy,
             raise NoUnassignedNode("every subspace is fully assigned")
         free = proposal.leaves[lid].free
         return lid, free[int(rng.integers(len(free)))]
-    lid, leaf = _rejected_leaf(proposal, reject_config)
+    lid = proposal.leaf_of(reject_config)
+    leaf = proposal.leaves[lid]
+    if not leaf.free:
+        raise NoUnassignedNode(f"subspace {lid} is fully assigned")
     if policy is Policy.RANDOM_NODE:
         return lid, leaf.free[int(rng.integers(len(leaf.free)))]
     # MAX_SLACK: where does the bound overshoot this configuration most
     return lid, max(leaf.free, key=leaf.slack(reject_config).__getitem__)
 
 
-def min_norm_refinement(proposal: PiecewiseProposal, reject_config,
-                        norm: str) -> tuple[int, int]:
-    """Exhaustive split selection in the rejected subspace.
-
-    Conditions each free node in turn on scratch children and keeps the
-    split minimizing the resulting total mass ("sum") or global max
-    ("max"); smallest node id on exact ties.  Lookahead builds are charged
-    to bound_builds like the queue policy's.  As in the queue, each split
-    is scored on the leaf's own forest even with retree, which keeps each
-    child's forest of smaller mass: under retree the realised total mass
-    can fall below the score, and the realised max can differ either way.
-    """
-    if norm not in ("sum", "max"):
-        raise ValueError(f"norm must be 'sum' or 'max', got {norm!r}")
-    lid, leaf = _rejected_leaf(proposal, reject_config)
-    value = operator.methodcaller("mass_log" if norm == "sum" else "max_log")
-    rest = [value(other) for i, other in proposal.leaves.items() if i != lid]
-    best_node, best_val = None, math.inf
-    for j in leaf.free:
-        vals = [value(c) for c in proposal._split(leaf, j)]
-        total = (float(np.logaddexp.reduce(rest + vals)) if norm == "sum"
-                 else max(rest + vals))
-        if total < best_val:
-            best_node, best_val = j, total
-    return lid, best_node
-
-
 class PolicyRefiner:
-    """Engine adapter: one conditioning per rejected trial.
+    """Engine adapter: one conditioning per rejected trial."""
 
-    norm=None follows the configured policy; "sum" or "max" overrides it
-    with the exhaustive minimum-norm split of the rejected subspace.
-    """
-
-    def __init__(self, proposal: PiecewiseProposal, policy: Policy, seed=0,
-                 norm: str | None = None):
+    def __init__(self, proposal: PiecewiseProposal, policy: Policy, seed=0):
         self.policy = Policy(policy)
-        self.norm = norm
         self.rng = np.random.default_rng(seed)
         self.queue = (ImprovementQueue(proposal)
-                      if self.policy is Policy.QUEUE and norm is None
-                      else None)
+                      if self.policy is Policy.QUEUE else None)
 
-    def refine(self, proposal: PiecewiseProposal, config, log_p, log_q):
-        if self.norm is not None:
-            lid, node = min_norm_refinement(proposal, config, self.norm)
-        else:
-            lid, node = select_refinement(proposal, self.policy, config,
-                                          self.rng, queue=self.queue)
+    def refine(self, proposal: PiecewiseProposal, config):
+        lid, node = select_refinement(proposal, self.policy, config,
+                                      self.rng, queue=self.queue)
         children = proposal.condition(lid, node)
         if self.queue is not None:
             for cid in children:
@@ -360,7 +314,7 @@ def policy_bench(model: PairwiseModel, policy: Policy, *,
         config = worst.config if worst is not None else None
         builds = pw.bound_builds
         try:
-            refiner.refine(pw, config, None, None)
+            refiner.refine(pw, config)
         except NoUnassignedNode:
             break
         history.add_refinement(float(pw.bound_builds - builds))

@@ -46,7 +46,7 @@ class SnapToTargetRefiner:
     def __init__(self, target: TableTarget):
         self.target = target
 
-    def refine(self, proposal: TableProposal, config, log_p, log_q):
+    def refine(self, proposal: TableProposal, config):
         proposal.table[config] = self.target.table[config]
         return proposal
 

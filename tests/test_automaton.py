@@ -1,6 +1,7 @@
 """Proposal-automaton tests against path enumeration oracles."""
 
 import collections
+import copy
 import functools
 import math
 import operator
@@ -46,7 +47,8 @@ def test_mass_and_max_match_enumeration():
     scores = list(all_scores(q).values())
     assert math.isclose(q.mass_log(), np.logaddexp.reduce(scores),
                         rel_tol=0, abs_tol=1e-10)
-    assert math.isclose(q.max_log(), max(scores), rel_tol=0, abs_tol=1e-12)
+    assert math.isclose(q.beta("max")[0][0], max(scores), rel_tol=0,
+                        abs_tol=1e-12)
 
 
 def test_viterbi_matches_enumeration_argmax():
@@ -81,9 +83,9 @@ def test_refinement_is_monotone_with_strict_drop_at_reject():
     seen = {"refines": 0}
 
     class AuditRefiner(am.AutomatonRefiner):
-        def refine(self, proposal, config, log_p, log_q):
+        def refine(self, proposal, config):
             self.last = config
-            return super().refine(proposal, config, log_p, log_q)
+            return super().refine(proposal, config)
 
     refiner = AuditRefiner()
 
@@ -178,50 +180,6 @@ def slack_positions(q, x):
         if layer.weight.item(rows[i], j) - q.pobs[i][w] - exact > 1e-12:
             out.append(i)
     return out
-
-
-def test_clone_is_isolated_from_refinement():
-    _, _, q, _ = make_instance()
-    x = next(p for p in am.enumerate_paths(q) if slack_positions(q, p))
-    mass_before = q.mass_log()
-    score_before = q.score_path(x)
-    c = q.clone()
-    am.refine(c, x)
-    assert c.score_path(x) < score_before - 1e-15
-    assert q.score_path(x) == score_before
-    assert q.mass_log() == mass_before
-
-
-def test_norm_selection_matches_candidate_minimum():
-    _, _, q, _ = make_instance()
-    x = next(p for p in am.enumerate_paths(q)
-             if len(slack_positions(q, p)) >= 2)
-    cands = slack_positions(q, x)
-    for norm, value_of in (("sum", am.QAutomaton.mass_log),
-                           ("max", am.QAutomaton.max_log)):
-        vals = []
-        for i in cands:
-            c = q.clone()
-            am._deepen_at(c, x, c.path_rows(x), i)
-            vals.append(value_of(c))
-        r = q.clone()
-        am.refine(r, x, norm=norm)
-        assert value_of(r) == pytest.approx(min(vals), abs=1e-12)
-        assert r.score_path(x) < q.score_path(x) - 1e-15
-    with pytest.raises(ValueError):
-        am.refine(q.clone(), x, norm="l7")
-
-
-def test_norm_selection_optimization_is_exact():
-    _, _, q, target = make_instance()
-    scores = {x: target(x) for x in am.enumerate_paths(q)}
-    best = max(scores.values())
-    expect = sorted(x for x, s in scores.items() if s >= best)[0]
-    res = engine.run(Mode.OPTIMIZATION, target, q,
-                     am.AutomatonRefiner(norm="max"),
-                     StopConfig(max_trials=500), 0)
-    assert res.argmax == expect
-    assert res.certificate_gap_log == 0.0
 
 
 def test_ngram_count_report():
@@ -369,13 +327,11 @@ def test_decode_certifies_the_smallest_enumerated_argmax(seed, order,
               for x in am.enumerate_paths(am.build_q0(lattice, tables))}
     best = max(scores.values())
     expect = min(x for x, s in scores.items() if s == best)
-    for norm in (None, "sum", "max"):
-        res = engine.run(Mode.OPTIMIZATION, target,
-                         am.build_q0(lattice, tables),
-                         am.AutomatonRefiner(norm=norm),
-                         StopConfig(max_trials=10_000), seed)
-        assert res.argmax == expect, norm
-        assert res.certificate_gap_log == 0.0, norm
+    res = engine.run(Mode.OPTIMIZATION, target, am.build_q0(lattice, tables),
+                     am.AutomatonRefiner(), StopConfig(max_trials=10_000),
+                     seed)
+    assert res.argmax == expect
+    assert res.certificate_gap_log == 0.0
 
 
 # -- the dict-walking oracle ---------------------------------------------
@@ -497,39 +453,6 @@ def test_compiled_layers_match_dict_oracle(name, mode):
     assert len(audits) == res.history.refine_count > 0
 
 
-@pytest.mark.parametrize("norm", ["sum", "max"])
-@pytest.mark.parametrize("name, mode", [("sms24", Mode.OPTIMIZATION),
-                                        ("keypad4663", Mode.SAMPLING),
-                                        ("random0", Mode.SAMPLING)])
-def test_norm_clones_match_dict_oracle(name, mode, norm, monkeypatch):
-    # every clone a norm refinement deepens is audited as it was scored
-    lm, lattice = lm_and_lattice(name)
-    clones = []
-    clone = am.QAutomaton.clone
-
-    def recording_clone(self):
-        clones.append(clone(self))
-        return clones[-1]
-
-    monkeypatch.setattr(am.QAutomaton, "clone", recording_clone)
-    audited = collections.Counter()
-
-    def audit(qq):
-        for c in clones:
-            assert_matches_oracle(c, seed=audited["clones"])
-            audited["clones"] += 1
-        clones.clear()
-        assert_matches_oracle(qq)
-        audited["refinements"] += 1
-
-    res = engine.run(mode, am.HmmTarget(lm, lattice),
-                     am.build_q0(lattice, MaxBackoffTables(lm)),
-                     am.AutomatonRefiner(norm=norm), StopConfig(), 0,
-                     on_refine=audit)
-    assert audited["refinements"] == res.history.refine_count > 0
-    assert audited["clones"] >= audited["refinements"]
-
-
 # -- the compiled arrays against a fresh compile --------------------------
 
 def assert_fresh_compile(q):
@@ -589,17 +512,15 @@ def pick_probability(q, x):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
        cluster_size=st.integers(2, 3), length=st.integers(2, 5),
-       norm=st.sampled_from([None, "sum", "max"]),
        mode=st.sampled_from([Mode.SAMPLING, Mode.OPTIMIZATION]))
 # a one-order gap of roundoff at a site with no slack must not be picked
 # over a zero gap at a site with slack, or the rejected path never drops
-@example(seed=404755, order=4, cluster_size=3, length=5, norm=None,
-         mode=Mode.SAMPLING)
+@example(seed=404755, order=4, cluster_size=3, length=5, mode=Mode.SAMPLING)
 # an excess of one ulp, refined down to exactly p
-@example(seed=4194305, order=3, cluster_size=2, length=4, norm=None,
+@example(seed=4194305, order=3, cluster_size=2, length=4,
          mode=Mode.OPTIMIZATION)
 def test_every_refinement_keeps_the_compiled_automaton_exact(
-        seed, order, cluster_size, length, norm, mode):
+        seed, order, cluster_size, length, mode):
     vocab, arpa, _, obs = synthetic_instance(
         seed, order=order, n_clusters=3, cluster_size=cluster_size,
         length=length, n_sentences=30)
@@ -612,11 +533,11 @@ def test_every_refinement_keeps_the_compiled_automaton_exact(
     prev = {x: q.score_path(x) for x in paths}
 
     class Recording(am.AutomatonRefiner):
-        def refine(self, proposal, config, log_p, log_q):
+        def refine(self, proposal, config):
             self.rejected = config
-            return super().refine(proposal, config, log_p, log_q)
+            return super().refine(proposal, config)
 
-    refiner = Recording(norm=norm)
+    refiner = Recording()
     audits = []
 
     def audit(qq):
@@ -632,7 +553,7 @@ def test_every_refinement_keeps_the_compiled_automaton_exact(
         assert math.isclose(qq.mass_log(),
                             np.logaddexp.reduce(list(scores.values())),
                             rel_tol=0, abs_tol=1e-10)
-        assert math.isclose(qq.max_log(), max(scores.values()),
+        assert math.isclose(qq.beta("max")[0][0], max(scores.values()),
                             rel_tol=0, abs_tol=1e-12)
         assert_fresh_compile(qq)
         for x in paths:
@@ -781,8 +702,10 @@ def test_refinement_at_i_keeps_every_layer_above_i():
 
 
 def test_frozen_run_builds_no_table_and_each_cdf_once(monkeypatch):
-    q, target = refined_sms24()
-    q = q.clone()
+    refined, target = refined_sms24()
+    # the refined layers with no tables yet; the frozen run writes no layer
+    q = am.QAutomaton(refined.lattice, refined.tables)
+    q.contexts = refined.contexts
     q.mass_log()
     builds = q.table_builds
     built = collections.Counter()
@@ -848,8 +771,7 @@ def test_layers_report_states_and_edges_for_the_size_record():
     assert edges == sum(layer.weight.size for layer in q.contexts)
 
 
-@pytest.mark.parametrize("norm", [None, "sum"])
-def test_refine_walks_the_rejected_path_once(monkeypatch, norm):
+def test_refine_walks_the_rejected_path_once(monkeypatch):
     q, _ = refined_sms24()
     x = next(p for p in am.enumerate_paths(q)
              if len(slack_positions(q, p)) >= 2)
@@ -862,7 +784,7 @@ def test_refine_walks_the_rejected_path_once(monkeypatch, norm):
 
     monkeypatch.setattr(am.QAutomaton, "path_rows", counting)
     score = q.score_path(x)
-    am.refine(q, x, norm=norm)
+    am.refine(q, x)
     assert calls == [x]
     assert q.score_path(x) < score - 1e-15
 
@@ -903,7 +825,7 @@ def test_deepening_keeps_the_threaded_rows_current():
     for _ in range(40):
         x, _ = q.draw(rng)
         for i in slack_positions(q, x):
-            c = q.clone()
+            c = copy.deepcopy(q, {id(q.tables): q.tables})
             rows = c.path_rows(x)
             states = [len(layer.ctxs) for layer in c.contexts]
             am._deepen_at(c, x, rows, i)

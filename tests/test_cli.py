@@ -198,6 +198,15 @@ def test_gm_model_file_and_arg_validation(tmp_path, capsys):
                  "--grid", "2x2"]) == 1
 
 
+@pytest.mark.parametrize("command", [["gm", "optimize"], ["gen", "ising"]])
+@pytest.mark.parametrize("spec", ["4", "3x", "x3", "ax2", "2x2x2"])
+def test_bad_grid_spec_is_a_clean_error(capsys, command, spec):
+    assert main(command + ["--grid", spec]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bad grid spec '{spec}', expected ROWSxCOLS\n"
+
+
 @pytest.mark.parametrize("text", [
     '{"nodes": [{"id": 0, "domain": 2, "log_psi": [0, 0]}]}',
     '{"nodes": [{"id": 0, "log_psi": [0, 0]}], "edges": []}',

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import osstar
 from osstar import engine
 from osstar.engine import (
     DominationViolated, EmptyHistory, History, Metrics, Mode,
@@ -21,6 +22,13 @@ def frozen_run(trials: int, seed: int = 0):
     target, proposal = two_point()
     stop = StopConfig(ar_threshold=1.1, max_trials=trials)
     return run(Mode.SAMPLING, target, proposal, None, stop, seed)
+
+
+def test_every_public_name_resolves():
+    # a stale __all__ entry still lets `import osstar` succeed; only
+    # `from osstar import *` would fail on it
+    assert len(set(osstar.__all__)) == len(osstar.__all__)
+    assert [n for n in osstar.__all__ if not hasattr(osstar, n)] == []
 
 
 def test_two_point_long_run_acceptance_rate():
@@ -100,7 +108,7 @@ class FixedDraw:
 class KeepRefiner:
     """Hands back the proposal unchanged."""
 
-    def refine(self, proposal, config, log_p, log_q):
+    def refine(self, proposal, config):
         return proposal
 
 
@@ -207,7 +215,7 @@ def test_accepts_never_trigger_refinement():
     calls = []
 
     class CountingRefiner:
-        def refine(self, proposal, config, log_p, log_q):
+        def refine(self, proposal, config):
             calls.append(config)
             return proposal
 
@@ -290,8 +298,8 @@ def test_batch_uses_sample_many_and_refines_at_the_worst_reject():
     seen = []
 
     class Recorder:
-        def refine(self, proposal, config, log_p, log_q):
-            seen.append(log_q - log_p)
+        def refine(self, proposal, config):
+            seen.append(proposal.table[config] - target(config))
             return proposal
 
     target = TableTarget({(97,): math.log(1.0), (98,): math.log(3.0)})

@@ -14,9 +14,8 @@ from osstar.engine import Mode, StopConfig
 from osstar.graphical import PairwiseModel, SubspaceProposal, ising_grid
 from osstar.piecewise import (AlreadyConditioned, ImprovementQueue,
                               NoUnassignedNode, PiecewiseProposal, Policy,
-                              PolicyRefiner, min_norm_refinement,
-                              policy_bench, select_refinement,
-                              write_bench_csv)
+                              PolicyRefiner, policy_bench,
+                              select_refinement, write_bench_csv)
 
 
 def all_configs(model):
@@ -366,33 +365,6 @@ def test_bench_is_deterministic():
         [(r.ar_hat, r.z_hat_log, r.q_mass_log) for r in b]
 
 
-def test_min_norm_refiner_matches_brute_force_split():
-    m = ising_grid(2, 2, sigma=0.7, seed=3)
-    reject = (0, 0, 0, 0)
-    for norm, value_of in (("sum", PiecewiseProposal.mass_log),
-                           ("max", PiecewiseProposal.max_log)):
-        oracle = []
-        for j in range(m.n_nodes):
-            trial = PiecewiseProposal(m)
-            trial.condition(0, j)
-            oracle.append(value_of(trial))
-        pw = PiecewiseProposal(m)
-        ref = PolicyRefiner(pw, Policy.MAX_SLACK, seed=0, norm=norm)
-        ref.refine(pw, reject, 0.0, 0.0)
-        assert value_of(pw) == pytest.approx(min(oracle), abs=1e-12)
-    with pytest.raises(ValueError):
-        min_norm_refinement(PiecewiseProposal(m), reject, "l7")
-
-
-def test_min_norm_refinement_charges_lookahead():
-    m = ising_grid(2, 2, sigma=0.5, seed=0)
-    pw = PiecewiseProposal(m)
-    ref = PolicyRefiner(pw, Policy.RANDOM_NODE, seed=0, norm="sum")
-    ref.refine(pw, (0, 0, 0, 0), 0.0, 0.0)
-    # root + 4 candidate nodes x 2 scratch children + 2 committed children
-    assert pw.bound_builds == 1 + 8 + 2
-
-
 def test_piecewise_argmax_tie_across_leaves():
     anti = np.log(np.array([[1.0, 2.0], [2.0, 1.0]]))
     m = PairwiseModel([2, 2], [np.zeros(2), np.zeros(2)], [(0, 1, anti)])
@@ -418,16 +390,13 @@ def count_sum_passes(monkeypatch):
     return built
 
 
-@pytest.mark.parametrize("policy,norm", [(Policy.RANDOM_NODE, None),
-                                         (Policy.MAX_SLACK, None),
-                                         (Policy.MAX_SLACK, "max")])
-def test_map_run_builds_no_leaf_sum_pass(policy, norm, monkeypatch):
+@pytest.mark.parametrize("policy", [Policy.RANDOM_NODE, Policy.MAX_SLACK])
+def test_map_run_builds_no_leaf_sum_pass(policy, monkeypatch):
     built = count_sum_passes(monkeypatch)
     m = ising_grid(4, 4, sigma=0.8, seed=1)
     pw = PiecewiseProposal(m)
     res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
-                     PolicyRefiner(pw, policy, seed=0, norm=norm),
-                     StopConfig(), seed=0)
+                     PolicyRefiner(pw, policy, seed=0), StopConfig(), seed=0)
     assert res.history.refine_count > 0
     assert res.certificate_gap_log == 0.0
     assert built["sum"] == 0
@@ -435,7 +404,7 @@ def test_map_run_builds_no_leaf_sum_pass(policy, norm, monkeypatch):
     assert pw._tables_cache is None
 
 
-def test_max_log_and_max_norm_split_build_no_sum_pass(monkeypatch):
+def test_max_log_builds_no_sum_pass(monkeypatch):
     built = count_sum_passes(monkeypatch)
     m = ising_grid(3, 3, sigma=0.7, seed=2)
     pw = PiecewiseProposal(m)
@@ -444,8 +413,6 @@ def test_max_log_and_max_norm_split_build_no_sum_pass(monkeypatch):
     cfgs = np.array(all_configs(m))
     assert pw.max_log() == pytest.approx(float(score_each(pw, cfgs).max()),
                                          abs=1e-9)
-    lid, node = min_norm_refinement(pw, (0,) * 9, "max")
-    assert lid == pw.leaf_of((0,) * 9) and node in pw.leaves[lid].free
     assert built["sum"] == 0
     # the sum side still works, and builds what it needs only when asked
     assert pw.mass_log() == pytest.approx(logsumexp(score_each(pw, cfgs)),
@@ -513,15 +480,13 @@ def test_certified_argmax_is_the_smallest_enumerated_maximizer(m, seed):
     scores = {x: m.log_p(x) for x in all_configs(m)}
     best = max(scores.values())
     expect = min(x for x, s in scores.items() if s == best)
-    variants = [(policy, None) for policy in Policy] + \
-        [(Policy.MAX_SLACK, "sum"), (Policy.MAX_SLACK, "max")]
-    for policy, norm in variants:
+    for policy in Policy:
         pw = PiecewiseProposal(m)
         res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
-                         PolicyRefiner(pw, policy, seed=seed, norm=norm),
-                         StopConfig(), seed)
-        assert res.argmax == expect, (policy, norm)
-        assert res.certificate_gap_log == 0.0, (policy, norm)
+                         PolicyRefiner(pw, policy, seed=seed), StopConfig(),
+                         seed)
+        assert res.argmax == expect, policy
+        assert res.certificate_gap_log == 0.0, policy
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -560,8 +525,6 @@ def test_every_bound_build_is_counted(retree, monkeypatch):
     assert pw.bound_builds - 1 - 6 * 2 == 2 * (2 if retree else 1)
     for cid in children:
         delta(lambda: queue.add_leaf(cid))
-    for norm in ("sum", "max"):
-        delta(lambda: min_norm_refinement(pw, (0, 1, 1, 0, 1, 0), norm))
 
 
 @st.composite
@@ -584,7 +547,7 @@ def enumerable_models(draw):
 @settings(max_examples=100, deadline=None)
 @given(enumerable_models(), st.integers(0, 2**16))
 def test_every_refinement_dominates_and_never_grows(m, seed):
-    """After each refinement of a sampling run, under every policy and norm,
+    """After each refinement of a sampling run, under every policy,
     with and without retree: q >= p on every configuration and the mass does
     not grow; without retree no configuration's q grows.  Both comparisons
     of q are exact, since q is summed in p's order.  A fully assigned leaf
@@ -592,22 +555,20 @@ def test_every_refinement_dominates_and_never_grows(m, seed):
     never escape the refiner."""
     cfgs = np.array(all_configs(m))
     log_p = m.log_p_many(cfgs)
-    variants = [(policy, None) for policy in Policy] + \
-        [(Policy.MAX_SLACK, "sum"), (Policy.MAX_SLACK, "max")]
-    for (policy, norm), retree in itertools.product(variants, (False, True)):
+    for policy, retree in itertools.product(Policy, (False, True)):
         pw = PiecewiseProposal(m, retree=retree)
         last = {"score": score_each(pw, cfgs), "mass": pw.mass_log()}
 
         def audit(proposal):
             score = score_each(proposal, cfgs)
-            assert (score >= log_p).all(), (policy, norm, retree)
+            assert (score >= log_p).all(), (policy, retree)
             if not retree:
-                assert (score <= last["score"]).all(), (policy, norm)
+                assert (score <= last["score"]).all(), policy
             assert proposal.mass_log() <= last["mass"] + 1e-9
             last.update(score=score, mass=proposal.mass_log())
 
         engine.run(Mode.SAMPLING, m.log_p, pw,
-                   PolicyRefiner(pw, policy, seed=seed, norm=norm),
+                   PolicyRefiner(pw, policy, seed=seed),
                    StopConfig(ar_window=30, ar_threshold=1.0,
                               max_trials=300), seed, on_refine=audit)
 
@@ -636,14 +597,12 @@ def node_pick_probabilities(leaf):
 @settings(max_examples=60, deadline=None)
 @given(enumerable_models(), st.integers(0, 2**16))
 def test_every_refinement_keeps_the_grid_law_exact(m, seed):
-    """After each refinement of a sampling run, under every policy and norm,
+    """After each refinement of a sampling run, under every policy,
     with and without retree: a draw picks each leaf with probability
     Q(leaf) / Q(X), and within its leaf each configuration x with
     probability q(x) / Q(leaf), node by node down the leaf's forest."""
     cfgs = all_configs(m)
-    variants = [(policy, None) for policy in Policy] + \
-        [(Policy.MAX_SLACK, "sum"), (Policy.MAX_SLACK, "max")]
-    for (policy, norm), retree in itertools.product(variants, (False, True)):
+    for policy, retree in itertools.product(Policy, (False, True)):
         pw = PiecewiseProposal(m, retree=retree)
 
         def audit(proposal):
@@ -660,10 +619,10 @@ def test_every_refinement_keeps_the_grid_law_exact(m, seed):
                     p = leaf.forest.parent[j]
                     prob *= picks[lid][j, None if p is None else x[p]][x[j]]
                 want = math.exp(leaf.score(x) - leaf.mass_log())
-                assert abs(prob - want) <= 1e-9, (policy, norm, retree)
+                assert abs(prob - want) <= 1e-9, (policy, retree)
 
         engine.run(Mode.SAMPLING, m.log_p, pw,
-                   PolicyRefiner(pw, policy, seed=seed, norm=norm),
+                   PolicyRefiner(pw, policy, seed=seed),
                    StopConfig(ar_window=30, ar_threshold=1.0,
                               max_trials=300), seed, on_refine=audit)
 
@@ -695,9 +654,7 @@ def test_split_children_match_fresh_builds(shape, mode, retree):
     m = ising_grid(*shape, sigma=0.5, seed=6)
     stop = (StopConfig() if mode is Mode.OPTIMIZATION else
             StopConfig(ar_window=50, ar_threshold=0.8, max_trials=3000))
-    variants = [(policy, None) for policy in Policy] + \
-        [(Policy.MAX_SLACK, "sum"), (Policy.MAX_SLACK, "max")]
-    for policy, norm in variants:
+    for policy in Policy:
         pw = PiecewiseProposal(m, retree=retree)
         audits = {"n": 0}
 
@@ -706,9 +663,9 @@ def test_split_children_match_fresh_builds(shape, mode, retree):
             assert_leaves_match_fresh_builds(m, proposal)
 
         res = engine.run(mode, m.log_p, pw,
-                         PolicyRefiner(pw, policy, seed=2, norm=norm), stop,
-                         seed=5, on_refine=audit)
-        assert audits["n"] == res.history.refine_count > 0, (policy, norm)
+                         PolicyRefiner(pw, policy, seed=2), stop, seed=5,
+                         on_refine=audit)
+        assert audits["n"] == res.history.refine_count > 0, policy
 
 
 @st.composite
@@ -784,8 +741,8 @@ def test_p_and_q_are_one_sum_bit_for_bit(case, retree):
                 assert s == m.log_p(x)
 
 
-@pytest.mark.parametrize("norm", [None, "sum"])
-def test_retree_split_builds_one_fresh_forest(norm, monkeypatch):
+@pytest.mark.parametrize("policy", [Policy.MAX_SLACK, Policy.QUEUE])
+def test_retree_split_builds_one_fresh_forest(policy, monkeypatch):
     # one maximum spanning forest for the root and one per retree split,
     # none for lookahead splits; the children of a split share one forest
     forests = []
@@ -809,7 +766,7 @@ def test_retree_split_builds_one_fresh_forest(norm, monkeypatch):
     pw = PiecewiseProposal(m, retree=True)
     assert len(forests) == 1
     res = engine.run(Mode.SAMPLING, m.log_p, pw,
-                     PolicyRefiner(pw, Policy.MAX_SLACK, seed=1, norm=norm),
+                     PolicyRefiner(pw, policy, seed=1),
                      StopConfig(ar_window=50, ar_threshold=0.6,
                                 max_trials=20_000), seed=3)
     fresh = [f for f, _ in splits if f is not None]
