@@ -3,8 +3,8 @@
 Same machinery as decoding, run in sum mode: paths are drawn from the
 bound automaton and accepted with probability p/q. Draws are batched so
 one beta table serves many trials; after each batch the worst reject
-tightens one context. Every accepted sentence is an exact draw from the
-posterior, no burn-in, no correlation.
+tightens every loose context on its path. Every accepted sentence is an
+exact draw from the posterior, no burn-in, no correlation.
 """
 
 import os

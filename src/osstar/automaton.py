@@ -6,10 +6,11 @@ to.  An edge (i, c, w) emits word w at position i, carries an optimistic
 weight for that word, and lands on the longest stored suffix of c + (w,).
 
 Each edge remembers the order of the bound it currently uses: a freshly
-built automaton scores every word with an order-1 bound, and one refinement
-tightens exactly one edge by one order (adding deeper context states as
-needed to route the offending path into the tightened edge).  Path weights
-therefore never increase, and the tightened path strictly drops.
+built automaton scores every word with an order-1 bound.  A refinement
+deepens edges of the rejected path (adding deeper context states as needed
+to route the path into each tightened edge): every loose edge of a drawn
+path, right to left, and one edge of the path viterbi just returned.  Path
+weights therefore never increase, and the rejected path strictly drops.
 
 Every state at layer i has one edge per candidate word of position i, in
 the lattice's order, so a layer is compiled to a dense states x candidates
@@ -24,9 +25,11 @@ Cached, per semiring ("sum" for sampling, "max" for the argmax):
             reduction over vals[i] = weight + beta[i + 1][dest];
   vals[i]   kept for the readers: a state's draw CDF (sum) or its best
             edge (max) is computed from its row on first visit and memoised.
-A refinement at position i marks layers 0..i dirty; the next read rebuilds
+A deepening at position i marks layers 0..i dirty; the next read rebuilds
 beta and vals of exactly those layers, top down, and drops their memos.
-Layers above i keep their arrays, beta rows and memos.
+Layers above i keep their arrays, beta rows and memos.  The dirty mark
+keeps the deepest layer marked, so a refinement that deepens several
+edges costs one rebuild.
 """
 
 from __future__ import annotations
@@ -127,8 +130,8 @@ class QAutomaton:
         self._dirty: dict[str, int] = {"sum": -1, "max": -1}
         self._vals: dict[str, list] = {}
         self._memo: dict[str, list[dict]] = {}
-        # viterbi's last path and its state rows, for refine; dropped on
-        # any change of structure
+        # the path viterbi last returned and its state rows, for refine;
+        # dropped on any change of structure
         self._descent: tuple | None = None
 
     # -- structure ---------------------------------------------------------
@@ -281,15 +284,14 @@ def viterbi(q: QAutomaton):
         total += weight
         row = layer.dest.item(row, j)
     words = tuple(words)
+    if not loose:
+        # a near tie: a runner-up within tol of a pick on the path
+        tol = _tie_tol(q)
+        vals = q._vals["max"]
+        if any(np.count_nonzero(v >= v.max() - tol) > 1
+               for v in (vals[i][row] for i, row in enumerate(rows))):
+            words, total, rows = _smallest_argmax(q, tol)
     q._descent = (words, rows)
-    if loose:
-        return words, total
-    # a near tie: a runner-up within tol of a pick on the path
-    tol = _tie_tol(q)
-    vals = q._vals["max"]
-    if any(np.count_nonzero(v >= v.max() - tol) > 1
-           for v in (vals[i][row] for i, row in enumerate(rows))):
-        return _smallest_argmax(q, tol)
     return words, total
 
 
@@ -316,17 +318,19 @@ def _forward_max(q: QAutomaton, i: int, row: int, total: float) -> float:
 
 def _smallest_argmax(q: QAutomaton, tol: float):
     """The lexicographically smallest of the paths with the largest
-    left-to-right total, and that total.  Word by word, each of the state's
-    top columns (backward max sum within tol of its best, in sorted-word
-    order) but the last is tried with one forward pass.  A column outside
-    the top trails by more than summation roundoff, so it cannot reach the
-    largest total, and the last top column must reach it."""
+    left-to-right total, that total and the path's state rows.  Word by
+    word, each of the state's top columns (backward max sum within tol of
+    its best, in sorted-word order) but the last is tried with one forward
+    pass.  A column outside the top trails by more than summation
+    roundoff, so it cannot reach the largest total, and the last top column
+    must reach it."""
     target = _forward_max(q, 0, 0, 0.0)
-    words = []
+    words, rows = [], []
     total = 0.0
     row = 0
     for i in range(q.length):
         layer = q.contexts[i]
+        rows.append(row)
         vrow = q._vals["max"][i][row]
         best = vrow.max()
         top = [j for j in layer.perm if vrow[j] >= best - tol]
@@ -338,7 +342,7 @@ def _smallest_argmax(q: QAutomaton, tol: float):
         words.append(layer.words[j])
         total = t
         row = layer.dest.item(row, j)
-    return tuple(words), total
+    return tuple(words), total, rows
 
 
 def sample_path(q: QAutomaton, rng: np.random.Generator):
@@ -414,27 +418,30 @@ def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int],
 def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     """Tighten the bound at the rejected path.
 
-    The refinement picks the position with the largest one-order gap
-    between the current edge bound and the next deeper bound (leftmost on
-    ties), then deepens that edge until its weight strictly drops; in the
-    common case that is a single new context weight.  A one-order gap
-    counts only above 1e-12: a smaller one is roundoff, and the edge may
-    have no slack at all.  If no gap counts, the leftmost position with
-    slack is deepened instead: an edge weight above p's term there by more
-    than 1e-12, or by any amount when no such edge is left.
+    A site counts as loose when the one-order gap between its current edge
+    bound and the next deeper bound is above 1e-12: a smaller gap is
+    roundoff, and the edge may have no slack at all.  A drawn path has
+    every loose site deepened, right to left, in this one refinement.  The
+    path viterbi just returned has only the site with the largest gap
+    deepened (leftmost on ties): deepening every loose site there spends
+    deeper bounds a decode does not need, and the count of bounds then
+    grows with their order.  Each deepening runs until that edge's weight
+    strictly drops or its context order is exhausted; in the common case
+    that is a single new context weight.  If no gap counts, the leftmost
+    position with slack is deepened instead: an edge weight above p's term
+    there by more than 1e-12, or by any amount when no such edge is left.
 
     Raises NoRefinementAvailable when the path already scores p term by
     term.
     """
-    # the rows the descent found, when the path viterbi just returned is
-    # the one rejected
-    rows = (q._descent[1] if q._descent and q._descent[0] == rejected
-            else q.path_rows(rejected))
+    # the rows viterbi found, when the path it just returned is the one
+    # rejected
+    decoded = q._descent is not None and q._descent[0] == rejected
+    rows = q._descent[1] if decoded else q.path_rows(rejected)
     # one scan of the positions whose edge on the path is below full order:
-    # each such edge's weight, and the largest one-order gap above 1e-12
-    # (leftmost on ties); a smaller gap is roundoff, possibly on an edge
-    # with no slack
-    sites = []
+    # each such edge's weight, the loose sites and the largest gap among
+    # them (leftmost on ties)
+    sites, loose = [], []
     best_i, best_gap = None, 1e-12
     for i, (w, row) in enumerate(zip(rejected, rows)):
         layer = q.contexts[i]
@@ -447,6 +454,8 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
         sites.append((i, weight))
         gap = weight - q.pobs[i][w] - q.tables.value(
             w, tuple(rejected[i - order:i]), full)
+        if gap > 1e-12:
+            loose.append(i)
         if gap > best_gap + 1e-15:
             best_i, best_gap = i, gap
     if best_i is None:
@@ -458,7 +467,11 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     if best_i is None:
         raise NoRefinementAvailable(
             "rejected path already scores its exact probability")
-    _deepen_at(q, rejected, rows, best_i)
+    # a drawn path's loose sites right to left: a deepening adds states at
+    # its own layer and below, each copying its ancestor's weight and
+    # order rows, so the gaps scanned at the sites still to come hold
+    for i in (loose[::-1] if loose and not decoded else (best_i,)):
+        _deepen_at(q, rejected, rows, i)
     return q
 
 

@@ -15,10 +15,11 @@ from osstar import engine
 from osstar.engine import Mode, StopConfig
 from osstar.graphical import PairwiseModel, SubspaceProposal
 from osstar.ngram import (MaxBackoffTables, OrderUnsupported, TokenLattice,
-                          build_lattice, load_arpa, load_vocab)
+                          build_lattice, keypad_encode, load_arpa, load_vocab)
 from osstar.piecewise import PiecewiseProposal
 
-from lm_fixtures import synthetic_instance
+from lm_fixtures import (cluster_vocab, markov_corpus, synthetic_instance,
+                         train_arpa)
 from test_graphical import TopRng
 from test_ngram import DATA, TINY_ARPA
 
@@ -166,20 +167,30 @@ def test_deep_refinement_keeps_domination_everywhere():
     assert any(len(ctx) >= 2 for layer in q.contexts for ctx in layer.ctxs)
 
 
-def slack_positions(q, x):
+def slack_positions(q, x, one_order=False):
     """Reference: positions whose edge on path x sits more than 1e-12
-    above the deepest available bound, i.e. where deepening can drop x."""
+    above the deepest available bound, i.e. where deepening can drop x.
+    With one_order, above the bound one order deeper instead: the loose
+    sites that refine deepens on a drawn path."""
     rows = q.path_rows(x)
     out = []
     for i, w in enumerate(x):
         layer, full = q.contexts[i], q.full_len(i)
         j = layer.col[w]
-        if layer.order.item(rows[i], j) > full:
+        order = layer.order.item(rows[i], j)
+        if order > full:
             continue
-        exact = q.tables.value(w, tuple(x[i - full:i]), full)
-        if layer.weight.item(rows[i], j) - q.pobs[i][w] - exact > 1e-12:
+        k = order if one_order else full
+        bound = q.tables.value(w, tuple(x[i - k:i]), full)
+        if layer.weight.item(rows[i], j) - q.pobs[i][w] - bound > 1e-12:
             out.append(i)
     return out
+
+
+def path_orders(q, x):
+    """Sum over path x's edges of the order of each edge's bound."""
+    return sum(layer.order.item(row, layer.col[w])
+               for layer, w, row in zip(q.contexts, x, q.path_rows(x)))
 
 
 def test_ngram_count_report():
@@ -188,7 +199,8 @@ def test_ngram_count_report():
     am.refine(q, ("b", "b", "b"))
     counts = am.report_ngram_counts(q)
     assert counts[1] == 6  # order-1 edges all still present on base states
-    assert counts[2] + counts[3] == 1
+    # one deeper bound per loose site: positions 1 and 2 of the path
+    assert counts[2] + counts[3] == 2
 
 
 def test_target_order_cap():
@@ -566,6 +578,56 @@ def test_every_refinement_keeps_the_compiled_automaton_exact(
     assert len(audits) == res.history.refine_count
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
+       cluster_size=st.integers(2, 3), length=st.integers(2, 8),
+       mode=st.sampled_from([Mode.SAMPLING, Mode.OPTIMIZATION]))
+@example(seed=404755, order=4, cluster_size=3, length=5, mode=Mode.SAMPLING)
+@example(seed=4194305, order=3, cluster_size=2, length=4,
+         mode=Mode.OPTIMIZATION)
+# no loose site; the slack fallback's first deeper bound is lower by
+# roundoff only, and the path's score drops by one ulp
+@example(seed=910, order=5, cluster_size=2, length=8, mode=Mode.SAMPLING)
+def test_every_reject_reaches_a_refinement(seed, order, cluster_size,
+                                           length, mode):
+    """No reject reaches the engine as NoRefinementAvailable: a rejected
+    path scores log q > log p, so some edge on it has slack, and refine
+    raises the bound order of some edge on the path without raising its
+    score, so refinement runs out only on a path scored exactly.  The rate
+    threshold above 1 keeps a sampling run refining to its trial budget,
+    deep into full-order edges, past what enumeration reaches."""
+    vocab, arpa, _, obs = synthetic_instance(
+        seed, order=order, n_clusters=3, cluster_size=cluster_size,
+        length=length, n_sentences=30)
+    lm = load_arpa(arpa)
+    lattice = build_lattice(obs, vocab)
+    target = am.HmmTarget(lm, lattice)
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+
+    class Checking(am.AutomatonRefiner):
+        calls = 0
+
+        def refine(self, proposal, config):
+            before = proposal.score_path(config)
+            orders = path_orders(proposal, config)
+            try:
+                out = super().refine(proposal, config)
+            except am.NoRefinementAvailable:
+                pytest.fail(f"reject {config!r} scores log q {before} > "
+                            f"log p {target(config)} but has no refinement")
+            assert out.score_path(config) <= before
+            assert path_orders(out, config) > orders
+            self.calls += 1
+            return out
+
+    refiner = Checking()
+    res = engine.run(mode, target, q, refiner,
+                     StopConfig(ar_window=20, ar_threshold=1.1,
+                                max_trials=300), seed)
+    rejects = sum(not r.accepted for r in res.history.records)
+    assert refiner.calls == res.history.refine_count == rejects
+
+
 def bigram_chain(lm, lattice):
     """The order-2 target over a lattice as a chain pairwise model, and each
     node's words: node i ranges over position i's candidates in lattice
@@ -816,6 +878,114 @@ def test_refine_reads_the_rows_viterbi_found(monkeypatch):
     assert calls == [] and deepened == [want]
     am.refine(q, x)
     assert calls == [x]
+
+
+def test_refine_deepens_every_loose_site_of_a_drawn_path(monkeypatch):
+    q, _ = refined_sms24()
+    rng = np.random.default_rng(0)
+    x = next(x for x, _ in (q.draw(rng) for _ in range(1000))
+             if len(slack_positions(q, x, one_order=True)) >= 2)
+    loose = slack_positions(q, x, one_order=True)
+    rows = q.path_rows(x)
+    edges = [(i, q.contexts[i].col[x[i]]) for i in loose]
+    before = [q.contexts[i].weight.item(rows[i], j) for i, j in edges]
+    builds = q.table_builds
+    calls, deepened = [], []
+    path_rows, deepen_at = am.QAutomaton.path_rows, am._deepen_at
+
+    def counting(self, words):
+        calls.append(words)
+        return path_rows(self, words)
+
+    def recording(q, rejected, rows, i):
+        deepened.append(i)
+        deepen_at(q, rejected, rows, i)
+
+    monkeypatch.setattr(am.QAutomaton, "path_rows", counting)
+    monkeypatch.setattr(am, "_deepen_at", recording)
+    am.refine(q, x)
+    # right to left, on the rows of one walk, and one sum-table rebuild
+    assert deepened == loose[::-1] and calls == [x]
+    q.beta("sum")
+    assert q.table_builds == builds + 1
+    rows = path_rows(q, x)
+    for (i, j), weight in zip(edges, before):
+        layer = q.contexts[i]
+        assert (layer.weight.item(rows[i], j) < weight - 1e-15
+                or layer.order.item(rows[i], j) > q.full_len(i)), i
+
+    # the path viterbi just returned deepens one site; the same path,
+    # rejected on a twin that never decoded, deepens every loose one
+    lm, lattice = lm_and_lattice("sms24")
+    decoded, drawn = (am.build_q0(lattice, MaxBackoffTables(lm))
+                      for _ in range(2))
+    y, _ = am.viterbi(decoded)
+    loose = slack_positions(drawn, y, one_order=True)
+    assert len(loose) >= 2
+    deepened.clear()
+    am.refine(decoded, y)
+    assert len(deepened) == 1 and deepened[0] in loose
+    deepened.clear()
+    am.refine(drawn, y)
+    assert deepened == loose[::-1]
+
+
+def test_a_decode_deepens_one_site_per_reject_through_near_ties(
+        monkeypatch):
+    """On this 12-word decode (the sentence model of perfbench's
+    hmm_decode instance 97 at seed 1) viterbi answers near ties with
+    _smallest_argmax's path, not its descent's, and some of those paths
+    are rejected.  Every reject, those included, deepens one site."""
+    rng = np.random.default_rng([1, 12, 5])
+    vocab = cluster_vocab(rng, 8, 8)
+    corpus = markov_corpus(rng, vocab, 120, 12)
+    lm = load_arpa(train_arpa(corpus, 5, vocab))
+    lattice = build_lattice([keypad_encode(w) for w in corpus[7]], vocab)
+    ties, deepened, counts = [], [], []
+    smallest, deepen_at = am._smallest_argmax, am._deepen_at
+
+    def tied(q, tol):
+        got = smallest(q, tol)
+        ties.append(got[0])
+        return got
+
+    def recording(q, rejected, rows, i):
+        deepened.append(i)
+        deepen_at(q, rejected, rows, i)
+
+    class Counting(am.AutomatonRefiner):
+        def refine(self, proposal, config):
+            deepened.clear()
+            out = super().refine(proposal, config)
+            counts.append(len(deepened))
+            return out
+
+    monkeypatch.setattr(am, "_smallest_argmax", tied)
+    monkeypatch.setattr(am, "_deepen_at", recording)
+    res = engine.run(Mode.OPTIMIZATION, am.HmmTarget(lm, lattice),
+                     am.build_q0(lattice, MaxBackoffTables(lm)), Counting(),
+                     StopConfig(), 0)
+    rejected = {r.config for r in res.history.records if not r.accepted}
+    assert rejected & set(ties)
+    assert set(counts) == {1}
+
+
+def test_a_24_word_sentence_samples_within_a_one_site_budget():
+    """Sentence scale: an order-5 LM over 64 words, sampled to windowed AR
+    0.2 at batch 1.  Deepening one site per reject took 2,386 trials on
+    this sentence, and trials grew as the square of its length; deepening
+    every loose site takes 257, well inside the budget."""
+    rng = np.random.default_rng(0)
+    vocab = cluster_vocab(rng, 8, 8)
+    corpus = markov_corpus(rng, vocab, 40, 24)
+    lm = load_arpa(train_arpa(corpus, 5, vocab))
+    lattice = build_lattice([keypad_encode(w) for w in corpus[0]], vocab)
+    stop = StopConfig(ar_threshold=0.2, max_trials=1000)
+    res = engine.run(Mode.SAMPLING, am.HmmTarget(lm, lattice),
+                     am.build_q0(lattice, MaxBackoffTables(lm)),
+                     am.AutomatonRefiner(), stop, 0)
+    assert res.history.trial_count < stop.max_trials
+    assert engine.should_stop(res.history, Mode.SAMPLING, stop)
 
 
 def test_deepening_keeps_the_threaded_rows_current():
