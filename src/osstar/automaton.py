@@ -140,15 +140,6 @@ class QAutomaton:
         """Longest usable context at position i (shorter near the start)."""
         return min(i, self.order - 1)
 
-    def _dest(self, i: int, tup: tuple) -> int:
-        """Row of the longest suffix of tup stored at layer i."""
-        rows = self.contexts[i].rows
-        for k in range(len(tup) + 1):
-            row = rows.get(tup[k:])
-            if row is not None:
-                return row
-        raise AssertionError("empty context missing")
-
     def _invalidate(self, layer: int) -> None:
         self._descent = None
         for semiring in ("sum", "max"):
@@ -380,13 +371,15 @@ def _add_state(q: QAutomaton, words: tuple, rows: list[int], i: int,
     every edge (c, w) of layer i - 1 with c + (w,) ending in ctx lands on
     a shorter suffix until now, and on ctx from now on.  No context of
     layer i + 1 is ctx plus a word (a state's prefix is stored one layer
-    up before it is added), so the path's rows past i do not move."""
+    up before it is added), so the longest stored suffix of ctx + (w,) is
+    that of ctx[1:] + (w,): the new row copies its ancestor's destination
+    row too, and the path's rows past i do not move."""
     layer, prev = q.contexts[i], q.contexts[i - 1]
     if len(ctx) - 1 > len(prev.ctxs[rows[i - 1]]):
         _add_state(q, words, rows, i - 1, tuple(words[i - len(ctx):i - 1]))
     anc = layer.rows[ctx[1:]]
     row = layer.append(ctx, layer.weight[anc], layer.order[anc],
-                       [q._dest(i + 1, ctx + (w,)) for w in layer.words])
+                       layer.dest[anc])
     prev.dest[prev.ending[ctx[:-1]], prev.col[ctx[-1]]] = row
     rows[i] = row
     q._invalidate(i)

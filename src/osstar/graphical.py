@@ -13,8 +13,12 @@ Each forest comes from one heap-ordered Prim pass, max_spanning_forest.
 A split conditions one more node k of a bound on its own forest minus k.
 Only the free neighbours of k and their ancestors can change; a child
 bound builds those nodes' unaries, beta arrays, messages and argmax picks
-and shares every other node's with its parent.  A full build is the same
-path with no parent and every free node changed, so they agree bit for bit.
+and shares every other node's with its parent.  Only k's edges can enter
+or leave the list of factors folded into the bound's constant, so a child
+re-tests those against its parent's list, then sums the list in edge-id
+order: the same float additions as a full build.  A full build is the same
+path with no parent, every free node changed and every edge tested, so
+they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -286,35 +290,49 @@ class SubspaceProposal:
         parent is such a neighbour, so the ancestors whose subtree lost k
         are in the set.  Every other node keeps the parent's unary, beta,
         message and argmax picks, shared by reference; the parent leaf
-        itself is not kept.  Without parent_leaf every free node is in the
-        changed set.  Either way the result is bit for bit a full build's.
+        itself is not kept.  Likewise only k's edges can enter or leave
+        the list of edges const sums (both ends assigned, or both free and
+        off the forest): the child re-tests those and keeps the parent's
+        verdict on every other edge.  It then sums const over the list in
+        edge-id order, so its floats are the additions a full build makes.
+        Without parent_leaf every free node is in the changed set and
+        every edge is tested.  Either way the result is bit for bit a full
+        build's.
         """
         self.model = model
         self.assigned = dict(assigned)
-        self.free = sorted(i for i in range(model.n_nodes)
-                           if i not in self.assigned)
         if parent_leaf is None:
+            self.free = [j for j in range(model.n_nodes)
+                         if j not in self.assigned]
             if forest is None:
                 forest = max_spanning_forest(model, self.free)
-            touched = set(self.free)
+            touched, retest = self.free, range(len(model.edges))
+            kept: set[int] = set()
+            self.eff: dict[int, np.ndarray] = {}
+            # node -> {parent value, None at a root -> argmax pick}
+            self._picks: dict[int, dict] = {}
         else:
             k = self._added_node(parent_leaf)
             if forest is None:
                 raise ValueError("a child bound needs its forest: the "
                                  f"parent's forest minus node {k}")
-            touched = {v for _, v in model.adjacency[k]
-                       if v not in self.assigned}
+            self.free = [j for j in parent_leaf.free if j != k]
+            touched = [v for _, v in model.adjacency[k]
+                       if v not in self.assigned]
+            retest = [eid for eid, _ in model.adjacency[k]]
+            kept = set(parent_leaf._const_ids).difference(retest)
+            self.eff = dict(parent_leaf.eff)
+            self._picks = dict(parent_leaf._picks)
+            del self.eff[k], self._picks[k]
         self._changed: set[int] = set()
         for j in touched:
             while j is not None and j not in self._changed:
                 self._changed.add(j)
                 j = forest.parent[j]
-        self.eff = {j: self._eff_row(j) if j in touched else parent_leaf.eff[j]
-                    for j in self.free}
-        # node -> {parent value, None at a root -> argmax pick}
-        self._picks: dict[int, dict] = {
-            j: {} if j in self._changed else parent_leaf._picks[j]
-            for j in self.free}
+        for j in touched:
+            self.eff[j] = self._eff_row(j)
+        for j in self._changed:
+            self._picks[j] = {}
         # the parent leaf's (beta, messages) per semiring, reused outside
         # the changed set until this bound computes its own pass
         self._base: dict[str, tuple | None] = {
@@ -322,15 +340,21 @@ class SubspaceProposal:
             else (parent_leaf._beta[sr], parent_leaf._msg[sr])
             for sr in ("sum", "max")}
         self.forest = forest
+        # the edges const sums: both ends assigned, or both free and off
+        # the forest
+        edges, assigned = model.edges, self.assigned
+        self._const_ids = sorted(kept.union(
+            eid for eid in retest if eid not in forest.edge_ids and
+            (edges[eid].u in assigned) == (edges[eid].v in assigned)))
         const = 0.0
-        for i in sorted(self.assigned):
-            const += model.log_psi[i][self.assigned[i]]
+        for i in sorted(assigned):
+            const += model.log_psi[i][assigned[i]]
         self.offtree_ids: list[int] = []
-        for eid, e in enumerate(model.edges):
-            au, av = e.u in self.assigned, e.v in self.assigned
-            if au and av:
-                const += e.log_phi[self.assigned[e.u], self.assigned[e.v]]
-            elif not (au or av) and eid not in forest.edge_ids:
+        for eid in self._const_ids:
+            e = edges[eid]
+            if e.u in assigned:
+                const += e.log_phi[assigned[e.u], assigned[e.v]]
+            else:
                 self.offtree_ids.append(eid)
                 const += model.phi_max_log[eid]
         self.const = float(const)
@@ -546,11 +570,12 @@ class SubspaceProposal:
         tol = tie_tolerance(self.model.abs_log_sum)
 
         def pick(logits):
-            best = int(np.argmax(logits))
-            if len(logits) > 1 and \
-                    np.partition(logits, -2)[-2] >= logits[best] - tol:
+            # Python floats: numpy's wrappers cost more than a short row
+            logits = logits.tolist()
+            top = max(logits)
+            if len(logits) > 1 and sorted(logits)[-2] >= top - tol:
                 return None
-            return best
+            return logits.index(top)  # the first maximum
         values = self._descend(self.beta("max"), pick, self._picks)
         if values is None:
             values = self._argmax_clamped()

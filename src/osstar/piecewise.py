@@ -119,10 +119,11 @@ class PiecewiseProposal:
     def argmax(self):
         """Global maximizer; exact cross-leaf ties resolve to the
         lexicographically smallest configuration (leaves' configurations
-        differ, so the comparison never reaches the scores)."""
-        top = self.max_log()
-        return min(leaf.argmax() for leaf in self.leaves.values()
-                   if leaf.max_log() == top)
+        differ, so the comparison never reaches the scores).  Each leaf's
+        max is read once."""
+        maxes = [(leaf.max_log(), leaf) for leaf in self.leaves.values()]
+        top = max(m for m, _ in maxes)
+        return min(leaf.argmax() for m, leaf in maxes if m == top)
 
     # -- refinement ----------------------------------------------------------
 

@@ -627,11 +627,34 @@ def test_every_refinement_keeps_the_grid_law_exact(m, seed):
                               max_trials=300), seed, on_refine=audit)
 
 
+def numpy_pick(leaf, j, key):
+    """The argmax pick of node j given its parent's value key (None at a
+    root), by numpy: the first maximum, or None when the runner-up is
+    within the tie tolerance."""
+    beta = leaf.beta("max")
+    logits = (beta[j] if key is None else
+              beta[j] + leaf._edge_to_parent(j).T[key])
+    best = int(np.argmax(logits))
+    tol = engine.tie_tolerance(leaf.model.abs_log_sum)
+    if len(logits) > 1 and \
+            np.partition(logits, -2)[-2] >= logits[best] - tol:
+        return None
+    return best
+
+
 def assert_leaves_match_fresh_builds(m, proposal):
-    """Every computed pass of every leaf (beta and messages, node by node)
-    and every leaf's argmax equal those of a full build of the same leaf."""
+    """Every leaf's free list, constant (bit for bit), off-tree edges and
+    unaries, every computed pass (beta and messages, node by node), its
+    argmax and every argmax pick it has memoised equal those of a full
+    build of the same leaf."""
     for leaf in proposal.leaves.values():
         fresh = SubspaceProposal(m, leaf.assigned, leaf.forest)
+        assert leaf.free == fresh.free
+        assert leaf.const.hex() == fresh.const.hex()
+        assert leaf.offtree_ids == fresh.offtree_ids
+        assert leaf.eff.keys() == fresh.eff.keys()
+        assert all(np.array_equal(leaf.eff[j], fresh.eff[j])
+                   for j in fresh.eff)
         for semiring in ("sum", "max"):
             if leaf._beta[semiring] is None:
                 continue
@@ -643,6 +666,10 @@ def assert_leaves_match_fresh_builds(m, proposal):
             assert all(np.array_equal(leaf._msg[semiring][j], msg[j])
                        for j in msg)
         assert leaf.argmax() == fresh.argmax()
+        assert leaf._picks.keys() == fresh._picks.keys()
+        assert all(v == numpy_pick(fresh, j, key)
+                   for j, picks in leaf._picks.items()
+                   for key, v in picks.items())
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 4)])
