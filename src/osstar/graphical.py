@@ -12,31 +12,51 @@ the replaced factors at their maximum entry, so q >= p holds bit for bit.
 Each forest comes from one heap-ordered Prim pass, max_spanning_forest.
 A split conditions one more node k of a bound on its own forest minus k.
 Only the free neighbours of k and their ancestors can change; a child
-bound builds those nodes' unaries, beta arrays, messages and argmax picks
+bound builds those nodes' unaries, beta rows, messages and argmax picks
 and shares every other node's with its parent.  Only k's edges can enter
 or leave the list of factors folded into the bound's constant, so a child
 re-tests those against its parent's list, then sums the list in edge-id
 order: the same float additions as a full build.  A full build is the same
 path with no parent, every free node changed and every edge tested, so
 they agree bit for bit.
+
+The potentials and every per-node row of a bound (unaries, beta rows,
+messages, argmax logits) are Python floats: on small domains numpy's
+per-call cost dwarfs the arithmetic.  They are the floats numpy would
+give.  An IEEE sum or max of two doubles is exact per element, so the
+max pass reduces each column with the builtin max and every other row is
+added element by element in numpy's order.  The sum pass reduces each
+node's (parent value x child value) block with one np.logaddexp.reduce,
+the sequential ufunc numpy's formulation calls.  The one difference is
+the sign of a zero where a max ties -0.0 with +0.0, which no comparison
+and no later sum can see.  A model whose largest magnitudes overflow when
+summed is rejected, so no pass meets inf or nan, which the builtin max,
+unlike np.maximum, would not carry.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
 from .engine import tie_tolerance
 
 
-@dataclass
-class ModelEdge:
+class ModelEdge(NamedTuple):
+    """Edge (u, v): phi(x_u, x_v) is the model's flat phi tuple at
+    at + x_u * dv + x_v, dv being v's domain."""
+
     u: int
     v: int
-    log_phi: np.ndarray
+    at: int
+    dv: int
 
 
 def _integer(value, what: str) -> int:
@@ -54,7 +74,9 @@ class PairwiseModel:
         n = len(self.domains)
         if len(log_psi) != n:
             raise ValueError("one log_psi per node required")
-        self.log_psi = []
+        # the potentials as Python floats in tuples, shared by reference:
+        # one row per node, and every edge's matrix row-major in one run
+        psis: list[tuple[float, ...]] = []
         for i, psi in enumerate(log_psi):
             arr = np.asarray(psi, dtype=float)
             if arr.shape != (self.domains[i],):
@@ -62,8 +84,10 @@ class PairwiseModel:
                                  f"({self.domains[i]},)")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"log_psi[{i}] must be finite")
-            self.log_psi.append(arr)
+            psis.append(tuple(arr.tolist()))
+        self._psi = tuple(psis)
         self.edges: list[ModelEdge] = []
+        phi: list[float] = []
         seen = set()
         for u, v, log_phi in edges:
             u, v = _integer(u, "edge end u"), _integer(v, "edge end v")
@@ -79,22 +103,50 @@ class PairwiseModel:
                 raise ValueError(f"log_phi for edge ({u},{v}) has wrong shape")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"log_phi for edge ({u},{v}) must be finite")
-            self.edges.append(ModelEdge(u, v, arr))
+            self.edges.append(ModelEdge(u, v, len(phi), self.domains[v]))
+            phi.extend(arr.ravel().tolist())
+        self._phi = tuple(phi)
         self.adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for eid, e in enumerate(self.edges):
             self.adjacency[e.u].append((eid, e.v))
             self.adjacency[e.v].append((eid, e.u))
-        self.phi_max_log = [float(e.log_phi.max()) for e in self.edges]
-        self.phi_range_log = [float(e.log_phi.max() - e.log_phi.min())
-                              for e in self.edges]
+        phis = [self._phi[e.at:e.at + self.domains[e.u] * e.dv]
+                for e in self.edges]
+        self.phi_max_log = [max(phi) for phi in phis]
+        self.phi_range_log = [max(phi) - min(phi) for phi in phis]
         # bounds the magnitude of every partial sum of log p or log q
         self.abs_log_sum = float(
-            sum(np.abs(psi).max() for psi in self.log_psi)
-            + sum(np.abs(e.log_phi).max() for e in self.edges))
+            sum(max(map(abs, psi)) for psi in self._psi)
+            + sum(max(map(abs, phi)) for phi in phis))
+        if not math.isfinite(self.abs_log_sum):
+            raise ValueError("the largest magnitudes of the potentials sum "
+                             "past the largest float")
 
     @property
     def n_nodes(self) -> int:
         return len(self.domains)
+
+    def log_psi(self, i: int) -> list[float]:
+        """Node i's unary log potential, one float per value."""
+        return list(self._psi[i])
+
+    def log_phi(self, eid: int) -> list[list[float]]:
+        """Edge eid's log potential: a row over v's values per value of u."""
+        return [list(row) for row in self._rows(eid, self.edges[eid].v)]
+
+    def _row(self, eid: int, j: int, a: int) -> tuple[float, ...]:
+        """Edge eid's log potential over the values of j, one of its ends,
+        with its other end at value a."""
+        u, v, at, dv = self.edges[eid]
+        if j == v:
+            return self._phi[at + a * dv:at + a * dv + dv]
+        return self._phi[at + a:at + self.domains[u] * dv:dv]
+
+    def _rows(self, eid: int, j: int) -> list[tuple[float, ...]]:
+        """_row of each value of the other end of edge eid, in order."""
+        e = self.edges[eid]
+        return [self._row(eid, j, a)
+                for a in range(self.domains[e.u if j == e.v else e.v])]
 
     def log_p(self, config) -> float:
         return self._log_sum(config)
@@ -107,32 +159,33 @@ class PairwiseModel:
         each edge in capped at its max entry.  log p caps none and a bound
         caps its off-tree edges: float addition is monotone, so the bound
         is >= log p bit for bit."""
+        psi, phi, cap = self._psi, self._phi, self.phi_max_log
         total = 0.0
-        for i, psi in enumerate(self.log_psi):
-            total += psi[config[i]]
-        for eid, e in enumerate(self.edges):
-            total += (self.phi_max_log[eid] if eid in capped
-                      else e.log_phi[config[e.u], config[e.v]])
-        return float(total)
+        for row, x in zip(psi, config):
+            total += row[x]
+        for eid, (u, v, at, dv) in enumerate(self.edges):
+            total += (cap[eid] if eid in capped
+                      else phi[at + config[u] * dv + config[v]])
+        return total
 
     def _log_sum_many(self, configs: np.ndarray,
                       capped=frozenset()) -> np.ndarray:
         """_log_sum over the rows of configs, the same floats per row."""
+        phi = np.array(self._phi)
         total = np.zeros(len(configs))
-        for i, psi in enumerate(self.log_psi):
-            total += psi[configs[:, i]]
-        for eid, e in enumerate(self.edges):
+        for i, row in enumerate(self._psi):
+            total += np.array(row)[configs[:, i]]
+        for eid, (u, v, at, dv) in enumerate(self.edges):
             total += (self.phi_max_log[eid] if eid in capped
-                      else e.log_phi[configs[:, e.u], configs[:, e.v]])
+                      else phi[at + configs[:, u] * dv + configs[:, v]])
         return total
 
     def to_dict(self) -> dict:
         return {
-            "nodes": [{"id": i, "domain": d, "log_psi": psi.tolist()}
-                      for i, (d, psi) in enumerate(zip(self.domains,
-                                                       self.log_psi))],
-            "edges": [{"u": e.u, "v": e.v, "log_phi": e.log_phi.tolist()}
-                      for e in self.edges],
+            "nodes": [{"id": i, "domain": d, "log_psi": self.log_psi(i)}
+                      for i, d in enumerate(self.domains)],
+            "edges": [{"u": e.u, "v": e.v, "log_phi": self.log_phi(eid)}
+                      for eid, e in enumerate(self.edges)],
         }
 
     def to_json(self) -> str:
@@ -188,10 +241,6 @@ def ising_grid(rows: int, cols: int, sigma: float = 0.5,
                          edges=edges)
 
 
-# semiring -> reduction of a beta vector or message block over axis 0
-_REDUCE = {"sum": np.logaddexp.reduce, "max": np.maximum.reduce}
-
-
 @dataclass
 class Forest:
     """Rooted spanning forest over a set of free nodes."""
@@ -202,25 +251,51 @@ class Forest:
     edge_of: dict[int, int]  # node -> model edge id linking it to its parent
     order: list[int]  # preorder, roots first
     edge_ids: frozenset[int]  # the values of edge_of
+    # node -> phi of its edge as rows over its values, one per value of
+    # its parent: filled by the bounds on first use, kept by without(); a
+    # forest's edge ids are one model's, so its rows are too
+    rows: dict[int, list] = field(default_factory=dict, compare=False,
+                                  repr=False)
 
     def without(self, node: int) -> "Forest":
         """The forest after deleting one node: its children become roots.
         Only the children list of node's parent changes; every other list
-        is shared, as a forest is never mutated once built."""
+        is shared, as a forest's structure never changes once built.
+
+        The preorder is cut, not rebuilt: every tree and every subtree is
+        a contiguous run of it.  node's subtree is the run after node of
+        nodes whose parent lies in it, each child's subtree starts at the
+        child, and the new preorder is the trees' runs in root order."""
         if node not in self.parent:
             raise KeyError(f"node {node} not in forest")
         parent, children = dict(self.parent), dict(self.children)
-        edge_of = dict(self.edge_of)
+        edge_of, rows = dict(self.edge_of), dict(self.rows)
         up = parent.pop(node)
         edge_of.pop(node, None)
+        rows.pop(node, None)
         kids = children.pop(node)
         if up is not None:
             children[up] = [c for c in children[up] if c != node]
         for c in kids:
             parent[c] = None
             del edge_of[c]
-        roots = sorted([r for r in self.roots if r != node] + kids)
-        return _rooted(roots, parent, children, edge_of)
+            rows.pop(c, None)
+        order = self.order
+        start = order.index(node)
+        inside, end, cuts = {node}, start + 1, []
+        while end < len(order) and self.parent[order[end]] in inside:
+            if self.parent[order[end]] == node:
+                cuts.append(end)
+            inside.add(order[end])
+            end += 1
+        rest = order[:start] + order[end:]
+        tops = [i for i, j in enumerate(rest) if parent[j] is None]
+        runs = sorted([rest[a:b] for a, b in zip(tops, tops[1:] + [None])]
+                      + [order[a:b] for a, b in zip(cuts, cuts[1:] + [end])])
+        return Forest(roots=[run[0] for run in runs], parent=parent,
+                      children=children, edge_of=edge_of,
+                      order=[j for run in runs for j in run],
+                      edge_ids=frozenset(edge_of.values()), rows=rows)
 
 
 def _rooted(roots, parent, children, edge_of) -> Forest:
@@ -308,7 +383,7 @@ class SubspaceProposal:
                 forest = max_spanning_forest(model, self.free)
             touched, retest = self.free, range(len(model.edges))
             kept: set[int] = set()
-            self.eff: dict[int, np.ndarray] = {}
+            self.eff: dict[int, Sequence[float]] = {}
             # node -> {parent value, None at a root -> argmax pick}
             self._picks: dict[int, dict] = {}
         else:
@@ -346,25 +421,26 @@ class SubspaceProposal:
         self._const_ids = sorted(kept.union(
             eid for eid in retest if eid not in forest.edge_ids and
             (edges[eid].u in assigned) == (edges[eid].v in assigned)))
+        psi, phi = model._psi, model._phi
         const = 0.0
         for i in sorted(assigned):
-            const += model.log_psi[i][assigned[i]]
+            const += psi[i][assigned[i]]
         self.offtree_ids: list[int] = []
         for eid in self._const_ids:
-            e = edges[eid]
-            if e.u in assigned:
-                const += e.log_phi[assigned[e.u], assigned[e.v]]
+            u, v, at, dv = edges[eid]
+            if u in assigned:
+                const += phi[at + assigned[u] * dv + assigned[v]]
             else:
                 self.offtree_ids.append(eid)
                 const += model.phi_max_log[eid]
-        self.const = float(const)
+        self.const = const
         self._capped = frozenset(self.offtree_ids)
         # a leaf is never mutated once built, so its passes and scalars
         # are computed at most once
-        self._beta: dict[str, dict[int, np.ndarray] | None] = {
+        self._beta: dict[str, dict[int, Sequence[float]] | None] = {
             "sum": None, "max": None}
         # per semiring, each non-root node's message to its forest parent
-        self._msg: dict[str, dict[int, np.ndarray] | None] = {
+        self._msg: dict[str, dict[int, list[float]] | None] = {
             "sum": None, "max": None}
         self._mass_log: float | None = None
         self._max_log: float | None = None
@@ -382,34 +458,36 @@ class SubspaceProposal:
                              f"than its parent, not {len(added)}: {added}")
         return added[0]
 
-    def _eff_row(self, j: int) -> np.ndarray:
+    def _eff_row(self, j: int) -> Sequence[float]:
         """Free node j's unary: log psi_j plus the row of each factor to an
         assigned neighbour, added in edge-id order."""
-        b = self.model.log_psi[j]
-        for eid, other in self.model.adjacency[j]:
-            if other in self.assigned:
-                e = self.model.edges[eid]
-                b = b + (e.log_phi[self.assigned[other], :] if e.u == other
-                         else e.log_phi[:, self.assigned[other]])
+        model, assigned = self.model, self.assigned
+        b = model._psi[j]
+        for eid, other in model.adjacency[j]:
+            if other in assigned:
+                b = list(map(add, b, model._row(eid, j, assigned[other])))
         return b
 
     # -- tree passes ---------------------------------------------------------
 
-    def _edge_to_parent(self, child: int) -> np.ndarray:
-        """phi matrix oriented (child value, parent value)."""
-        e = self.model.edges[self.forest.edge_of[child]]
-        return e.log_phi if e.u == child else e.log_phi.T
+    def _edge_to_parent(self, child: int) -> list[tuple[float, ...]]:
+        """phi of child's forest edge as rows over child's values, one per
+        value of its parent, kept on the forest once made."""
+        rows = self.forest.rows.get(child)
+        if rows is None:
+            rows = self.forest.rows[child] = self.model._rows(
+                self.forest.edge_of[child], child)
+        return rows
 
-    def _pass(self, semiring: str, eff: dict[int, np.ndarray],
+    def _pass(self, semiring: str, eff: dict[int, Sequence[float]],
               base: tuple | None) -> tuple[dict, dict]:
         """Backward pass in the semiring over the unaries eff: (beta per
         node, each non-root node's message to its parent).  base is the
         parent leaf's (beta, messages) in this semiring, read outside the
         changed set, or None to compute every node."""
-        reduce = _REDUCE[semiring]
         parent = self.forest.parent
-        beta: dict[int, np.ndarray] = {}
-        msg: dict[int, np.ndarray] = {}
+        beta: dict[int, Sequence[float]] = {}
+        msg: dict[int, list[float]] = {}
         for j in reversed(self.forest.order):
             if base is not None and j not in self._changed:
                 beta[j] = base[0][j]
@@ -418,20 +496,28 @@ class SubspaceProposal:
                 continue
             b = eff[j]
             for c in self.forest.children[j]:
-                b = b + msg[c]
+                b = list(map(add, b, msg[c]))
             beta[j] = b
-            if parent[j] is not None:
-                msg[j] = reduce(b[:, None] + self._edge_to_parent(j), axis=0)
+            if parent[j] is None:
+                continue
+            rows = self._edge_to_parent(j)
+            if semiring == "max":
+                msg[j] = [max(map(add, b, row)) for row in rows]
+            else:
+                msg[j] = np.logaddexp.reduce(
+                    [list(map(add, b, row)) for row in rows], axis=1).tolist()
         return beta, msg
 
-    def _fold(self, semiring: str, beta: dict[int, np.ndarray]) -> float:
+    def _fold(self, semiring: str, beta: dict[int, Sequence[float]]
+              ) -> float:
         """const plus each root's reduced beta, in root order."""
         total = self.const
         for r in self.forest.roots:
-            total += float(_REDUCE[semiring](beta[r]))
+            total += (max(beta[r]) if semiring == "max"
+                      else float(np.logaddexp.reduce(beta[r])))
         return total
 
-    def beta(self, semiring: str) -> dict[int, np.ndarray]:
+    def beta(self, semiring: str) -> dict[int, Sequence[float]]:
         if self._beta[semiring] is None:
             self._beta[semiring], self._msg[semiring] = self._pass(
                 semiring, self.eff, self._base[semiring])
@@ -464,13 +550,14 @@ class SubspaceProposal:
     def slack(self, config) -> dict[int, float]:
         """Per free node, the sum over its off-tree edges of how far each
         edge's max entry exceeds its value at config (all >= 0)."""
+        edges, phi, cap = self.model.edges, self.model._phi, \
+            self.model.phi_max_log
         slack = {j: 0.0 for j in self.free}
         for eid in self.offtree_ids:
-            e = self.model.edges[eid]
-            gap = self.model.phi_max_log[eid] - \
-                float(e.log_phi[config[e.u], config[e.v]])
-            slack[e.u] += gap
-            slack[e.v] += gap
+            u, v, at, dv = edges[eid]
+            gap = cap[eid] - phi[at + config[u] * dv + config[v]]
+            slack[u] += gap
+            slack[v] += gap
         return slack
 
     # -- draws ---------------------------------------------------------------
@@ -479,13 +566,13 @@ class SubspaceProposal:
         return tuple(self.assigned.get(i, values.get(i))
                      for i in range(self.model.n_nodes))
 
-    def _descend(self, beta: dict[int, np.ndarray], pick,
-                 memo: dict[int, dict] | None = None) -> dict | None:
-        """Preorder walk setting each node to pick(its logits given the
-        parent's value: an int, or n values giving an (n, domain) block);
-        None as soon as pick returns None.  With memo (node -> {parent
-        value, None at a root -> pick}) a pick already made for the same
-        parent value is read back instead of computed."""
+    def _descend(self, pick, memo: dict[int, dict] | None = None
+                 ) -> dict | None:
+        """Preorder walk setting each node j to pick(j, key), key being the
+        parent's value (an int, or n values for a block draw) or None at a
+        root; None as soon as pick returns None.  With memo (node -> {key
+        -> pick}) a pick already made for the same key is read back
+        instead of computed."""
         values = {}
         for j in self.forest.order:
             p = self.forest.parent[j]
@@ -493,8 +580,7 @@ class SubspaceProposal:
             if memo is not None and key in memo[j]:
                 v = memo[j][key]
             else:
-                v = pick(beta[j] if p is None else
-                         beta[j] + self._edge_to_parent(j).T[key])
+                v = pick(j, key)
                 if memo is not None:
                     memo[j][key] = v
             if v is None:
@@ -502,26 +588,42 @@ class SubspaceProposal:
             values[j] = v
         return values
 
+    def _logits(self, beta: dict[int, Sequence[float]], j: int, key
+                ) -> Sequence[float]:
+        """beta[j] plus j's forest edge at its parent's value key, or
+        beta[j] alone at a root (key None)."""
+        if key is None:
+            return beta[j]
+        return list(map(add, beta[j], self._edge_to_parent(j)[key]))
+
     def sample(self, rng: np.random.Generator):
         """Exact draw from q restricted to this subspace."""
-        def pick(logits):
+        beta = self.beta("sum")
+
+        def pick(j, key):
+            logits = np.array(self._logits(beta, j, key))
             # scale by the CDF's last entry: a pairwise sum can exceed it
             cdf = np.cumsum(np.exp(logits - logits.max()))
             return int(np.searchsorted(cdf, rng.random() * cdf[-1],
                                        side="right"))
-        config = self._full(self._descend(self.beta("sum"), pick))
+        config = self._full(self._descend(pick))
         return config, self.score(config)
 
     def sample_many(self, rng: np.random.Generator, n: int):
         """Vectorized draws: one uniform block per free node, fixed order."""
-        def pick(logits):
+        beta = self.beta("sum")
+
+        def pick(j, key):
+            logits = np.array(beta[j])
+            if key is not None:
+                logits = logits + np.array(self._edge_to_parent(j))[key]
             logits = np.broadcast_to(logits, (n, logits.shape[-1]))
             probs = np.exp(logits - logits.max(axis=1, keepdims=True))
             cdf = np.cumsum(probs, axis=1)
             r = rng.random(n) * cdf[:, -1]
             return (r[:, None] >= cdf).sum(axis=1)
         out = np.empty((n, self.model.n_nodes), dtype=np.int64)
-        values = {**self.assigned, **self._descend(self.beta("sum"), pick)}
+        values = {**self.assigned, **self._descend(pick)}
         for j, v in values.items():
             out[:, j] = v
         return out, self.score_many(out)
@@ -535,9 +637,8 @@ class SubspaceProposal:
         unclamped pass, and equality against the unclamped max is exact."""
         eff = dict(self.eff)
         for j, v in clamps.items():
-            mask = np.full(len(eff[j]), -np.inf)
-            mask[v] = 0.0
-            eff[j] = eff[j] + mask
+            eff[j] = [x + (0.0 if i == v else -math.inf)
+                      for i, x in enumerate(eff[j])]
         return self._fold("max", self._pass("max", eff, None)[0])
 
     def _argmax_clamped(self) -> dict[int, int]:
@@ -568,15 +669,15 @@ class SubspaceProposal:
         outside its changed set.
         """
         tol = tie_tolerance(self.model.abs_log_sum)
+        beta = self.beta("max")
 
-        def pick(logits):
-            # Python floats: numpy's wrappers cost more than a short row
-            logits = logits.tolist()
+        def pick(j, key):
+            logits = self._logits(beta, j, key)
             top = max(logits)
             if len(logits) > 1 and sorted(logits)[-2] >= top - tol:
                 return None
             return logits.index(top)  # the first maximum
-        values = self._descend(self.beta("max"), pick, self._picks)
+        values = self._descend(pick, self._picks)
         if values is None:
             values = self._argmax_clamped()
         config = self._full(values)

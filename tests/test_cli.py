@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -359,6 +360,20 @@ def test_gm_bench_rejects_bad_counts_before_printing(capsys, bad):
     assert main(["gm", "bench", "--grid", "3x3"] + bad) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["optimize", "sample"])
+def test_gm_overflowing_potentials_are_a_clean_error(command, capsys):
+    # the largest magnitudes of a 2x2 grid at sigma 1e308 sum past the
+    # largest float: rejected as the model is built, before any float
+    # operation can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gm", command, "--grid", "2x2",
+                     "--sigma", "1e308"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert "Warning" not in err
 
 
 def test_gm_sample_rejects_a_nan_threshold(capsys):

@@ -49,6 +49,12 @@ def test_model_validation():
     with pytest.raises(ValueError):
         PairwiseModel.from_dict({"nodes": [{"id": 1, "domain": 2,
                                             "log_psi": [0, 0]}], "edges": []})
+    # finite potentials whose largest magnitudes sum past the largest float
+    with pytest.raises(ValueError, match="sum past the largest float"):
+        PairwiseModel([1, 2], [[1e308], [0, -1e308]], [])
+    with pytest.raises(ValueError, match="sum past the largest float"):
+        PairwiseModel([2, 2], [[1e308, 0], [0, 0]],
+                      [(0, 1, [[0, 0], [0, -1e308]])])
 
 
 NODE = {"id": 0, "domain": 2, "log_psi": [0, 0]}
@@ -93,9 +99,9 @@ def test_ising_grid_layout_and_determinism():
     m = ising_grid(2, 2, sigma=0.7, seed=3)
     assert m.n_nodes == 4
     assert [(e.u, e.v) for e in m.edges] == [(0, 1), (0, 2), (1, 3), (2, 3)]
-    for e in m.edges:
-        j = e.log_phi[0, 0]
-        assert np.allclose(e.log_phi, [[j, -j], [-j, j]])
+    for eid in range(len(m.edges)):
+        j = m.log_phi(eid)[0][0]
+        assert np.allclose(m.log_phi(eid), [[j, -j], [-j, j]])
     m2 = ising_grid(2, 2, sigma=0.7, seed=3)
     for x in all_configs(m):
         assert m.log_p(x) == m2.log_p(x)
@@ -274,22 +280,38 @@ def reference_without(f, node):
 
 
 @pytest.mark.parametrize("shape,seed", [((3, 3), 9), ((4, 5), 1),
-                                        ((5, 5), 0), ((6, 4), 3)])
+                                        ((5, 5), 0), ((6, 4), 3),
+                                        ((4, 4), 2), ((6, 6), 5)])
 def test_forest_without_matches_the_comprehensions(shape, seed):
     m = ising_grid(*shape, sigma=0.5, seed=seed)
     full = max_spanning_forest(m, range(m.n_nodes))
-    # every node of the full forest, then every node of one split of it,
-    # whose lists are shared with the full forest's
-    cases = [(full, k) for k in full.order]
-    half = full.without(full.order[len(full.order) // 2])
-    cases += [(half, k) for k in half.order]
-    for f, k in cases:
-        g = f.without(k)
-        roots, parent, children, edge_of, order = reference_without(f, k)
-        assert g.order == order and g.roots == roots
-        assert g.parent == parent and g.children == children
-        assert g.edge_of == edge_of
-        assert g.edge_ids == frozenset(edge_of.values())
+    # every node of the full forest, then every node of forests cut from
+    # it, whose lists are shared with the full forest's and which have
+    # several roots; each forest first holds the edge rows of a max pass
+    forests = [full]
+    for _ in range(3):
+        f = forests[-1]
+        inner = [j for j in f.order if f.parent[j] is not None
+                 and f.children[j]]
+        forests.append(f.without(inner[len(inner) // 2]))
+    assert len(forests[-1].roots) > 3
+    hit = set()
+    for f in forests:
+        SubspaceProposal(m, {j: 0 for j in range(m.n_nodes)
+                             if j not in f.parent}, f).beta("max")
+        for k in f.order:
+            g = f.without(k)
+            roots, parent, children, edge_of, order = reference_without(f, k)
+            assert g.order == order and g.roots == roots
+            assert g.parent == parent and g.children == children
+            assert g.edge_of == edge_of
+            assert g.edge_ids == frozenset(edge_of.values())
+            # the cached rows of every node that keeps its edge, shared
+            assert g.rows.keys() == f.rows.keys() - {k, *f.children[k]}
+            assert all(g.rows[j] is f.rows[j] for j in g.rows)
+            hit.add("root" if f.parent[k] is None else
+                    "inner" if f.children[k] else "leaf")
+    assert hit == {"root", "inner", "leaf"}
 
 
 def reference_forest(model, free):
@@ -481,3 +503,121 @@ def test_sample_stays_inside_a_wide_domain():
     config, _ = sp.sample(TopRng())
     assert config == (15,)
     assert sp.sample_many(TopRng(), 1)[0].tolist() == [[15]]
+
+
+# -- the numpy formulation that the Python-float rows equal bit for bit --
+
+def bits(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def np_phi(m, eid, j):
+    """Edge eid's potential as a numpy matrix (j's value, other value)."""
+    phi = np.array(m.log_phi(eid))
+    return phi if m.edges[eid].u == j else phi.T
+
+
+def reference_eff(leaf, j):
+    b = np.array(leaf.model.log_psi(j))
+    for eid, other in leaf.model.adjacency[j]:
+        if other in leaf.assigned:
+            b = b + np_phi(leaf.model, eid, j)[:, leaf.assigned[other]]
+    return b
+
+
+def reference_pass(leaf, semiring):
+    """(beta, messages, fold): numpy arrays, one reduce per block."""
+    reduce = {"sum": np.logaddexp.reduce, "max": np.maximum.reduce}[semiring]
+    f = leaf.forest
+    beta, msg = {}, {}
+    for j in reversed(f.order):
+        b = reference_eff(leaf, j)
+        for c in f.children[j]:
+            b = b + msg[c]
+        beta[j] = b
+        if f.parent[j] is not None:
+            msg[j] = reduce(b[:, None] + np_phi(leaf.model, f.edge_of[j], j),
+                            axis=0)
+    fold = reference_const(leaf)[0]
+    for r in f.roots:
+        fold += float(reduce(beta[r]))
+    return beta, msg, fold
+
+
+def reference_const(leaf):
+    """(const, capped edges): the edges with both ends assigned at their
+    value and the free off-forest edges at their max, in edge-id order."""
+    m, a = leaf.model, leaf.assigned
+    const, capped = 0.0, set()
+    for i in sorted(a):
+        const += np.array(m.log_psi(i))[a[i]]
+    for eid, e in enumerate(m.edges):
+        if e.u in a and e.v in a:
+            const += np.array(m.log_phi(eid))[a[e.u], a[e.v]]
+        elif e.u not in a and e.v not in a and \
+                eid not in leaf.forest.edge_ids:
+            const += np.array(m.log_phi(eid)).max()
+            capped.add(eid)
+    return float(const), capped
+
+
+def reference_log_sum(m, x, capped=()):
+    total = 0.0
+    for i in range(m.n_nodes):
+        total += np.array(m.log_psi(i))[x[i]]
+    for eid, e in enumerate(m.edges):
+        phi = np.array(m.log_phi(eid))
+        total += phi.max() if eid in capped else phi[x[e.u], x[e.v]]
+    return float(total)
+
+
+def mixed_grid():
+    """3x4 grid of 2- and 3-valued nodes with normal potentials."""
+    rng = np.random.default_rng(11)
+    domains = [2 + (i % 3 == 1) for i in range(12)]
+    pairs = [(i, i + 1) for i in range(12) if i % 4 != 3] + \
+        [(i, i + 4) for i in range(8)]
+    return PairwiseModel(
+        domains, [rng.normal(size=d) for d in domains],
+        [(u, v, rng.normal(size=(domains[u], domains[v])))
+         for u, v in sorted(pairs)])
+
+
+@pytest.mark.parametrize("model", [ising_grid(5, 5, sigma=0.5, seed=4),
+                                   mixed_grid()], ids=["ising5x5", "mixed"])
+def test_rows_equal_the_numpy_pass_bit_for_bit(model):
+    # full and child builds, both semirings, with the parent's passes
+    # computed or not before each split, then scores with and without
+    # capped edges at configurations inside each leaf
+    rng = np.random.default_rng(0)
+    leaves = [SubspaceProposal(model, {})]
+    for step in range(12):
+        leaf = leaves[int(rng.integers(len(leaves)))]
+        for sr in ("sum", "max")[:step % 3]:
+            leaf.beta(sr)
+        k = leaf.free[int(rng.integers(len(leaf.free)))]
+        forest = leaf.forest.without(k)
+        leaves += [SubspaceProposal(model, {**leaf.assigned, k: v}, forest,
+                                    parent_leaf=leaf)
+                   for v in range(model.domains[k])]
+    leaves += [SubspaceProposal(model, leaf.assigned, leaf.forest)
+               for leaf in leaves]
+    for leaf in leaves:
+        const, capped = reference_const(leaf)
+        assert leaf.const.hex() == const.hex()
+        assert set(leaf.offtree_ids) == capped
+        assert all(bits(leaf.eff[j]) == bits(reference_eff(leaf, j))
+                   for j in leaf.free)
+        for sr, fold in (("sum", leaf.mass_log), ("max", leaf.max_log)):
+            beta, msg, want = reference_pass(leaf, sr)
+            assert all(bits(leaf.beta(sr)[j]) == bits(beta[j])
+                       for j in leaf.free)
+            assert leaf._msg[sr].keys() == msg.keys()
+            assert all(bits(leaf._msg[sr][j]) == bits(msg[j]) for j in msg)
+            assert fold().hex() == want.hex()
+        for _ in range(4):
+            x = tuple(leaf.assigned.get(i, int(rng.integers(d)))
+                      for i, d in enumerate(model.domains))
+            assert model.log_p(x).hex() == reference_log_sum(model, x).hex()
+            assert leaf.score(x).hex() == \
+                reference_log_sum(model, x, capped).hex()

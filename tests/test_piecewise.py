@@ -157,7 +157,7 @@ def test_policy_max_slack_matches_hand_computation():
     slack = {j: 0.0 for j in leaf.free}
     for eid in leaf.offtree_ids:
         e = m.edges[eid]
-        gap = m.phi_max_log[eid] - float(e.log_phi[reject[e.u], reject[e.v]])
+        gap = m.phi_max_log[eid] - m.log_phi(eid)[reject[e.u]][reject[e.v]]
         slack[e.u] += gap
         slack[e.v] += gap
     want = max(sorted(slack), key=lambda j: slack[j])
@@ -587,8 +587,8 @@ def node_pick_probabilities(leaf):
     for j in leaf.forest.order:
         p = leaf.forest.parent[j]
         for key in [None] if p is None else range(leaf.model.domains[p]):
-            logits = (beta[j] if p is None else
-                      beta[j] + leaf._edge_to_parent(j).T[key])
+            logits = np.array(beta[j]) if p is None else \
+                np.array(beta[j]) + np.array(leaf._edge_to_parent(j))[key]
             out[j, key] = cdf_pick_probabilities(
                 np.cumsum(np.exp(logits - logits.max())))
     return out
@@ -632,8 +632,8 @@ def numpy_pick(leaf, j, key):
     root), by numpy: the first maximum, or None when the runner-up is
     within the tie tolerance."""
     beta = leaf.beta("max")
-    logits = (beta[j] if key is None else
-              beta[j] + leaf._edge_to_parent(j).T[key])
+    logits = np.array(beta[j]) if key is None else \
+        np.array(beta[j]) + np.array(leaf._edge_to_parent(j))[key]
     best = int(np.argmax(logits))
     tol = engine.tie_tolerance(leaf.model.abs_log_sum)
     if len(logits) > 1 and \
@@ -763,7 +763,7 @@ def test_p_and_q_are_one_sum_bit_for_bit(case, retree):
         for x, s in zip(rows, score.tolist()):
             assert s == leaf.score(x)
             assert s >= m.log_p(x)
-            if all(m.edges[e].log_phi[x[m.edges[e].u], x[m.edges[e].v]]
+            if all(m.log_phi(e)[x[m.edges[e].u]][x[m.edges[e].v]]
                    == m.phi_max_log[e] for e in leaf.offtree_ids):
                 assert s == m.log_p(x)
 
