@@ -1,10 +1,10 @@
-"""Exact posterior sampling over sentences, batched.
+"""Exact posterior sampling over sentences.
 
 Same machinery as decoding, run in sum mode: paths are drawn from the
-bound automaton and accepted with probability p/q. Draws are batched so
-one beta table serves many trials; after each batch the worst reject
-tightens every loose context on its path. Every accepted sentence is an
-exact draw from the posterior, no burn-in, no correlation.
+bound automaton and accepted with probability p/q. Every reject tightens
+every loose context on its path, and the beta table is rebuilt only after
+a refinement. Every accepted sentence is an exact draw from the posterior,
+no burn-in, no correlation.
 """
 
 import os
@@ -41,7 +41,7 @@ print(f"{n_paths} candidate sentences, initial bound mass "
 
 stop = StopConfig(ar_window=100, ar_threshold=0.5, max_trials=50_000)
 res = engine.run(Mode.SAMPLING, target, q, AutomatonRefiner(), stop,
-                 seed=0, batch=100)
+                 seed=0)
 hist = res.history
 
 print(f"\nstopped at windowed acceptance rate "
@@ -54,10 +54,10 @@ met = engine.metrics(hist, q.mass_log())
 print(f"posterior mass estimate (log): {met.z_hat_log:.3f}, "
       f"final bound mass (log): {q.mass_log():.3f}")
 
-# acceptance-rate trajectory, one line per thousand trials
+# acceptance-rate trajectory, one line per twenty trials
 print("\nacceptance rate by trial block:")
-for start in range(0, hist.trial_count, 1000):
-    block = hist.records[start:start + 1000]
+for start in range(0, hist.trial_count, 20):
+    block = hist.records[start:start + 20]
     if block:
         rate = sum(r.accepted for r in block) / len(block)
         print(f"  trials {start:>5}-{start + len(block):>5}: {rate:.2f}")

@@ -2,7 +2,7 @@
 
 Subcommands:
     hmm decode    exact most-probable sentence for keypad observations
-    hmm sample    exact posterior sentence sampling, batched refinement
+    hmm sample    exact posterior sentence sampling
     gm sample     exact sampling from a pairwise model
     gm optimize   exact MAP configuration of a pairwise model
     gm bench      refinement-policy comparison, one CSV per policy
@@ -87,7 +87,7 @@ def cmd_hmm_sample(args) -> int:
                       max_trials=args.max_trials,
                       max_refinements=args.max_refinements)
     res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(), stop,
-                     args.seed, batch=args.batch)
+                     args.seed)
     _print_run_stats(res.history, q.mass_log())
     print(f"table builds: {q.table_builds}")
     _print_counts(q)
@@ -264,7 +264,7 @@ def _selftest_checks():
         q = am.build_q0(lattice, tables)
         stop = StopConfig(ar_window=50, ar_threshold=0.9, max_trials=5000)
         res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(),
-                         stop, 1, batch=20)
+                         stop, 1)
         assert res.history.ar_window(50) >= 0.9
         scores = {tuple(x): target(tuple(x)) for x in paths()}
         z = float(np.logaddexp.reduce(list(scores.values())))
@@ -368,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     hs = hsub.add_parser("sample", help="exact posterior sampling")
     _add_hmm_io(hs)
     _add_common(hs, ar=True)
-    hs.add_argument("--batch", type=int, default=100,
-                    help="trials drawn per frozen proposal")
     hs.set_defaults(func=cmd_hmm_sample)
 
     gm = sub.add_parser("gm", help="pairwise graphical models")

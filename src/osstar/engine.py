@@ -2,11 +2,8 @@
 
 The loop draws candidate configurations from a proposal q that dominates the
 target p (q >= p pointwise), accepts with probability p/q (sampling) or iff
-log q <= log p, which certifies the maximum (optimization), and hands a
+log q <= log p, which certifies the maximum (optimization), and hands each
 rejected configuration to a refiner that must tighten q at that point.
-Sampling may draw a batch of trials from one frozen proposal; the batch is
-then refined once, at its reject with the largest log q - log p (up to
-roundoff).
 
 Domination is exact on the returned logs: every trial needs
 log p(x) <= log q(x) as floats, with no tolerance, and a finite log q(x), as
@@ -24,13 +21,10 @@ A proposal object must provide:
     draw(rng)   -> (config, log_q_of_config)     used in sampling mode
     argmax()    -> (config, log_q_of_config)     used in optimization mode
     mass_log()  -> float   log of the total proposal mass Q(X), needed in
-                           sampling mode only, read once per batch
+                           sampling mode only, read once per trial
 An optimization trial reads only argmax(): a certificate is q(x*) = p(x*)
 at the argmax, so the loop never asks for the mass (nor for the sum tables
-behind it) in that mode.  A proposal may also provide:
-    sample_many(rng, k) -> (configs, log_qs)     k draws at once, configs
-                           as the rows of an integer array; batches of
-                           more than one trial use it instead of draw
+behind it) in that mode.
 
 A refiner must provide:
     refine(proposal, config) -> proposal
@@ -46,8 +40,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-LOG_TOL = 1e-9
 
 
 def tie_tolerance(scale: float) -> float:
@@ -236,27 +228,16 @@ def metrics(history: History, current_mass_log: float) -> Metrics:
     )
 
 
-def trial_batch(mode: Mode, target, proposal, history: History,
-                stop: StopConfig, rng: np.random.Generator,
-                batch: int = 1) -> TrialRecord | None:
-    """Draw `batch` trials from the frozen proposal and record them.
-
-    Each trial is draw, target, domination check, accept-or-reject, record.
-    Trials are committed in draw order.  The caller checks the stop rule
-    before the batch; once it or the trial budget fires inside the batch,
-    the rest of the batch is discarded.  Returns the committed reject with
-    the largest log q - log p, the point to refine at, or None when every
-    trial accepted or the batch was cut short.  A later reject displaces
-    the current pick only when its gap is larger by more than LOG_TOL, so
-    gaps equal up to roundoff go to the earliest draw; this tie is the only
-    use of LOG_TOL.  Raises DominationViolated unless log p <= log q holds
-    exactly with log q finite, and ValueError when the proposal's mass (in
-    optimization, its maximum) is not finite: nothing can be drawn from it.
+def trial(mode: Mode, target, proposal, history: History,
+          rng: np.random.Generator, drawn=None) -> TrialRecord:
+    """Run one trial and record it: the argmax (optimization) or one draw
+    (sampling), the target, the domination check and accept-or-reject.
+    `drawn`, a (config, log q) pair the caller drew from this frozen
+    proposal, stands in for the draw.  Returns the record.  Raises
+    DominationViolated unless log p <= log q holds exactly with log q
+    finite, and ValueError when the proposal's mass (in optimization, its
+    maximum) is not finite: nothing can be drawn from it.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    if batch > 1 and mode is not Mode.SAMPLING:
-        raise ValueError("batches of more than one trial need sampling mode")
     if mode is Mode.OPTIMIZATION:
         # the argmax's log q is the log max, finite iff the mass is
         mass = math.nan
@@ -264,62 +245,46 @@ def trial_batch(mode: Mode, target, proposal, history: History,
         if not math.isfinite(log_q):
             raise ValueError(f"proposal log max is {log_q}, so its log mass "
                              "is too: there is nothing to draw from")
-        draws = [(config, log_q)]
     else:
         mass = proposal.mass_log()
         if not math.isfinite(mass):
             raise ValueError(f"proposal log mass is {mass}: there is "
                              "nothing to draw from")
-        if batch > 1 and hasattr(proposal, "sample_many"):
-            configs, log_qs = proposal.sample_many(rng, batch)
-            draws = [(tuple(c), float(lq))
-                     for c, lq in zip(configs.tolist(), log_qs)]
-        else:
-            draws = [proposal.draw(rng) for _ in range(batch)]
-
-    worst = None
-    for j, (config, log_q) in enumerate(draws):
-        if j and (history.trial_count >= stop.max_trials
-                  or should_stop(history, mode, stop)):
-            return None
-        log_p = target(config)
-        # the comparison is also false when either side is nan
-        if not (log_p <= log_q and math.isfinite(log_q)):
-            what = ("log p is nan" if math.isnan(log_p) else
-                    f"log q is {log_q}" if not math.isfinite(log_q) else
-                    "log p > log q")
-            raise DominationViolated(
-                f"{what}: log p {log_p}, log q {log_q} at {config!r}")
-        if mode is Mode.OPTIMIZATION:
-            # the logs are equal: q(x) = p(x) certifies the maximum
-            accepted = log_p >= log_q
-        else:
-            accepted = rng.random() < math.exp(min(0.0, log_p - log_q))
-        record = TrialRecord(
-            config=config, log_p=log_p, log_q=log_q, accepted=accepted,
-            proposal_mass_log=mass)
-        history.append(record)
-        if not accepted and (worst is None or record.log_q - record.log_p
-                             > worst.log_q - worst.log_p + LOG_TOL):
-            worst = record
-    return worst
+        config, log_q = proposal.draw(rng) if drawn is None else drawn
+    log_p = target(config)
+    # the comparison is also false when either side is nan
+    if not (log_p <= log_q and math.isfinite(log_q)):
+        what = ("log p is nan" if math.isnan(log_p) else
+                f"log q is {log_q}" if not math.isfinite(log_q) else
+                "log p > log q")
+        raise DominationViolated(
+            f"{what}: log p {log_p}, log q {log_q} at {config!r}")
+    if mode is Mode.OPTIMIZATION:
+        # the logs are equal: q(x) = p(x) certifies the maximum
+        accepted = log_p >= log_q
+    else:
+        accepted = rng.random() < math.exp(min(0.0, log_p - log_q))
+    record = TrialRecord(
+        config=config, log_p=log_p, log_q=log_q, accepted=accepted,
+        proposal_mass_log=mass)
+    history.append(record)
+    return record
 
 
 def step(mode: Mode, target, proposal, refiner, history: History,
-         stop: StopConfig, rng: np.random.Generator, batch: int = 1, *,
-         on_refine=None):
-    """One trial batch, then one refinement at its worst reject.
+         stop: StopConfig, rng: np.random.Generator, *, on_refine=None):
+    """One trial, then, if it rejected, one refinement at its config.
 
     `refiner` may be None to freeze the proposal.  Returns the proposal,
     which the refiner may have replaced.
     """
-    worst = trial_batch(mode, target, proposal, history, stop, rng, batch)
-    if worst is None or refiner is None:
+    record = trial(mode, target, proposal, history, rng)
+    if record.accepted or refiner is None:
         return proposal
     if history.refine_count >= stop.max_refinements:
         raise RefinementExhausted(
             f"refinement budget {stop.max_refinements} exhausted")
-    proposal = refiner.refine(proposal, worst.config)
+    proposal = refiner.refine(proposal, record.config)
     history.add_refinement(1.0)
     if on_refine is not None:
         on_refine(proposal)
@@ -327,12 +292,11 @@ def step(mode: Mode, target, proposal, refiner, history: History,
 
 
 def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
-        *, batch: int = 1, on_refine=None) -> RunResult:
+        *, on_refine=None) -> RunResult:
     """Adaptive rejection loop: trials, accept-or-reject, refine on reject.
 
     `target` is a callable returning log p(config). `refiner` may be None to
     freeze the proposal (rejects are then recorded but trigger nothing).
-    `batch` trials share one frozen proposal (see step).
     `on_refine(proposal)` runs after every refinement; tests use it to audit
     domination and mass monotonicity exhaustively.  Raises
     RefinementExhausted when the trial budget allows no trial at all.
@@ -343,7 +307,7 @@ def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
     while (history.trial_count < stop.max_trials
            and not should_stop(history, mode, stop)):
         proposal = step(mode, target, proposal, refiner, history, stop, rng,
-                        batch, on_refine=on_refine)
+                        on_refine=on_refine)
 
     if not history.records:
         raise RefinementExhausted(f"trial budget of {stop.max_trials} ran "

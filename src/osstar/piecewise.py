@@ -24,8 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import Mode, StopConfig
+from .engine import Mode
 from .graphical import PairwiseModel, SubspaceProposal, max_spanning_forest
+
+# a later reject displaces policy_bench's round pick only when its
+# log q - log p is larger by more than this: roundoff ties go to the earliest
+LOG_TOL = 1e-9
 
 
 class AlreadyConditioned(ValueError):
@@ -272,12 +276,13 @@ def policy_bench(model: PairwiseModel, policy: Policy, *,
                  seed=0, retree: bool = False):
     """Refine under one policy, measuring estimators after each step.
 
-    Each round is one engine trial batch from the frozen proposal, logs one
-    row, then applies one conditioning.  Policies I and II refine at the
-    round's reject with the largest log q - log p; III and IV ignore the
-    rejections.  Costs are counted in trials, as in the engine, except that
-    a refinement costs the number of bound builds beyond the root, which
-    charges the queue policy for its lookahead.  Returns (rows, proposal).
+    Each round draws a block of trials_per_round from the frozen proposal,
+    runs the engine's trial on each draw, logs one row, then applies one
+    conditioning.  Policies I and II refine at the round's reject with the
+    largest log q - log p; III and IV ignore the rejections.  Costs are
+    counted in trials, as in the engine, except that a refinement costs the
+    number of bound builds beyond the root, which charges the queue policy
+    for its lookahead.  Returns (rows, proposal).
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
@@ -289,17 +294,20 @@ def policy_bench(model: PairwiseModel, policy: Policy, *,
     policy = Policy(policy)
     pw = PiecewiseProposal(model, retree=retree)
     refiner = PolicyRefiner(pw, policy, seed=policy_seed)
-    # a window of one round and an unreachable threshold: rounds run whole
-    stop = StopConfig(ar_window=trials_per_round, ar_threshold=1.1,
-                      max_trials=trials_per_round * (refinements + 1))
     history = engine.History(window=trials_per_round)
     # the queue's lookahead on the root leaf is paid before any trial
     history.refine_cost_total = float(pw.bound_builds - 1)
 
     rows: list[BenchRow] = []
     for k in range(refinements + 1):
-        worst = engine.trial_batch(Mode.SAMPLING, model.log_p, pw, history,
-                                   stop, rng, trials_per_round)
+        configs, log_qs = pw.sample_many(rng, trials_per_round)
+        worst = None
+        for drawn in zip(map(tuple, configs.tolist()), log_qs.tolist()):
+            r = engine.trial(Mode.SAMPLING, model.log_p, pw, history, rng,
+                             drawn)
+            if not r.accepted and (worst is None or r.log_q - r.log_p
+                                   > worst.log_q - worst.log_p + LOG_TOL):
+                worst = r
         mass = pw.mass_log()
         met = engine.metrics(history, mass)
         rows.append(BenchRow(

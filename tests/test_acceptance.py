@@ -149,11 +149,10 @@ def test_criterion_01_exact_hmm_sampling():
     adapt = StopConfig(ar_window=100, ar_threshold=0.6, max_trials=10**6)
     while not engine.should_stop(history, Mode.SAMPLING, adapt):
         engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
-                    adapt, rng, 50, on_refine=audit)
+                    adapt, rng, on_refine=audit)
     frozen = StopConfig(ar_window=100, ar_threshold=1.1, max_trials=10**7)
     while history.accept_count < 50_000:
-        engine.step(Mode.SAMPLING, target, q, None, history, frozen, rng,
-                    2000)
+        engine.step(Mode.SAMPLING, target, q, None, history, frozen, rng)
 
     samples = [r.config for r in history.records if r.accepted]
     freq = Counter(samples)
@@ -194,7 +193,7 @@ def test_criterion_03_domination_and_monotone_mass(small_decode_runs):
     stop = StopConfig(ar_window=50, ar_threshold=0.9, max_trials=10**5)
     while not engine.should_stop(history, Mode.SAMPLING, stop):
         engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
-                    stop, rng, 25, on_refine=audit)
+                    stop, rng, on_refine=audit)
     audited += audit.steps
     assert audit.steps > 0
 
@@ -226,13 +225,12 @@ def test_criterion_04_acceptance_rate_law():
     adapt = StopConfig(ar_window=100, ar_threshold=0.5, max_trials=10**6)
     while not engine.should_stop(history, Mode.SAMPLING, adapt):
         engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
-                    adapt, rng, 50)
+                    adapt, rng)
     t0, a0 = history.trial_count, history.accept_count
     frozen = StopConfig(ar_window=100, ar_threshold=1.1,
                         max_trials=t0 + 100_000)
     while history.trial_count < t0 + 100_000:
-        engine.step(Mode.SAMPLING, target, q, None, history, frozen, rng,
-                    5000)
+        engine.step(Mode.SAMPLING, target, q, None, history, frozen, rng)
     ar_hmm = (history.accept_count - a0) / 100_000
     want_hmm = float(np.exp(logsumexp(log_ps) - q.mass_log()))
     assert abs(ar_hmm - want_hmm) < 0.02

@@ -233,33 +233,8 @@ def test_order_cap_changes_proposal_tables():
             assert q.score_path(x) >= target(x)
 
 
-def test_stop_rule_cuts_a_batch_short():
-    # the window fills mid-batch: the rest of the batch is discarded and
-    # nothing is refined after the cut
-    _, _, q, target = make_instance()
-    stop = StopConfig(ar_window=10, ar_threshold=0.0, max_trials=1000)
-    res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(), stop,
-                     seed=7, batch=25)
-    assert res.history.trial_count == 10
-    assert res.history.refine_count == 0
-
-
-def test_batch_reuses_tables_within_batch():
-    _, _, q, target = make_instance()
-    stop = StopConfig(ar_window=10, ar_threshold=1.1, max_trials=100)
-    res = engine.run(Mode.SAMPLING, target, q, None, stop, seed=2, batch=25)
-    assert res.history.trial_count == 100
-    assert q.table_builds == 1
-
-    _, _, q2, target2 = make_instance()
-    res2 = engine.run(Mode.SAMPLING, target2, q2, am.AutomatonRefiner(),
-                      stop, seed=2, batch=25)
-    assert res2.history.trial_count == 100
-    assert q2.table_builds <= 4  # at most one rebuild per batch
-
-
 def test_batched_sampling_law_after_freeze():
-    # tighten fully, then frozen batched sampling is exact lm sampling
+    # tighten fully, then frozen sampling is exact lm sampling
     _, _, q, target = make_instance(obs=("2", "2"))
     for x in am.enumerate_paths(q):
         while True:
@@ -270,8 +245,7 @@ def test_batched_sampling_law_after_freeze():
     scores = {x: target(x) for x in am.enumerate_paths(q)}
     z = np.logaddexp.reduce(list(scores.values()))
     stop = StopConfig(ar_window=10, ar_threshold=1.1, max_trials=20_000)
-    res = engine.run(Mode.SAMPLING, target, q, None, stop, seed=4,
-                     batch=500)
+    res = engine.run(Mode.SAMPLING, target, q, None, stop, seed=4)
     assert res.history.accept_count == res.history.trial_count  # q == p
     freq = {x: 0 for x in scores}
     for s in res.samples:
@@ -965,8 +939,8 @@ def test_a_decode_deepens_one_site_per_reject_through_near_ties(
 
 def test_a_24_word_sentence_samples_within_a_one_site_budget():
     """Sentence scale: an order-5 LM over 64 words, sampled to windowed AR
-    0.2 at batch 1.  Deepening one site per reject took 2,386 trials on
-    this sentence, and trials grew as the square of its length; deepening
+    0.2.  Deepening one site per reject took 2,386 trials on this
+    sentence, and trials grew as the square of its length; deepening
     every loose site takes 257, well inside the budget."""
     rng = np.random.default_rng(0)
     vocab = cluster_vocab(rng, 8, 8)

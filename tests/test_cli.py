@@ -45,7 +45,7 @@ def test_hmm_decode_prints_exact_argmax(hmm_files, capsys):
 def test_hmm_sample_metrics_csv_is_deterministic(hmm_files, tmp_path):
     arpa, vocab = hmm_files
     args = ["hmm", "sample", "--arpa", arpa, "--vocab", vocab,
-            "--obs", "2", "2", "--batch", "10", "--ar-threshold", "0.8",
+            "--obs", "2", "2", "--ar-threshold", "0.8",
             "--ar-window", "20", "--seed", "5"]
     f1, f2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
     assert main(args + ["--metrics-out", str(f1)]) == 0
@@ -134,14 +134,26 @@ def test_hmm_words_outside_the_lm_are_never_output(tmp_path, capsys,
     assert "hoof" not in out and ("decoded:" in out or "top samples:" in out)
 
 
-@pytest.mark.parametrize("bad", [["--batch", "0"], ["--batch", "-5"],
-                                 ["--ar-window", "0"]])
+@pytest.mark.parametrize("bad", [["--ar-window", "0"],
+                                 ["--max-trials", "-1"],
+                                 ["--max-refinements", "-1"]])
 def test_hmm_sample_rejects_bad_numbers(hmm_files, capsys, bad):
     arpa, vocab = hmm_files
     rc = main(["hmm", "sample", "--arpa", arpa, "--vocab", vocab,
                "--obs", "2", "2"] + bad)
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_hmm_sample_has_no_batch_option(hmm_files, capsys):
+    arpa, vocab = hmm_files
+    rc = main(["hmm", "sample", "--arpa", arpa, "--vocab", vocab,
+               "--obs", "2", "2", "--batch", "10"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert "unrecognized arguments: --batch 10" in err
+    assert "Traceback" not in err
 
 
 def test_hmm_sample_reports_the_run_window(hmm_files, tmp_path, capsys):
@@ -315,7 +327,7 @@ SMS24 = ["--arpa", str(DATA / "sms24.arpa"),
 # stdout and the sha256 of the --metrics-out CSV on demos/data/sms24 at seed
 # 0, pinned byte for byte: the draw and refinement streams must not change
 GOLDEN = {
-    "sample-batch-1": (["sample", "--batch", "1"], """\
+    "sample-batch-1": (["sample"], """\
 trials: 100  accepts: 72  refinements: 28
 acceptance rate: 0.7200 cumulative  0.7200 last-100
 log Z-hat: -10.883686  pi-hat: 1.2680  est. cost per sample: 28.8
@@ -325,16 +337,6 @@ top samples:
   0.972  mgz gvt wqq gvu xhp qxc
   0.028  mgy gvt wqq gvu xhp qxc
 """, "ddd27e3bdf866d52964147a028988a280c7623d9ff130be3e25ab54a6fb9f05f"),
-    "sample-default-batch": (["sample"], """\
-trials: 1220  accepts: 37  refinements: 12
-acceptance rate: 0.0303 cumulative  0.2000 last-100
-log Z-hat: -11.678149  pi-hat: 0.1165  est. cost per sample: 20.6
-table builds: 13
-bound contexts  order-1: 24  order-2: 59  order-3: 1  order-4: 0  order-5: 0
-top samples:
-  0.973  mgz gvt wqq gvu xhp qxc
-  0.027  mhy gvt wqq gvu xhp qxc
-""", "0f2801f7a56cdbc8141273976d8a35d96dede24b53580ba1094e561331d9912e"),
     "decode": (["decode"], """\
 decoded: mgz gvt wqq gvu xhp qxc
 log p: -11.184072

@@ -11,9 +11,12 @@ import osstar
 from osstar import engine
 from osstar.engine import (
     DominationViolated, EmptyHistory, History, Metrics, Mode,
-    RefinementExhausted, LOG_TOL, StopConfig, TrialRecord, metrics, run,
-    should_stop, trial_batch,
+    RefinementExhausted, StopConfig, TrialRecord, metrics, run, should_stop,
+    trial,
 )
+from osstar.graphical import ising_grid
+from osstar.piecewise import (LOG_TOL, PiecewiseProposal, Policy,
+                              PolicyRefiner, policy_bench)
 
 from conftest import SnapToTargetRefiner, TableProposal, TableTarget, two_point
 
@@ -78,11 +81,10 @@ def test_optimization_rejects_q_one_ulp_above_p_near_log_one():
     assert math.exp(log_p - log_q) == 1.0
     target = TableTarget({("a",): log_p})
     history = History()
-    worst = trial_batch(Mode.OPTIMIZATION, target,
-                        TableProposal({("a",): log_q}), history,
-                        StopConfig(), np.random.default_rng(0))
-    assert not history.records[0].accepted
-    assert worst is history.records[0]
+    record = trial(Mode.OPTIMIZATION, target, TableProposal({("a",): log_q}),
+                   history, np.random.default_rng(0))
+    assert not record.accepted
+    assert record is history.records[0]
     result = run(Mode.OPTIMIZATION, target, TableProposal({("a",): log_q}),
                  SnapToTargetRefiner(target), StopConfig(), seed=0)
     assert [r.accepted for r in result.history.records] == [False, True]
@@ -114,10 +116,9 @@ class KeepRefiner:
 
 def test_sampling_accept_probability_matches_ratio():
     n = 200_000
-    history = History()
-    trial_batch(Mode.SAMPLING, TableTarget({("a",): math.log(0.3)}),
-                FixedDraw(("a",), 0.0), history, StopConfig(ar_threshold=1.1),
-                np.random.default_rng(42), batch=n)
+    history = run(Mode.SAMPLING, TableTarget({("a",): math.log(0.3)}),
+                  FixedDraw(("a",), 0.0), None,
+                  StopConfig(ar_threshold=1.1, max_trials=n), 42).history
     assert history.trial_count == n
     assert abs(history.accept_count / n - 0.3) < 0.01
 
@@ -278,45 +279,80 @@ def test_stop_config_rejects_bad_numbers(bad):
     StopConfig(ar_threshold=1.1)  # never stops on the rate: still valid
 
 
-@pytest.mark.parametrize("mode,batch", [(Mode.SAMPLING, 0),
-                                        (Mode.SAMPLING, -5),
-                                        (Mode.OPTIMIZATION, 2)])
-def test_bad_batch_raises(mode, batch):
-    target, proposal = two_point()
-    with pytest.raises(ValueError):
-        run(mode, target, proposal, None, StopConfig(max_trials=10), 0,
-            batch=batch)
-
-
-def test_batch_uses_sample_many_and_refines_at_the_worst_reject():
-    class ManyProposal(TableProposal):
-        def sample_many(self, rng, k):
-            configs = [sorted(self.table)[i] for i in rng.integers(2, size=k)]
-            return (np.array(configs),
-                    np.array([self.table[c] for c in configs]))
-
+def test_every_sampling_reject_is_refined_before_the_next_trial():
     seen = []
 
     class Recorder:
         def refine(self, proposal, config):
-            seen.append(proposal.table[config] - target(config))
+            seen.append(config)
             return proposal
 
-    target = TableTarget({(97,): math.log(1.0), (98,): math.log(3.0)})
-    proposal = ManyProposal({(97,): math.log(2.0), (98,): math.log(4.0)})
+    target, proposal = two_point()
     result = run(Mode.SAMPLING, target, proposal, Recorder(),
-                 StopConfig(ar_threshold=1.1, max_trials=40), 1, batch=20)
+                 StopConfig(ar_threshold=1.1, max_trials=40), 1)
     recs = result.history.records
-    assert len(recs) == 40 and {r.config for r in recs} <= {(97,), (98,)}
-    assert len(seen) == 2
+    assert 0 < len(seen) < 40
+    assert seen == [r.config for r in recs if not r.accepted]
+    assert result.history.refine_cost_at_trial == [
+        sum(not r.accepted for r in recs[:t]) for t in range(40)]
     # costs are counted in trials: one per trial, one per refinement
     met = metrics(result.history, proposal.mass_log())
     assert met.tau_samp == 1.0
-    assert met.tau_ref == result.history.refine_count == 2
-    for k, gap in enumerate(seen):
-        batch = recs[20 * k:20 * (k + 1)]
-        assert gap == max(r.log_q - r.log_p for r in batch
-                          if not r.accepted)
+    assert met.tau_ref == result.history.refine_count == len(seen)
+
+
+# policy_bench draws each round as one block from the frozen grid proposal,
+# runs the engine's trial on each draw and refines at the round's worst
+# reject; a reject's gap is log q - log p
+def test_batch_uses_sample_many_and_refines_at_the_worst_reject(monkeypatch):
+    def no_draw(self, rng):
+        raise AssertionError("a round draws its block with sample_many")
+
+    records, refined = [], []
+
+    def recording_trial(*args):
+        records.append(trial(*args))
+        return records[-1]
+
+    def recording_refine(self, pw, config):
+        refined.append((len(records), config))
+        return refine(self, pw, config)
+
+    refine = PolicyRefiner.refine
+    monkeypatch.setattr(PiecewiseProposal, "draw", no_draw)
+    monkeypatch.setattr(engine, "trial", recording_trial)
+    monkeypatch.setattr(PolicyRefiner, "refine", recording_refine)
+    rows, _ = policy_bench(ising_grid(3, 3, sigma=0.8, seed=1),
+                           Policy.MAX_SLACK, refinements=3,
+                           trials_per_round=20, seed=2)
+    assert [r.trials for r in rows] == [20, 40, 60, 80]
+    assert len(records) == 80 and len(refined) == 3
+    for k, (done, config) in enumerate(refined):
+        assert done == 20 * (k + 1)
+        rejects = [r for r in records[20 * k:done] if not r.accepted]
+        gap = {r.config: r.log_q - r.log_p for r in rejects}
+        assert gap[config] >= max(gap.values()) - LOG_TOL
+
+
+@pytest.mark.parametrize("later_excess, pick", [
+    (0.0, (0, 0)), (0.5 * LOG_TOL, (0, 0)), (2 * LOG_TOL, (1, 0))])
+def test_refine_pick_breaks_roundoff_ties_toward_the_earliest_reject(
+        later_excess, pick, monkeypatch):
+    # Both draws of the round reject (ratio e^-50); the later gap is one
+    # ulp larger, plus `later_excess`.  Only an excess beyond LOG_TOL moves
+    # the pick.
+    log_p_b = np.nextafter(-50.0, -math.inf) - later_excess
+    model = ising_grid(1, 2, seed=0)
+    model.log_p = TableTarget({(0, 0): -50.0, (1, 0): float(log_p_b)})
+    assert 0.0 - model.log_p((1, 0)) > 0.0 - model.log_p((0, 0))
+    refined = []
+    monkeypatch.setattr(PiecewiseProposal, "sample_many",
+                        lambda self, rng, n: (np.array([(0, 0), (1, 0)]),
+                                              np.zeros(2)))
+    monkeypatch.setattr(PolicyRefiner, "refine",
+                        lambda self, pw, config: refined.append(config))
+    policy_bench(model, Policy.MAX_SLACK, refinements=1, trials_per_round=2)
+    assert refined == [pick]
 
 
 @pytest.mark.parametrize("mode", list(Mode))
@@ -326,35 +362,6 @@ def test_zero_mass_proposal_raises(mode):
     proposal = TableProposal({("a",): -math.inf, ("b",): -math.inf})
     with pytest.raises(ValueError, match="log mass"):
         run(mode, target, proposal, None, StopConfig(max_trials=10), 0)
-
-
-class ScriptedProposal:
-    """Hands out the configs of a script in order, each with log q = 0."""
-
-    def __init__(self, configs):
-        self.configs = list(configs)
-
-    def draw(self, rng):
-        return self.configs.pop(0), 0.0
-
-    def mass_log(self) -> float:
-        return 0.0
-
-
-@pytest.mark.parametrize("later_excess, pick", [
-    (0.0, ("a",)), (0.5 * LOG_TOL, ("a",)), (2 * LOG_TOL, ("b",))])
-def test_refine_pick_breaks_roundoff_ties_toward_the_earliest_reject(
-        later_excess, pick):
-    # Both draws reject (ratio e^-50); the later gap is one ulp larger, plus
-    # `later_excess`.  Only an excess beyond LOG_TOL moves the pick.
-    log_p_b = np.nextafter(-50.0, -math.inf) - later_excess
-    target = TableTarget({("a",): -50.0, ("b",): float(log_p_b)})
-    assert 0.0 - target.table[("b",)] > 0.0 - target.table[("a",)]
-    worst = trial_batch(Mode.SAMPLING, target,
-                        ScriptedProposal([("a",), ("b",)]),
-                        History(), StopConfig(ar_threshold=1.1),
-                        np.random.default_rng(0), batch=2)
-    assert worst.config == pick
 
 
 def test_metrics_empty_history_raises():
