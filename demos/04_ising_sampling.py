@@ -42,14 +42,15 @@ met = engine.metrics(hist, pw.mass_log())
 print(f"log Z estimate from all trials: {met.z_hat_log:.4f} "
       f"(exact {log_z:.4f})")
 
-# keep drawing from the frozen proposal until 20000 exact samples
+# keep drawing from the frozen proposal (no refiner) until 20000 exact
+# samples; each run of 10000 trials continues one generator's stream
 rng = np.random.default_rng(8)
-kept = [np.array(res.samples, dtype=np.int64).reshape(-1, 9)]
-while sum(len(k) for k in kept) < 20_000:
-    draws, log_qs = pw.sample_many(rng, 10_000)
-    ratios = np.exp(np.minimum(0.0, model.log_p_many(draws) - log_qs))
-    kept.append(draws[rng.random(10_000) < ratios])
-samples = np.concatenate(kept)
+kept = list(res.samples)
+while len(kept) < 20_000:
+    kept += engine.run(Mode.SAMPLING, model.log_p, pw, None,
+                       StopConfig(ar_threshold=1.1, max_trials=10_000),
+                       rng).samples
+samples = np.array(kept)
 exact = np.exp(log_ps - log_z) @ configs
 err = np.abs(samples.mean(axis=0) - exact).max()
 print(f"node marginals from {len(samples)} exact samples are within "

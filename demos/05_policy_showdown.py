@@ -1,7 +1,7 @@
 """Comparing the four refinement policies on one grid.
 
 Each policy gets the same refinement budget on the same 4x4 Ising model.
-After every conditioning a block of trials measures the acceptance rate
+After every conditioning a round of trials measures the acceptance rate
 and the running partition estimate; costs are deterministic units (one
 per trial, one per bound build), so the numbers are reproducible.
 

@@ -53,12 +53,15 @@ def _print_counts(q) -> None:
     print("bound contexts  " + "  ".join(parts))
 
 
-def _print_run_stats(history, mass_log) -> None:
+def _print_run_stats(history, mass_log, stop: StopConfig) -> None:
     met = engine.metrics(history, mass_log)
     print(f"trials: {history.trial_count}  accepts: {history.accept_count}"
           f"  refinements: {history.refine_count}")
     print(f"acceptance rate: {met.ar_cumulative:.4f} cumulative"
           f"  {met.ar_window:.4f} last-{history.window}")
+    if not engine.should_stop(history, Mode.SAMPLING, stop):
+        print(f"trial budget of {stop.max_trials} ran out before the stop "
+              f"rule (last-{stop.ar_window} rate >= {stop.ar_threshold:g})")
     print(f"log Z-hat: {met.z_hat_log:.6f}  pi-hat: {met.pi_hat:.4f}"
           f"  est. cost per sample: {met.tau_tot_est:.1f}")
 
@@ -88,7 +91,7 @@ def cmd_hmm_sample(args) -> int:
                       max_refinements=args.max_refinements)
     res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(), stop,
                      args.seed)
-    _print_run_stats(res.history, q.mass_log())
+    _print_run_stats(res.history, q.mass_log(), stop)
     print(f"table builds: {q.table_builds}")
     _print_counts(q)
     freq: dict[tuple, int] = {}
@@ -141,7 +144,7 @@ def cmd_gm_sample(args) -> int:
                       max_refinements=args.max_refinements)
     res = engine.run(Mode.SAMPLING, model.log_p, pw, refiner, stop,
                      trial_seed)
-    _print_run_stats(res.history, pw.mass_log())
+    _print_run_stats(res.history, pw.mass_log(), stop)
     print(f"subspaces: {len(pw.leaves)}  bound builds: {pw.bound_builds}")
     if args.metrics_out:
         engine.write_trial_csv(res.history, args.metrics_out)

@@ -229,14 +229,13 @@ def metrics(history: History, current_mass_log: float) -> Metrics:
 
 
 def trial(mode: Mode, target, proposal, history: History,
-          rng: np.random.Generator, drawn=None) -> TrialRecord:
+          rng: np.random.Generator) -> TrialRecord:
     """Run one trial and record it: the argmax (optimization) or one draw
     (sampling), the target, the domination check and accept-or-reject.
-    `drawn`, a (config, log q) pair the caller drew from this frozen
-    proposal, stands in for the draw.  Returns the record.  Raises
-    DominationViolated unless log p <= log q holds exactly with log q
-    finite, and ValueError when the proposal's mass (in optimization, its
-    maximum) is not finite: nothing can be drawn from it.
+    Returns the record.  Raises DominationViolated unless log p <= log q
+    holds exactly with log q finite, and ValueError when the proposal's
+    mass (in optimization, its maximum) is not finite: nothing can be
+    drawn from it.
     """
     if mode is Mode.OPTIMIZATION:
         # the argmax's log q is the log max, finite iff the mass is
@@ -250,7 +249,7 @@ def trial(mode: Mode, target, proposal, history: History,
         if not math.isfinite(mass):
             raise ValueError(f"proposal log mass is {mass}: there is "
                              "nothing to draw from")
-        config, log_q = proposal.draw(rng) if drawn is None else drawn
+        config, log_q = proposal.draw(rng)
     log_p = target(config)
     # the comparison is also false when either side is nan
     if not (log_p <= log_q and math.isfinite(log_q)):

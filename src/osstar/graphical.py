@@ -36,6 +36,7 @@ unlike np.maximum, would not carry.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
@@ -152,7 +153,15 @@ class PairwiseModel:
         return self._log_sum(config)
 
     def log_p_many(self, configs: np.ndarray) -> np.ndarray:
-        return self._log_sum_many(np.asarray(configs))
+        """log_p over the rows of configs, the same floats per row."""
+        configs = np.asarray(configs)
+        phi = np.array(self._phi)
+        total = np.zeros(len(configs))
+        for i, row in enumerate(self._psi):
+            total += np.array(row)[configs[:, i]]
+        for u, v, at, dv in self.edges:
+            total += phi[at + configs[:, u] * dv + configs[:, v]]
+        return total
 
     def _log_sum(self, config, capped=frozenset()) -> float:
         """p's terms at config in p's order (nodes, then edges by id), with
@@ -166,18 +175,6 @@ class PairwiseModel:
         for eid, (u, v, at, dv) in enumerate(self.edges):
             total += (cap[eid] if eid in capped
                       else phi[at + config[u] * dv + config[v]])
-        return total
-
-    def _log_sum_many(self, configs: np.ndarray,
-                      capped=frozenset()) -> np.ndarray:
-        """_log_sum over the rows of configs, the same floats per row."""
-        phi = np.array(self._phi)
-        total = np.zeros(len(configs))
-        for i, row in enumerate(self._psi):
-            total += np.array(row)[configs[:, i]]
-        for eid, (u, v, at, dv) in enumerate(self.edges):
-            total += (self.phi_max_log[eid] if eid in capped
-                      else phi[at + configs[:, u] * dv + configs[:, v]])
         return total
 
     def to_dict(self) -> dict:
@@ -444,6 +441,8 @@ class SubspaceProposal:
             "sum": None, "max": None}
         self._mass_log: float | None = None
         self._max_log: float | None = None
+        # (node, parent value or None) -> the CDF sample draws it by
+        self._cdfs: dict[tuple, list[float]] = {}
 
     def _added_node(self, parent_leaf: SubspaceProposal) -> int:
         """The one node this bound assigns beyond parent_leaf's values."""
@@ -543,10 +542,6 @@ class SubspaceProposal:
         at x."""
         return self.model._log_sum(config, self._capped)
 
-    def score_many(self, configs: np.ndarray) -> np.ndarray:
-        """score() over the rows of configs, the same floats per row."""
-        return self.model._log_sum_many(np.asarray(configs), self._capped)
-
     def slack(self, config) -> dict[int, float]:
         """Per free node, the sum over its off-tree edges of how far each
         edge's max entry exceeds its value at config (all >= 0)."""
@@ -569,10 +564,9 @@ class SubspaceProposal:
     def _descend(self, pick, memo: dict[int, dict] | None = None
                  ) -> dict | None:
         """Preorder walk setting each node j to pick(j, key), key being the
-        parent's value (an int, or n values for a block draw) or None at a
-        root; None as soon as pick returns None.  With memo (node -> {key
-        -> pick}) a pick already made for the same key is read back
-        instead of computed."""
+        parent's value or None at a root; None as soon as pick returns None.
+        With memo (node -> {key -> pick}) a pick already made for the same
+        key is read back instead of computed."""
         values = {}
         for j in self.forest.order:
             p = self.forest.parent[j]
@@ -597,36 +591,21 @@ class SubspaceProposal:
         return list(map(add, beta[j], self._edge_to_parent(j)[key]))
 
     def sample(self, rng: np.random.Generator):
-        """Exact draw from q restricted to this subspace."""
-        beta = self.beta("sum")
+        """Exact draw from q restricted to this subspace.  Each (node,
+        parent value) CDF is built on first use and kept, as a leaf never
+        changes once built."""
+        beta, cdfs = self.beta("sum"), self._cdfs
 
         def pick(j, key):
-            logits = np.array(self._logits(beta, j, key))
+            cdf = cdfs.get((j, key))
+            if cdf is None:
+                logits = np.array(self._logits(beta, j, key))
+                cdf = cdfs[j, key] = np.cumsum(
+                    np.exp(logits - logits.max())).tolist()
             # scale by the CDF's last entry: a pairwise sum can exceed it
-            cdf = np.cumsum(np.exp(logits - logits.max()))
-            return int(np.searchsorted(cdf, rng.random() * cdf[-1],
-                                       side="right"))
+            return bisect.bisect_right(cdf, rng.random() * cdf[-1])
         config = self._full(self._descend(pick))
         return config, self.score(config)
-
-    def sample_many(self, rng: np.random.Generator, n: int):
-        """Vectorized draws: one uniform block per free node, fixed order."""
-        beta = self.beta("sum")
-
-        def pick(j, key):
-            logits = np.array(beta[j])
-            if key is not None:
-                logits = logits + np.array(self._edge_to_parent(j))[key]
-            logits = np.broadcast_to(logits, (n, logits.shape[-1]))
-            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-            cdf = np.cumsum(probs, axis=1)
-            r = rng.random(n) * cdf[:, -1]
-            return (r[:, None] >= cdf).sum(axis=1)
-        out = np.empty((n, self.model.n_nodes), dtype=np.int64)
-        values = {**self.assigned, **self._descend(pick)}
-        for j, v in values.items():
-            out[:, j] = v
-        return out, self.score_many(out)
 
     def _max_log_clamped(self, clamps: dict[int, int]) -> float:
         """Forest max with some free nodes pinned to fixed values; serves

@@ -16,6 +16,7 @@ off by default.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import heapq
 import math
@@ -79,7 +80,8 @@ class PiecewiseProposal:
             masses = np.array([self.leaves[i].mass_log() for i in ids])
             total = float(np.logaddexp.reduce(masses))
             probs = np.exp(masses - total)
-            self._tables_cache = (ids, masses, total, np.cumsum(probs))
+            self._tables_cache = (ids, masses, total,
+                                  np.cumsum(probs).tolist())
         return self._tables_cache
 
     def mass_log(self) -> float:
@@ -102,23 +104,8 @@ class PiecewiseProposal:
 
     def draw(self, rng: np.random.Generator):
         ids, _, _, cdf = self._tables()
-        r = rng.random() * cdf[-1]
-        lid = ids[int(np.searchsorted(cdf, r, side="right"))]
+        lid = ids[bisect.bisect_right(cdf, rng.random() * cdf[-1])]
         return self.leaves[lid].sample(rng)
-
-    def sample_many(self, rng: np.random.Generator, n: int):
-        ids, _, _, cdf = self._tables()
-        r = rng.random(n) * cdf[-1]
-        pick = np.searchsorted(cdf, r, side="right")
-        out = np.empty((n, self.model.n_nodes), dtype=np.int64)
-        log_q = np.empty(n)
-        for li in np.unique(pick):
-            mask = pick == li
-            cfgs, lqs = self.leaves[ids[int(li)]].sample_many(
-                rng, int(mask.sum()))
-            out[mask] = cfgs
-            log_q[mask] = lqs
-        return out, log_q
 
     def argmax(self):
         """Global maximizer; exact cross-leaf ties resolve to the
@@ -276,13 +263,13 @@ def policy_bench(model: PairwiseModel, policy: Policy, *,
                  seed=0, retree: bool = False):
     """Refine under one policy, measuring estimators after each step.
 
-    Each round draws a block of trials_per_round from the frozen proposal,
-    runs the engine's trial on each draw, logs one row, then applies one
-    conditioning.  Policies I and II refine at the round's reject with the
-    largest log q - log p; III and IV ignore the rejections.  Costs are
-    counted in trials, as in the engine, except that a refinement costs the
-    number of bound builds beyond the root, which charges the queue policy
-    for its lookahead.  Returns (rows, proposal).
+    Each round runs the engine's trial trials_per_round times on the
+    frozen proposal, logs one row, then applies one conditioning.
+    Policies I and II refine at the round's reject with the largest
+    log q - log p; III and IV ignore the rejections.  Costs are counted in
+    trials, as in the engine, except that a refinement costs the number of
+    bound builds beyond the root, which charges the queue policy for its
+    lookahead.  Returns (rows, proposal).
     """
     if refinements < 0:
         raise ValueError(f"refinements must be >= 0, got {refinements}")
@@ -300,11 +287,9 @@ def policy_bench(model: PairwiseModel, policy: Policy, *,
 
     rows: list[BenchRow] = []
     for k in range(refinements + 1):
-        configs, log_qs = pw.sample_many(rng, trials_per_round)
         worst = None
-        for drawn in zip(map(tuple, configs.tolist()), log_qs.tolist()):
-            r = engine.trial(Mode.SAMPLING, model.log_p, pw, history, rng,
-                             drawn)
+        for _ in range(trials_per_round):
+            r = engine.trial(Mode.SAMPLING, model.log_p, pw, history, rng)
             if not r.accepted and (worst is None or r.log_q - r.log_p
                                    > worst.log_q - worst.log_p + LOG_TOL):
                 worst = r

@@ -235,7 +235,7 @@ def test_criterion_04_acceptance_rate_law():
     want_hmm = float(np.exp(logsumexp(log_ps) - q.mass_log()))
     assert abs(ar_hmm - want_hmm) < 0.02
 
-    # pairwise backend: freeze after a short adaptive phase, 1e5 draws
+    # pairwise backend: freeze after a short adaptive phase, 1e5 trials
     model = ising_grid(3, 3, sigma=0.5, seed=2)
     configs = np.array(list(itertools.product((0, 1), repeat=9)))
     log_z = logsumexp(model.log_p_many(configs))
@@ -244,10 +244,10 @@ def test_criterion_04_acceptance_rate_law():
                PolicyRefiner(pw, Policy.MAX_SLACK, seed=4),
                StopConfig(ar_window=100, ar_threshold=0.5,
                           max_trials=10**5), 17)
-    rng = np.random.default_rng(33)
-    draws, log_qs = pw.sample_many(rng, 100_000)
-    ratios = np.exp(np.minimum(0.0, model.log_p_many(draws) - log_qs))
-    ar_gm = float((rng.random(100_000) < ratios).mean())
+    res = engine.run(Mode.SAMPLING, model.log_p, pw, None,
+                     StopConfig(ar_window=100, ar_threshold=1.1,
+                                max_trials=100_000), 33)
+    ar_gm = res.history.accept_count / 100_000
     want_gm = float(np.exp(log_z - pw.mass_log()))
     assert abs(ar_gm - want_gm) < 0.02
     print(f"\ncriterion 4 PASS: frozen AR vs mass ratio, sentence "
@@ -271,18 +271,14 @@ def test_criterion_05_exact_ising_sampling():
                                 max_trials=10**6), 13, on_refine=audit)
     assert res.history.ar_window(100) >= 0.2
 
+    # frozen runs of 20,000 trials continue one generator's stream
     rng = np.random.default_rng(19)
-    kept = [np.array([c for c in res.samples], dtype=np.int64).reshape(
-        -1, model.n_nodes)]
-    total = sum(len(k) for k in kept)
-    while total < 50_000:
-        draws, log_qs = pw.sample_many(rng, 20_000)
-        ratios = np.exp(np.minimum(0.0,
-                                   model.log_p_many(draws) - log_qs))
-        acc = draws[rng.random(20_000) < ratios]
-        kept.append(acc)
-        total += len(acc)
-    samples = np.concatenate(kept)[:50_000]
+    kept = list(res.samples)
+    while len(kept) < 50_000:
+        kept += engine.run(Mode.SAMPLING, model.log_p, pw, None,
+                           StopConfig(ar_window=100, ar_threshold=1.1,
+                                      max_trials=20_000), rng).samples
+    samples = np.array(kept[:50_000])
     marginals = samples.mean(axis=0)
     err = float(np.abs(marginals - exact_marginals).max())
     took = time.monotonic() - t0

@@ -169,6 +169,24 @@ def test_hmm_sample_reports_the_run_window(hmm_files, tmp_path, capsys):
     assert float(rows[-1].split(",")[6]) == want >= 0.8
 
 
+@pytest.mark.parametrize("command", [["hmm", "sample", "--obs", "2", "2"],
+                                     ["gm", "sample", "--grid", "2x2"]])
+def test_sample_says_when_the_trial_budget_ended_the_run(hmm_files, capsys,
+                                                         command):
+    arpa, vocab = hmm_files
+    io = ["--arpa", arpa, "--vocab", vocab] if command[0] == "hmm" else []
+    assert main(command + io + ["--ar-window", "100000",
+                                "--max-trials", "50"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("trials: 50 ")
+    assert out[1].startswith("acceptance rate: ")
+    assert out[2] == ("trial budget of 50 ran out before the stop rule "
+                      "(last-100000 rate >= 0.2)")
+    # a run that the stop rule ends prints no such line
+    assert main(command + io + ["--ar-window", "20"]) == 0
+    assert "trial budget" not in capsys.readouterr().out
+
+
 def test_gm_optimize_matches_enumeration(capsys):
     rc = main(["gm", "optimize", "--grid", "3x3", "--sigma", "0.8",
                "--model-seed", "0"])
@@ -240,15 +258,20 @@ def test_gm_bench_per_policy_csvs(tmp_path, capsys):
                "--refinements", "4", "--trials-per-round", "40",
                "--out", str(out)])
     assert rc == 0
-    for label in ("i", "ii", "iii", "iv"):
-        f = tmp_path / f"bench_{label}.csv"
-        assert f.exists()
-        lines = f.read_text().splitlines()
-        assert lines[0].startswith("refinement_index,")
-        # one row per refinement performed
-        assert len(lines) == 1 + 4
     text = capsys.readouterr().out
     assert "policy" in text and "tau_tot_est" in text
+    # the rounds column counts the baseline row and one per refinement
+    rounds = {line.split()[0]: int(line.split()[1])
+              for line in text.splitlines()[1::2]}
+    assert list(rounds) == ["i", "ii", "iii", "iv"]
+    # policies iii and iv ignore rejects, so they never stop early
+    assert rounds["iii"] == rounds["iv"] == 1 + 4
+    for label, n in rounds.items():
+        f = tmp_path / f"bench_{label}.csv"
+        lines = f.read_text().splitlines()
+        assert lines[0].startswith("refinement_index,")
+        # the header, then one row per refinement performed
+        assert len(lines) == 1 + (n - 1)
 
 
 def test_gm_bench_single_policy_keeps_path(tmp_path):
@@ -422,14 +445,14 @@ trials: 1  refinements: 0  subspaces: 1
 }
 
 GM_BENCH_GOLDEN = {
-    "i": ("     i      31  0.5000  0.5418        60  61.8",
-          "2b74b995a922ff70788cee0cd122873df8f84ee47fe4fd36310178e19986f51b"),
-    "ii": ("    ii      29  1.0000  0.9941        56  57.0",
-           "cf2093edc1cf91a2af07e106c43344a220107f347c88960e22cda004838846b9"),
-    "iii": ("   iii      31  0.6150  0.6132        60  61.6",
-            "06eab28957b183f3de8257cad33aab48760caf8ce7f9c34fa0f619574deca0c0"),
-    "iv": ("    iv      31  0.9950  0.9984      1480  1481.0",
-           "259d07f4ccb1f10b7b94dc4dbcb2fba0cc5679b7e59faa211a310d0d65d51514"),
+    "i": ("     i      31  0.5250  0.5202        60  61.9",
+          "cab417f3a2bc11ad043d84c6f7410de6a27bc2bcfbe92a09e5878ae5f48a048e"),
+    "ii": ("    ii      28  1.0000  0.9972        54  55.0",
+           "2770373bc8db53d70230be2115a42fa383d79ce7ab37cbad01005acdd8a9f3fe"),
+    "iii": ("   iii      31  0.5950  0.6089        60  61.6",
+            "df16abcdca16b673bd9b310c5cd6e02866b6735c746717da14d3a4ce3f1f08d6"),
+    "iv": ("    iv      31  1.0000  1.0046      1480  1481.0",
+           "697bc22adddaac4fd400e031fa86dbecb8124d1bc148f1eb3e6a78b066eed683"),
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -301,14 +302,16 @@ def test_every_sampling_reject_is_refined_before_the_next_trial():
     assert met.tau_ref == result.history.refine_count == len(seen)
 
 
-# policy_bench draws each round as one block from the frozen grid proposal,
-# runs the engine's trial on each draw and refines at the round's worst
-# reject; a reject's gap is log q - log p
-def test_batch_uses_sample_many_and_refines_at_the_worst_reject(monkeypatch):
-    def no_draw(self, rng):
-        raise AssertionError("a round draws its block with sample_many")
+# policy_bench runs the engine's trial on the frozen grid proposal for each
+# trial of a round and refines at the round's worst reject; a reject's gap
+# is log q - log p
+def test_policy_bench_draws_each_trial_and_refines_at_the_worst_reject(
+        monkeypatch):
+    draws, records, refined = [], [], []
 
-    records, refined = [], []
+    def recording_draw(self, rng):
+        draws.append(draw(self, rng))
+        return draws[-1]
 
     def recording_trial(*args):
         records.append(trial(*args))
@@ -318,8 +321,8 @@ def test_batch_uses_sample_many_and_refines_at_the_worst_reject(monkeypatch):
         refined.append((len(records), config))
         return refine(self, pw, config)
 
-    refine = PolicyRefiner.refine
-    monkeypatch.setattr(PiecewiseProposal, "draw", no_draw)
+    draw, refine = PiecewiseProposal.draw, PolicyRefiner.refine
+    monkeypatch.setattr(PiecewiseProposal, "draw", recording_draw)
     monkeypatch.setattr(engine, "trial", recording_trial)
     monkeypatch.setattr(PolicyRefiner, "refine", recording_refine)
     rows, _ = policy_bench(ising_grid(3, 3, sigma=0.8, seed=1),
@@ -327,6 +330,7 @@ def test_batch_uses_sample_many_and_refines_at_the_worst_reject(monkeypatch):
                            trials_per_round=20, seed=2)
     assert [r.trials for r in rows] == [20, 40, 60, 80]
     assert len(records) == 80 and len(refined) == 3
+    assert [(r.config, r.log_q) for r in records] == draws
     for k, (done, config) in enumerate(refined):
         assert done == 20 * (k + 1)
         rejects = [r for r in records[20 * k:done] if not r.accepted]
@@ -345,10 +349,9 @@ def test_refine_pick_breaks_roundoff_ties_toward_the_earliest_reject(
     model = ising_grid(1, 2, seed=0)
     model.log_p = TableTarget({(0, 0): -50.0, (1, 0): float(log_p_b)})
     assert 0.0 - model.log_p((1, 0)) > 0.0 - model.log_p((0, 0))
-    refined = []
-    monkeypatch.setattr(PiecewiseProposal, "sample_many",
-                        lambda self, rng, n: (np.array([(0, 0), (1, 0)]),
-                                              np.zeros(2)))
+    refined, draws = [], itertools.cycle([((0, 0), 0.0), ((1, 0), 0.0)])
+    monkeypatch.setattr(PiecewiseProposal, "draw",
+                        lambda self, rng: next(draws))
     monkeypatch.setattr(PolicyRefiner, "refine",
                         lambda self, pw, config: refined.append(config))
     policy_bench(model, Policy.MAX_SLACK, refinements=1, trials_per_round=2)

@@ -178,22 +178,6 @@ def test_sampling_law_matches_subspace_masses():
         assert abs(freq[x] / n - math.exp(s - z)) < 0.02
 
 
-def test_sample_many_matches_law_and_scores():
-    m = triangle()
-    q = SubspaceProposal(m, {})
-    scores = {x: q.score(x) for x in all_configs(m)}
-    z = np.logaddexp.reduce(list(scores.values()))
-    rng = np.random.default_rng(1)
-    configs, log_qs = q.sample_many(rng, 30_000)
-    assert np.allclose(log_qs, q.score_many(configs), atol=1e-12, rtol=0)
-    head = configs[:100]
-    assert np.allclose(m.log_p_many(head),
-                       [m.log_p(tuple(c)) for c in head], atol=1e-12, rtol=0)
-    for x, s in scores.items():
-        got = np.mean([tuple(c) == x for c in configs.tolist()])
-        assert abs(got - math.exp(s - z)) < 0.02
-
-
 def test_conditioned_subspace():
     m = triangle()
     q = SubspaceProposal(m, {0: 1})
@@ -204,11 +188,9 @@ def test_conditioned_subspace():
     for x in members:
         assert q.score(x) >= m.log_p(x)
     rng = np.random.default_rng(2)
-    for _ in range(200):
+    for _ in range(700):
         x, _ = q.sample(rng)
         assert x[0] == 1
-    configs, _ = q.sample_many(rng, 500)
-    assert (configs[:, 0] == 1).all()
 
 
 def test_fully_conditioned_subspace_scores_exactly():
@@ -502,7 +484,6 @@ def test_sample_stays_inside_a_wide_domain():
     sp = SubspaceProposal(PairwiseModel([16], [log_psi], []), {})
     config, _ = sp.sample(TopRng())
     assert config == (15,)
-    assert sp.sample_many(TopRng(), 1)[0].tolist() == [[15]]
 
 
 # -- the numpy formulation that the Python-float rows equal bit for bit --

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -234,18 +235,14 @@ def test_sampling_law_after_conditioning():
     scores = score_each(pw, cfgs)
     z = logsumexp(scores)
     rng = np.random.default_rng(5)
-    draws, log_qs = pw.sample_many(rng, 30_000)
-    assert np.allclose(log_qs, score_each(pw, draws), atol=1e-12, rtol=0)
-    for x, s in zip(map(tuple, cfgs.tolist()), scores):
-        got = np.mean((draws == np.array(x)).all(axis=1))
-        assert abs(got - math.exp(s - z)) < 0.02
-    # sequential draw agrees with the same law
-    freq = 0
-    for _ in range(4000):
+    n = 34_000
+    freq = Counter()
+    for _ in range(n):
         x, log_q = pw.draw(rng)
-        assert math.isclose(log_q, pw.score(x), rel_tol=0, abs_tol=1e-12)
-        freq += x == tuple(cfgs[0])
-    assert abs(freq / 4000 - math.exp(scores[0] - z)) < 0.03
+        assert log_q == pw.score(x)
+        freq[x] += 1
+    for x, s in zip(map(tuple, cfgs.tolist()), scores):
+        assert abs(freq[x] / n - math.exp(s - z)) < 0.02
 
 
 def test_engine_sampling_reaches_target_rate():
@@ -579,18 +576,24 @@ def cdf_pick_probabilities(cdf):
     return np.diff(cdf, prepend=0.0) / cdf[-1]
 
 
+def node_cdf(leaf, j, key):
+    """The CDF over node j's values that SubspaceProposal.sample draws by,
+    given its parent's value key (None at a root), computed afresh by
+    numpy."""
+    beta = leaf.beta("sum")
+    logits = np.array(beta[j]) if key is None else \
+        np.array(beta[j]) + np.array(leaf._edge_to_parent(j))[key]
+    return np.cumsum(np.exp(logits - logits.max()))
+
+
 def node_pick_probabilities(leaf):
     """{(node, parent value or None at a root): pick probability of each
     value}, from the CDF that SubspaceProposal.sample draws by."""
-    beta = leaf.beta("sum")
     out = {}
     for j in leaf.forest.order:
         p = leaf.forest.parent[j]
         for key in [None] if p is None else range(leaf.model.domains[p]):
-            logits = np.array(beta[j]) if p is None else \
-                np.array(beta[j]) + np.array(leaf._edge_to_parent(j))[key]
-            out[j, key] = cdf_pick_probabilities(
-                np.cumsum(np.exp(logits - logits.max())))
+            out[j, key] = cdf_pick_probabilities(node_cdf(leaf, j, key))
     return out
 
 
@@ -625,6 +628,60 @@ def test_every_refinement_keeps_the_grid_law_exact(m, seed):
                    PolicyRefiner(pw, policy, seed=seed),
                    StopConfig(ar_window=30, ar_threshold=1.0,
                               max_trials=300), seed, on_refine=audit)
+
+
+def test_frozen_run_builds_no_bound_and_each_cdf_once(monkeypatch):
+    # a split proposal with no CDF yet: conditioning draws nothing
+    m = ising_grid(3, 3, sigma=0.8, seed=1)
+    pw = PiecewiseProposal(m)
+    pw.condition(0, 4)
+    pw.condition(pw.leaf_of((0,) * 9), 0)
+    pw.condition(pw.leaf_of((1,) * 9), 8)
+    builds = pw.bound_builds
+    built = Counter()
+    logits = SubspaceProposal._logits
+
+    def counting(self, beta, j, key):
+        built[self, j, key] += 1
+        return logits(self, beta, j, key)
+
+    monkeypatch.setattr(SubspaceProposal, "_logits", counting)
+    res = engine.run(Mode.SAMPLING, m.log_p, pw, None,
+                     StopConfig(ar_window=1000, ar_threshold=1.1,
+                                max_trials=1000), 1)
+    assert res.history.trial_count == 1000
+    assert pw.bound_builds == builds
+    visited = set()
+    for rec in res.history.records:
+        leaf = pw.leaves[pw.leaf_of(rec.config)]
+        for j in leaf.forest.order:
+            p = leaf.forest.parent[j]
+            visited.add((leaf, j, None if p is None else rec.config[p]))
+    assert len({leaf for leaf, _, _ in visited}) == len(pw.leaves) == 4
+    assert set(built) == visited and set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("retree", [False, True])
+@pytest.mark.parametrize("policy", list(Policy))
+def test_memoised_cdfs_equal_fresh_numpy_cdfs(policy, retree):
+    """After every refinement of a sampling run, each CDF a leaf has kept
+    for its draws is the fresh numpy CDF bit for bit."""
+    m = ising_grid(4, 4, sigma=1.0, seed=1)
+    pw = PiecewiseProposal(m, retree=retree)
+    compared = []
+
+    def audit(proposal):
+        for leaf in proposal.leaves.values():
+            for (j, key), cdf in leaf._cdfs.items():
+                fresh = node_cdf(leaf, j, key).tolist()
+                assert list(map(float.hex, cdf)) == \
+                    list(map(float.hex, fresh)), (j, key)
+                compared.append((j, key))
+
+    engine.run(Mode.SAMPLING, m.log_p, pw, PolicyRefiner(pw, policy, seed=3),
+               StopConfig(ar_window=30, ar_threshold=1.0, max_trials=300),
+               5, on_refine=audit)
+    assert compared
 
 
 def numpy_pick(leaf, j, key):
@@ -759,9 +816,8 @@ def test_p_and_q_are_one_sum_bit_for_bit(case, retree):
     for leaf in pw.leaves.values():
         rows = [x for x in all_configs(m)
                 if all(x[j] == v for j, v in leaf.assigned.items())]
-        score = leaf.score_many(np.array(rows))
-        for x, s in zip(rows, score.tolist()):
-            assert s == leaf.score(x)
+        for x in rows:
+            s = leaf.score(x)
             assert s >= m.log_p(x)
             if all(m.log_phi(e)[x[m.edges[e].u]][x[m.edges[e].v]]
                    == m.phi_max_log[e] for e in leaf.offtree_ids):
