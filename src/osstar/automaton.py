@@ -215,7 +215,8 @@ class QAutomaton:
             row = layer.dest.item(row, layer.col[w])
         return rows
 
-    def score_path(self, words: tuple) -> float:
+    def score(self, words: tuple) -> float:
+        """log q(words): the path's edge weights added left to right."""
         total = 0.0
         row = 0
         for layer, w in zip(self.contexts, words):
@@ -246,7 +247,8 @@ def build_q0(lattice: TokenLattice, tables: MaxBackoffTables) -> QAutomaton:
 
 
 def viterbi(q: QAutomaton):
-    """Highest-weight path; ties pick the lexicographically smaller path.
+    """Highest-weight path; when it could be certified, ties pick the
+    lexicographically smaller path.
 
     The descent takes at each state the first maximum, in sorted-word
     order, of its edges' backward max sums.  Those sums can rank two paths

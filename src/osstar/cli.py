@@ -378,16 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
     gs = gsub.add_parser("sample", help="exact sampling")
     _add_gm_io(gs, default_policy="ii")
     _add_common(gs, ar=True)
-    gs.add_argument("--refinements", dest="max_refinements", type=int,
-                    default=argparse.SUPPRESS,
-                    help="alias for --max-refinements")
     gs.set_defaults(func=cmd_gm_sample)
     go = gsub.add_parser("optimize", help="exact MAP with certificate")
     _add_gm_io(go, default_policy="ii")
     _add_common(go, ar=False)
-    go.add_argument("--refinements", dest="max_refinements", type=int,
-                    default=argparse.SUPPRESS,
-                    help="alias for --max-refinements")
     go.set_defaults(func=cmd_gm_optimize)
     gb = gsub.add_parser("bench", help="compare refinement policies")
     _add_gm_io(gb, default_policy=None)

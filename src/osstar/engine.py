@@ -24,7 +24,11 @@ A proposal object must provide:
                            sampling mode only, read once per trial
 An optimization trial reads only argmax(): a certificate is q(x*) = p(x*)
 at the argmax, so the loop never asks for the mass (nor for the sum tables
-behind it) in that mode.
+behind it) in that mode.  Both proposal families also answer
+    score(config) -> float   log q(config), the log q that draw and argmax
+                             return with it
+which the loop never calls: it is the hook through which an audit compares
+q with p at every configuration of an enumerable space.
 
 A refiner must provide:
     refine(proposal, config) -> proposal

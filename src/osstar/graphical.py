@@ -590,18 +590,23 @@ class SubspaceProposal:
             return beta[j]
         return list(map(add, beta[j], self._edge_to_parent(j)[key]))
 
+    def _cdf(self, j: int, key) -> list[float]:
+        """The CDF over node j's values that sample draws by, given its
+        parent's value key (None at a root).  Built on first use and kept,
+        as a leaf never changes once built."""
+        cdf = self._cdfs.get((j, key))
+        if cdf is None:
+            logits = np.array(self._logits(self.beta("sum"), j, key))
+            cdf = self._cdfs[j, key] = np.cumsum(
+                np.exp(logits - logits.max())).tolist()
+        return cdf
+
     def sample(self, rng: np.random.Generator):
-        """Exact draw from q restricted to this subspace.  Each (node,
-        parent value) CDF is built on first use and kept, as a leaf never
-        changes once built."""
-        beta, cdfs = self.beta("sum"), self._cdfs
+        """Exact draw from q restricted to this subspace."""
+        cdf_of = self._cdf
 
         def pick(j, key):
-            cdf = cdfs.get((j, key))
-            if cdf is None:
-                logits = np.array(self._logits(beta, j, key))
-                cdf = cdfs[j, key] = np.cumsum(
-                    np.exp(logits - logits.max())).tolist()
+            cdf = cdf_of(j, key)
             # scale by the CDF's last entry: a pairwise sum can exceed it
             return bisect.bisect_right(cdf, rng.random() * cdf[-1])
         config = self._full(self._descend(pick))

@@ -87,10 +87,6 @@ class PiecewiseProposal:
     def mass_log(self) -> float:
         return self._tables()[2]
 
-    def max_log(self) -> float:
-        """The largest leaf's cached max; builds no leaf's sum pass."""
-        return max(leaf.max_log() for leaf in self.leaves.values())
-
     def leaf_of(self, config) -> int:
         for lid, leaf in self.leaves.items():
             if all(config[j] == v for j, v in leaf.assigned.items()):

@@ -1,10 +1,11 @@
-"""Shared toy fixtures: explicit-table targets and proposals."""
+"""Shared toy fixtures and the hypothesis profile of tests/mutants.py."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from hypothesis import Phase, settings
 
 
 class TableProposal:
@@ -56,3 +57,9 @@ def two_point():
     target = TableTarget({("a",): math.log(1.0), ("b",): math.log(3.0)})
     proposal = TableProposal({("a",): math.log(2.0), ("b",): math.log(4.0)})
     return target, proposal
+
+
+# tests/mutants.py runs its tests under this profile: one fixed sequence of
+# examples, stopping at the first failure, with nothing saved
+settings.register_profile("mutants", derandomize=True, database=None,
+                          phases=[Phase.explicit, Phase.generate])

@@ -23,6 +23,7 @@ from osstar.piecewise import (PiecewiseProposal, Policy, PolicyRefiner,
                               policy_bench)
 
 from lm_fixtures import cluster_vocab, markov_corpus, train_arpa
+from test_contract import Audit
 
 
 def logsumexp(values) -> float:
@@ -60,39 +61,6 @@ def keypad_4663_instance():
     return q, target, paths, log_ps
 
 
-class RefinementAudit:
-    """Recheck p <= q' <= q pointwise and mass decrease after every step."""
-
-    def __init__(self, log_ps, score_fn, mass_fn):
-        self.log_ps = np.asarray(log_ps, dtype=float)
-        self.score_fn = score_fn
-        self.mass_fn = mass_fn
-        self.prev = np.asarray(score_fn(), dtype=float)
-        self.prev_mass = mass_fn()
-        assert np.all(self.log_ps <= self.prev)
-        self.steps = 0
-
-    def __call__(self, proposal) -> None:
-        cur = np.asarray(self.score_fn(), dtype=float)
-        assert np.all(self.log_ps <= cur), "bound fell below target"
-        assert np.all(cur <= self.prev), "bound increased somewhere"
-        mass = self.mass_fn()
-        assert mass <= self.prev_mass + 1e-9, "proposal mass increased"
-        self.prev = cur
-        self.prev_mass = mass
-        self.steps += 1
-
-
-def hmm_audit(q, paths, log_ps) -> RefinementAudit:
-    return RefinementAudit(
-        log_ps, lambda: [q.score_path(p) for p in paths], q.mass_log)
-
-
-def gm_audit(pw, configs, log_ps) -> RefinementAudit:
-    return RefinementAudit(
-        log_ps, lambda: [pw.score(x) for x in configs], pw.mass_log)
-
-
 @pytest.fixture(scope="module")
 def small_decode_runs():
     """100 brute-forceable decoding runs with per-step domination audits."""
@@ -107,7 +75,7 @@ def small_decode_runs():
         paths = [tuple(p) for p in enumerate_paths(q)]
         assert len(paths) <= 10_000
         log_ps = np.array([target(p) for p in paths])
-        audit = hmm_audit(q, paths, log_ps)
+        audit = Audit(q, paths, log_ps)
         res = engine.run(Mode.OPTIMIZATION, target, q, AutomatonRefiner(),
                          StopConfig(max_trials=100_000), seed,
                          on_refine=audit)
@@ -142,7 +110,7 @@ def test_criterion_01_exact_hmm_sampling():
     q, target, paths, log_ps = keypad_4663_instance()
     assert len(paths) == 64
     posterior = np.exp(log_ps - logsumexp(log_ps))
-    audit = hmm_audit(q, paths, log_ps)
+    audit = Audit(q, paths, log_ps)
 
     history = engine.History()
     rng = np.random.default_rng(11)
@@ -187,7 +155,7 @@ def test_criterion_03_domination_and_monotone_mass(small_decode_runs):
     audited = sum(steps for *_, steps in small_decode_runs)
 
     q, target, paths, log_ps = keypad_4663_instance()
-    audit = hmm_audit(q, paths, log_ps)
+    audit = Audit(q, paths, log_ps)
     history = engine.History()
     rng = np.random.default_rng(3)
     stop = StopConfig(ar_window=50, ar_threshold=0.9, max_trials=10**5)
@@ -207,7 +175,7 @@ def test_criterion_03_domination_and_monotone_mass(small_decode_runs):
                        (Mode.OPTIMIZATION,
                         StopConfig(max_trials=10**5))):
         pw = PiecewiseProposal(model)
-        audit = gm_audit(pw, configs, log_ps_gm)
+        audit = Audit(pw, configs, log_ps_gm)
         engine.run(mode, model.log_p, pw,
                    PolicyRefiner(pw, Policy.MAX_SLACK, seed=5),
                    stop, 9, on_refine=audit)
@@ -264,7 +232,7 @@ def test_criterion_05_exact_ising_sampling():
     exact_marginals = weights @ configs
 
     pw = PiecewiseProposal(model)
-    audit = gm_audit(pw, configs, log_ps)
+    audit = Audit(pw, configs, log_ps)
     res = engine.run(Mode.SAMPLING, model.log_p, pw,
                      PolicyRefiner(pw, Policy.MAX_SLACK, seed=1),
                      StopConfig(ar_window=100, ar_threshold=0.2,
@@ -297,7 +265,7 @@ def test_criterion_06_partition_estimate_unbiased():
     estimates = []
     for seed in range(200):
         pw = PiecewiseProposal(model)
-        audit = gm_audit(pw, configs, log_ps)
+        audit = Audit(pw, configs, log_ps)
         res = engine.run(Mode.SAMPLING, model.log_p, pw,
                          PolicyRefiner(pw, Policy.MAX_SLACK,
                                        seed=seed + 10_000),

