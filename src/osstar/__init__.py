@@ -3,8 +3,8 @@ upper bounds, with sentence-lattice and pairwise-model backends."""
 
 from .engine import (CSV_COLUMNS, DominationViolated, EmptyHistory, History,
                      Metrics, Mode, RefinementExhausted, RunResult,
-                     StopConfig, TrialRecord, metrics, run, should_stop, step,
-                     trial, write_trial_csv)
+                     StopConfig, TrialRecord, metrics, run, should_stop, trial,
+                     write_trial_csv)
 from .ngram import (MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported,
                     ParseError, TokenLattice, build_lattice, keypad_encode,
                     load_arpa, load_vocab)
@@ -32,6 +32,6 @@ __all__ = [
     "enumerate_paths", "ising_grid", "keypad_encode", "load_arpa",
     "load_vocab", "max_spanning_forest", "metrics", "policy_bench",
     "refine", "report_ngram_counts", "run", "sample_path",
-    "select_refinement", "should_stop", "step", "trial", "viterbi",
+    "select_refinement", "should_stop", "trial", "viterbi",
     "write_bench_csv", "write_trial_csv",
 ]

@@ -68,8 +68,7 @@ def _print_run_stats(history, mass_log, stop: StopConfig) -> None:
 
 def cmd_hmm_decode(args) -> int:
     q, target = _hmm_setup(args)
-    stop = StopConfig(max_trials=args.max_trials,
-                      max_refinements=args.max_refinements)
+    stop = StopConfig(max_trials=args.max_trials)
     res = engine.run(Mode.OPTIMIZATION, target, q, am.AutomatonRefiner(),
                      stop, args.seed)
     print("decoded:", " ".join(res.argmax))
@@ -87,8 +86,7 @@ def cmd_hmm_sample(args) -> int:
     q, target = _hmm_setup(args)
     stop = StopConfig(ar_window=args.ar_window,
                       ar_threshold=args.ar_threshold,
-                      max_trials=args.max_trials,
-                      max_refinements=args.max_refinements)
+                      max_trials=args.max_trials)
     res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(), stop,
                      args.seed)
     _print_run_stats(res.history, q.mass_log(), stop)
@@ -140,8 +138,7 @@ def cmd_gm_sample(args) -> int:
     model, pw, refiner, trial_seed = _gm_setup(args)
     stop = StopConfig(ar_window=args.ar_window,
                       ar_threshold=args.ar_threshold,
-                      max_trials=args.max_trials,
-                      max_refinements=args.max_refinements)
+                      max_trials=args.max_trials)
     res = engine.run(Mode.SAMPLING, model.log_p, pw, refiner, stop,
                      trial_seed)
     _print_run_stats(res.history, pw.mass_log(), stop)
@@ -153,8 +150,7 @@ def cmd_gm_sample(args) -> int:
 
 def cmd_gm_optimize(args) -> int:
     model, pw, refiner, trial_seed = _gm_setup(args)
-    stop = StopConfig(max_trials=args.max_trials,
-                      max_refinements=args.max_refinements)
+    stop = StopConfig(max_trials=args.max_trials)
     res = engine.run(Mode.OPTIMIZATION, model.log_p, pw, refiner, stop,
                      trial_seed)
     print("argmax:", "".join(str(v) for v in res.argmax))
@@ -323,7 +319,6 @@ def cmd_selftest(args) -> int:
 def _add_common(p, *, ar: bool) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=1_000_000)
-    p.add_argument("--max-refinements", type=int, default=1_000_000)
     p.add_argument("--metrics-out", metavar="CSV",
                    help="write one row per trial to this file")
     if ar:

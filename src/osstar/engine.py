@@ -13,7 +13,7 @@ log p(x) == log q(x) and certifies a gap of exactly 0; a point of finite
 log q and log p = -inf is a plain reject.
 
 Costs are counted in trials: each trial costs 1 and each refinement made by
-step() costs 1, so tau_samp is 1 and tau_ref is the refinement count.  A
+run() costs 1, so tau_samp is 1 and tau_ref is the refinement count.  A
 driver that charges refinements otherwise (policy_bench charges bound
 builds) passes its own cost to History.add_refinement.
 
@@ -65,7 +65,8 @@ class DominationViolated(RuntimeError):
 
 
 class RefinementExhausted(RuntimeError):
-    """Refinement or trial budget ran out before the stop rule was met."""
+    """The trial budget ran out before the stop rule was met or the optimum
+    was certified."""
 
 
 class EmptyHistory(ValueError):
@@ -159,7 +160,6 @@ class History:
 class StopConfig:
     ar_window: int = 100
     ar_threshold: float = 0.2
-    max_refinements: int = 1_000_000
     max_trials: int = 1_000_000
 
     def __post_init__(self):
@@ -170,9 +170,6 @@ class StopConfig:
             raise ValueError(f"ar_window must be >= 1, got {self.ar_window}")
         if self.max_trials < 0:
             raise ValueError(f"max_trials must be >= 0, got {self.max_trials}")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be >= 0, got "
-                             f"{self.max_refinements}")
 
 
 @dataclass
@@ -188,7 +185,6 @@ class Metrics:
 
 @dataclass
 class RunResult:
-    mode: Mode
     samples: list[tuple]
     argmax: tuple | None
     final_proposal: object
@@ -274,43 +270,29 @@ def trial(mode: Mode, target, proposal, history: History,
     return record
 
 
-def step(mode: Mode, target, proposal, refiner, history: History,
-         stop: StopConfig, rng: np.random.Generator, *, on_refine=None):
-    """One trial, then, if it rejected, one refinement at its config.
-
-    `refiner` may be None to freeze the proposal.  Returns the proposal,
-    which the refiner may have replaced.
-    """
-    record = trial(mode, target, proposal, history, rng)
-    if record.accepted or refiner is None:
-        return proposal
-    if history.refine_count >= stop.max_refinements:
-        raise RefinementExhausted(
-            f"refinement budget {stop.max_refinements} exhausted")
-    proposal = refiner.refine(proposal, record.config)
-    history.add_refinement(1.0)
-    if on_refine is not None:
-        on_refine(proposal)
-    return proposal
-
-
 def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
         *, on_refine=None) -> RunResult:
     """Adaptive rejection loop: trials, accept-or-reject, refine on reject.
 
     `target` is a callable returning log p(config). `refiner` may be None to
-    freeze the proposal (rejects are then recorded but trigger nothing).
+    freeze the proposal (rejects are then recorded but trigger nothing);
+    otherwise each reject is refined at its config before the next trial.
     `on_refine(proposal)` runs after every refinement; tests use it to audit
     domination and mass monotonicity exhaustively.  Raises
-    RefinementExhausted when the trial budget allows no trial at all.
+    RefinementExhausted when the trial budget allows no trial at all or
+    ends an optimization run before a certificate.
     """
     rng = np.random.default_rng(seed)
     history = History(window=stop.ar_window)
 
     while (history.trial_count < stop.max_trials
            and not should_stop(history, mode, stop)):
-        proposal = step(mode, target, proposal, refiner, history, stop, rng,
-                        on_refine=on_refine)
+        record = trial(mode, target, proposal, history, rng)
+        if not record.accepted and refiner is not None:
+            proposal = refiner.refine(proposal, record.config)
+            history.add_refinement(1.0)
+            if on_refine is not None:
+                on_refine(proposal)
 
     if not history.records:
         raise RefinementExhausted(f"trial budget of {stop.max_trials} ran "
@@ -325,7 +307,7 @@ def run(mode: Mode, target, proposal, refiner, stop: StopConfig, seed,
         last = history.records[-1]
         argmax = last.config
         certificate = last.log_q - last.log_p
-    return RunResult(mode=mode, samples=samples, argmax=argmax,
+    return RunResult(samples=samples, argmax=argmax,
                      final_proposal=proposal, history=history,
                      certificate_gap_log=certificate)
 

@@ -158,8 +158,6 @@ def load_arpa(text: str) -> NGramLM:
         raise ParseError("missing \\data\\ header", len(lines))
     if state != "done":
         raise ParseError("missing \\end\\ marker", len(lines))
-    if not counts:
-        raise ParseError("no ngram counts declared", 1)
     order = max(counts)
     if order > 5:
         raise OrderUnsupported(f"order {order} not supported (max 5)")

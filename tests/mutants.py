@@ -127,6 +127,17 @@ MUTANTS = {
         "        accepted = log_p >= log_q\n",
         "        accepted = log_p >= log_q - 1e-12\n",
         [SENTENCE]),
+    "run_refines_accepted_trials": (
+        "engine.py",
+        "        if not record.accepted and refiner is not None:",
+        "        if refiner is not None:",
+        [SENTENCE, GRID]),
+    "run_skips_on_refine": (
+        "engine.py",
+        "            if on_refine is not None:\n"
+        "                on_refine(proposal)\n",
+        "",
+        [SENTENCE, GRID]),
 }
 
 

@@ -112,27 +112,29 @@ def test_criterion_01_exact_hmm_sampling():
     posterior = np.exp(log_ps - logsumexp(log_ps))
     audit = Audit(q, paths, log_ps)
 
-    history = engine.History()
+    # one generator's stream: the adaptive run, then frozen runs of 20,000
+    # trials, keeping the first 50,000 accepts overall
     rng = np.random.default_rng(11)
-    adapt = StopConfig(ar_window=100, ar_threshold=0.6, max_trials=10**6)
-    while not engine.should_stop(history, Mode.SAMPLING, adapt):
-        engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
-                    adapt, rng, on_refine=audit)
-    frozen = StopConfig(ar_window=100, ar_threshold=1.1, max_trials=10**7)
-    while history.accept_count < 50_000:
-        engine.step(Mode.SAMPLING, target, q, None, history, frozen, rng)
-
-    samples = [r.config for r in history.records if r.accepted]
+    res = engine.run(Mode.SAMPLING, target, q, AutomatonRefiner(),
+                     StopConfig(ar_window=100, ar_threshold=0.6,
+                                max_trials=10**6), rng, on_refine=audit)
+    assert res.history.ar_window(100) >= 0.6
+    kept = list(res.samples)
+    while len(kept) < 50_000:
+        kept += engine.run(Mode.SAMPLING, target, q, None,
+                           StopConfig(ar_window=100, ar_threshold=1.1,
+                                      max_trials=20_000), rng).samples
+    samples = kept[:50_000]
     freq = Counter(samples)
     emp = np.array([freq.get(p, 0) for p in paths], dtype=float)
     emp /= len(samples)
     tv = 0.5 * float(np.abs(emp - posterior).sum())
     took = time.monotonic() - t0
-    assert history.accept_count >= 50_000
+    assert len(samples) == 50_000
     assert tv < 0.02
     assert took < 60.0
     print(f"\ncriterion 1 PASS: TV {tv:.4f} < 0.02 over 64 paths, "
-          f"{history.accept_count} accepts, {audit.steps} audited "
+          f"{len(samples)} accepts, {audit.steps} audited "
           f"refinements, {took:.1f}s")
 
 
@@ -156,12 +158,10 @@ def test_criterion_03_domination_and_monotone_mass(small_decode_runs):
 
     q, target, paths, log_ps = keypad_4663_instance()
     audit = Audit(q, paths, log_ps)
-    history = engine.History()
-    rng = np.random.default_rng(3)
-    stop = StopConfig(ar_window=50, ar_threshold=0.9, max_trials=10**5)
-    while not engine.should_stop(history, Mode.SAMPLING, stop):
-        engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
-                    stop, rng, on_refine=audit)
+    res = engine.run(Mode.SAMPLING, target, q, AutomatonRefiner(),
+                     StopConfig(ar_window=50, ar_threshold=0.9,
+                                max_trials=10**5), 3, on_refine=audit)
+    assert res.history.ar_window(50) >= 0.9
     audited += audit.steps
     assert audit.steps > 0
 
@@ -188,18 +188,15 @@ def test_criterion_03_domination_and_monotone_mass(small_decode_runs):
 def test_criterion_04_acceptance_rate_law():
     # sentence backend: freeze a partially refined automaton, 1e5 trials
     q, target, paths, log_ps = keypad_4663_instance()
-    history = engine.History()
     rng = np.random.default_rng(21)
-    adapt = StopConfig(ar_window=100, ar_threshold=0.5, max_trials=10**6)
-    while not engine.should_stop(history, Mode.SAMPLING, adapt):
-        engine.step(Mode.SAMPLING, target, q, AutomatonRefiner(), history,
-                    adapt, rng)
-    t0, a0 = history.trial_count, history.accept_count
-    frozen = StopConfig(ar_window=100, ar_threshold=1.1,
-                        max_trials=t0 + 100_000)
-    while history.trial_count < t0 + 100_000:
-        engine.step(Mode.SAMPLING, target, q, None, history, frozen, rng)
-    ar_hmm = (history.accept_count - a0) / 100_000
+    adapt = engine.run(Mode.SAMPLING, target, q, AutomatonRefiner(),
+                       StopConfig(ar_window=100, ar_threshold=0.5,
+                                  max_trials=10**6), rng)
+    assert adapt.history.ar_window(100) >= 0.5
+    frozen = engine.run(Mode.SAMPLING, target, q, None,
+                        StopConfig(ar_window=100, ar_threshold=1.1,
+                                   max_trials=100_000), rng)
+    ar_hmm = frozen.history.accept_count / 100_000
     want_hmm = float(np.exp(logsumexp(log_ps) - q.mass_log()))
     assert abs(ar_hmm - want_hmm) < 0.02
 

@@ -135,8 +135,7 @@ def test_hmm_words_outside_the_lm_are_never_output(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("bad", [["--ar-window", "0"],
-                                 ["--max-trials", "-1"],
-                                 ["--max-refinements", "-1"]])
+                                 ["--max-trials", "-1"]])
 def test_hmm_sample_rejects_bad_numbers(hmm_files, capsys, bad):
     arpa, vocab = hmm_files
     rc = main(["hmm", "sample", "--arpa", arpa, "--vocab", vocab,
@@ -187,6 +186,20 @@ def test_sample_says_when_the_trial_budget_ended_the_run(hmm_files, capsys,
     assert "trial budget" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [
+    ["hmm", "decode", "--arpa", KEYPAD_ARPA,
+     "--vocab", str(DATA / "keypad4663.vocab"), "--obs", "4663", "4663",
+     "4663"],
+    ["gm", "optimize", "--grid", "4x4"]], ids=["hmm", "gm"])
+def test_optimize_budget_without_a_certificate_is_a_clean_error(capsys,
+                                                                command):
+    assert main(command + ["--max-trials", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: trial budget exhausted before the optimum was "
+                   "certified\n")
+
+
 def test_gm_optimize_matches_enumeration(capsys):
     rc = main(["gm", "optimize", "--grid", "3x3", "--sigma", "0.8",
                "--model-seed", "0"])
@@ -209,14 +222,22 @@ def test_gm_sample_runs_and_writes_metrics(tmp_path, capsys):
     assert f.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
-def test_gm_refinements_alias(capsys):
-    # the budget's one spelling is --max-refinements (gm bench has rounds)
-    for command in ("sample", "optimize"):
-        assert main(["gm", command, "--grid", "2x2",
-                     "--refinements", "50"]) == 2
+def test_gm_refinements_alias(hmm_files, capsys):
+    # a run's one budget is --max-trials: no run command takes
+    # --max-refinements, nor gm sample and gm optimize --refinements
+    # (gm bench has rounds)
+    arpa, vocab = hmm_files
+    hmm_io = ["--arpa", arpa, "--vocab", vocab, "--obs", "2", "2"]
+    runs = [["hmm", command] + hmm_io for command in ("decode", "sample")]
+    runs += [["gm", command, "--grid", "2x2"]
+             for command in ("sample", "optimize")]
+    cases = [(run, ["--max-refinements", "5"]) for run in runs]
+    cases += [(run, ["--refinements", "50"]) for run in runs[2:]]
+    for run, flag in cases:
+        assert main(run + flag) == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
-        assert "unrecognized arguments: --refinements 50" in err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert "Traceback" not in err
 
 

@@ -148,9 +148,8 @@ def test_domination_is_exact_and_nan_violates_it(mode, log_p, log_q, what):
     # A p one ulp above q is neither an exact sample nor a certified
     # maximum.  Every comparison with a nan is false, so a check of
     # log p > log q would pass a nan: exp(min(0, nan)) is a ratio of 1, and
-    # in optimization a nan log p rejects until the refinement budget runs
-    # out.
-    stop = StopConfig(ar_threshold=1.1, max_trials=50, max_refinements=5)
+    # in optimization a nan log p rejects until the trial budget runs out.
+    stop = StopConfig(ar_threshold=1.1, max_trials=50)
     with pytest.raises(DominationViolated, match=what):
         run(mode, TableTarget({("a",): log_p}), FixedDraw(("a",), log_q),
             KeepRefiner(), stop, seed=0)
@@ -162,16 +161,6 @@ def test_zero_p_draw_of_finite_q_rejects():
               StopConfig(ar_threshold=1.1, max_trials=20), seed=0)
     assert res.history.trial_count == 20
     assert res.history.accept_count == 0
-
-
-def test_refinement_budget_error():
-    target, proposal = two_point()
-    refiner = SnapToTargetRefiner(target)
-    stop = StopConfig(ar_window=1, ar_threshold=1.0, max_refinements=0,
-                      max_trials=50)
-    with pytest.raises(RefinementExhausted):
-        # seed chosen so the first trial rejects
-        run(Mode.SAMPLING, target, proposal, refiner, stop, seed=1)
 
 
 def test_should_stop_windowed_rule():
@@ -272,7 +261,7 @@ def test_running_totals_match_a_pass_over_the_records():
 
 
 @pytest.mark.parametrize("bad", [{"ar_window": 0}, {"max_trials": -1},
-                                 {"max_refinements": -1},
+                                 {"ar_window": -1},
                                  {"ar_threshold": math.nan}])
 def test_stop_config_rejects_bad_numbers(bad):
     with pytest.raises(ValueError):
@@ -446,3 +435,14 @@ def test_zero_trial_budget_raises(mode):
     with pytest.raises(RefinementExhausted,
                        match="budget of 0 ran out before any trial"):
         run(mode, target, proposal, None, StopConfig(max_trials=0), 0)
+
+
+def test_optimization_budget_ends_before_a_certificate():
+    # every argmax rejects, so each trial is refined and none certifies
+    refined = []
+    with pytest.raises(RefinementExhausted, match="^trial budget exhausted "
+                       "before the optimum was certified$"):
+        run(Mode.OPTIMIZATION, TableTarget({("a",): -1.0}),
+            FixedDraw(("a",), 0.0), KeepRefiner(), StopConfig(max_trials=5),
+            0, on_refine=refined.append)
+    assert len(refined) == 5

@@ -35,18 +35,24 @@ def chain():
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        PairwiseModel([2], [[0.0]], [])  # psi too short
-    with pytest.raises(ValueError):
-        PairwiseModel([2, 2], [[0, 0], [0, 0]], [(1, 0, [[0, 0], [0, 0]])])
-    with pytest.raises(ValueError):
-        PairwiseModel([2, 2], [[0, 0], [0, 0]],
-                      [(0, 1, [[0, 0], [0, 0]]), (0, 1, [[0, 0], [0, 0]])])
-    with pytest.raises(ValueError):
-        PairwiseModel([2, 2], [[0, 0], [0, 0]], [(0, 1, [[0, 0]])])
-    with pytest.raises(ValueError):
-        PairwiseModel([2, 2], [[0, math.inf], [0, 0]], [])
-    with pytest.raises(ValueError):
+    psi, phi = [[0, 0], [0, 0]], [[0, 0], [0, 0]]
+    for args, match in [
+            (([0], [[]], []), "domains must be positive"),
+            (([2, 2], [[0, 0]], []), "one log_psi per node required"),
+            (([2], [[0.0]], []), r"log_psi\[0\] must have shape \(2,\)"),
+            (([2, 2], [[0, math.inf], [0, 0]], []),
+             r"log_psi\[0\] must be finite"),
+            (([2, 2], psi, [(0, 2, phi)]), r"edge \(0,2\) out of range"),
+            (([2, 2], psi, [(1, 0, phi)]), r"edge \(1,0\) must satisfy u < v"),
+            (([2, 2], psi, [(0, 1, phi), (0, 1, phi)]),
+             r"duplicate edge \(0,1\)"),
+            (([2, 2], psi, [(0, 1, [[0, 0]])]),
+             r"log_phi for edge \(0,1\) has wrong shape"),
+            (([2, 2], psi, [(0, 1, [[0, math.nan], [0, 0]])]),
+             r"log_phi for edge \(0,1\) must be finite")]:
+        with pytest.raises(ValueError, match=match):
+            PairwiseModel(*args)
+    with pytest.raises(ValueError, match=r"node ids must be 0\.\.n-1"):
         PairwiseModel.from_dict({"nodes": [{"id": 1, "domain": 2,
                                             "log_psi": [0, 0]}], "edges": []})
     # finite potentials whose largest magnitudes sum past the largest float
@@ -107,6 +113,8 @@ def test_ising_grid_layout_and_determinism():
         assert m.log_p(x) == m2.log_p(x)
     m3 = ising_grid(2, 2, sigma=0.7, seed=4)
     assert any(m.log_p(x) != m3.log_p(x) for x in all_configs(m))
+    with pytest.raises(ValueError, match="grid must be at least 1x1"):
+        ising_grid(0, 3)
 
 
 def rng_free_model(ranges):
@@ -197,6 +205,8 @@ def test_forest_without_node():
             e = m.edges[g.edge_of[j]]
             assert {e.u, e.v} == {j, p}
     assert 4 not in g.parent and 4 not in g.children
+    with pytest.raises(KeyError, match="node 4 not in forest"):
+        g.without(4)
 
 
 def reference_without(f, node):

@@ -100,16 +100,26 @@ def test_tiny_arpa_parsing_and_backoff_chain():
 
 
 def test_parse_error_reports_line_number():
-    bad = TINY_ARPA.replace("-0.5\ta b", "-0.5\ta b c d")
-    with pytest.raises(ParseError) as err:
-        load_arpa(bad)
-    assert err.value.line == 13
-    with pytest.raises(ParseError):
-        load_arpa(TINY_ARPA.replace("\\end\\", ""))
-    with pytest.raises(ParseError):
-        load_arpa(TINY_ARPA.replace("-0.4", "oops"))
-    with pytest.raises(ParseError):
-        load_arpa(TINY_ARPA.replace("ngram 2=2", "ngram 2=3"))
+    head = "\\data\\\nngram 1=1\n"
+    for text, line, match in [
+            (TINY_ARPA.replace("-0.5\ta b", "-0.5\ta b c d"), 13,
+             "expected 3 or 4 fields, got 5"),
+            (TINY_ARPA.replace("\\end\\", ""), 18, r"missing \\end\\"),
+            (TINY_ARPA.replace("-0.4", "oops"), 12, "bad float"),
+            (TINY_ARPA.replace("ngram 2=2", "ngram 2=3"), 18,
+             "declared 3 2-grams, found 2"),
+            ("\\data\\\nngram 1=x\n", 2, "bad count declaration"),
+            (head + "1-grams:\n", 3, "expected n-gram section"),
+            (head + "\\x-grams:\n", 3, "bad section header"),
+            (head + "\\2-grams:\n", 3, "section order 2 not declared"),
+            (head + "\\1-grams:\n-0.1 a\n\\end\\\nmore\n", 6,
+             r"content after \\end\\"),
+            ("hello\n", 1, r"missing \\data\\ header"),
+            # a \data\ block without counts fails at its next line
+            ("\\data\\\n\\end\\\n", 2, "expected n-gram section")]:
+        with pytest.raises(ParseError, match=match) as err:
+            load_arpa(text)
+        assert err.value.line == line, text
 
 
 @pytest.mark.parametrize("old, line", [("-0.5\ta b", 13), ("-0.2", 8),
@@ -142,8 +152,12 @@ def test_negative_infinity_is_log_zero():
 
 
 def test_order_above_five_rejected():
-    with pytest.raises(OrderUnsupported):
+    with pytest.raises(OrderUnsupported, match="order 6 not supported"):
         NGramLM(6, {}, {})
+    with pytest.raises(OrderUnsupported, match="order 6 not supported"):
+        load_arpa("\\data\\\nngram 6=0\n\\6-grams:\n\\end\\\n")
+    with pytest.raises(OrderUnsupported, match="order must be >= 1"):
+        NGramLM(0, {}, {})
 
 
 @pytest.fixture(scope="module")
@@ -450,6 +464,8 @@ def test_lattice_adjacent_key_noise():
     # 464 differs from 364 by a non-adjacent flip (4 vs 3): excluded
     lattice = build_lattice(["364"], ["dog", "gog"], noise_epsilon=0.1)
     assert "gog" not in dict(lattice.candidates[0])
+    with pytest.raises(ValueError, match=r"noise_epsilon must be in \[0, 1\)"):
+        build_lattice(["364"], ["dog"], noise_epsilon=1.0)
 
 
 def test_lattice_no_candidate():

@@ -244,6 +244,20 @@ def test_policy_bench_rows_and_csv(policy, tmp_path):
     assert len(lines) == len(rows) + 1
 
 
+@pytest.mark.parametrize("policy, leaves, assigned", [
+    (Policy.RANDOM_NODE, 1, 0), (Policy.MAX_SLACK, 1, 0),
+    (Policy.MASS_LEAF, 4, 2), (Policy.QUEUE, 4, 2)])
+def test_policy_bench_stops_when_nothing_is_left_to_refine(policy, leaves,
+                                                           assigned):
+    # a tree's root bound is exact: I and II see no reject and stop at
+    # once; III and IV condition until every leaf is fully assigned
+    rows, pw = policy_bench(ising_grid(1, 2, sigma=1.0, seed=0), policy,
+                            refinements=10, trials_per_round=50)
+    assert len(rows) == leaves
+    assert [len(leaf.assigned) for leaf in pw.leaves.values()] == \
+        [assigned] * leaves
+
+
 def test_queue_policy_pays_lookahead_in_tau_ref():
     m = ising_grid(3, 3, sigma=0.6, seed=8)
     rows_ii, _ = policy_bench(m, Policy.MAX_SLACK, refinements=4,
