@@ -9,8 +9,8 @@ from .ngram import (MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported,
                     ParseError, TokenLattice, build_lattice, keypad_encode,
                     load_arpa, load_vocab)
 from .automaton import (AutomatonRefiner, HmmTarget, NoRefinementAvailable,
-                        QAutomaton, build_q0, enumerate_paths, refine,
-                        report_ngram_counts, sample_path, viterbi)
+                        QAutomaton, build_q0, refine, report_ngram_counts,
+                        sample_path, viterbi)
 from .graphical import (Forest, PairwiseModel, SubspaceProposal, ising_grid,
                         max_spanning_forest)
 from .piecewise import (AlreadyConditioned, BenchRow, ImprovementQueue,
@@ -29,9 +29,8 @@ __all__ = [
     "PiecewiseProposal", "Policy", "PolicyRefiner", "QAutomaton",
     "RefinementExhausted", "RunResult", "StopConfig", "SubspaceProposal",
     "TokenLattice", "TrialRecord", "build_lattice", "build_q0",
-    "enumerate_paths", "ising_grid", "keypad_encode", "load_arpa",
-    "load_vocab", "max_spanning_forest", "metrics", "policy_bench",
-    "refine", "report_ngram_counts", "run", "sample_path",
-    "select_refinement", "should_stop", "trial", "viterbi",
-    "write_bench_csv", "write_trial_csv",
+    "ising_grid", "keypad_encode", "load_arpa", "load_vocab",
+    "max_spanning_forest", "metrics", "policy_bench", "refine",
+    "report_ngram_counts", "run", "sample_path", "select_refinement",
+    "should_stop", "trial", "viterbi", "write_bench_csv", "write_trial_csv",
 ]

@@ -41,8 +41,7 @@ import math
 import numpy as np
 
 from .engine import tie_tolerance
-from .ngram import (MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported,
-                    TokenLattice)
+from .ngram import MaxBackoffTables, NGramLM, NoCandidate, TokenLattice
 
 
 class NoRefinementAvailable(RuntimeError):
@@ -96,15 +95,13 @@ class Layer:
 
 
 class HmmTarget:
-    """log p(x) = sum_i [ lm(x_i | preceding words) + obs(i, x_i) ]."""
+    """log p(x) = sum_i [ lm(x_i | preceding words) + obs(i, x_i) ], at the
+    LM's order: the bound tables must read this same (capped) LM."""
 
-    def __init__(self, lm: NGramLM, lattice: TokenLattice,
-                 order: int | None = None):
+    def __init__(self, lm: NGramLM, lattice: TokenLattice):
         self.lm = lm
         self.lattice = lattice
-        self.order = lm.order if order is None else min(order, lm.order)
-        if self.order < 1:
-            raise OrderUnsupported("order cap must be >= 1")
+        self.order = lm.order
         self._pobs = [dict(col) for col in lattice.candidates]
 
     def __call__(self, words: tuple) -> float:
@@ -484,12 +481,6 @@ class AutomatonRefiner:
 
     def refine(self, proposal: QAutomaton, config):
         return refine(proposal, config)
-
-
-def enumerate_paths(q: QAutomaton):
-    """All word sequences the lattice admits (tests and audits)."""
-    cols = [[w for w, _ in col] for col in q.lattice.candidates]
-    return itertools.product(*cols)
 
 
 def report_ngram_counts(q: QAutomaton) -> dict[int, int]:

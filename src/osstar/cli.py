@@ -11,6 +11,9 @@ Subcommands:
 
 All runs are deterministic for a fixed seed: costs are unit-based, so the
 per-trial CSV written by --metrics-out is byte-identical across reruns.
+
+The hmm commands' --order caps the loaded LM, which both the bound tables
+and the target then read.
 """
 
 from __future__ import annotations
@@ -38,13 +41,13 @@ def _read(path: str) -> str:
 
 def _hmm_setup(args):
     lm = load_arpa(_read(args.arpa))
+    if args.order is not None:
+        lm = lm.capped(args.order)
     vocab = load_vocab(_read(args.vocab))
     lattice = build_lattice(args.obs, vocab,
                             noise_epsilon=args.noise_epsilon)
-    tables = MaxBackoffTables(lm, order=args.order)
-    q = am.build_q0(lattice, tables)
-    target = am.HmmTarget(lm, lattice, order=args.order)
-    return q, target
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    return q, am.HmmTarget(lm, lattice)
 
 
 def _print_counts(q) -> None:
@@ -334,7 +337,8 @@ def _add_hmm_io(p) -> None:
     p.add_argument("--obs", required=True, nargs="+",
                    help="observed keypad digit strings, one per word")
     p.add_argument("--order", type=int, default=None,
-                   help="cap the model order used for scoring and bounds")
+                   help="cap the LM's order; the bound and the target both "
+                        "read the capped LM")
     p.add_argument("--noise-epsilon", type=float, default=0.0,
                    help="probability mass for one-key slips")
 

@@ -12,6 +12,9 @@ needs; they shrink monotonically as the context grows.  MaxBackoffTables
 builds all of them when the LM is loaded, in one pass over its contexts,
 level by level: the row of a (context, full context length) holds the bound
 of every word, so memory grows as rows x words.
+
+An order cap belongs to the LM (NGramLM.capped): the tables and the target
+both read the order of the LM they are given.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ class NGramLM:
         # words that can occur inside a sentence
         self.words = [w for w in self.vocab if w not in PSEUDO_TOKENS]
         self._cond_cache: dict[tuple, float] = {}
+
+    def capped(self, order: int) -> NGramLM:
+        """The same model (shared dicts) at order min(order, self.order)."""
+        return NGramLM(min(order, self.order), self.logprob, self.backoff)
 
     def cond_logprob(self, word: str, context: tuple) -> float:
         """log p(word | context) via the backoff recursion.
@@ -283,7 +290,8 @@ def _max_rows(cx: _Contexts, cond: np.ndarray, full_len: int) -> np.ndarray:
 
 
 class MaxBackoffTables:
-    """Max-backoff rows for one LM, all built when the LM is loaded.
+    """Max-backoff rows for one LM, at its order (cap it with lm.capped),
+    all built when the LM is loaded.
 
     value(w, c, L) is the max of p(w | e + c) over all extensions e of the
     context c by older vocabulary words, up to total context length L.  The
@@ -302,12 +310,9 @@ class MaxBackoffTables:
     same float adds as in cond_logprob, and max is exact.
     """
 
-    def __init__(self, lm: NGramLM, order: int | None = None):
+    def __init__(self, lm: NGramLM):
         self.lm = lm
-        n = lm.order if order is None else min(order, lm.order)
-        if n < 1:
-            raise OrderUnsupported("order cap must be >= 1")
-        self.order = n
+        self.order = n = lm.order
         ends = sorted({gram[-1] for gram in lm.logprob})
         self._col = {w: j for j, w in enumerate(ends)}
         self._width = len(ends) + 1

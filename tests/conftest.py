@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -50,6 +51,12 @@ class SnapToTargetRefiner:
     def refine(self, proposal: TableProposal, config):
         proposal.table[config] = self.target.table[config]
         return proposal
+
+
+def lattice_paths(lattice):
+    """Every word sequence the lattice admits, as tuples."""
+    return itertools.product(*([w for w, _ in col]
+                               for col in lattice.candidates))
 
 
 def two_point():

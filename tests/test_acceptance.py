@@ -17,11 +17,12 @@ from osstar.engine import Mode, StopConfig
 from osstar.ngram import (MaxBackoffTables, build_lattice, keypad_encode,
                           load_arpa)
 from osstar.automaton import (AutomatonRefiner, HmmTarget, build_q0,
-                              enumerate_paths, report_ngram_counts)
+                              report_ngram_counts)
 from osstar.graphical import ising_grid
 from osstar.piecewise import (PiecewiseProposal, Policy, PolicyRefiner,
                               policy_bench)
 
+from conftest import lattice_paths
 from lm_fixtures import cluster_vocab, markov_corpus, train_arpa
 from test_contract import Audit
 
@@ -56,7 +57,7 @@ def keypad_4663_instance():
     tables = MaxBackoffTables(lm)
     q = build_q0(lattice, tables)
     target = HmmTarget(lm, lattice)
-    paths = [tuple(p) for p in enumerate_paths(q)]
+    paths = list(lattice_paths(lattice))
     log_ps = np.array([target(p) for p in paths])
     return q, target, paths, log_ps
 
@@ -72,7 +73,7 @@ def small_decode_runs():
         lattice = build_lattice(obs, vocab)
         q = build_q0(lattice, MaxBackoffTables(lm))
         target = HmmTarget(lm, lattice)
-        paths = [tuple(p) for p in enumerate_paths(q)]
+        paths = list(lattice_paths(lattice))
         assert len(paths) <= 10_000
         log_ps = np.array([target(p) for p in paths])
         audit = Audit(q, paths, log_ps)
@@ -95,8 +96,9 @@ def sms_decode_runs():
         assert len(vocab) <= 50
         lattice = build_lattice(obs, vocab)
         for n in (3, 4, 5):
-            q = build_q0(lattice, MaxBackoffTables(lm, order=n))
-            target = HmmTarget(lm, lattice, order=n)
+            capped = lm.capped(n)
+            q = build_q0(lattice, MaxBackoffTables(capped))
+            target = HmmTarget(capped, lattice)
             res = engine.run(Mode.OPTIMIZATION, target, q,
                              AutomatonRefiner(),
                              StopConfig(max_trials=100_000), seed)

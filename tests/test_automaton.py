@@ -18,23 +18,23 @@ from osstar.ngram import (MaxBackoffTables, OrderUnsupported, TokenLattice,
                           build_lattice, keypad_encode, load_arpa, load_vocab)
 from osstar.piecewise import PiecewiseProposal
 
+from conftest import lattice_paths
 from lm_fixtures import (cluster_vocab, markov_corpus, synthetic_instance,
                          train_arpa)
 from test_graphical import TopRng
 from test_ngram import DATA, TINY_ARPA
 
 
-def make_instance(obs=("2", "2", "2"), order=None, eps=0.0):
+def make_instance(obs=("2", "2", "2"), eps=0.0):
     lm = load_arpa(TINY_ARPA)
     lattice = build_lattice(list(obs), ["a", "b"], noise_epsilon=eps)
-    tables = MaxBackoffTables(lm, order=order)
-    q = am.build_q0(lattice, tables)
-    target = am.HmmTarget(lm, lattice, order=order)
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    target = am.HmmTarget(lm, lattice)
     return lm, lattice, q, target
 
 
 def all_scores(q):
-    return {x: q.score(x) for x in am.enumerate_paths(q)}
+    return {x: q.score(x) for x in lattice_paths(q.lattice)}
 
 
 def test_viterbi_matches_enumeration_argmax():
@@ -70,7 +70,7 @@ def test_a_long_sampling_run_tightens_every_path():
                      seed=5)
     assert res.history.refine_count > 0
     # fully tightened: every path scores exactly its probability
-    for x in am.enumerate_paths(q):
+    for x in lattice_paths(q.lattice):
         assert math.isclose(q.score(x), target(x), rel_tol=0, abs_tol=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_ngram_count_report():
 
 def test_target_order_cap():
     lm, lattice, _, _ = make_instance()
-    t2 = am.HmmTarget(lm, lattice, order=2)
+    t2 = am.HmmTarget(lm.capped(2), lattice)
     x = ("a", "a", "b")
     want = sum(lm.cond_logprob(w, tuple(x[max(0, i - 1):i]))
                for i, w in enumerate(x)) + 3 * math.log(0.5)
@@ -134,24 +134,23 @@ def test_target_order_cap():
 
 @pytest.mark.parametrize("order", [0, -3])
 def test_target_rejects_an_order_cap_below_one(order):
+    # the cap lives on the LM, so a bad one fails before the target or the
+    # tables that would read it can be built
     lm = load_arpa((DATA / "keypad4663.arpa").read_text())
-    lattice = build_lattice(["4663"] * 2, ["good", "home"])
-    with pytest.raises(OrderUnsupported, match="order cap must be >= 1"):
-        am.HmmTarget(lm, lattice, order=order)
-    with pytest.raises(OrderUnsupported, match="order cap must be >= 1"):
-        MaxBackoffTables(lm, order=order)
+    with pytest.raises(OrderUnsupported, match="order must be >= 1"):
+        lm.capped(order)
 
 
 def test_batched_sampling_law_after_freeze():
     # tighten fully, then frozen sampling is exact lm sampling
     _, _, q, target = make_instance(obs=("2", "2"))
-    for x in am.enumerate_paths(q):
+    for x in lattice_paths(q.lattice):
         while True:
             try:
                 am.refine(q, x)
             except am.NoRefinementAvailable:
                 break
-    scores = {x: target(x) for x in am.enumerate_paths(q)}
+    scores = {x: target(x) for x in lattice_paths(q.lattice)}
     z = np.logaddexp.reduce(list(scores.values()))
     stop = StopConfig(ar_window=10, ar_threshold=1.1, max_trials=20_000)
     res = engine.run(Mode.SAMPLING, target, q, None, stop, seed=4)
@@ -532,7 +531,7 @@ def test_refinement_at_i_keeps_every_layer_above_i():
                 for k, layer in enumerate(q.contexts)]
 
     i = 3
-    x = next(p for p in am.enumerate_paths(q)
+    x = next(p for p in lattice_paths(q.lattice)
              if q.contexts[i].order.item(q.path_rows(p)[i],
                                          q.contexts[i].col[p[i]])
              > len(q.contexts[i].ctxs[q.path_rows(p)[i]]))
@@ -588,7 +587,7 @@ def test_add_state_reroutes_only_the_captured_edges():
             return tuple(x[i - depth:i])
         return None
 
-    i, x, ctx = next((i, x, extension(x, i)) for x in am.enumerate_paths(q)
+    i, x, ctx = next((i, x, extension(x, i)) for x in lattice_paths(q.lattice)
                      for i in range(2, q.length) if extension(x, i))
     layer, prev = q.contexts[i], q.contexts[i - 1]
     anc = layer.dest[layer.rows[ctx[1:]]].copy()
@@ -615,7 +614,7 @@ def test_layers_report_states_and_edges_for_the_size_record():
 
 def test_refine_walks_the_rejected_path_once(monkeypatch):
     q, _ = refined_sms24()
-    x = next(p for p in am.enumerate_paths(q)
+    x = next(p for p in lattice_paths(q.lattice)
              if len(slack_positions(q, p)) >= 2)
     calls = []
     path_rows = am.QAutomaton.path_rows

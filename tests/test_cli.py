@@ -135,13 +135,15 @@ def test_hmm_words_outside_the_lm_are_never_output(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("bad", [["--ar-window", "0"],
-                                 ["--max-trials", "-1"]])
+                                 ["--max-trials", "-1"],
+                                 ["--order", "0"]])
 def test_hmm_sample_rejects_bad_numbers(hmm_files, capsys, bad):
     arpa, vocab = hmm_files
     rc = main(["hmm", "sample", "--arpa", arpa, "--vocab", vocab,
                "--obs", "2", "2"] + bad)
     assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 def test_hmm_sample_has_no_batch_option(hmm_files, capsys):
@@ -390,6 +392,28 @@ certificate gap (log): 0
 trials: 7  refinements: 6
 bound contexts  order-1: 24  order-2: 6  order-3: 2  order-4: 2  order-5: 1
 """, "6f3c7b64c76f99c5e7a75651421aa0c1e4819666eee747ff77c00f0c48f7fd4c"),
+    # --order caps the LM that both the bound and the target read
+    "decode-order-3": (["decode", "--order", "3"], """\
+decoded: mgz gvt wqq gvu xhp qxc
+log p: -11.182470
+certificate gap (log): 0
+trials: 6  refinements: 5
+bound contexts  order-1: 24  order-2: 5  order-3: 0
+""", "87da9d1cc7b96531c64352818505291829b18a1f4bd765867de94d10548360fd"),
+    "sample-order-2": (["sample", "--order", "2", "--ar-threshold", "0.5"],
+                       """\
+trials: 100  accepts: 78  refinements: 22
+acceptance rate: 0.7800 cumulative  0.7800 last-100
+log Z-hat: -11.647133  pi-hat: 1.1084  est. cost per sample: 22.9
+table builds: 23
+bound contexts  order-1: 24  order-2: 63
+top samples:
+  0.936  mgz gvt wqq gvu xhp qxc
+  0.026  mgy gvt wqq gvu xhp qxc
+  0.013  mgz gvt wqq gtt wis pxa
+  0.013  mgz gvt wqq gvu xhp pxa
+  0.013  mgz gvt wqq gvu xhp qyc
+""", "aa94158d9df8b89c6b5d275fff57cfe267c343cbc67735cc83c31066fa78d040"),
 }
 
 
@@ -400,6 +424,23 @@ def test_sms24_streams_are_pinned(name, tmp_path, capsys):
     assert main(["hmm", *command, *SMS24, "--metrics-out", str(f)]) == 0
     assert capsys.readouterr().out == stdout
     assert hashlib.sha256(f.read_bytes()).hexdigest() == csv_sha
+
+
+KEYPAD = ["--arpa", KEYPAD_ARPA, "--vocab", str(DATA / "keypad4663.vocab"),
+          "--obs", "4663", "4663", "4663"]
+
+
+@pytest.mark.parametrize("command", ["decode", "sample"])
+def test_order_cap_above_the_lm_order_changes_nothing(tmp_path, capsys,
+                                                      command):
+    # keypad4663 is an order-3 LM
+    outs = []
+    for cap in ([], ["--order", "9"]):
+        f = tmp_path / "m.csv"
+        assert main(["hmm", command, *KEYPAD, *cap,
+                     "--metrics-out", str(f)]) == 0
+        outs.append((capsys.readouterr().out, f.read_bytes()))
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("bad", [["--refinements", "-1"],

@@ -37,6 +37,7 @@ from osstar.graphical import PairwiseModel
 from osstar.ngram import MaxBackoffTables, build_lattice, load_arpa
 from osstar.piecewise import PiecewiseProposal, Policy, PolicyRefiner
 
+from conftest import lattice_paths
 from lm_fixtures import synthetic_instance
 from test_graphical import preorder_tie
 
@@ -207,10 +208,12 @@ def test_sentence_runs_keep_the_contract(seed, order, cluster_size, length,
         seed, order=order, n_clusters=3, cluster_size=cluster_size,
         length=length, n_sentences=30)
     lm = load_arpa(arpa)
+    if cap is not None:
+        lm = lm.capped(cap)
     lattice = build_lattice(obs, vocab)
-    tables = MaxBackoffTables(lm, order=cap)
-    target = am.HmmTarget(lm, lattice, order=cap)
-    paths = list(am.enumerate_paths(am.build_q0(lattice, tables)))
+    tables = MaxBackoffTables(lm)
+    target = am.HmmTarget(lm, lattice)
+    paths = list(lattice_paths(lattice))
     for mode, stop in SENTENCE_RUNS:
         assert_contract(mode, target, am.build_q0(lattice, tables),
                         am.AutomatonRefiner(), stop, seed, paths,

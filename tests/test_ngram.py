@@ -160,6 +160,25 @@ def test_order_above_five_rejected():
         NGramLM(0, {}, {})
 
 
+def test_capped_lm_reads_the_same_model_at_the_lower_order():
+    lm = load_arpa((DATA / "sms24.arpa").read_text())
+    sentence = ("mgz", "gvt", "wqq", "gvu", "xhp", "qxc")
+    assert lm.order == 5
+    for cap in (0, -3):
+        with pytest.raises(OrderUnsupported, match="order must be >= 1"):
+            lm.capped(cap)
+    for cap in range(1, 8):
+        capped = lm.capped(cap)
+        assert capped.order == min(cap, lm.order)
+        assert capped.logprob is lm.logprob and capped.backoff is lm.backoff
+        for i in range(len(sentence)):
+            ctx = sentence[:i]
+            clipped = ctx[max(0, i - (capped.order - 1)):]
+            for w in lm.words:
+                assert capped.cond_logprob(w, ctx) == \
+                    lm.cond_logprob(w, clipped), (cap, w, ctx)
+
+
 @pytest.fixture(scope="module")
 def trained_lm():
     rng = np.random.default_rng(10)
@@ -237,7 +256,7 @@ def test_max_backoff_monotone_in_context(trained_lm):
 def test_max_backoff_order_cap(trained_lm):
     # A cap of 2 turns the trigram into a bigram model.
     lm = trained_lm
-    tables = MaxBackoffTables(lm, order=2)
+    tables = MaxBackoffTables(lm.capped(2))
     for w in lm.words:
         got = tables.value(w, (), 2)
         want = max(oracle_cond(lm, w, (u,)) for u in lm.words)
@@ -307,7 +326,7 @@ def assert_rows_match_scalar(lm: NGramLM, exhaustive: int = 2) -> int:
     scalar recursion exactly."""
     checked = 0
     for cap in range(1, lm.order + 1):
-        tables = MaxBackoffTables(lm, order=cap)
+        tables = MaxBackoffTables(lm.capped(cap))
         oracle = ScalarMaxBackoff(lm, order=cap)
         for full_len in range(cap):
             held = {c for c in tables._index if len(c) <= full_len}
