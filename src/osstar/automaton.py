@@ -12,13 +12,20 @@ to route the path into each tightened edge): every loose edge of a drawn
 path, right to left, and one edge of the path viterbi just returned.  Path
 weights therefore never increase, and the rejected path strictly drops.
 
-Every state at layer i has one edge per candidate word of position i, in
-the lattice's order, so a layer is compiled to a dense states x candidates
-block (`Layer`): edge weights, edge orders and destination rows into layer
-i + 1, with an append-only context -> row map (row 0 is the empty context).
-A refinement writes these arrays in two places only: deepening an edge
-rewrites its weight and order cell, and adding a state appends one row and
-reroutes the edges of layer i - 1 whose longest stored suffix it now is.
+Every state at layer i has one edge per candidate word of position i, so a
+layer is compiled to a dense states x candidates block (`Layer`): edge
+weights, edge orders and destination rows into layer i + 1, with an
+append-only context -> row map (row 0 is the empty context).  Columns are
+in sorted-word order, the order of draws and ties.  A refinement writes
+these arrays in two places only: deepening an edge rewrites its weight and
+order cell, and adding a state appends one row and reroutes the edges of
+layer i - 1 whose longest stored suffix it now is.
+
+One walk, `_walk`, follows every path (score, path_rows, sample_path,
+viterbi, _smallest_argmax): a column per layer, edge weights added left to
+right, so every sentence log q is that one sum.  sample_path and viterbi
+record their walk until the structure changes, and refine reads a rejected
+path's rows from that record when it is the path walked.
 
 Cached, per semiring ("sum" for sampling, "max" for the argmax):
   beta[i]   downstream aggregate of every state of layer i, one numpy
@@ -34,13 +41,12 @@ edges costs one rebuild.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 
 import numpy as np
 
-from .engine import tie_tolerance
+from .engine import pick, tie_tolerance
 from .ngram import MaxBackoffTables, NGramLM, NoCandidate, TokenLattice
 
 
@@ -51,19 +57,16 @@ class NoRefinementAvailable(RuntimeError):
 class Layer:
     """One position of the automaton as dense arrays.
 
-    Row r is the state ctxs[r]; column j is the candidate word words[j].
-    weight[r, j], order[r, j] and dest[r, j] are that edge's log weight,
-    the n-gram order of its bound and its destination row in the next
-    layer.  `perm` lists the columns in sorted-word order (the tie and draw
-    order) and `ending[s]` the rows whose context ends with s, every suffix
-    s included.
+    Row r is the state ctxs[r]; column j is the candidate word words[j],
+    words sorted.  weight[r, j], order[r, j] and dest[r, j] are that edge's
+    log weight, the n-gram order of its bound and its destination row in
+    the next layer.  `ending[s]` lists the rows whose context ends with s,
+    every suffix s included.
     """
 
     def __init__(self, words, weights):
         self.words = tuple(words)
         self.col = {w: j for j, w in enumerate(self.words)}
-        self.perm = tuple(sorted(range(len(self.words)),
-                                 key=self.words.__getitem__))
         self.ctxs: list[tuple] = [()]
         self.rows: dict[tuple, int] = {(): 0}
         self.ending: dict[tuple, list[int]] = {(): [0]}
@@ -127,9 +130,9 @@ class QAutomaton:
         self._dirty: dict[str, int] = {"sum": -1, "max": -1}
         self._vals: dict[str, list] = {}
         self._memo: dict[str, list[dict]] = {}
-        # the path viterbi last returned and its state rows, for refine;
-        # dropped on any change of structure
-        self._descent: tuple | None = None
+        # (semiring, words, rows) of the path sample_path or viterbi last
+        # returned, for refine; dropped on any change of structure
+        self._last: tuple | None = None
 
     # -- structure ---------------------------------------------------------
 
@@ -138,7 +141,7 @@ class QAutomaton:
         return min(i, self.order - 1)
 
     def _invalidate(self, layer: int) -> None:
-        self._descent = None
+        self._last = None
         for semiring in ("sum", "max"):
             if self._beta[semiring] is not None:
                 self._dirty[semiring] = max(self._dirty[semiring], layer)
@@ -169,11 +172,10 @@ class QAutomaton:
         return cached
 
     def _draw_table(self, i: int, row: int) -> list[float]:
-        """CDF over the sorted words of state `row` at layer i, built from
-        its vals row and memoised until that layer's sum beta is rebuilt.
+        """CDF over the columns of state `row` at layer i, built from its
+        vals row and memoised until that layer's sum beta is rebuilt.
         Called on a memo miss only."""
-        vrow = self._vals["sum"][i][row].tolist()
-        logits = [vrow[j] for j in self.contexts[i].perm]
+        logits = self._vals["sum"][i][row].tolist()
         m = max(logits)
         # math.exp, not np.exp: the two can differ in the last bit, and a
         # changed CDF bit can change a draw of a fixed seed
@@ -182,12 +184,10 @@ class QAutomaton:
         return got
 
     def _best_col(self, i: int, row: int) -> int:
-        """Column of the first maximum of state `row`'s edges in sorted-word
-        order, memoised until that layer's max beta is rebuilt.  Called on
-        a memo miss only."""
+        """Column of the first maximum of state `row`'s edges, memoised until
+        that layer's max beta is rebuilt.  Called on a memo miss only."""
         vrow = self._vals["max"][i][row].tolist()
-        got = self._memo["max"][i][row] = max(self.contexts[i].perm,
-                                              key=vrow.__getitem__)
+        got = self._memo["max"][i][row] = vrow.index(max(vrow))
         return got
 
     # -- proposal interface (engine duck type) ------------------------------
@@ -203,24 +203,35 @@ class QAutomaton:
 
     # -- path utilities ------------------------------------------------------
 
+    def _follow(self, words: tuple):
+        """The walk of a full-length path."""
+        return _walk(self, lambda i, *_: self.contexts[i].col[words[i]])
+
     def path_rows(self, words: tuple) -> list[int]:
         """Row of the state the path occupies at each of its positions."""
-        rows = []
-        row = 0
-        for layer, w in zip(self.contexts, words):
-            rows.append(row)
-            row = layer.dest.item(row, layer.col[w])
-        return rows
+        return self._follow(words)[1]
 
     def score(self, words: tuple) -> float:
         """log q(words): the path's edge weights added left to right."""
-        total = 0.0
-        row = 0
-        for layer, w in zip(self.contexts, words):
-            j = layer.col[w]
-            total += layer.weight.item(row, j)
-            row = layer.dest.item(row, j)
-        return total
+        return self._follow(words)[2]
+
+
+def _walk(q: QAutomaton, choose):
+    """Walk one path from row 0: at each layer i take column
+    choose(i, row, total), where total is the sum of the weights taken so
+    far.  Returns the words, the state row at each position and log q, the
+    edge weights added left to right."""
+    words, rows = [], []
+    total = 0.0
+    row = 0
+    for i in range(q.length):
+        layer = q.contexts[i]
+        j = choose(i, row, total)
+        words.append(layer.words[j])
+        rows.append(row)
+        total += layer.weight.item(row, j)
+        row = layer.dest.item(row, j)
+    return tuple(words), rows, total
 
 
 def build_q0(lattice: TokenLattice, tables: MaxBackoffTables) -> QAutomaton:
@@ -230,10 +241,10 @@ def build_q0(lattice: TokenLattice, tables: MaxBackoffTables) -> QAutomaton:
     probability zero under the LM, so that no sentence has any mass.
     """
     q = QAutomaton(lattice, tables)
-    for i in range(lattice.length):
-        words = [word for word, _ in lattice.candidates[i]]
+    for i, cands in enumerate(map(sorted, lattice.candidates)):
+        words = [word for word, _ in cands]
         weights = [tables.value(word, (), q.full_len(i)) + lp
-                   for word, lp in lattice.candidates[i]]
+                   for word, lp in cands]
         if all(wt == -math.inf for wt in weights):
             raise NoCandidate(f"position {i}: every candidate "
                               f"({', '.join(words)}) has probability zero "
@@ -255,33 +266,26 @@ def viterbi(q: QAutomaton):
     """
     q.beta("max")
     memo = q._memo["max"]
-    words, rows = [], []
-    total = 0.0
-    row = 0
+
+    def best(i, row, total):
+        j = memo[i].get(row)
+        return q._best_col(i, row) if j is None else j
+
+    words, rows, total = _walk(q, best)
     # whether some edge below full order is above p's term by more than
     # 1e-12: the engine cannot certify such a path
-    loose = False
-    for i in range(q.length):
-        layer = q.contexts[i]
-        j = memo[i].get(row)
-        if j is None:
-            j = q._best_col(i, row)
-        words.append(layer.words[j])
-        rows.append(row)
-        weight = layer.weight.item(row, j)
-        if not loose and layer.order.item(row, j) <= q.full_len(i):
-            loose = _excess(q, words, i, weight) > 1e-12
-        total += weight
-        row = layer.dest.item(row, j)
-    words = tuple(words)
+    loose = any(layer.order.item(row, j) <= q.full_len(i)
+                and _excess(q, words, i, layer.weight.item(row, j)) > 1e-12
+                for i, (layer, row) in enumerate(zip(q.contexts, rows))
+                for j in (layer.col[words[i]],))
     if not loose:
         # a near tie: a runner-up within tol of a pick on the path
         tol = _tie_tol(q)
         vals = q._vals["max"]
         if any(np.count_nonzero(v >= v.max() - tol) > 1
                for v in (vals[i][row] for i, row in enumerate(rows))):
-            words, total, rows = _smallest_argmax(q, tol)
-    q._descent = (words, rows)
+            words, rows, total = _smallest_argmax(q, tol)
+    q._last = ("max", words, rows)
     return words, total
 
 
@@ -308,53 +312,36 @@ def _forward_max(q: QAutomaton, i: int, row: int, total: float) -> float:
 
 def _smallest_argmax(q: QAutomaton, tol: float):
     """The lexicographically smallest of the paths with the largest
-    left-to-right total, that total and the path's state rows.  Word by
+    left-to-right total, walked: its words, state rows and total.  Word by
     word, each of the state's top columns (backward max sum within tol of
-    its best, in sorted-word order) but the last is tried with one forward
-    pass.  A column outside the top trails by more than summation
-    roundoff, so it cannot reach the largest total, and the last top column
-    must reach it."""
+    its best) but the last is tried with one forward pass.  A column
+    outside the top trails by more than summation roundoff, so it cannot
+    reach the largest total, and the last top column must reach it."""
     target = _forward_max(q, 0, 0, 0.0)
-    words, rows = [], []
-    total = 0.0
-    row = 0
-    for i in range(q.length):
+    vals = q._vals["max"]
+
+    def first_reaching(i, row, total):
         layer = q.contexts[i]
-        rows.append(row)
-        vrow = q._vals["max"][i][row]
-        best = vrow.max()
-        top = [j for j in layer.perm if vrow[j] >= best - tol]
-        for j in top:
-            t = total + layer.weight.item(row, j)
-            if j == top[-1] or _forward_max(
-                    q, i + 1, layer.dest.item(row, j), t) == target:
-                break
-        words.append(layer.words[j])
-        total = t
-        row = layer.dest.item(row, j)
-    return tuple(words), total, rows
+        vrow = vals[i][row]
+        top = np.flatnonzero(vrow >= vrow.max() - tol).tolist()
+        return next((j for j in top[:-1] if _forward_max(
+            q, i + 1, layer.dest.item(row, j),
+            total + layer.weight.item(row, j)) == target), top[-1])
+
+    return _walk(q, first_reaching)
 
 
 def sample_path(q: QAutomaton, rng: np.random.Generator):
     """Exact draw x ~ q / Q(X): backward sums, forward edge sampling."""
     q.beta("sum")
     memo = q._memo["sum"]
-    words = []
-    total = 0.0
-    row = 0
-    for i in range(q.length):
-        layer = q.contexts[i]
-        cdf = memo[i].get(row)
-        if cdf is None:
-            cdf = q._draw_table(i, row)
-        # the top word adds exp(0) = 1, so cdf[-1] >= 1 and a uniform
-        # u < 1 gives r = u * cdf[-1] < cdf[-1]: the first entry above r
-        # exists and rises there, so its word has nonzero probability
-        j = layer.perm[bisect.bisect_right(cdf, rng.random() * cdf[-1])]
-        words.append(layer.words[j])
-        total += layer.weight.item(row, j)
-        row = layer.dest.item(row, j)
-    return tuple(words), total
+
+    def draw(i, row, total):
+        return pick(memo[i].get(row) or q._draw_table(i, row), rng)
+
+    words, rows, total = _walk(q, draw)
+    q._last = ("sum", words, rows)
+    return words, total
 
 
 def _add_state(q: QAutomaton, words: tuple, rows: list[int], i: int,
@@ -384,10 +371,10 @@ def _add_state(q: QAutomaton, words: tuple, rows: list[int], i: int,
     q._invalidate(i)
 
 
-def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int],
-               i: int) -> None:
-    """Deepen the rejected path's edge at position i until its weight
-    strictly drops (or the context order is exhausted).  rows is the
+def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int], i: int,
+               floor: float) -> None:
+    """Deepen the rejected path's edge at position i until its weight drops
+    by more than floor (or the context order is exhausted).  rows is the
     path's state rows, kept current as states are added."""
     layer = q.contexts[i]
     w = rejected[i]
@@ -402,7 +389,7 @@ def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int],
         weight = q.tables.value(w, new_ctx, full) + q.pobs[i][w]
         layer.order[rows[i], j] = order + 1
         layer.weight[rows[i], j] = weight
-        if weight < old_weight - 1e-15 or order + 1 > full:
+        if weight < old_weight - floor or order + 1 > full:
             break
     q._invalidate(i)
 
@@ -418,18 +405,22 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     deepened (leftmost on ties): deepening every loose site there spends
     deeper bounds a decode does not need, and the count of bounds then
     grows with their order.  Each deepening runs until that edge's weight
-    strictly drops or its context order is exhausted; in the common case
-    that is a single new context weight.  If no gap counts, the leftmost
-    position with slack is deepened instead: an edge weight above p's term
-    there by more than 1e-12, or by any amount when no such edge is left.
+    strictly drops (by more than 1e-15) or its context order is exhausted;
+    in the common case that is a single new context weight.  If no gap
+    counts, the leftmost position with slack (an edge weight above p's
+    term by more than 1e-12, or by any amount when no such edge is left) is
+    deepened instead, until its weight drops by more than 1e-12 or its
+    order is exhausted: a smaller drop is roundoff, not worth a refinement.
 
     Raises NoRefinementAvailable when the path already scores p term by
     term.
     """
-    # the rows viterbi found, when the path it just returned is the one
-    # rejected
-    decoded = q._descent is not None and q._descent[0] == rejected
-    rows = q._descent[1] if decoded else q.path_rows(rejected)
+    # the rows of the last walk, when the path it returned is the one
+    # rejected; a path viterbi returned gets the one-site rule
+    last = q._last
+    walked = last is not None and last[1] == rejected
+    rows = last[2] if walked else q.path_rows(rejected)
+    decoded = walked and last[0] == "max"
     # one scan of the positions whose edge on the path is below full order:
     # each such edge's weight, the loose sites and the largest gap among
     # them (leftmost on ties)
@@ -450,20 +441,25 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
             loose.append(i)
         if gap > best_gap + 1e-15:
             best_i, best_gap = i, gap
-    if best_i is None:
+    # a drawn path's loose sites right to left: a deepening adds states at
+    # its own layer and below, each copying its ancestor's weight and
+    # order rows, so the gaps scanned at the sites still to come hold
+    if loose and not decoded:
+        deepen, floor = loose[::-1], 1e-15
+    elif best_i is not None:
+        deepen, floor = (best_i,), 1e-15
+    else:
         excess = [(i, _excess(q, rejected, i, weight))
                   for i, weight in sites]
         # an excess of at most 1e-12 is refined only when no other is left
         best_i = next((i for i, e in excess if e > 1e-12),
                       next((i for i, e in excess if e > 0), None))
-    if best_i is None:
-        raise NoRefinementAvailable(
-            "rejected path already scores its exact probability")
-    # a drawn path's loose sites right to left: a deepening adds states at
-    # its own layer and below, each copying its ancestor's weight and
-    # order rows, so the gaps scanned at the sites still to come hold
-    for i in (loose[::-1] if loose and not decoded else (best_i,)):
-        _deepen_at(q, rejected, rows, i)
+        if best_i is None:
+            raise NoRefinementAvailable(
+                "rejected path already scores its exact probability")
+        deepen, floor = (best_i,), 1e-12
+    for i in deepen:
+        _deepen_at(q, rejected, rows, i, floor)
     return q
 
 

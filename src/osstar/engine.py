@@ -37,6 +37,7 @@ It may mutate the proposal in place and return it.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
 import itertools
@@ -52,6 +53,14 @@ def tie_tolerance(scale: float) -> float:
     the magnitudes of a configuration's log terms, so the tolerance is far
     above the roundoff by which two orders of summation can disagree."""
     return 1e-9 * max(1.0, scale)
+
+
+def pick(cdf: list[float], rng) -> int:
+    """Index of the first entry of an unnormalised CDF above
+    r = rng.random() * cdf[-1].  Scaled by cdf[-1] itself, not by a
+    separate total (a pairwise sum can exceed it), r < cdf[-1]: the entry
+    picked exists and rises there, so its value has nonzero probability."""
+    return bisect.bisect_right(cdf, rng.random() * cdf[-1])
 
 
 class Mode(enum.Enum):

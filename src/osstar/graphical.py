@@ -36,7 +36,6 @@ unlike np.maximum, would not carry.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import json
 import math
@@ -47,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import tie_tolerance
+from .engine import pick, tie_tolerance
 
 
 class ModelEdge(NamedTuple):
@@ -604,12 +603,8 @@ class SubspaceProposal:
     def sample(self, rng: np.random.Generator):
         """Exact draw from q restricted to this subspace."""
         cdf_of = self._cdf
-
-        def pick(j, key):
-            cdf = cdf_of(j, key)
-            # scale by the CDF's last entry: a pairwise sum can exceed it
-            return bisect.bisect_right(cdf, rng.random() * cdf[-1])
-        config = self._full(self._descend(pick))
+        config = self._full(self._descend(
+            lambda j, key: pick(cdf_of(j, key), rng)))
         return config, self.score(config)
 
     def _max_log_clamped(self, clamps: dict[int, int]) -> float:
@@ -655,13 +650,13 @@ class SubspaceProposal:
         tol = tie_tolerance(self.model.abs_log_sum)
         beta = self.beta("max")
 
-        def pick(j, key):
+        def best(j, key):
             logits = self._logits(beta, j, key)
             top = max(logits)
             if len(logits) > 1 and sorted(logits)[-2] >= top - tol:
                 return None
             return logits.index(top)  # the first maximum
-        values = self._descend(pick, self._picks)
+        values = self._descend(best, self._picks)
         if values is None:
             values = self._argmax_clamped()
         config = self._full(values)

@@ -16,7 +16,6 @@ off by default.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import heapq
 import math
@@ -100,7 +99,7 @@ class PiecewiseProposal:
 
     def draw(self, rng: np.random.Generator):
         ids, _, _, cdf = self._tables()
-        lid = ids[bisect.bisect_right(cdf, rng.random() * cdf[-1])]
+        lid = ids[engine.pick(cdf, rng)]
         return self.leaves[lid].sample(rng)
 
     def argmax(self):

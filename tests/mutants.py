@@ -1,4 +1,5 @@
-"""Mutation check of the guarantee contract in tests/test_contract.py.
+"""Mutation check of the guarantee contract in tests/test_contract.py
+(and of one refinement property in tests/test_automaton.py).
 
 Run from anywhere as `python tests/mutants.py` (pytest does not collect this
 file).  Each mutant below replaces one exact piece of text in src/osstar by
@@ -26,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SENTENCE = "tests/test_contract.py::test_sentence_runs_keep_the_contract"
 GRID = "tests/test_contract.py::test_grid_runs_keep_the_contract"
+REJECTS = "tests/test_automaton.py::test_every_reject_reaches_a_refinement"
 
 # name: (file under src/osstar, exact old text, new text, tests that fail)
 MUTANTS = {
@@ -67,11 +69,6 @@ MUTANTS = {
         "                return None\n",
         "",
         [GRID]),
-    "leaf_draw_unscaled": (
-        "graphical.py",
-        "            return bisect.bisect_right(cdf, rng.random() * cdf[-1])",
-        "            return bisect.bisect_right(cdf, rng.random())",
-        [GRID]),
     "argmax_tie_max": (
         "piecewise.py",
         "        return min(leaf.argmax() for m, leaf in maxes if m == top)",
@@ -104,19 +101,29 @@ MUTANTS = {
         [SENTENCE]),
     "deepen_one_order_only": (
         "automaton.py",
-        "        if weight < old_weight - 1e-15 or order + 1 > full:",
+        "        if weight < old_weight - floor or order + 1 > full:",
         "        if True:",
         [SENTENCE]),
-    "sample_path_unscaled": (
+    "refine_reads_an_unwalked_record": (
         "automaton.py",
-        "        j = layer.perm[bisect.bisect_right(cdf, rng.random() * cdf[-1])]",
-        "        j = layer.perm[bisect.bisect_right(cdf, rng.random())]",
+        "    walked = last is not None and last[1] == rejected\n",
+        "    walked = last is not None\n",
         [SENTENCE]),
+    "fallback_floor_roundoff": (
+        "automaton.py",
+        "        deepen, floor = (best_i,), 1e-12\n",
+        "        deepen, floor = (best_i,), 1e-15\n",
+        [REJECTS]),
     "viterbi_near_tie_fallback_skipped": (
         "automaton.py",
         "    if not loose:\n        # a near tie",
         "    if False:\n        # a near tie",
         [SENTENCE]),
+    "pick_unscaled": (
+        "engine.py",
+        "    return bisect.bisect_right(cdf, rng.random() * cdf[-1])",
+        "    return bisect.bisect_right(cdf, rng.random())",
+        [SENTENCE, GRID]),
     "trial_equality_is_a_violation": (
         "engine.py",
         "    if not (log_p <= log_q and math.isfinite(log_q)):",

@@ -109,8 +109,14 @@ def slack_positions(q, x, one_order=False):
 
 def path_orders(q, x):
     """Sum over path x's edges of the order of each edge's bound."""
-    return sum(layer.order.item(row, layer.col[w])
-               for layer, w, row in zip(q.contexts, x, q.path_rows(x)))
+    return sum(order for _, order in path_cells(q, x))
+
+
+def path_cells(q, x):
+    """(weight, order) of each edge of path x."""
+    return [(layer.weight.item(row, layer.col[w]),
+             layer.order.item(row, layer.col[w]))
+            for layer, w, row in zip(q.contexts, x, q.path_rows(x))]
 
 
 def test_ngram_count_report():
@@ -183,7 +189,7 @@ def test_decode_builds_no_sum_tables():
 # that beta, sample_path and viterbi must match bit for bit.
 
 def dict_view(q):
-    """Layer i as {ctx: {word: (weight, dest ctx)}}, words in lattice order."""
+    """Layer i as {ctx: {word: (weight, dest ctx)}}, words in column order."""
     view = []
     for layer, nxt in zip(q.contexts, q.contexts[1:]):
         view.append({
@@ -300,15 +306,14 @@ def test_compiled_layers_match_dict_oracle(name, mode):
 
 def assert_fresh_compile(q):
     """Every layer equals one compiled from scratch out of its state list
-    and edge orders alone: weights from the bound tables, destinations by
-    longest stored suffix, the row map, suffix index and sort order."""
+    and edge orders alone: the candidates in sorted columns, weights from
+    the bound tables, destinations by longest stored suffix, the row map
+    and suffix index."""
     for i, layer in enumerate(q.contexts):
         cands = q.lattice.candidates[i] if i < q.length else []
-        words = tuple(w for w, _ in cands)
+        words = tuple(sorted(w for w, _ in cands))
         assert layer.words == words
         assert layer.col == {w: j for j, w in enumerate(words)}
-        assert layer.perm == tuple(sorted(range(len(words)),
-                                          key=words.__getitem__))
         assert layer.ctxs[0] == ()
         assert layer.rows == {c: r for r, c in enumerate(layer.ctxs)}
         assert all(ctx[1:] in layer.rows for ctx in layer.ctxs[1:])
@@ -372,16 +377,18 @@ def test_every_refinement_keeps_the_compiled_automaton_exact(
 @example(seed=4194305, order=3, cluster_size=2, length=4,
          mode=Mode.OPTIMIZATION)
 # no loose site; the slack fallback's first deeper bound is lower by
-# roundoff only, and the path's score drops by one ulp
+# roundoff only (2.7e-15), so the deepening must go on past it
 @example(seed=910, order=5, cluster_size=2, length=8, mode=Mode.SAMPLING)
 def test_every_reject_reaches_a_refinement(seed, order, cluster_size,
                                            length, mode):
     """No reject reaches the engine as NoRefinementAvailable: a rejected
     path scores log q > log p, so some edge on it has slack, and refine
     raises the bound order of some edge on the path without raising its
-    score, so refinement runs out only on a path scored exactly.  The rate
-    threshold above 1 keeps a sampling run refining to its trial budget,
-    deep into full-order edges, past what enumeration reaches."""
+    score, so refinement runs out only on a path scored exactly.  A reject
+    with no loose site gets the slack fallback, whose deepening drops its
+    edge by more than 1e-12 or lands on p's term there (full order).  The
+    rate threshold above 1 keeps a sampling run refining to its trial
+    budget, deep into full-order edges, past what enumeration reaches."""
     vocab, arpa, _, obs = synthetic_instance(
         seed, order=order, n_clusters=3, cluster_size=cluster_size,
         length=length, n_sentences=30)
@@ -396,6 +403,8 @@ def test_every_reject_reaches_a_refinement(seed, order, cluster_size,
         def refine(self, proposal, config):
             before = proposal.score(config)
             orders = path_orders(proposal, config)
+            fallback = not slack_positions(proposal, config, one_order=True)
+            cells = path_cells(proposal, config)
             try:
                 out = super().refine(proposal, config)
             except am.NoRefinementAvailable:
@@ -403,6 +412,11 @@ def test_every_reject_reaches_a_refinement(seed, order, cluster_size,
                             f"log p {target(config)} but has no refinement")
             assert out.score(config) <= before
             assert path_orders(out, config) > orders
+            if fallback:
+                assert any(
+                    w0 - w1 > 1e-12 or o1 > out.full_len(i)
+                    for i, ((w0, o0), (w1, o1)) in enumerate(
+                        zip(cells, path_cells(out, config))) if o1 > o0)
             self.calls += 1
             return out
 
@@ -537,7 +551,7 @@ def test_refinement_at_i_keeps_every_layer_above_i():
              > len(q.contexts[i].ctxs[q.path_rows(p)[i]]))
     before = snapshot()
     states = len(q.contexts[i].ctxs)
-    am._deepen_at(q, x, q.path_rows(x), i)
+    am._deepen_at(q, x, q.path_rows(x), i, 1e-15)
     assert len(q.contexts[i].ctxs) > states  # the deepening added a state
     after = snapshot()
     for k in range(len(q.contexts)):
@@ -630,6 +644,26 @@ def test_refine_walks_the_rejected_path_once(monkeypatch):
     assert q.score(x) < score - 1e-15
 
 
+@pytest.mark.parametrize("mode", [Mode.SAMPLING, Mode.OPTIMIZATION])
+def test_a_run_refines_on_the_rows_its_trials_walked(mode, monkeypatch):
+    # each reject is the path its trial's draw or viterbi just walked, so
+    # refine reads that walk's rows and never walks the path again
+    lm, lattice = lm_and_lattice("sms24")
+    calls = []
+    path_rows = am.QAutomaton.path_rows
+
+    def counting(self, words):
+        calls.append(words)
+        return path_rows(self, words)
+
+    monkeypatch.setattr(am.QAutomaton, "path_rows", counting)
+    res = engine.run(mode, am.HmmTarget(lm, lattice),
+                     am.build_q0(lattice, MaxBackoffTables(lm)),
+                     am.AutomatonRefiner(),
+                     StopConfig(ar_threshold=1.1, max_trials=60), 0)
+    assert res.history.refine_count > 0 and calls == []
+
+
 def test_refine_reads_the_rows_viterbi_found(monkeypatch):
     # refining the path viterbi just returned reuses the descent's rows;
     # a change of structure drops them, so a second refine walks the path
@@ -648,9 +682,9 @@ def test_refine_reads_the_rows_viterbi_found(monkeypatch):
     deepened = []
     deepen_at = am._deepen_at
 
-    def recording(q, rejected, rows, i):
+    def recording(q, rejected, rows, i, floor):
         deepened.append(list(rows))
-        deepen_at(q, rejected, rows, i)
+        deepen_at(q, rejected, rows, i, floor)
 
     monkeypatch.setattr(am, "_deepen_at", recording)
     am.refine(q, x)
@@ -676,15 +710,16 @@ def test_refine_deepens_every_loose_site_of_a_drawn_path(monkeypatch):
         calls.append(words)
         return path_rows(self, words)
 
-    def recording(q, rejected, rows, i):
+    def recording(q, rejected, rows, i, floor):
         deepened.append(i)
-        deepen_at(q, rejected, rows, i)
+        deepen_at(q, rejected, rows, i, floor)
 
     monkeypatch.setattr(am.QAutomaton, "path_rows", counting)
     monkeypatch.setattr(am, "_deepen_at", recording)
     am.refine(q, x)
-    # right to left, on the rows of one walk, and one sum-table rebuild
-    assert deepened == loose[::-1] and calls == [x]
+    # right to left, on the rows of the draw's own walk, and one sum-table
+    # rebuild
+    assert deepened == loose[::-1] and calls == []
     q.beta("sum")
     assert q.table_builds == builds + 1
     rows = path_rows(q, x)
@@ -728,9 +763,9 @@ def test_a_decode_deepens_one_site_per_reject_through_near_ties(
         ties.append(got[0])
         return got
 
-    def recording(q, rejected, rows, i):
+    def recording(q, rejected, rows, i, floor):
         deepened.append(i)
-        deepen_at(q, rejected, rows, i)
+        deepen_at(q, rejected, rows, i, floor)
 
     class Counting(am.AutomatonRefiner):
         def refine(self, proposal, config):
@@ -777,7 +812,7 @@ def test_deepening_keeps_the_threaded_rows_current():
             c = copy.deepcopy(q, {id(q.tables): q.tables})
             rows = c.path_rows(x)
             states = [len(layer.ctxs) for layer in c.contexts]
-            am._deepen_at(c, x, rows, i)
+            am._deepen_at(c, x, rows, i, 1e-15)
             assert rows == c.path_rows(x)
             added[sum(len(layer.ctxs) > n
                       for layer, n in zip(c.contexts, states))] += 1

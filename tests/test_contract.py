@@ -17,7 +17,9 @@ enumerate:
 - every trial's log q, from a draw or an argmax, is score(config) bit for
   bit, and a rejected sentence path drops by more than 1e-15 or lands on p;
 - a certified argmax is the smallest enumerated maximizer of p, with a
-  gap of exactly 0.0.
+  gap of exactly 0.0;
+- a sentence refinement keeps all of this for any rejected path, also one
+  that the proposal's last draw did not walk.
 
 `python tests/mutants.py` breaks the code behind these promises one line at
 a time and checks that a test here fails each time.
@@ -169,7 +171,7 @@ def sentence_pick_probabilities(q, paths, scores) -> list[tuple]:
         for i, w in enumerate(x):
             layer = q.contexts[i]
             cdf = q._memo["sum"][i].get(row) or q._draw_table(i, row)
-            p, u = cdf_pick(cdf, layer.perm.index(layer.col[w]))
+            p, u = cdf_pick(cdf, layer.col[w])
             prob *= p
             us.append(u)
             row = layer.dest.item(row, layer.col[w])
@@ -218,6 +220,20 @@ def test_sentence_runs_keep_the_contract(seed, order, cluster_size, length,
         assert_contract(mode, target, am.build_q0(lattice, tables),
                         am.AutomatonRefiner(), stop, seed, paths,
                         sentence_pick_probabilities, strict_drop=True)
+    # refine reads the rows of the path the last draw walked only when that
+    # path is the rejected one: here each reject follows a draw of its own
+    q = am.build_q0(lattice, tables)
+    log_ps = [target(x) for x in paths]
+    audit = Audit(q, paths, log_ps)
+    rng = np.random.default_rng(seed)
+    for k in rng.integers(len(paths), size=20).tolist():
+        q.draw(rng)
+        before = audit.scores[k]
+        if before > log_ps[k]:
+            am.refine(q, paths[k])
+            audit(q)
+            after = audit.scores[k]
+            assert before - after > 1e-15 or after == log_ps[k]
 
 
 # -- grids -------------------------------------------------------------------
