@@ -408,9 +408,13 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     strictly drops (by more than 1e-15) or its context order is exhausted;
     in the common case that is a single new context weight.  If no gap
     counts, the leftmost position with slack (an edge weight above p's
-    term by more than 1e-12, or by any amount when no such edge is left) is
-    deepened instead, until its weight drops by more than 1e-12 or its
-    order is exhausted: a smaller drop is roundoff, not worth a refinement.
+    term by more than 1e-12) is deepened instead, until its weight drops
+    by more than 1e-12 or its order is exhausted: a smaller drop is
+    roundoff, not worth a refinement.  When no such position is left,
+    every position with any slack is deepened to full order, right to
+    left: one site's drop can be below an ulp of the path's total, while
+    at full order each edge weight is p's own term, so the path then
+    scores exactly p.
 
     Raises NoRefinementAvailable when the path already scores p term by
     term.
@@ -451,13 +455,17 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     else:
         excess = [(i, _excess(q, rejected, i, weight))
                   for i, weight in sites]
-        # an excess of at most 1e-12 is refined only when no other is left
-        best_i = next((i for i, e in excess if e > 1e-12),
-                      next((i for i, e in excess if e > 0), None))
-        if best_i is None:
-            raise NoRefinementAvailable(
-                "rejected path already scores its exact probability")
-        deepen, floor = (best_i,), 1e-12
+        best_i = next((i for i, e in excess if e > 1e-12), None)
+        if best_i is not None:
+            deepen, floor = (best_i,), 1e-12
+        else:
+            # only roundoff is left: every site with an excess goes to
+            # full order
+            deepen = [i for i, e in reversed(excess) if e > 0]
+            floor = math.inf
+            if not deepen:
+                raise NoRefinementAvailable(
+                    "rejected path already scores its exact probability")
     for i in deepen:
         _deepen_at(q, rejected, rows, i, floor)
     return q

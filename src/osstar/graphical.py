@@ -10,15 +10,16 @@ One sum scores both: log q(x) is log p(x) summed in the same order with
 the replaced factors at their maximum entry, so q >= p holds bit for bit.
 
 Each forest comes from one heap-ordered Prim pass, max_spanning_forest.
-A split conditions one more node k of a bound on its own forest minus k.
-Only the free neighbours of k and their ancestors can change; a child
-bound builds those nodes' unaries, beta rows, messages and argmax picks
-and shares every other node's with its parent.  Only k's edges can enter
-or leave the list of factors folded into the bound's constant, so a child
-re-tests those against its parent's list, then sums the list in edge-id
-order: the same float additions as a full build.  A full build is the same
-path with no parent, every free node changed and every edge tested, so
-they agree bit for bit.
+SubspaceProposal.split, the one way to make a child bound, conditions one
+more node k of a bound, its children on its own forest minus k.  Only the
+free neighbours of k and their ancestors can change; a child bound builds
+those nodes' unaries, beta rows, messages and argmax picks and shares
+every other node's with its parent.  Only k's edges can enter or leave
+the list of factors folded into the bound's constant, so a child re-tests
+those against its parent's list, then sums the list in edge-id order: the
+same float additions as a full build.  A full build is the same path with
+no parent, every free node changed and every edge tested, so they agree
+bit for bit.
 
 The potentials and every per-node row of a bound (unaries, beta rows,
 messages, argmax logits) are Python floats: on small domains numpy's
@@ -349,30 +350,30 @@ class SubspaceProposal:
 
     def __init__(self, model: PairwiseModel, assigned: dict[int, int],
                  forest: Forest | None = None,
-                 parent_leaf: SubspaceProposal | None = None):
+                 _split: tuple[SubspaceProposal, int] | None = None):
         """A bound on the subspace `assigned`, over `forest` or else a
-        fresh maximum spanning forest of the free nodes.
+        fresh maximum spanning forest of the free nodes.  Every free node
+        is in the changed set and every edge is tested.
 
-        With parent_leaf, the bound is a child of a split of parent_leaf on
-        the one node k that `assigned` adds to parent_leaf's values, and
-        `forest` must be parent_leaf.forest minus k.  Conditioning k can
-        change only the changed set: each free neighbour of k, whose unary
-        gains k's row, with its ancestors in this forest.  k's forest
-        parent is such a neighbour, so the ancestors whose subtree lost k
-        are in the set.  Every other node keeps the parent's unary, beta,
-        message and argmax picks, shared by reference; the parent leaf
-        itself is not kept.  Likewise only k's edges can enter or leave
-        the list of edges const sums (both ends assigned, or both free and
-        off the forest): the child re-tests those and keeps the parent's
-        verdict on every other edge.  It then sums const over the list in
-        edge-id order, so its floats are the additions a full build makes.
-        Without parent_leaf every free node is in the changed set and
-        every edge is tested.  Either way the result is bit for bit a full
-        build's.
+        _split, passed only by split, is (leaf, k): the bound is a child of
+        leaf on node k, `assigned` is leaf's values plus k's, and `forest`
+        is leaf's forest minus k.  Conditioning k can change only the
+        changed set: each free neighbour of k, whose unary gains k's row,
+        with its ancestors in this forest.  k's forest parent is such a
+        neighbour, so the ancestors whose subtree lost k are in the set.
+        Every other node keeps the leaf's unary, beta, message and argmax
+        picks, shared by reference; the leaf itself is not kept.  Likewise
+        only k's edges can enter or leave the list of edges const sums
+        (both ends assigned, or both free and off the forest): the child
+        re-tests those and keeps the leaf's verdict on every other edge.
+        It then sums const over the list in edge-id order, so its floats
+        are the additions a full build makes, and the child is bit for bit
+        a full build.
         """
         self.model = model
         self.assigned = dict(assigned)
-        if parent_leaf is None:
+        if _split is None:
+            leaf = None
             self.free = [j for j in range(model.n_nodes)
                          if j not in self.assigned]
             if forest is None:
@@ -383,17 +384,14 @@ class SubspaceProposal:
             # node -> {parent value, None at a root -> argmax pick}
             self._picks: dict[int, dict] = {}
         else:
-            k = self._added_node(parent_leaf)
-            if forest is None:
-                raise ValueError("a child bound needs its forest: the "
-                                 f"parent's forest minus node {k}")
-            self.free = [j for j in parent_leaf.free if j != k]
+            leaf, k = _split
+            self.free = [j for j in leaf.free if j != k]
             touched = [v for _, v in model.adjacency[k]
                        if v not in self.assigned]
             retest = [eid for eid, _ in model.adjacency[k]]
-            kept = set(parent_leaf._const_ids).difference(retest)
-            self.eff = dict(parent_leaf.eff)
-            self._picks = dict(parent_leaf._picks)
+            kept = set(leaf._const_ids).difference(retest)
+            self.eff = dict(leaf.eff)
+            self._picks = dict(leaf._picks)
             del self.eff[k], self._picks[k]
         self._changed: set[int] = set()
         for j in touched:
@@ -404,11 +402,11 @@ class SubspaceProposal:
             self.eff[j] = self._eff_row(j)
         for j in self._changed:
             self._picks[j] = {}
-        # the parent leaf's (beta, messages) per semiring, reused outside
+        # the split leaf's (beta, messages) per semiring, reused outside
         # the changed set until this bound computes its own pass
         self._base: dict[str, tuple | None] = {
-            sr: None if parent_leaf is None or parent_leaf._beta[sr] is None
-            else (parent_leaf._beta[sr], parent_leaf._msg[sr])
+            sr: None if leaf is None or leaf._beta[sr] is None
+            else (leaf._beta[sr], leaf._msg[sr])
             for sr in ("sum", "max")}
         self.forest = forest
         # the edges const sums: both ends assigned, or both free and off
@@ -443,18 +441,21 @@ class SubspaceProposal:
         # (node, parent value or None) -> the CDF sample draws it by
         self._cdfs: dict[tuple, list[float]] = {}
 
-    def _added_node(self, parent_leaf: SubspaceProposal) -> int:
-        """The one node this bound assigns beyond parent_leaf's values."""
-        differ = [i for i, v in parent_leaf.assigned.items()
-                  if self.assigned.get(i) != v]
-        if differ:
-            raise ValueError("a child bound must keep its parent's values; "
-                             f"it differs at nodes {differ}")
-        added = sorted(self.assigned.keys() - parent_leaf.assigned.keys())
-        if len(added) != 1:
-            raise ValueError("a child bound assigns exactly one node more "
-                             f"than its parent, not {len(added)}: {added}")
-        return added[0]
+    def split(self, node: int, forest: Forest | None = None
+              ) -> list[SubspaceProposal]:
+        """The children of this bound on the free node `node`, one per
+        value.  With no forest given they sit on this bound's forest minus
+        node, cut once for all of them, and share this bound's state
+        outside their changed sets; on a given forest each is a full
+        build.  Raises ValueError when node is not free here."""
+        if node not in self.forest.parent:
+            raise ValueError(f"node {node} is not free in this subspace")
+        split = None
+        if forest is None:
+            forest, split = self.forest.without(node), (self, node)
+        return [SubspaceProposal(self.model, {**self.assigned, node: v},
+                                 forest, _split=split)
+                for v in range(self.model.domains[node])]
 
     def _eff_row(self, j: int) -> Sequence[float]:
         """Free node j's unary: log psi_j plus the row of each factor to an
@@ -481,7 +482,7 @@ class SubspaceProposal:
               base: tuple | None) -> tuple[dict, dict]:
         """Backward pass in the semiring over the unaries eff: (beta per
         node, each non-root node's message to its parent).  base is the
-        parent leaf's (beta, messages) in this semiring, read outside the
+        split leaf's (beta, messages) in this semiring, read outside the
         changed set, or None to compute every node."""
         parent = self.forest.parent
         beta: dict[int, Sequence[float]] = {}

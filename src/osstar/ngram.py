@@ -165,14 +165,11 @@ def load_arpa(text: str) -> NGramLM:
         raise ParseError("missing \\data\\ header", len(lines))
     if state != "done":
         raise ParseError("missing \\end\\ marker", len(lines))
-    order = max(counts)
-    if order > 5:
-        raise OrderUnsupported(f"order {order} not supported (max 5)")
     for k, n in counts.items():
         if seen.get(k, 0) != n:
             raise ParseError(
                 f"declared {n} {k}-grams, found {seen.get(k, 0)}", len(lines))
-    return NGramLM(order, logprob, backoff)
+    return NGramLM(max(counts), logprob, backoff)
 
 
 @dataclass

@@ -115,17 +115,8 @@ class PiecewiseProposal:
 
     def _split(self, leaf: SubspaceProposal, node: int,
                forest=None) -> list[SubspaceProposal]:
-        """Bounds of leaf's children on node, one per value, all on the
-        given forest or else on the leaf's forest minus node; counts the
-        builds.  Children on the leaf's forest share with it whatever
-        conditioning node leaves unchanged; children on a given forest
-        build in full."""
-        parent = leaf if forest is None else None
-        if forest is None:
-            forest = leaf.forest.without(node)
-        children = [SubspaceProposal(self.model, {**leaf.assigned, node: v},
-                                     forest, parent_leaf=parent)
-                    for v in range(self.model.domains[node])]
+        """leaf.split(node, forest), counting the builds."""
+        children = leaf.split(node, forest)
         self.bound_builds += len(children)
         return children
 
@@ -191,9 +182,10 @@ class ImprovementQueue:
 
 
 def select_refinement(proposal: PiecewiseProposal, policy: Policy,
-                      reject_config, rng: np.random.Generator,
+                      reject_config, rng: np.random.Generator | None,
                       queue: ImprovementQueue | None = None):
-    """Pick the (leaf, node) to condition next under the given policy."""
+    """Pick the (leaf, node) to condition next under the given policy; only
+    policies I and III draw from rng."""
     policy = Policy(policy)
     if policy is Policy.QUEUE:
         if queue is None:
@@ -222,7 +214,8 @@ class PolicyRefiner:
 
     def __init__(self, proposal: PiecewiseProposal, policy: Policy, seed=0):
         self.policy = Policy(policy)
-        self.rng = np.random.default_rng(seed)
+        self.rng = (np.random.default_rng(seed) if self.policy in
+                    (Policy.RANDOM_NODE, Policy.MASS_LEAF) else None)
         self.queue = (ImprovementQueue(proposal)
                       if self.policy is Policy.QUEUE else None)
 

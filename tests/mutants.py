@@ -27,6 +27,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SENTENCE = "tests/test_contract.py::test_sentence_runs_keep_the_contract"
 GRID = "tests/test_contract.py::test_grid_runs_keep_the_contract"
+GRID_DP = "tests/test_contract.py::test_grid_maps_match_the_transfer_matrix_dp"
+SPLIT = "tests/test_graphical.py::test_split_rejects_a_node_that_is_not_free"
 REJECTS = "tests/test_automaton.py::test_every_reject_reaches_a_refinement"
 
 # name: (file under src/osstar, exact old text, new text, tests that fail)
@@ -36,17 +38,17 @@ MUTANTS = {
         "            total += (cap[eid] if eid in capped\n"
         "                      else phi[at + config[u] * dv + config[v]])\n",
         "            total += phi[at + config[u] * dv + config[v]]\n",
-        [GRID]),
+        [GRID, GRID_DP]),
     "const_ids_retest": (
         "graphical.py",
         "            retest = [eid for eid, _ in model.adjacency[k]]\n",
         "            retest = []\n",
-        [GRID]),
+        [GRID, GRID_DP]),
     "forest_without_cut": (
         "graphical.py",
         "        while end < len(order) and self.parent[order[end]] in inside:",
         "        while end < len(order) and self.parent[order[end]] == node:",
-        [GRID]),
+        [GRID, GRID_DP]),
     "cdf_memo_without_parent_value": (
         "graphical.py",
         "        cdf = self._cdfs.get((j, key))\n"
@@ -62,7 +64,12 @@ MUTANTS = {
         "graphical.py",
         "            if base is not None and j not in self._changed:",
         "            if base is not None:",
-        [GRID]),
+        [GRID, GRID_DP]),
+    "split_accepts_a_node_that_is_not_free": (
+        "graphical.py",
+        "        if node not in self.forest.parent:\n",
+        "        if False:\n",
+        [SPLIT]),
     "argmax_clamped_fallback_skipped": (
         "graphical.py",
         "            if len(logits) > 1 and sorted(logits)[-2] >= top - tol:\n"
@@ -111,9 +118,14 @@ MUTANTS = {
         [SENTENCE]),
     "fallback_floor_roundoff": (
         "automaton.py",
-        "        deepen, floor = (best_i,), 1e-12\n",
-        "        deepen, floor = (best_i,), 1e-15\n",
+        "            deepen, floor = (best_i,), 1e-12\n",
+        "            deepen, floor = (best_i,), 1e-15\n",
         [REJECTS]),
+    "fallback_deepens_one_site": (
+        "automaton.py",
+        "            deepen = [i for i, e in reversed(excess) if e > 0]\n",
+        "            deepen = [i for i, e in excess if e > 0][:1]\n",
+        [SENTENCE]),
     "viterbi_near_tie_fallback_skipped": (
         "automaton.py",
         "    if not loose:\n        # a near tie",

@@ -21,12 +21,17 @@ enumerate:
 - a sentence refinement keeps all of this for any rejected path, also one
   that the proposal's last draw did not walk.
 
+Beyond enumeration, grids of 32 to 49 nodes are decoded against the
+benchmark's transfer-matrix reference (perfbench/reference.py).
+
 `python tests/mutants.py` breaks the code behind these promises one line at
 a time and checks that a test here fails each time.
 """
 
+import importlib.util
 import itertools
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,7 +40,7 @@ from hypothesis import example, given, settings, strategies as st
 from osstar import automaton as am
 from osstar import engine
 from osstar.engine import Mode, StopConfig
-from osstar.graphical import PairwiseModel
+from osstar.graphical import PairwiseModel, ising_grid
 from osstar.ngram import MaxBackoffTables, build_lattice, load_arpa
 from osstar.piecewise import PiecewiseProposal, Policy, PolicyRefiner
 
@@ -202,6 +207,9 @@ SENTENCE_RUNS = [
 # no loose site; the slack fallback's first deeper bound is lower by
 # roundoff only, and the path's score drops by one ulp
 @example(seed=910, order=5, cluster_size=2, length=8, cap=None)
+# no loose site and no excess above 1e-12; two sites each an ulp of the
+# path's total above p, so deepening one of them leaves its score unchanged
+@example(seed=5663, order=3, cluster_size=2, length=4, cap=None)
 def test_sentence_runs_keep_the_contract(seed, order, cluster_size, length,
                                          cap):
     """A synthetic order 2-5 LM over lattices of 2-8 positions, with or
@@ -322,3 +330,47 @@ def test_grid_runs_keep_the_contract(model, seed, mode):
                         PolicyRefiner(pw, policy, seed=seed),
                         GRID_STOPS[mode], seed, configs,
                         grid_pick_probabilities, pointwise=not retree)
+
+
+# -- grids beyond enumeration ------------------------------------------------
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+
+
+def load_reference():
+    spec = importlib.util.spec_from_file_location("perfbench_reference",
+                                                  REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# (rows, cols, model seed, policy, retree); sigma only rescales an Ising
+# MAP, so one sigma serves.  The queue policy pays a lookahead per leaf and
+# runs on one model per shape.
+GRID_DP_CASES = [
+    (rows, cols, seed, Policy.MAX_SLACK, retree)
+    for rows, cols in ((6, 6), (4, 8), (7, 7)) for seed in range(3)
+    for retree in (False, True)
+] + [(6, 6, 0, Policy.QUEUE, False), (4, 8, 0, Policy.QUEUE, False)]
+
+
+def test_grid_maps_match_the_transfer_matrix_dp():
+    """The certified argmax scores the reference's MAP within 1e-9 with a
+    gap of exactly 0.0, and the log mass bounds the reference's log Z
+    (within 1e-9) at the root and after every refinement."""
+    reference = load_reference()
+    for rows, cols, seed, policy, retree in GRID_DP_CASES:
+        case = (rows, cols, seed, policy, retree)
+        model = ising_grid(rows, cols, sigma=0.5, seed=seed)
+        dp = reference.GridReference(model.to_dict(), rows, cols)
+        top, log_z = dp.solve()
+        pw = PiecewiseProposal(model, retree=retree)
+        masses = [pw.mass_log()]
+        res = engine.run(Mode.OPTIMIZATION, model.log_p, pw,
+                         PolicyRefiner(pw, policy, seed=seed), StopConfig(),
+                         seed, on_refine=lambda q: masses.append(q.mass_log()))
+        assert abs(dp.score(res.argmax) - top) <= 1e-9, case
+        assert res.certificate_gap_log == 0.0, case
+        assert len(masses) == res.history.refine_count + 1, case
+        assert min(masses) >= log_z - 1e-9, case

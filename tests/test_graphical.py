@@ -349,33 +349,16 @@ def test_max_spanning_forest_matches_the_quadratic_scan(case):
     assert f.edge_ids == set(edge_of.values())
 
 
-def split_case():
+def test_split_rejects_a_node_that_is_not_free():
+    # without a forest, cutting the node would raise a KeyError; on a given
+    # forest nothing else would notice, and the children of node 0 would
+    # re-assign it, one of them covering {0: 1}, outside this leaf
     m = ising_grid(2, 2, 1.0, seed=3)
-    return m, SubspaceProposal(m, {0: 0})
-
-
-def test_child_must_keep_its_parents_values():
-    # a child that changed node 0 would reuse the parent's unary rows and
-    # report a log mass of 7.3417 against 7.2533 for its own subspace
-    m, parent = split_case()
-    with pytest.raises(ValueError, match="keep its parent's values"):
-        SubspaceProposal(m, {0: 1, 1: 0}, parent.forest.without(1),
-                         parent_leaf=parent)
-
-
-@pytest.mark.parametrize("assigned, count", [({0: 0}, 0),
-                                             ({0: 0, 1: 0, 2: 1}, 2)])
-def test_child_must_add_exactly_one_node(assigned, count):
-    m, parent = split_case()
-    with pytest.raises(ValueError, match="exactly one node more than its "
-                                         f"parent, not {count}"):
-        SubspaceProposal(m, assigned, parent.forest, parent_leaf=parent)
-
-
-def test_child_must_be_given_its_forest():
-    m, parent = split_case()
-    with pytest.raises(ValueError, match="needs its forest"):
-        SubspaceProposal(m, {0: 0, 1: 1}, parent_leaf=parent)
+    leaf = SubspaceProposal(m, {0: 0})
+    for forest in (None, max_spanning_forest(m, leaf.free)):
+        for node in (0, 4):
+            with pytest.raises(ValueError, match=f"node {node} is not free"):
+                leaf.split(node, forest)
 
 
 def test_argmax_tie_takes_lexicographically_smallest():
@@ -547,11 +530,7 @@ def test_rows_equal_the_numpy_pass_bit_for_bit(model):
         leaf = leaves[int(rng.integers(len(leaves)))]
         for sr in ("sum", "max")[:step % 3]:
             leaf.beta(sr)
-        k = leaf.free[int(rng.integers(len(leaf.free)))]
-        forest = leaf.forest.without(k)
-        leaves += [SubspaceProposal(model, {**leaf.assigned, k: v}, forest,
-                                    parent_leaf=leaf)
-                   for v in range(model.domains[k])]
+        leaves += leaf.split(leaf.free[int(rng.integers(len(leaf.free)))])
     leaves += [SubspaceProposal(model, leaf.assigned, leaf.forest)
                for leaf in leaves]
     for leaf in leaves:
