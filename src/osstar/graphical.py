@@ -12,14 +12,14 @@ the replaced factors at their maximum entry, so q >= p holds bit for bit.
 Each forest comes from one heap-ordered Prim pass, max_spanning_forest.
 SubspaceProposal.split, the one way to make a child bound, conditions one
 more node k of a bound, its children on its own forest minus k.  Only the
-free neighbours of k and their ancestors can change; a child bound builds
-those nodes' unaries, beta rows, messages and argmax picks and shares
-every other node's with its parent.  Only k's edges can enter or leave
-the list of factors folded into the bound's constant, so a child re-tests
-those against its parent's list, then sums the list in edge-id order: the
-same float additions as a full build.  A full build is the same path with
-no parent, every free node changed and every edge tested, so they agree
-bit for bit.
+free neighbours of k and their ancestors can change; a child builds those
+nodes' unaries and, per semiring pass, beta rows, messages and memoised
+draw CDFs or argmax picks, and shares every other node's with its parent.
+Only k's edges can enter or leave the list of factors folded into the
+bound's constant, so a child re-tests those against its parent's list,
+then sums the list in edge-id order: the same float additions as a full
+build.  A full build is the same path with no parent, every free node
+changed and every edge tested, so they agree bit for bit.
 
 The potentials and every per-node row of a bound (unaries, beta rows,
 messages, argmax logits) are Python floats: on small domains numpy's
@@ -361,14 +361,13 @@ class SubspaceProposal:
         changed set: each free neighbour of k, whose unary gains k's row,
         with its ancestors in this forest.  k's forest parent is such a
         neighbour, so the ancestors whose subtree lost k are in the set.
-        Every other node keeps the leaf's unary, beta, message and argmax
-        picks, shared by reference; the leaf itself is not kept.  Likewise
+        Every other node shares the leaf's unary and, in each pass, its
+        beta, message and memo; the leaf itself is not kept.  Likewise
         only k's edges can enter or leave the list of edges const sums
         (both ends assigned, or both free and off the forest): the child
-        re-tests those and keeps the leaf's verdict on every other edge.
-        It then sums const over the list in edge-id order, so its floats
-        are the additions a full build makes, and the child is bit for bit
-        a full build.
+        re-tests those, keeps the leaf's verdict on every other edge and
+        sums const over the list in edge-id order, as a full build does,
+        so the child is bit for bit a full build.
         """
         self.model = model
         self.assigned = dict(assigned)
@@ -381,8 +380,6 @@ class SubspaceProposal:
             touched, retest = self.free, range(len(model.edges))
             kept: set[int] = set()
             self.eff: dict[int, Sequence[float]] = {}
-            # node -> {parent value, None at a root -> argmax pick}
-            self._picks: dict[int, dict] = {}
         else:
             leaf, k = _split
             self.free = [j for j in leaf.free if j != k]
@@ -391,8 +388,7 @@ class SubspaceProposal:
             retest = [eid for eid, _ in model.adjacency[k]]
             kept = set(leaf._const_ids).difference(retest)
             self.eff = dict(leaf.eff)
-            self._picks = dict(leaf._picks)
-            del self.eff[k], self._picks[k]
+            del self.eff[k]
         self._changed: set[int] = set()
         for j in touched:
             while j is not None and j not in self._changed:
@@ -400,13 +396,11 @@ class SubspaceProposal:
                 j = forest.parent[j]
         for j in touched:
             self.eff[j] = self._eff_row(j)
-        for j in self._changed:
-            self._picks[j] = {}
-        # the split leaf's (beta, messages) per semiring, reused outside
-        # the changed set until this bound computes its own pass
+        # the split leaf's (beta, messages, memo) per semiring, reused
+        # outside the changed set until this bound computes its own pass
         self._base: dict[str, tuple | None] = {
             sr: None if leaf is None or leaf._beta[sr] is None
-            else (leaf._beta[sr], leaf._msg[sr])
+            else (leaf._beta[sr], leaf._msg[sr], leaf._memo[sr])
             for sr in ("sum", "max")}
         self.forest = forest
         # the edges const sums: both ends assigned, or both free and off
@@ -436,10 +430,11 @@ class SubspaceProposal:
         # per semiring, each non-root node's message to its forest parent
         self._msg: dict[str, dict[int, list[float]] | None] = {
             "sum": None, "max": None}
+        # per semiring, node -> {parent value, None at a root -> CDF or pick}
+        self._memo: dict[str, dict[int, dict] | None] = {
+            "sum": None, "max": None}
         self._mass_log: float | None = None
         self._max_log: float | None = None
-        # (node, parent value or None) -> the CDF sample draws it by
-        self._cdfs: dict[tuple, list[float]] = {}
 
     def split(self, node: int, forest: Forest | None = None
               ) -> list[SubspaceProposal]:
@@ -479,20 +474,22 @@ class SubspaceProposal:
         return rows
 
     def _pass(self, semiring: str, eff: dict[int, Sequence[float]],
-              base: tuple | None) -> tuple[dict, dict]:
+              base: tuple | None) -> tuple[dict, dict, dict]:
         """Backward pass in the semiring over the unaries eff: (beta per
-        node, each non-root node's message to its parent).  base is the
-        split leaf's (beta, messages) in this semiring, read outside the
-        changed set, or None to compute every node."""
+        node, each non-root node's message, each node's memo).  Outside
+        the changed set all three are read from base, the split leaf's, if
+        given; every other node is computed and starts an empty memo."""
         parent = self.forest.parent
         beta: dict[int, Sequence[float]] = {}
         msg: dict[int, list[float]] = {}
+        memo: dict[int, dict] = {}
         for j in reversed(self.forest.order):
             if base is not None and j not in self._changed:
-                beta[j] = base[0][j]
+                beta[j], memo[j] = base[0][j], base[2][j]
                 if parent[j] is not None:
                     msg[j] = base[1][j]
                 continue
+            memo[j] = {}
             b = eff[j]
             for c in self.forest.children[j]:
                 b = list(map(add, b, msg[c]))
@@ -505,7 +502,7 @@ class SubspaceProposal:
             else:
                 msg[j] = np.logaddexp.reduce(
                     [list(map(add, b, row)) for row in rows], axis=1).tolist()
-        return beta, msg
+        return beta, msg, memo
 
     def _fold(self, semiring: str, beta: dict[int, Sequence[float]]
               ) -> float:
@@ -518,7 +515,8 @@ class SubspaceProposal:
 
     def beta(self, semiring: str) -> dict[int, Sequence[float]]:
         if self._beta[semiring] is None:
-            self._beta[semiring], self._msg[semiring] = self._pass(
+            (self._beta[semiring], self._msg[semiring],
+             self._memo[semiring]) = self._pass(
                 semiring, self.eff, self._base[semiring])
             self._base[semiring] = None
         return self._beta[semiring]
@@ -592,12 +590,14 @@ class SubspaceProposal:
 
     def _cdf(self, j: int, key) -> list[float]:
         """The CDF over node j's values that sample draws by, given its
-        parent's value key (None at a root).  Built on first use and kept,
-        as a leaf never changes once built."""
-        cdf = self._cdfs.get((j, key))
+        parent's value key (None at a root), kept in the sum pass's memo."""
+        if self._memo["sum"] is None:
+            self.beta("sum")
+        memo = self._memo["sum"][j]
+        cdf = memo.get(key)
         if cdf is None:
-            logits = np.array(self._logits(self.beta("sum"), j, key))
-            cdf = self._cdfs[j, key] = np.cumsum(
+            logits = np.array(self._logits(self._beta["sum"], j, key))
+            cdf = memo[key] = np.cumsum(
                 np.exp(logits - logits.max())).tolist()
         return cdf
 
@@ -644,9 +644,8 @@ class SubspaceProposal:
         tie_tolerance(model.abs_log_sum), the maximizer is unique and
         equals what the clamped search returns.  Otherwise (exact ties, as
         in zero-field models) it falls back to _argmax_clamped, which
-        applies the tie rule.  Picks are memoised per (node, parent value),
-        near ties as None, and a child leaf reads its parent's picks
-        outside its changed set.
+        applies the tie rule.  Picks are memoised in the max pass (see
+        _pass), near ties as None.
         """
         tol = tie_tolerance(self.model.abs_log_sum)
         beta = self.beta("max")
@@ -657,7 +656,7 @@ class SubspaceProposal:
             if len(logits) > 1 and sorted(logits)[-2] >= top - tol:
                 return None
             return logits.index(top)  # the first maximum
-        values = self._descend(best, self._picks)
+        values = self._descend(best, self._memo["max"])
         if values is None:
             values = self._argmax_clamped()
         config = self._full(values)

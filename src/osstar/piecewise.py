@@ -160,11 +160,12 @@ class ImprovementQueue:
             self.add_leaf(lid)
 
     def _improvement_log(self, leaf: SubspaceProposal, node: int) -> float:
+        mass = leaf.mass_log()  # first: the children share the leaf's pass
         masses = [c.mass_log() for c in self.proposal._split(leaf, node)]
-        diff = float(np.logaddexp.reduce(masses)) - leaf.mass_log()
+        diff = float(np.logaddexp.reduce(masses)) - mass
         if diff >= -1e-15:
             return -math.inf
-        return leaf.mass_log() + math.log1p(-math.exp(diff))
+        return mass + math.log1p(-math.exp(diff))
 
     def add_leaf(self, leaf_id: int) -> None:
         leaf = self.proposal.leaves[leaf_id]

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SENTENCE = "tests/test_contract.py::test_sentence_runs_keep_the_contract"
 GRID = "tests/test_contract.py::test_grid_runs_keep_the_contract"
 GRID_DP = "tests/test_contract.py::test_grid_maps_match_the_transfer_matrix_dp"
+GRID_Z = "tests/test_contract.py::test_grid_samples_match_the_transfer_matrix_dp"
 SPLIT = "tests/test_graphical.py::test_split_rejects_a_node_that_is_not_free"
 REJECTS = "tests/test_automaton.py::test_every_reject_reaches_a_refinement"
 
@@ -38,33 +39,38 @@ MUTANTS = {
         "            total += (cap[eid] if eid in capped\n"
         "                      else phi[at + config[u] * dv + config[v]])\n",
         "            total += phi[at + config[u] * dv + config[v]]\n",
-        [GRID, GRID_DP]),
+        [GRID, GRID_DP, GRID_Z]),
     "const_ids_retest": (
         "graphical.py",
         "            retest = [eid for eid, _ in model.adjacency[k]]\n",
         "            retest = []\n",
-        [GRID, GRID_DP]),
+        [GRID, GRID_DP, GRID_Z]),
     "forest_without_cut": (
         "graphical.py",
         "        while end < len(order) and self.parent[order[end]] in inside:",
         "        while end < len(order) and self.parent[order[end]] == node:",
-        [GRID, GRID_DP]),
+        [GRID, GRID_DP, GRID_Z]),
     "cdf_memo_without_parent_value": (
         "graphical.py",
-        "        cdf = self._cdfs.get((j, key))\n"
+        "        cdf = memo.get(key)\n"
         "        if cdf is None:\n"
-        "            logits = np.array(self._logits(self.beta(\"sum\"), j, key))\n"
-        "            cdf = self._cdfs[j, key] = np.cumsum(",
-        "        cdf = self._cdfs.get(j)\n"
+        "            logits = np.array(self._logits(self._beta[\"sum\"], j, key))\n"
+        "            cdf = memo[key] = np.cumsum(",
+        "        cdf = memo.get(None)\n"
         "        if cdf is None:\n"
-        "            logits = np.array(self._logits(self.beta(\"sum\"), j, key))\n"
-        "            cdf = self._cdfs[j] = np.cumsum(",
-        [GRID]),
+        "            logits = np.array(self._logits(self._beta[\"sum\"], j, key))\n"
+        "            cdf = memo[None] = np.cumsum(",
+        [GRID, GRID_Z]),
     "child_reads_base_in_changed_set": (
         "graphical.py",
         "            if base is not None and j not in self._changed:",
         "            if base is not None:",
-        [GRID, GRID_DP]),
+        [GRID, GRID_DP, GRID_Z]),
+    "memo_read_from_base_in_changed_set": (
+        "graphical.py",
+        "            memo[j] = {}\n",
+        "            memo[j] = {} if base is None else base[2][j]\n",
+        [GRID, GRID_Z]),
     "split_accepts_a_node_that_is_not_free": (
         "graphical.py",
         "        if node not in self.forest.parent:\n",
@@ -85,7 +91,7 @@ MUTANTS = {
         "piecewise.py",
         "                                  np.cumsum(probs).tolist())",
         "                                  np.cumsum(probs[::-1]).tolist())",
-        [GRID]),
+        [GRID, GRID_Z]),
     "add_state_reroutes_path_only": (
         "automaton.py",
         "    prev.dest[prev.ending[ctx[:-1]], prev.col[ctx[-1]]] = row",
@@ -135,12 +141,12 @@ MUTANTS = {
         "engine.py",
         "    return bisect.bisect_right(cdf, rng.random() * cdf[-1])",
         "    return bisect.bisect_right(cdf, rng.random())",
-        [SENTENCE, GRID]),
+        [SENTENCE, GRID, GRID_Z]),
     "trial_equality_is_a_violation": (
         "engine.py",
         "    if not (log_p <= log_q and math.isfinite(log_q)):",
         "    if not (log_p < log_q and math.isfinite(log_q)):",
-        [SENTENCE, GRID]),
+        [SENTENCE, GRID, GRID_Z]),
     "certificate_within_roundoff": (
         "engine.py",
         "        accepted = log_p >= log_q\n",

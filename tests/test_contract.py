@@ -374,3 +374,62 @@ def test_grid_maps_match_the_transfer_matrix_dp():
         assert res.certificate_gap_log == 0.0, case
         assert len(masses) == res.history.refine_count + 1, case
         assert min(masses) >= log_z - 1e-9, case
+
+
+def transposed(data, rows, cols):
+    """The grid model dict data with node r * cols + c renumbered
+    c * rows + r: a cols x rows grid, whose DP runs over 2**rows row states
+    instead of 2**cols.  Each node keeps data's log_psi list."""
+    def at(i):
+        return i % cols * rows + i // cols
+    return {"nodes": [dict(n, id=at(n["id"])) for n in data["nodes"]],
+            "edges": [dict(e, u=at(e["u"]), v=at(e["v"]))
+                      for e in data["edges"]]}
+
+
+# (rows, cols, sigma, model seed, retree)
+GRID_Z_CASES = [(6, 6, 0.5, 0, False), (6, 6, 0.5, 0, True),
+                (4, 8, 0.5, 1, False), (4, 8, 1.0, 1, True),
+                (7, 7, 0.5, 2, False), (6, 6, 1.0, 2, False)]
+
+
+def test_grid_samples_match_the_transfer_matrix_dp():
+    """Policy II refines each model to a windowed acceptance rate of 0.3,
+    and the log mass bounds the reference's log Z (within 1e-9) at the root
+    and after every refinement.  A frozen phase of 4,000 trials then reads
+    log Z-hat, Q times the mean acceptance ratio, within 5 standard errors
+    of log Z, and each node takes value 0 in the accepted samples within 5
+    binomial standard errors of its exact marginal: the log Z of the model
+    with the node's value 1 ruled out, less log Z."""
+    reference = load_reference()
+    for rows, cols, sigma, seed, retree in GRID_Z_CASES:
+        case = (rows, cols, sigma, seed, retree)
+        model = ising_grid(rows, cols, sigma=sigma, seed=seed)
+        data, shape = model.to_dict(), (rows, cols)
+        if cols > rows:
+            data, shape = transposed(data, rows, cols), (cols, rows)
+        log_z = reference.GridReference(data, *shape).solve()[1]
+        pw = PiecewiseProposal(model, retree=retree)
+        masses = [pw.mass_log()]
+        engine.run(Mode.SAMPLING, model.log_p, pw,
+                   PolicyRefiner(pw, Policy.MAX_SLACK), StopConfig(
+                       ar_threshold=0.3), seed,
+                   on_refine=lambda q: masses.append(q.mass_log()))
+        assert min(masses) >= log_z - 1e-9, case
+        frozen = engine.run(Mode.SAMPLING, model.log_p, pw, None,
+                            StopConfig(ar_window=4000, ar_threshold=1.0,
+                                       max_trials=4000), seed + 1)
+        recs = frozen.history.records
+        r = np.array([math.exp(min(0.0, x.log_p - x.log_q)) for x in recs])
+        z_hat_log = math.log(r.mean()) + recs[-1].proposal_mass_log
+        tol = 5 * r.std(ddof=1) / (math.sqrt(len(r)) * r.mean())
+        assert abs(z_hat_log - log_z) <= tol, case
+        samples = np.array(frozen.samples)
+        for i, node in enumerate(data["nodes"]):
+            node["log_psi"][1] = -1e300
+            marginal = math.exp(reference.GridReference(
+                data, *shape).solve()[1] - log_z)
+            node["log_psi"][1] = model.log_psi(i)[1]
+            se = math.sqrt(marginal * (1 - marginal) / len(samples))
+            assert abs(np.mean(samples[:, i] == 0) - marginal) <= 5 * se, \
+                (case, i)

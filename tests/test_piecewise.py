@@ -306,6 +306,27 @@ def test_map_run_builds_no_leaf_sum_pass(policy, monkeypatch):
     assert pw._tables_cache is None
 
 
+def test_queue_lookahead_shares_its_leaf_sum_pass(monkeypatch):
+    # the queue reads a leaf's mass before it builds the leaf's would-be
+    # children, so after the root every sum pass reads its split leaf's
+    full = []
+    passes = SubspaceProposal._pass
+
+    def recording(self, semiring, eff, base):
+        if semiring == "sum":
+            full.append(base is None)
+        return passes(self, semiring, eff, base)
+
+    monkeypatch.setattr(SubspaceProposal, "_pass", recording)
+    m = ising_grid(5, 5, sigma=0.5, seed=1)
+    pw = PiecewiseProposal(m)
+    res = engine.run(Mode.SAMPLING, m.log_p, pw,
+                     PolicyRefiner(pw, Policy.QUEUE),
+                     StopConfig(ar_window=50, ar_threshold=0.5), seed=0)
+    assert res.history.refine_count > 0
+    assert full[0] and len(full) > 1 and not any(full[1:])
+
+
 @pytest.mark.parametrize("mode", list(Mode))
 @pytest.mark.parametrize("retree", [False, True])
 def test_cached_leaf_scalars_equal_a_fresh_build(mode, retree):
@@ -429,11 +450,12 @@ def test_memoised_cdfs_equal_fresh_numpy_cdfs(policy, retree):
 
     def audit(proposal):
         for leaf in proposal.leaves.values():
-            for (j, key), cdf in leaf._cdfs.items():
-                fresh = node_cdf(leaf, j, key).tolist()
-                assert list(map(float.hex, cdf)) == \
-                    list(map(float.hex, fresh)), (j, key)
-                compared.append((j, key))
+            for j, cdfs in (leaf._memo["sum"] or {}).items():
+                for key, cdf in cdfs.items():
+                    fresh = node_cdf(leaf, j, key).tolist()
+                    assert list(map(float.hex, cdf)) == \
+                        list(map(float.hex, fresh)), (j, key)
+                    compared.append((j, key))
 
     engine.run(Mode.SAMPLING, m.log_p, pw, PolicyRefiner(pw, policy, seed=3),
                StopConfig(ar_window=30, ar_threshold=1.0, max_trials=300),
@@ -459,8 +481,8 @@ def numpy_pick(leaf, j, key):
 def assert_leaves_match_fresh_builds(m, proposal):
     """Every leaf's free list, constant (bit for bit), off-tree edges and
     unaries, every computed pass (beta and messages, node by node), its
-    argmax and every argmax pick it has memoised equal those of a full
-    build of the same leaf."""
+    argmax and every draw CDF (bit for bit) and argmax pick it has
+    memoised equal those of a full build of the same leaf."""
     for leaf in proposal.leaves.values():
         fresh = SubspaceProposal(m, leaf.assigned, leaf.forest)
         assert leaf.free == fresh.free
@@ -472,17 +494,23 @@ def assert_leaves_match_fresh_builds(m, proposal):
         for semiring in ("sum", "max"):
             if leaf._beta[semiring] is None:
                 continue
-            want, msg = fresh._pass(semiring, fresh.eff, None)
+            want, msg, _ = fresh._pass(semiring, fresh.eff, None)
             got = leaf.beta(semiring)
             assert got.keys() == want.keys() and \
                 leaf._msg[semiring].keys() == msg.keys()
             assert all(np.array_equal(got[j], want[j]) for j in want)
             assert all(np.array_equal(leaf._msg[semiring][j], msg[j])
                        for j in msg)
+        if leaf._memo["sum"] is not None:
+            assert leaf._memo["sum"].keys() == set(fresh.free)
+            assert all(list(map(float.hex, cdf)) ==
+                       list(map(float.hex, node_cdf(fresh, j, key).tolist()))
+                       for j, cdfs in leaf._memo["sum"].items()
+                       for key, cdf in cdfs.items())
         assert leaf.argmax() == fresh.argmax()
-        assert leaf._picks.keys() == fresh._picks.keys()
+        assert leaf._memo["max"].keys() == fresh._memo["max"].keys()
         assert all(v == numpy_pick(fresh, j, key)
-                   for j, picks in leaf._picks.items()
+                   for j, picks in leaf._memo["max"].items()
                    for key, v in picks.items())
 
 
@@ -514,8 +542,8 @@ def split_sequences(draw, values=st.integers(-2, 2)):
     """2-6 nodes, domains 1-3, any edge subset (so forests may be
     disconnected), log potentials drawn from values (integers by default),
     and a sequence of splits; before each split the leaf may or may not
-    have computed each pass and its argmax, so children meet every mix of
-    shareable state."""
+    have computed each pass, its argmax and a few draws, so children meet
+    every mix of shareable state."""
     n = draw(st.integers(2, 6))
     domains = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
     log_psi = [draw(st.lists(values, min_size=d, max_size=d))
@@ -528,7 +556,7 @@ def split_sequences(draw, values=st.integers(-2, 2)):
     steps = draw(st.lists(st.tuples(st.integers(0, 10**6),
                                     st.integers(0, 10**6),
                                     st.sets(st.sampled_from(
-                                        ["sum", "max", "argmax"]))),
+                                        ["sum", "max", "argmax", "draw"]))),
                           max_size=6))
     return PairwiseModel(domains, log_psi, edges), steps
 
@@ -545,7 +573,12 @@ def test_shared_children_equal_fresh_builds_on_random_models(case):
         lid = open_ids[leaf_pick % len(open_ids)]
         leaf = pw.leaves[lid]
         for what in sorted(used):
-            leaf.argmax() if what == "argmax" else leaf.beta(what)
+            if what == "draw":
+                rng = np.random.default_rng(leaf_pick)
+                for _ in range(3):
+                    leaf.sample(rng)
+            else:
+                leaf.argmax() if what == "argmax" else leaf.beta(what)
         pw.condition(lid, leaf.free[node_pick % len(leaf.free)])
         for child in pw.leaves.values():
             fresh = SubspaceProposal(m, child.assigned, child.forest)
@@ -637,7 +670,8 @@ def test_children_share_everything_outside_the_changed_set(monkeypatch):
     root = pw.leaves[0]
     root.argmax()
     root_beta = root.beta("max")
-    seen = {j: set(root._picks[j]) for j in root.free}
+    root.sample(np.random.default_rng(0))
+    seen = {j: set(root._memo["max"][j]) for j in root.free}
     node = 12  # the centre: four free neighbours
     assert root.forest.parent[node] is not None and root.forest.children[node]
     children = [pw.leaves[cid] for cid in pw.condition(0, node)]
@@ -653,8 +687,13 @@ def test_children_share_everything_outside_the_changed_set(monkeypatch):
         changed = changed_set(root, child, node)
         assert 0 < len(changed) < len(child.free)
         beta = child.beta("max")
+        child.beta("sum")
         for j in child.free:
             assert (beta[j] is root_beta[j]) == (j not in changed), j
+            # a node outside the changed set reads the root's memo dicts
+            for sr in ("sum", "max"):
+                assert (child._memo[sr][j] is root._memo[sr][j]) == \
+                    (j not in changed), (sr, j)
         # a non-root pick is computed only in the changed set, or for a
         # parent value the root's descent never met
         computed.clear()
