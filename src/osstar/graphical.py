@@ -11,15 +11,16 @@ the replaced factors at their maximum entry, so q >= p holds bit for bit.
 
 Each forest comes from one heap-ordered Prim pass, max_spanning_forest.
 SubspaceProposal.split, the one way to make a child bound, conditions one
-more node k of a bound, its children on its own forest minus k.  Only the
-free neighbours of k and their ancestors can change; a child builds those
-nodes' unaries and, per semiring pass, beta rows, messages and memoised
-draw CDFs or argmax picks, and shares every other node's with its parent.
-Only k's edges can enter or leave the list of factors folded into the
-bound's constant, so a child re-tests those against its parent's list,
-then sums the list in edge-id order: the same float additions as a full
-build.  A full build is the same path with no parent, every free node
-changed and every edge tested, so they agree bit for bit.
+more node k of a bound, its children on its own forest minus k, and
+derives once for all of them what they share.  Only the free neighbours
+of k and their ancestors (the changed set, kept in pass order) can
+change: a child builds the neighbours' unaries and, per semiring pass,
+the set's beta rows, messages and memoised draw CDFs or argmax picks,
+and copies every other node's from its parent.  Only k's edges can enter
+or leave the list of factors folded into the bound's constant, so a
+child re-tests those and keeps its parent's verdict on the rest, then
+sums the list in edge-id order.  A full build computes every node and
+tests every edge, the same float additions, so they agree bit for bit.
 
 The potentials and every per-node row of a bound (unaries, beta rows,
 messages, argmax logits) are Python floats: on small domains numpy's
@@ -255,14 +256,10 @@ class Forest:
                                   repr=False)
 
     def without(self, node: int) -> "Forest":
-        """The forest after deleting one node: its children become roots.
-        Only the children list of node's parent changes; every other list
-        is shared, as a forest's structure never changes once built.
-
-        The preorder is cut, not rebuilt: every tree and every subtree is
-        a contiguous run of it.  node's subtree is the run after node of
-        nodes whose parent lies in it, each child's subtree starts at the
-        child, and the new preorder is the trees' runs in root order."""
+        """The forest after deleting one node: its children become roots,
+        and _rooted walks the preorder again from the sorted roots.  Only
+        the children list of node's parent changes; every other list is
+        shared, as a forest's structure never changes once built."""
         if node not in self.parent:
             raise KeyError(f"node {node} not in forest")
         parent, children = dict(self.parent), dict(self.children)
@@ -277,25 +274,11 @@ class Forest:
             parent[c] = None
             del edge_of[c]
             rows.pop(c, None)
-        order = self.order
-        start = order.index(node)
-        inside, end, cuts = {node}, start + 1, []
-        while end < len(order) and self.parent[order[end]] in inside:
-            if self.parent[order[end]] == node:
-                cuts.append(end)
-            inside.add(order[end])
-            end += 1
-        rest = order[:start] + order[end:]
-        tops = [i for i, j in enumerate(rest) if parent[j] is None]
-        runs = sorted([rest[a:b] for a, b in zip(tops, tops[1:] + [None])]
-                      + [order[a:b] for a, b in zip(cuts, cuts[1:] + [end])])
-        return Forest(roots=[run[0] for run in runs], parent=parent,
-                      children=children, edge_of=edge_of,
-                      order=[j for run in runs for j in run],
-                      edge_ids=frozenset(edge_of.values()), rows=rows)
+        roots = sorted([r for r in self.roots if r != node] + kids)
+        return _rooted(roots, parent, children, edge_of, rows)
 
 
-def _rooted(roots, parent, children, edge_of) -> Forest:
+def _rooted(roots, parent, children, edge_of, rows) -> Forest:
     order = []
     for r in roots:
         stack = [r]
@@ -305,7 +288,7 @@ def _rooted(roots, parent, children, edge_of) -> Forest:
             stack.extend(sorted(children[j], reverse=True))
     return Forest(roots=roots, parent=parent, children=children,
                   edge_of=edge_of, order=order,
-                  edge_ids=frozenset(edge_of.values()))
+                  edge_ids=frozenset(edge_of.values()), rows=rows)
 
 
 def max_spanning_forest(model: PairwiseModel, free) -> Forest:
@@ -337,7 +320,20 @@ def max_spanning_forest(model: PairwiseModel, free) -> Forest:
                 if other in free and other not in parent:
                     heapq.heappush(
                         heap, (-model.phi_range_log[e], e, j, other))
-    return _rooted(roots, parent, children, edge_of)
+    return _rooted(roots, parent, children, edge_of, {})
+
+
+class _Split(NamedTuple):
+    """What SubspaceProposal.split derives once for all the children."""
+
+    node: int
+    free: list[int]
+    eff: dict[int, Sequence[float]]  # the leaf's unaries but node's
+    touched: list[int]  # node's free neighbours, whose unaries change
+    changed: list[int]  # touched and their ancestors, in pass order
+    retest: list[int]  # node's edge ids
+    kept: set[int]  # the leaf's const ids off node's edges
+    base: dict[str, tuple | None]  # the leaf's passes, as _base
 
 
 class SubspaceProposal:
@@ -349,59 +345,35 @@ class SubspaceProposal:
     """
 
     def __init__(self, model: PairwiseModel, assigned: dict[int, int],
-                 forest: Forest | None = None,
-                 _split: tuple[SubspaceProposal, int] | None = None):
+                 forest: Forest | None = None, _split: _Split | None = None):
         """A bound on the subspace `assigned`, over `forest` or else a
-        fresh maximum spanning forest of the free nodes.  Every free node
-        is in the changed set and every edge is tested.
-
-        _split, passed only by split, is (leaf, k): the bound is a child of
-        leaf on node k, `assigned` is leaf's values plus k's, and `forest`
-        is leaf's forest minus k.  Conditioning k can change only the
-        changed set: each free neighbour of k, whose unary gains k's row,
-        with its ancestors in this forest.  k's forest parent is such a
-        neighbour, so the ancestors whose subtree lost k are in the set.
-        Every other node shares the leaf's unary and, in each pass, its
-        beta, message and memo; the leaf itself is not kept.  Likewise
-        only k's edges can enter or leave the list of edges const sums
-        (both ends assigned, or both free and off the forest): the child
-        re-tests those, keeps the leaf's verdict on every other edge and
-        sums const over the list in edge-id order, as a full build does,
-        so the child is bit for bit a full build.
+        fresh maximum spanning forest of the free nodes: a full build,
+        which builds every unary, tests every edge for const and passes
+        over every node.  _split, passed only by split, makes the bound a
+        child of the leaf split derived it from: it builds only the
+        unaries of the split node's free neighbours, re-tests only that
+        node's edges, and its passes start from the leaf's (see _pass).
         """
         self.model = model
         self.assigned = dict(assigned)
         if _split is None:
-            leaf = None
             self.free = [j for j in range(model.n_nodes)
                          if j not in self.assigned]
             if forest is None:
                 forest = max_spanning_forest(model, self.free)
-            touched, retest = self.free, range(len(model.edges))
-            kept: set[int] = set()
+            touched, retest, kept = self.free, range(len(model.edges)), set()
             self.eff: dict[int, Sequence[float]] = {}
+            self._base: dict[str, tuple | None] = {"sum": None, "max": None}
         else:
-            leaf, k = _split
-            self.free = [j for j in leaf.free if j != k]
-            touched = [v for _, v in model.adjacency[k]
-                       if v not in self.assigned]
-            retest = [eid for eid, _ in model.adjacency[k]]
-            kept = set(leaf._const_ids).difference(retest)
-            self.eff = dict(leaf.eff)
-            del self.eff[k]
-        self._changed: set[int] = set()
-        for j in touched:
-            while j is not None and j not in self._changed:
-                self._changed.add(j)
-                j = forest.parent[j]
+            self.free, touched = _split.free, _split.touched
+            retest, kept = _split.retest, _split.kept
+            self.eff = dict(_split.eff)
+            self._base = dict(_split.base)
+        # the split node and the changed set, for passes from _base; not
+        # _split, whose base would keep the leaf's dicts after the passes
+        self._cut = None if _split is None else (_split.node, _split.changed)
         for j in touched:
             self.eff[j] = self._eff_row(j)
-        # the split leaf's (beta, messages, memo) per semiring, reused
-        # outside the changed set until this bound computes its own pass
-        self._base: dict[str, tuple | None] = {
-            sr: None if leaf is None or leaf._beta[sr] is None
-            else (leaf._beta[sr], leaf._msg[sr], leaf._memo[sr])
-            for sr in ("sum", "max")}
         self.forest = forest
         # the edges const sums: both ends assigned, or both free and off
         # the forest
@@ -440,14 +412,31 @@ class SubspaceProposal:
               ) -> list[SubspaceProposal]:
         """The children of this bound on the free node `node`, one per
         value.  With no forest given they sit on this bound's forest minus
-        node, cut once for all of them, and share this bound's state
-        outside their changed sets; on a given forest each is a full
-        build.  Raises ValueError when node is not free here."""
+        node, and split derives once what they share (see the module
+        docstring); on a given forest each is a full build.  Raises
+        ValueError when node is not free here."""
         if node not in self.forest.parent:
             raise ValueError(f"node {node} is not free in this subspace")
         split = None
         if forest is None:
-            forest, split = self.forest.without(node), (self, node)
+            forest = self.forest.without(node)
+            adjacency = self.model.adjacency[node]
+            touched = [v for _, v in adjacency if v in forest.parent]
+            changed = set()
+            for j in touched:
+                while j is not None and j not in changed:
+                    changed.add(j)
+                    j = forest.parent[j]
+            retest = [eid for eid, _ in adjacency]
+            eff = dict(self.eff)
+            del eff[node]
+            split = _Split(
+                node, [j for j in self.free if j != node], eff, touched,
+                [j for j in reversed(forest.order) if j in changed], retest,
+                set(self._const_ids).difference(retest),
+                {sr: None if self._beta[sr] is None else
+                 (self._beta[sr], self._msg[sr], self._memo[sr])
+                 for sr in ("sum", "max")})
         return [SubspaceProposal(self.model, {**self.assigned, node: v},
                                  forest, _split=split)
                 for v in range(self.model.domains[node])]
@@ -476,25 +465,27 @@ class SubspaceProposal:
     def _pass(self, semiring: str, eff: dict[int, Sequence[float]],
               base: tuple | None) -> tuple[dict, dict, dict]:
         """Backward pass in the semiring over the unaries eff: (beta per
-        node, each non-root node's message, each node's memo).  Outside
-        the changed set all three are read from base, the split leaf's, if
-        given; every other node is computed and starts an empty memo."""
-        parent = self.forest.parent
-        beta: dict[int, Sequence[float]] = {}
-        msg: dict[int, list[float]] = {}
-        memo: dict[int, dict] = {}
-        for j in reversed(self.forest.order):
-            if base is not None and j not in self._changed:
-                beta[j], memo[j] = base[0][j], base[2][j]
-                if parent[j] is not None:
-                    msg[j] = base[1][j]
-                continue
+        node, each non-root node's message, each node's memo), computing
+        every node, or with base, the split leaf's three dicts, copying
+        them without the split node and computing the changed set only,
+        where a new root drops its message.  Computed memos start empty."""
+        parent, children = self.forest.parent, self.forest.children
+        if base is None:
+            beta, msg, memo = {}, {}, {}
+            nodes = reversed(self.forest.order)
+        else:
+            node, nodes = self._cut
+            beta, msg, memo = map(dict, base)
+            del beta[node], memo[node]
+            msg.pop(node, None)
+        for j in nodes:
             memo[j] = {}
             b = eff[j]
-            for c in self.forest.children[j]:
+            for c in children[j]:
                 b = list(map(add, b, msg[c]))
             beta[j] = b
             if parent[j] is None:
+                msg.pop(j, None)
                 continue
             rows = self._edge_to_parent(j)
             if semiring == "max":

@@ -162,7 +162,7 @@ def load_arpa(text: str) -> NGramLM:
         if state == "done":
             raise ParseError(f"content after \\end\\: {line!r}", lineno)
     if state == "preamble":
-        raise ParseError("missing \\data\\ header", len(lines))
+        raise ParseError("missing \\data\\ header", max(len(lines), 1))
     if state != "done":
         raise ParseError("missing \\end\\ marker", len(lines))
     for k, n in counts.items():

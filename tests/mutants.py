@@ -1,5 +1,6 @@
 """Mutation check of the guarantee contract in tests/test_contract.py
-(and of one refinement property in tests/test_automaton.py).
+(and of one refinement property in tests/test_automaton.py and one
+sharing property in tests/test_piecewise.py).
 
 Run from anywhere as `python tests/mutants.py` (pytest does not collect this
 file).  Each mutant below replaces one exact piece of text in src/osstar by
@@ -29,6 +30,9 @@ SENTENCE = "tests/test_contract.py::test_sentence_runs_keep_the_contract"
 GRID = "tests/test_contract.py::test_grid_runs_keep_the_contract"
 GRID_DP = "tests/test_contract.py::test_grid_maps_match_the_transfer_matrix_dp"
 GRID_Z = "tests/test_contract.py::test_grid_samples_match_the_transfer_matrix_dp"
+SENTENCE_DP = "tests/test_contract.py::test_sentences_match_the_lattice_dp"
+FRESH = ("tests/test_piecewise.py::"
+         "test_shared_children_equal_fresh_builds_on_random_models")
 SPLIT = "tests/test_graphical.py::test_split_rejects_a_node_that_is_not_free"
 REJECTS = "tests/test_automaton.py::test_every_reject_reaches_a_refinement"
 
@@ -42,13 +46,13 @@ MUTANTS = {
         [GRID, GRID_DP, GRID_Z]),
     "const_ids_retest": (
         "graphical.py",
-        "            retest = [eid for eid, _ in model.adjacency[k]]\n",
+        "            retest = [eid for eid, _ in adjacency]\n",
         "            retest = []\n",
         [GRID, GRID_DP, GRID_Z]),
     "forest_without_cut": (
         "graphical.py",
-        "        while end < len(order) and self.parent[order[end]] in inside:",
-        "        while end < len(order) and self.parent[order[end]] == node:",
+        "        roots = sorted([r for r in self.roots if r != node] + kids)",
+        "        roots = sorted(r for r in self.roots if r != node)",
         [GRID, GRID_DP, GRID_Z]),
     "cdf_memo_without_parent_value": (
         "graphical.py",
@@ -63,9 +67,20 @@ MUTANTS = {
         [GRID, GRID_Z]),
     "child_reads_base_in_changed_set": (
         "graphical.py",
-        "            if base is not None and j not in self._changed:",
-        "            if base is not None:",
+        "                    j = forest.parent[j]\n",
+        "                    j = None\n",
         [GRID, GRID_DP, GRID_Z]),
+    "split_node_kept_in_copies": (
+        "graphical.py",
+        "            del beta[node], memo[node]\n"
+        "            msg.pop(node, None)\n",
+        "",
+        [FRESH]),
+    "new_root_keeps_message": (
+        "graphical.py",
+        "                msg.pop(j, None)\n",
+        "",
+        [FRESH]),
     "memo_read_from_base_in_changed_set": (
         "graphical.py",
         "            memo[j] = {}\n",
@@ -87,6 +102,12 @@ MUTANTS = {
         "        return min(leaf.argmax() for m, leaf in maxes if m == top)",
         "        return max(leaf.argmax() for m, leaf in maxes if m == top)",
         [GRID]),
+    "leaf_of_routes_to_the_next_leaf": (
+        "piecewise.py",
+        "                return lid\n",
+        "                return next((k for k in self.leaves if k > lid),"
+        " lid)\n",
+        [GRID, GRID_DP, GRID_Z]),
     "leaf_cdf_reversed": (
         "piecewise.py",
         "                                  np.cumsum(probs).tolist())",
@@ -96,17 +117,17 @@ MUTANTS = {
         "automaton.py",
         "    prev.dest[prev.ending[ctx[:-1]], prev.col[ctx[-1]]] = row",
         "    prev.dest[rows[i - 1], prev.col[ctx[-1]]] = row",
-        [SENTENCE]),
+        [SENTENCE, SENTENCE_DP]),
     "dirty_mark_keeps_the_latest_layer": (
         "automaton.py",
         "                self._dirty[semiring] = max(self._dirty[semiring], layer)",
         "                self._dirty[semiring] = layer",
-        [SENTENCE]),
+        [SENTENCE, SENTENCE_DP]),
     "rebuild_keeps_the_draw_memo": (
         "automaton.py",
         "            vals[i] = v\n            memo[i] = {}\n",
         "            vals[i] = v\n",
-        [SENTENCE]),
+        [SENTENCE, SENTENCE_DP]),
     "refine_picks_roundoff_gap": (
         "automaton.py",
         "    best_i, best_gap = None, 1e-12",
@@ -116,7 +137,7 @@ MUTANTS = {
         "automaton.py",
         "        if weight < old_weight - floor or order + 1 > full:",
         "        if True:",
-        [SENTENCE]),
+        [SENTENCE, SENTENCE_DP]),
     "refine_reads_an_unwalked_record": (
         "automaton.py",
         "    walked = last is not None and last[1] == rejected\n",
@@ -141,12 +162,12 @@ MUTANTS = {
         "engine.py",
         "    return bisect.bisect_right(cdf, rng.random() * cdf[-1])",
         "    return bisect.bisect_right(cdf, rng.random())",
-        [SENTENCE, GRID, GRID_Z]),
+        [SENTENCE, SENTENCE_DP, GRID, GRID_Z]),
     "trial_equality_is_a_violation": (
         "engine.py",
         "    if not (log_p <= log_q and math.isfinite(log_q)):",
         "    if not (log_p < log_q and math.isfinite(log_q)):",
-        [SENTENCE, GRID, GRID_Z]),
+        [SENTENCE, SENTENCE_DP, GRID, GRID_Z]),
     "certificate_within_roundoff": (
         "engine.py",
         "        accepted = log_p >= log_q\n",
@@ -156,7 +177,7 @@ MUTANTS = {
         "engine.py",
         "        if not record.accepted and refiner is not None:",
         "        if refiner is not None:",
-        [SENTENCE, GRID]),
+        [SENTENCE, SENTENCE_DP, GRID]),
     "run_skips_on_refine": (
         "engine.py",
         "            if on_refine is not None:\n"

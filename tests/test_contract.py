@@ -21,8 +21,10 @@ enumerate:
 - a sentence refinement keeps all of this for any rejected path, also one
   that the proposal's last draw did not walk.
 
-Beyond enumeration, grids of 32 to 49 nodes are decoded against the
-benchmark's transfer-matrix reference (perfbench/reference.py).
+Beyond enumeration, grids of 24 to 64 nodes and sentences of 24 and 32
+words are decoded and sampled against the benchmark's exact references
+(perfbench/reference.py): a transfer matrix over grid rows, a lattice DP
+over 4-word histories.
 
 `python tests/mutants.py` breaks the code behind these promises one line at
 a time and checks that a test here fails each time.
@@ -41,11 +43,13 @@ from osstar import automaton as am
 from osstar import engine
 from osstar.engine import Mode, StopConfig
 from osstar.graphical import PairwiseModel, ising_grid
-from osstar.ngram import MaxBackoffTables, build_lattice, load_arpa
+from osstar.ngram import (MaxBackoffTables, build_lattice, keypad_encode,
+                          load_arpa)
 from osstar.piecewise import PiecewiseProposal, Policy, PolicyRefiner
 
 from conftest import lattice_paths
-from lm_fixtures import synthetic_instance
+from lm_fixtures import (cluster_vocab, markov_corpus, synthetic_instance,
+                         train_arpa)
 from test_graphical import preorder_tie
 
 
@@ -332,7 +336,7 @@ def test_grid_runs_keep_the_contract(model, seed, mode):
                         grid_pick_probabilities, pointwise=not retree)
 
 
-# -- grids beyond enumeration ------------------------------------------------
+# -- beyond enumeration -------------------------------------------------------
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
 
@@ -345,20 +349,36 @@ def load_reference():
     return module
 
 
+# the trial budget of every run below: the largest needs 337 trials (the
+# 8x8 MAP of seed 0), and a run whose refinements stall fails at the budget
+# instead of running on
+DP_TRIALS = 1000
+
 # (rows, cols, model seed, policy, retree); sigma only rescales an Ising
 # MAP, so one sigma serves.  The queue policy pays a lookahead per leaf and
-# runs on one model per shape.
+# runs on one model per shape; 8x8 runs on the two seeds of under 0.2 s.
 GRID_DP_CASES = [
     (rows, cols, seed, Policy.MAX_SLACK, retree)
     for rows, cols in ((6, 6), (4, 8), (7, 7)) for seed in range(3)
     for retree in (False, True)
-] + [(6, 6, 0, Policy.QUEUE, False), (4, 8, 0, Policy.QUEUE, False)]
+] + [(6, 6, 0, Policy.QUEUE, False), (4, 8, 0, Policy.QUEUE, False),
+     (8, 8, 0, Policy.MAX_SLACK, False), (8, 8, 2, Policy.MAX_SLACK, False)]
+
+
+def frozen_z_hat(res) -> tuple[float, float]:
+    """log Z-hat of a frozen run, Q times the mean acceptance ratio, and
+    5 of its standard errors (the benchmark's _check_z rule)."""
+    recs = res.history.records
+    r = np.array([math.exp(min(0.0, x.log_p - x.log_q)) for x in recs])
+    return (math.log(r.mean()) + recs[-1].proposal_mass_log,
+            5 * r.std(ddof=1) / (math.sqrt(len(r)) * r.mean()))
 
 
 def test_grid_maps_match_the_transfer_matrix_dp():
     """The certified argmax scores the reference's MAP within 1e-9 with a
-    gap of exactly 0.0, and the log mass bounds the reference's log Z
-    (within 1e-9) at the root and after every refinement."""
+    gap of exactly 0.0 inside the trial budget, and the log mass bounds the
+    reference's log Z (within 1e-9) at the root and after every
+    refinement."""
     reference = load_reference()
     for rows, cols, seed, policy, retree in GRID_DP_CASES:
         case = (rows, cols, seed, policy, retree)
@@ -368,8 +388,9 @@ def test_grid_maps_match_the_transfer_matrix_dp():
         pw = PiecewiseProposal(model, retree=retree)
         masses = [pw.mass_log()]
         res = engine.run(Mode.OPTIMIZATION, model.log_p, pw,
-                         PolicyRefiner(pw, policy, seed=seed), StopConfig(),
-                         seed, on_refine=lambda q: masses.append(q.mass_log()))
+                         PolicyRefiner(pw, policy, seed=seed),
+                         StopConfig(max_trials=DP_TRIALS), seed,
+                         on_refine=lambda q: masses.append(q.mass_log()))
         assert abs(dp.score(res.argmax) - top) <= 1e-9, case
         assert res.certificate_gap_log == 0.0, case
         assert len(masses) == res.history.refine_count + 1, case
@@ -387,23 +408,31 @@ def transposed(data, rows, cols):
                       for e in data["edges"]]}
 
 
-# (rows, cols, sigma, model seed, retree)
-GRID_Z_CASES = [(6, 6, 0.5, 0, False), (6, 6, 0.5, 0, True),
-                (4, 8, 0.5, 1, False), (4, 8, 1.0, 1, True),
-                (7, 7, 0.5, 2, False), (6, 6, 1.0, 2, False)]
+# (rows, cols, sigma, model seed, policy, retree)
+GRID_Z_CASES = [(6, 6, 0.5, 0, Policy.MAX_SLACK, False),
+                (6, 6, 0.5, 0, Policy.MAX_SLACK, True),
+                (4, 8, 0.5, 1, Policy.MAX_SLACK, False),
+                (4, 8, 1.0, 1, Policy.MAX_SLACK, True),
+                (7, 7, 0.5, 2, Policy.MAX_SLACK, False),
+                (6, 6, 1.0, 2, Policy.MAX_SLACK, False),
+                (5, 5, 0.5, 0, Policy.QUEUE, False),
+                (4, 6, 0.5, 1, Policy.QUEUE, False)]
+
+SUM_STOP = StopConfig(ar_threshold=0.3, max_trials=DP_TRIALS)
+FROZEN_STOP = StopConfig(ar_window=4000, ar_threshold=1.0, max_trials=4000)
 
 
 def test_grid_samples_match_the_transfer_matrix_dp():
-    """Policy II refines each model to a windowed acceptance rate of 0.3,
-    and the log mass bounds the reference's log Z (within 1e-9) at the root
-    and after every refinement.  A frozen phase of 4,000 trials then reads
-    log Z-hat, Q times the mean acceptance ratio, within 5 standard errors
-    of log Z, and each node takes value 0 in the accepted samples within 5
+    """Each model is refined to a windowed acceptance rate of 0.3 inside
+    the trial budget, and the log mass bounds the reference's log Z
+    (within 1e-9) at the root and after every refinement.  A frozen phase
+    of 4,000 trials then reads log Z-hat within 5 standard errors of log
+    Z, and each node takes value 0 in the accepted samples within 5
     binomial standard errors of its exact marginal: the log Z of the model
     with the node's value 1 ruled out, less log Z."""
     reference = load_reference()
-    for rows, cols, sigma, seed, retree in GRID_Z_CASES:
-        case = (rows, cols, sigma, seed, retree)
+    for rows, cols, sigma, seed, policy, retree in GRID_Z_CASES:
+        case = (rows, cols, sigma, seed, policy, retree)
         model = ising_grid(rows, cols, sigma=sigma, seed=seed)
         data, shape = model.to_dict(), (rows, cols)
         if cols > rows:
@@ -411,18 +440,14 @@ def test_grid_samples_match_the_transfer_matrix_dp():
         log_z = reference.GridReference(data, *shape).solve()[1]
         pw = PiecewiseProposal(model, retree=retree)
         masses = [pw.mass_log()]
-        engine.run(Mode.SAMPLING, model.log_p, pw,
-                   PolicyRefiner(pw, Policy.MAX_SLACK), StopConfig(
-                       ar_threshold=0.3), seed,
-                   on_refine=lambda q: masses.append(q.mass_log()))
+        res = engine.run(Mode.SAMPLING, model.log_p, pw,
+                         PolicyRefiner(pw, policy, seed=seed), SUM_STOP, seed,
+                         on_refine=lambda q: masses.append(q.mass_log()))
+        assert engine.should_stop(res.history, Mode.SAMPLING, SUM_STOP), case
         assert min(masses) >= log_z - 1e-9, case
         frozen = engine.run(Mode.SAMPLING, model.log_p, pw, None,
-                            StopConfig(ar_window=4000, ar_threshold=1.0,
-                                       max_trials=4000), seed + 1)
-        recs = frozen.history.records
-        r = np.array([math.exp(min(0.0, x.log_p - x.log_q)) for x in recs])
-        z_hat_log = math.log(r.mean()) + recs[-1].proposal_mass_log
-        tol = 5 * r.std(ddof=1) / (math.sqrt(len(r)) * r.mean())
+                            FROZEN_STOP, seed + 1)
+        z_hat_log, tol = frozen_z_hat(frozen)
         assert abs(z_hat_log - log_z) <= tol, case
         samples = np.array(frozen.samples)
         for i, node in enumerate(data["nodes"]):
@@ -433,3 +458,75 @@ def test_grid_samples_match_the_transfer_matrix_dp():
             se = math.sqrt(marginal * (1 - marginal) / len(samples))
             assert abs(np.mean(samples[:, i] == 0) - marginal) <= 5 * se, \
                 (case, i)
+
+
+# (words, decode trials, sampling trials), run seed 0: pinned, and each the
+# run's budget, so a change that keeps the law but loosens the refinement
+# fails here, and fails fast
+SENTENCE_DP_CASES = [(24, 914, 418), (32, 1599, 427)]
+
+
+def test_sentences_match_the_lattice_dp():
+    """On an order-5 LM over 64 words (8 keypad codes of 8 words), trained
+    on 40 sentences of L words, the first of them is decoded and sampled.
+    The decode certifies the reference's maximum (within 1e-9) with a gap
+    of exactly 0.0.  Sampling to a windowed acceptance rate of 0.3 keeps
+    the log mass >= log Z (within 1e-9) at q0 and after every refinement,
+    a frozen phase of 4,000 trials reads log Z-hat within 5 standard
+    errors, and at four positions each candidate's frequency among the
+    accepted samples is within 5 binomial standard errors of its exact
+    marginal: log Z with every other candidate there at -1e300, less log
+    Z (-inf would make the DP's all -inf slices nan)."""
+    reference = load_reference()
+
+    class Pinned(reference.SentenceReference):
+        pin = None  # (position, candidate index) or None
+
+        def _table(self, obs, i, c):
+            table = super()._table(obs, i, c)
+            if self.pin is not None and self.pin[0] == i:
+                mask = np.full(table.shape[-1], -1e300)
+                mask[self.pin[1]] = 0.0
+                table = table + mask
+            return table
+
+    for length, decode_trials, sample_trials in SENTENCE_DP_CASES:
+        rng = np.random.default_rng([1, length, 0])
+        vocab = cluster_vocab(rng, 8, 8)
+        corpus = markov_corpus(rng, vocab, 40, length)
+        arpa = train_arpa(corpus, 5, vocab)
+        obs = [keypad_encode(w) for w in corpus[0]]
+        lm = load_arpa(arpa)
+        tables = MaxBackoffTables(lm)
+        lattice = build_lattice(obs, vocab)
+        target = am.HmmTarget(lm, lattice)
+        dp = Pinned(arpa, vocab)
+        top, log_z = dp.solve(obs)
+        res = engine.run(Mode.OPTIMIZATION, target,
+                         am.build_q0(lattice, tables), am.AutomatonRefiner(),
+                         StopConfig(max_trials=decode_trials), 0)
+        assert res.history.trial_count == decode_trials, length
+        assert abs(dp.score(obs, res.argmax) - top) <= 1e-9, length
+        assert res.certificate_gap_log == 0.0, length
+        q = am.build_q0(lattice, tables)
+        masses = [q.mass_log()]
+        stop = StopConfig(ar_threshold=0.3, max_trials=sample_trials)
+        res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(),
+                         stop, 0,
+                         on_refine=lambda q: masses.append(q.mass_log()))
+        assert res.history.trial_count == sample_trials, length
+        assert engine.should_stop(res.history, Mode.SAMPLING, stop), length
+        assert min(masses) >= log_z - 1e-9, length
+        frozen = engine.run(Mode.SAMPLING, target, res.final_proposal, None,
+                            FROZEN_STOP, 1)
+        z_hat_log, tol = frozen_z_hat(frozen)
+        assert abs(z_hat_log - log_z) <= tol, length
+        for i in (0, length // 3, 2 * length // 3, length - 1):
+            words = [x[i] for x in frozen.samples]
+            for k, word in enumerate(dp.by_code[obs[i]]):
+                dp.pin = (i, k)
+                marginal = math.exp(dp.solve(obs)[1] - log_z)
+                dp.pin = None
+                se = math.sqrt(marginal * (1 - marginal) / len(words))
+                assert abs(words.count(word) / len(words) - marginal) \
+                    <= 5 * se, (length, i, word)

@@ -115,6 +115,8 @@ def test_parse_error_reports_line_number():
             (head + "\\1-grams:\n-0.1 a\n\\end\\\nmore\n", 6,
              r"content after \\end\\"),
             ("hello\n", 1, r"missing \\data\\ header"),
+            # an empty text has one line, as an editor shows it
+            ("", 1, r"missing \\data\\ header"),
             # a \data\ block without counts fails at its next line
             ("\\data\\\n\\end\\\n", 2, "expected n-gram section")]:
         with pytest.raises(ParseError, match=match) as err:
