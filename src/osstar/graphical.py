@@ -11,16 +11,22 @@ the replaced factors at their maximum entry, so q >= p holds bit for bit.
 
 Each forest comes from one heap-ordered Prim pass, max_spanning_forest.
 SubspaceProposal.split, the one way to make a child bound, conditions one
-more node k of a bound, its children on its own forest minus k, and
-derives once for all of them what they share.  Only the free neighbours
-of k and their ancestors (the changed set, kept in pass order) can
-change: a child builds the neighbours' unaries and, per semiring pass,
-the set's beta rows, messages and memoised draw CDFs or argmax picks,
-and copies every other node's from its parent.  Only k's edges can enter
-or leave the list of factors folded into the bound's constant, so a
-child re-tests those and keeps its parent's verdict on the rest, then
-sums the list in edge-id order.  A full build computes every node and
-tests every edge, the same float additions, so they agree bit for bit.
+more node k of a bound, its children on its own forest minus k or on a
+given forest of the other free nodes (retree's fresh one), and derives
+once for all of them what they share.  Only the free neighbours of k, the
+nodes whose children list or forest edge differ from the bound's forest,
+and their ancestors (the changed set, kept in pass order) can change: a
+child builds the neighbours' unaries and, per semiring pass, the set's
+beta rows, messages and memoised draw CDFs or argmax picks, and copies
+every other node's from its parent.  Only k's edges and the edges that
+entered or left the forest can enter or leave the list of factors folded
+into the bound's constant, so a child re-tests those and keeps its
+parent's verdict on the rest, then sums the list in edge-id order.  On
+the forest minus k the only nodes whose children or edge change are k's
+parent and children, free neighbours of k, and only k's edges leave the
+forest, so that split compares no forests.  In a partition only the root
+is a full build, which computes every node and tests every edge: the
+same float additions, so a child and a full build agree bit for bit.
 
 The potentials and every per-node row of a bound (unaries, beta rows,
 messages, argmax logits) are Python floats: on small domains numpy's
@@ -324,15 +330,18 @@ def max_spanning_forest(model: PairwiseModel, free) -> Forest:
 
 
 class _Split(NamedTuple):
-    """What SubspaceProposal.split derives once for all the children."""
+    """What SubspaceProposal.split derives once for all the children, on
+    the leaf's forest minus the split node or on a given one alike."""
 
     node: int
     free: list[int]
     eff: dict[int, Sequence[float]]  # the leaf's unaries but node's
     touched: list[int]  # node's free neighbours, whose unaries change
-    changed: list[int]  # touched and their ancestors, in pass order
-    retest: list[int]  # node's edge ids
-    kept: set[int]  # the leaf's const ids off node's edges
+    # touched, the nodes whose children or forest edge differ from the
+    # leaf's, and their ancestors in the children's forest, in pass order
+    changed: list[int]
+    retest: list[int]  # node's edge ids, and those that entered or left
+    kept: set[int]  # the leaf's const ids off retest
     base: dict[str, tuple | None]  # the leaf's passes, as _base
 
 
@@ -351,8 +360,9 @@ class SubspaceProposal:
         which builds every unary, tests every edge for const and passes
         over every node.  _split, passed only by split, makes the bound a
         child of the leaf split derived it from: it builds only the
-        unaries of the split node's free neighbours, re-tests only that
-        node's edges, and its passes start from the leaf's (see _pass).
+        unaries of the split node's free neighbours, re-tests only the
+        split's retest edges, and its passes start from the leaf's (see
+        _pass).  Only the root of a partition is a full build.
         """
         self.model = model
         self.assigned = dict(assigned)
@@ -411,32 +421,39 @@ class SubspaceProposal:
     def split(self, node: int, forest: Forest | None = None
               ) -> list[SubspaceProposal]:
         """The children of this bound on the free node `node`, one per
-        value.  With no forest given they sit on this bound's forest minus
-        node, and split derives once what they share (see the module
-        docstring); on a given forest each is a full build.  Raises
-        ValueError when node is not free here."""
+        value, on `forest`, a forest of the other free nodes, or else on
+        this bound's forest minus node.  On either, split derives once
+        what they share (see the module docstring).  Raises ValueError
+        when node is not free here."""
         if node not in self.forest.parent:
             raise ValueError(f"node {node} is not free in this subspace")
-        split = None
+        old = self.forest
+        adjacency = self.model.adjacency[node]
+        retest = [eid for eid, _ in adjacency]
         if forest is None:
-            forest = self.forest.without(node)
-            adjacency = self.model.adjacency[node]
-            touched = [v for _, v in adjacency if v in forest.parent]
-            changed = set()
-            for j in touched:
-                while j is not None and j not in changed:
-                    changed.add(j)
-                    j = forest.parent[j]
-            retest = [eid for eid, _ in adjacency]
-            eff = dict(self.eff)
-            del eff[node]
-            split = _Split(
-                node, [j for j in self.free if j != node], eff, touched,
-                [j for j in reversed(forest.order) if j in changed], retest,
-                set(self._const_ids).difference(retest),
-                {sr: None if self._beta[sr] is None else
-                 (self._beta[sr], self._msg[sr], self._memo[sr])
-                 for sr in ("sum", "max")})
+            # only node's parent and children change their children or
+            # edge, and they are among node's free neighbours
+            forest, moved = old.without(node), []
+        else:
+            moved = [j for j in forest.order
+                     if forest.children[j] != old.children[j]
+                     or forest.edge_of.get(j) != old.edge_of.get(j)]
+            retest += old.edge_ids ^ forest.edge_ids
+        touched = [v for _, v in adjacency if v in forest.parent]
+        changed = set()
+        for j in touched + moved:
+            while j is not None and j not in changed:
+                changed.add(j)
+                j = forest.parent[j]
+        eff = dict(self.eff)
+        del eff[node]
+        split = _Split(
+            node, [j for j in self.free if j != node], eff, touched,
+            [j for j in reversed(forest.order) if j in changed], retest,
+            set(self._const_ids).difference(retest),
+            {sr: None if self._beta[sr] is None else
+             (self._beta[sr], self._msg[sr], self._memo[sr])
+             for sr in ("sum", "max")})
         return [SubspaceProposal(self.model, {**self.assigned, node: v},
                                  forest, _split=split)
                 for v in range(self.model.domains[node])]

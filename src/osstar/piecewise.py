@@ -9,7 +9,9 @@ pointwise on each child subspace.
 
 With retree=True each child also tries a maximum spanning forest of its
 free nodes, computed once per split since siblings share their free set,
-and keeps whichever bound has the smaller total mass.
+and keeps whichever bound has the smaller total mass.  Those children are
+split from the leaf like the others, recomputing only what the new
+forest changes, so no child is a full build.
 That preserves mass monotonicity but not the pointwise guarantee, so it is
 off by default.
 """
@@ -47,6 +49,11 @@ class Policy(enum.Enum):
     II   free node with the largest pointwise slack at the rejection
     III  random free node in the largest-mass refinable leaf
     IV   best (leaf, node) from a priority queue of exact mass improvements
+
+    III and IV ignore the rejected configuration.  In a MAP run that makes
+    IV tighten mass where the argmax may not be, so it can spend its trial
+    budget without a certificate: on ising_grid(6, 6, sigma=0.5, seed=1)
+    it is not certified after 400 refinements, where II certifies.
     """
 
     RANDOM_NODE = "i"

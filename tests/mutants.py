@@ -46,8 +46,8 @@ MUTANTS = {
         [GRID, GRID_DP, GRID_Z]),
     "const_ids_retest": (
         "graphical.py",
-        "            retest = [eid for eid, _ in adjacency]\n",
-        "            retest = []\n",
+        "        retest = [eid for eid, _ in adjacency]\n",
+        "        retest = []\n",
         [GRID, GRID_DP, GRID_Z]),
     "forest_without_cut": (
         "graphical.py",
@@ -67,9 +67,19 @@ MUTANTS = {
         [GRID, GRID_Z]),
     "child_reads_base_in_changed_set": (
         "graphical.py",
-        "                    j = forest.parent[j]\n",
-        "                    j = None\n",
+        "                j = forest.parent[j]\n",
+        "                j = None\n",
         [GRID, GRID_DP, GRID_Z]),
+    "fresh_split_ignores_moved_nodes": (
+        "graphical.py",
+        "        for j in touched + moved:\n",
+        "        for j in touched:\n",
+        [FRESH, GRID, GRID_DP, GRID_Z]),
+    "fresh_split_keeps_old_const_verdicts": (
+        "graphical.py",
+        "            retest += old.edge_ids ^ forest.edge_ids\n",
+        "",
+        [FRESH, GRID]),
     "split_node_kept_in_copies": (
         "graphical.py",
         "            del beta[node], memo[node]\n"

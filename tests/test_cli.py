@@ -263,6 +263,24 @@ def test_bad_grid_spec_is_a_clean_error(capsys, command, spec):
     assert err == f"error: bad grid spec '{spec}', expected ROWSxCOLS\n"
 
 
+@pytest.mark.parametrize("message, want", [
+    ("Unable to allocate 74.5 GiB for an array with shape (10000000000,)",
+     "error: out of memory: Unable to allocate 74.5 GiB for an array with "
+     "shape (10000000000,)\n"),
+    ("", "error: out of memory\n")])
+def test_a_grid_too_large_for_memory_is_a_clean_error(monkeypatch, capsys,
+                                                      message, want):
+    # the model builder raises as numpy does on a 100000x100000 grid, so no
+    # test allocates one
+    def no_memory(rows, cols, sigma, seed):
+        assert (rows, cols) == (100_000, 100_000)
+        raise MemoryError(message)
+
+    monkeypatch.setattr("osstar.cli.ising_grid", no_memory)
+    assert main(["gm", "optimize", "--grid", "100000x100000"]) == 1
+    assert capsys.readouterr() == ("", want)
+
+
 @pytest.mark.parametrize("text", [
     '{"nodes": [{"id": 0, "domain": 2, "log_psi": [0, 0]}]}',
     '{"nodes": [{"id": 0, "log_psi": [0, 0]}], "edges": []}',

@@ -562,10 +562,13 @@ def split_sequences(draw, values=st.integers(-2, 2)):
 
 
 @settings(max_examples=150, deadline=None)
-@given(split_sequences())
-def test_shared_children_equal_fresh_builds_on_random_models(case):
+@given(split_sequences(), st.booleans())
+def test_shared_children_equal_fresh_builds_on_random_models(case, retree):
+    # with retree a leaf on its parent's forest minus a node may be split
+    # on a fresh forest, where nodes that are no neighbours of the split
+    # node move too
     m, steps = case
-    pw = PiecewiseProposal(m)
+    pw = PiecewiseProposal(m, retree=retree)
     for leaf_pick, node_pick, used in steps:
         open_ids = [lid for lid, leaf in pw.leaves.items() if leaf.free]
         if not open_ids:
@@ -650,31 +653,57 @@ def test_retree_split_builds_one_fresh_forest(policy, monkeypatch):
         assert forest is None or children[0].forest is forest
 
 
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("policy", [Policy.MAX_SLACK, Policy.QUEUE])
+def test_retree_run_builds_only_the_root_in_full(mode, policy, monkeypatch):
+    # every other bound, on a fresh forest or its leaf's, is a child that
+    # split derived
+    full = []
+    init = SubspaceProposal.__init__
+
+    def recording(self, model, assigned, forest=None, _split=None):
+        full.append(_split is None)
+        init(self, model, assigned, forest, _split)
+
+    monkeypatch.setattr(SubspaceProposal, "__init__", recording)
+    m = ising_grid(4, 4, sigma=0.8, seed=1)
+    pw = PiecewiseProposal(m, retree=True)
+    stop = (StopConfig() if mode is Mode.OPTIMIZATION else
+            StopConfig(ar_window=50, ar_threshold=0.6, max_trials=20_000))
+    res = engine.run(mode, m.log_p, pw, PolicyRefiner(pw, policy, seed=1),
+                     stop, seed=3)
+    assert res.history.refine_count > 0
+    assert full == [True] + [False] * (pw.bound_builds - 1)
+
+
+def subtree(forest, j):
+    """j's subtree in forest as nested (node, edge id, children) tuples."""
+    return (j, forest.edge_of.get(j),
+            tuple(subtree(forest, c) for c in forest.children[j]))
+
+
+def below(forest, j):
+    """j and its descendants in forest."""
+    nodes, stack = set(), [j]
+    while stack:
+        j = stack.pop()
+        nodes.add(j)
+        stack.extend(forest.children[j])
+    return nodes
+
+
 def changed_set(parent, child, node):
-    """Ancestors of node in parent's forest, and each free neighbour of node
-    with its ancestors in child's forest."""
-    changed = set()
-    starts = [(parent.forest.parent[node], parent.forest)] + \
-        [(v, child.forest) for _, v in child.model.adjacency[node]
-         if v not in child.assigned]
-    for j, forest in starts:
-        while j is not None:
-            changed.add(j)
-            j = forest.parent[j]
-    return changed
+    """The free nodes of child whose subtree in child's forest differs
+    from their subtree in parent's (children lists and edges included), or
+    holds a free neighbour of node."""
+    touched = {v for _, v in child.model.adjacency[node]
+               if v not in child.assigned}
+    return {j for j in child.free
+            if subtree(child.forest, j) != subtree(parent.forest, j)
+            or touched & below(child.forest, j)}
 
 
 def test_children_share_everything_outside_the_changed_set(monkeypatch):
-    m = ising_grid(5, 5, sigma=0.5, seed=0)
-    pw = PiecewiseProposal(m)
-    root = pw.leaves[0]
-    root.argmax()
-    root_beta = root.beta("max")
-    root.sample(np.random.default_rng(0))
-    seen = {j: set(root._memo["max"][j]) for j in root.free}
-    node = 12  # the centre: four free neighbours
-    assert root.forest.parent[node] is not None and root.forest.children[node]
-    children = [pw.leaves[cid] for cid in pw.condition(0, node)]
     computed = []
     edge_to_parent = SubspaceProposal._edge_to_parent
 
@@ -683,29 +712,45 @@ def test_children_share_everything_outside_the_changed_set(monkeypatch):
         return edge_to_parent(self, child)
 
     monkeypatch.setattr(SubspaceProposal, "_edge_to_parent", counting)
-    for child in children:
-        changed = changed_set(root, child, node)
-        assert 0 < len(changed) < len(child.free)
-        beta = child.beta("max")
-        child.beta("sum")
-        for j in child.free:
-            assert (beta[j] is root_beta[j]) == (j not in changed), j
-            # a node outside the changed set reads the root's memo dicts
-            for sr in ("sum", "max"):
-                assert (child._memo[sr][j] is root._memo[sr][j]) == \
-                    (j not in changed), (sr, j)
-        # a non-root pick is computed only in the changed set, or for a
-        # parent value the root's descent never met
-        computed.clear()
-        config, _ = child.argmax()
-        parent = child.forest.parent
-        non_roots = [j for j in child.free if parent[j] is not None]
-        assert sorted(computed) == [
-            j for j in non_roots
-            if j in changed or config[parent[j]] not in seen[j]]
-        assert len(computed) < len(non_roots)
-        assert config == SubspaceProposal(m, child.assigned,
-                                          child.forest).argmax()[0]
+    m = ising_grid(5, 5, sigma=0.5, seed=0)
+    for retree in (False, True):
+        pw = PiecewiseProposal(m, retree=retree)
+        root = pw.leaves[0]
+        root.argmax()
+        root_beta = root.beta("max")
+        root.sample(np.random.default_rng(0))
+        seen = {j: set(root._memo["max"][j]) for j in root.free}
+        node = 12  # the centre: four free neighbours
+        assert root.forest.parent[node] is not None and \
+            root.forest.children[node]
+        children = [pw.leaves[cid] for cid in pw.condition(0, node)]
+        # with retree both children keep the fresh forest, on which nodes
+        # that are no neighbours of node move too
+        assert all((c.forest == root.forest.without(node)) != retree
+                   for c in children)
+        for child in children:
+            changed = changed_set(root, child, node)
+            assert 0 < len(changed) < len(child.free)
+            beta = child.beta("max")
+            child.beta("sum")
+            for j in child.free:
+                assert (beta[j] is root_beta[j]) == (j not in changed), j
+                # a node outside the changed set reads the root's memo dicts
+                for sr in ("sum", "max"):
+                    assert (child._memo[sr][j] is root._memo[sr][j]) == \
+                        (j not in changed), (sr, j)
+            # a non-root pick is computed only in the changed set, or for a
+            # parent value the root's descent never met
+            computed.clear()
+            config, _ = child.argmax()
+            parent = child.forest.parent
+            non_roots = [j for j in child.free if parent[j] is not None]
+            assert sorted(computed) == [
+                j for j in non_roots
+                if j in changed or config[parent[j]] not in seen[j]]
+            assert len(computed) < len(non_roots)
+            assert config == SubspaceProposal(m, child.assigned,
+                                              child.forest).argmax()[0]
 
 
 def test_conditioned_away_leaf_is_freed():
