@@ -319,8 +319,16 @@ def cmd_selftest(args) -> int:
     return 1 if failed else 0
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value: numpy's error for a negative seed names no flag."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p, *, ar: bool) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--max-trials", type=int, default=1_000_000)
     p.add_argument("--metrics-out", metavar="CSV",
                    help="write one row per trial to this file")
@@ -347,7 +355,7 @@ def _add_gm_io(p, default_policy) -> None:
     p.add_argument("--model", help="pairwise model JSON file")
     p.add_argument("--grid", help="generate an Ising grid, e.g. 4x4")
     p.add_argument("--sigma", type=float, default=0.5)
-    p.add_argument("--model-seed", type=int, default=0)
+    p.add_argument("--model-seed", type=_seed, default=0)
     p.add_argument("--policy", choices=[p.value for p in Policy],
                    default=default_policy)
     p.add_argument("--retree", action="store_true",
@@ -384,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     go.set_defaults(func=cmd_gm_optimize)
     gb = gsub.add_parser("bench", help="compare refinement policies")
     _add_gm_io(gb, default_policy=None)
-    gb.add_argument("--seed", type=int, default=0)
+    gb.add_argument("--seed", type=_seed, default=0)
     gb.add_argument("--refinements", type=int, default=40)
     gb.add_argument("--trials-per-round", type=int, default=200)
     gb.add_argument("--out", help="CSV path; per-policy suffix added "
@@ -396,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     gi = gensub.add_parser("ising", help="random grid model JSON")
     gi.add_argument("--grid", required=True)
     gi.add_argument("--sigma", type=float, default=0.5)
-    gi.add_argument("--seed", type=int, default=0)
+    gi.add_argument("--seed", type=_seed, default=0)
     gi.add_argument("--out", default="-", help="file path or - for stdout")
     gi.set_defaults(func=cmd_gen_ising)
 

@@ -48,7 +48,7 @@ import heapq
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
@@ -142,19 +142,15 @@ class PairwiseModel:
         """Edge eid's log potential: a row over v's values per value of u."""
         return [list(row) for row in self._rows(eid, self.edges[eid].v)]
 
-    def _row(self, eid: int, j: int, a: int) -> tuple[float, ...]:
-        """Edge eid's log potential over the values of j, one of its ends,
-        with its other end at value a."""
+    def _rows(self, eid: int, j: int) -> list[tuple[float, ...]]:
+        """Edge eid's log potential as rows over the values of j, one of
+        its ends, one per value of its other end, in order."""
         u, v, at, dv = self.edges[eid]
         if j == v:
-            return self._phi[at + a * dv:at + a * dv + dv]
-        return self._phi[at + a:at + self.domains[u] * dv:dv]
-
-    def _rows(self, eid: int, j: int) -> list[tuple[float, ...]]:
-        """_row of each value of the other end of edge eid, in order."""
-        e = self.edges[eid]
-        return [self._row(eid, j, a)
-                for a in range(self.domains[e.u if j == e.v else e.v])]
+            return [self._phi[at + a * dv:at + a * dv + dv]
+                    for a in range(self.domains[u])]
+        return [self._phi[at + a:at + self.domains[u] * dv:dv]
+                for a in range(dv)]
 
     def log_p(self, config) -> float:
         return self._log_sum(config)
@@ -170,18 +166,23 @@ class PairwiseModel:
             total += phi[at + configs[:, u] * dv + configs[:, v]]
         return total
 
-    def _log_sum(self, config, capped=frozenset()) -> float:
+    def _log_sum(self, config, capped: Sequence[int] = ()) -> float:
         """p's terms at config in p's order (nodes, then edges by id), with
-        each edge in capped at its max entry.  log p caps none and a bound
-        caps its off-tree edges: float addition is monotone, so the bound
-        is >= log p bit for bit."""
+        each edge in capped, sorted by id, at its max entry.  log p caps
+        none and a bound caps its off-tree edges: float addition is
+        monotone, so the bound is >= log p bit for bit."""
         psi, phi, cap = self._psi, self._phi, self.phi_max_log
         total = 0.0
         for row, x in zip(psi, config):
             total += row[x]
+        capped = iter(capped)
+        next_cap = next(capped, None)
         for eid, (u, v, at, dv) in enumerate(self.edges):
-            total += (cap[eid] if eid in capped
-                      else phi[at + config[u] * dv + config[v]])
+            if eid == next_cap:
+                total += cap[eid]
+                next_cap = next(capped, None)
+            else:
+                total += phi[at + config[u] * dv + config[v]]
         return total
 
     def to_dict(self) -> dict:
@@ -247,44 +248,36 @@ def ising_grid(rows: int, cols: int, sigma: float = 0.5,
 
 @dataclass
 class Forest:
-    """Rooted spanning forest over a set of free nodes."""
+    """Rooted spanning forest over a set of free nodes, its lists indexed
+    by node, None off the forest.  An edge is on the forest iff it is the
+    edge_of of one of its ends."""
 
     roots: list[int]
-    parent: dict[int, int | None]
-    children: dict[int, list[int]]
-    edge_of: dict[int, int]  # node -> model edge id linking it to its parent
+    parent: list[int | None]  # None at a root
+    children: list[list[int] | None]
+    edge_of: list[int | None]  # model edge id to the parent, None at a root
     order: list[int]  # preorder, roots first
-    edge_ids: frozenset[int]  # the values of edge_of
-    # node -> phi of its edge as rows over its values, one per value of
-    # its parent: filled by the bounds on first use, kept by without(); a
-    # forest's edge ids are one model's, so its rows are too
-    rows: dict[int, list] = field(default_factory=dict, compare=False,
-                                  repr=False)
 
     def without(self, node: int) -> "Forest":
         """The forest after deleting one node: its children become roots,
-        and _rooted walks the preorder again from the sorted roots.  Only
-        the children list of node's parent changes; every other list is
+        and _rooted walks the preorder again from the sorted roots.  Of the
+        children lists only that of node's parent changes; every other is
         shared, as a forest's structure never changes once built."""
-        if node not in self.parent:
+        if node not in self.order:
             raise KeyError(f"node {node} not in forest")
-        parent, children = dict(self.parent), dict(self.children)
-        edge_of, rows = dict(self.edge_of), dict(self.rows)
-        up = parent.pop(node)
-        edge_of.pop(node, None)
-        rows.pop(node, None)
-        kids = children.pop(node)
+        parent, children = list(self.parent), list(self.children)
+        edge_of = list(self.edge_of)
+        up, kids = parent[node], children[node]
+        parent[node] = children[node] = edge_of[node] = None
         if up is not None:
             children[up] = [c for c in children[up] if c != node]
         for c in kids:
-            parent[c] = None
-            del edge_of[c]
-            rows.pop(c, None)
+            parent[c] = edge_of[c] = None
         roots = sorted([r for r in self.roots if r != node] + kids)
-        return _rooted(roots, parent, children, edge_of, rows)
+        return _rooted(roots, parent, children, edge_of)
 
 
-def _rooted(roots, parent, children, edge_of, rows) -> Forest:
+def _rooted(roots, parent, children, edge_of) -> Forest:
     order = []
     for r in roots:
         stack = [r]
@@ -293,8 +286,7 @@ def _rooted(roots, parent, children, edge_of, rows) -> Forest:
             order.append(j)
             stack.extend(sorted(children[j], reverse=True))
     return Forest(roots=roots, parent=parent, children=children,
-                  edge_of=edge_of, order=order,
-                  edge_ids=frozenset(edge_of.values()), rows=rows)
+                  edge_of=edge_of, order=order)
 
 
 def max_spanning_forest(model: PairwiseModel, free) -> Forest:
@@ -307,26 +299,25 @@ def max_spanning_forest(model: PairwiseModel, free) -> Forest:
     key (-range, edge id)), and each node is linked to its tree as it
     joins, so its parent's children list is in joining order.
     """
-    free = set(free)
-    roots, parent, children, edge_of = [], {}, {}, {}
+    roots, free = [], set(free)
+    parent, children, edge_of = [[None] * model.n_nodes for _ in range(3)]
     for start in sorted(free):
-        if start in parent:
+        if children[start] is not None:
             continue
         roots.append(start)
         heap = [(0.0, None, None, start)]  # (-range, edge id, inside, node)
         while heap:
             _, eid, inside, j = heapq.heappop(heap)
-            if j in parent:
+            if children[j] is not None:
                 continue
-            parent[j], children[j] = inside, []
+            parent[j], children[j], edge_of[j] = inside, [], eid
             if inside is not None:
                 children[inside].append(j)
-                edge_of[j] = eid
             for e, other in model.adjacency[j]:
-                if other in free and other not in parent:
+                if other in free and children[other] is None:
                     heapq.heappush(
                         heap, (-model.phi_range_log[e], e, j, other))
-    return _rooted(roots, parent, children, edge_of, {})
+    return _rooted(roots, parent, children, edge_of)
 
 
 class _Split(NamedTuple):
@@ -335,7 +326,7 @@ class _Split(NamedTuple):
 
     node: int
     free: list[int]
-    eff: dict[int, Sequence[float]]  # the leaf's unaries but node's
+    eff: list[Sequence[float] | None]  # the leaf's unaries, None at node
     touched: list[int]  # node's free neighbours, whose unaries change
     # touched, the nodes whose children or forest edge differ from the
     # leaf's, and their ancestors in the children's forest, in pass order
@@ -343,6 +334,7 @@ class _Split(NamedTuple):
     retest: list[int]  # node's edge ids, and those that entered or left
     kept: set[int]  # the leaf's const ids off retest
     base: dict[str, tuple | None]  # the leaf's passes, as _base
+    rows: dict[tuple[int, int], list]  # the partition's edge rows
 
 
 class SubspaceProposal:
@@ -372,27 +364,29 @@ class SubspaceProposal:
             if forest is None:
                 forest = max_spanning_forest(model, self.free)
             touched, retest, kept = self.free, range(len(model.edges)), set()
-            self.eff: dict[int, Sequence[float]] = {}
+            self.eff: list[Sequence[float] | None] = [None] * model.n_nodes
             self._base: dict[str, tuple | None] = {"sum": None, "max": None}
+            self._rows: dict[tuple[int, int], list] = {}  # see _edge_rows
         else:
             self.free, touched = _split.free, _split.touched
             retest, kept = _split.retest, _split.kept
-            self.eff = dict(_split.eff)
+            self.eff = list(_split.eff)
             self._base = dict(_split.base)
+            self._rows = _split.rows
         # the split node and the changed set, for passes from _base; not
-        # _split, whose base would keep the leaf's dicts after the passes
+        # _split, whose base would keep the leaf's lists after the passes
         self._cut = None if _split is None else (_split.node, _split.changed)
         for j in touched:
             self.eff[j] = self._eff_row(j)
         self.forest = forest
         # the edges const sums: both ends assigned, or both free and off
         # the forest
-        edges, assigned = model.edges, self.assigned
+        edges, assigned, edge_of = model.edges, self.assigned, forest.edge_of
         self._const_ids = sorted(kept.union(
-            eid for eid in retest if eid not in forest.edge_ids and
-            (edges[eid].u in assigned) == (edges[eid].v in assigned)))
-        psi, phi = model._psi, model._phi
-        const = 0.0
+            eid for eid in retest
+            if eid != edge_of[edges[eid].u] and eid != edge_of[edges[eid].v]
+            and (edges[eid].u in assigned) == (edges[eid].v in assigned)))
+        psi, phi, const = model._psi, model._phi, 0.0
         for i in sorted(assigned):
             const += psi[i][assigned[i]]
         self.offtree_ids: list[int] = []
@@ -404,16 +398,15 @@ class SubspaceProposal:
                 self.offtree_ids.append(eid)
                 const += model.phi_max_log[eid]
         self.const = const
-        self._capped = frozenset(self.offtree_ids)
         # a leaf is never mutated once built, so its passes and scalars
-        # are computed at most once
-        self._beta: dict[str, dict[int, Sequence[float]] | None] = {
+        # are computed at most once; per semiring, lists indexed by node
+        self._beta: dict[str, list[Sequence[float] | None] | None] = {
             "sum": None, "max": None}
         # per semiring, each non-root node's message to its forest parent
-        self._msg: dict[str, dict[int, list[float]] | None] = {
+        self._msg: dict[str, list[list[float] | None] | None] = {
             "sum": None, "max": None}
-        # per semiring, node -> {parent value, None at a root -> CDF or pick}
-        self._memo: dict[str, dict[int, dict] | None] = {
+        # per semiring, per node {parent value, None at a root -> CDF or pick}
+        self._memo: dict[str, list[dict | None] | None] = {
             "sum": None, "max": None}
         self._mass_log: float | None = None
         self._max_log: float | None = None
@@ -425,7 +418,7 @@ class SubspaceProposal:
         this bound's forest minus node.  On either, split derives once
         what they share (see the module docstring).  Raises ValueError
         when node is not free here."""
-        if node not in self.forest.parent:
+        if node not in self.free:
             raise ValueError(f"node {node} is not free in this subspace")
         old = self.forest
         adjacency = self.model.adjacency[node]
@@ -437,23 +430,24 @@ class SubspaceProposal:
         else:
             moved = [j for j in forest.order
                      if forest.children[j] != old.children[j]
-                     or forest.edge_of.get(j) != old.edge_of.get(j)]
-            retest += old.edge_ids ^ forest.edge_ids
-        touched = [v for _, v in adjacency if v in forest.parent]
+                     or forest.edge_of[j] != old.edge_of[j]]
+            retest += [e for j in moved for e in (old.edge_of[j],
+                       forest.edge_of[j]) if e is not None]
+        touched = [v for _, v in adjacency if forest.children[v] is not None]
         changed = set()
         for j in touched + moved:
             while j is not None and j not in changed:
                 changed.add(j)
                 j = forest.parent[j]
-        eff = dict(self.eff)
-        del eff[node]
+        eff = list(self.eff)
+        eff[node] = None
         split = _Split(
             node, [j for j in self.free if j != node], eff, touched,
             [j for j in reversed(forest.order) if j in changed], retest,
             set(self._const_ids).difference(retest),
             {sr: None if self._beta[sr] is None else
              (self._beta[sr], self._msg[sr], self._memo[sr])
-             for sr in ("sum", "max")})
+             for sr in ("sum", "max")}, self._rows)
         return [SubspaceProposal(self.model, {**self.assigned, node: v},
                                  forest, _split=split)
                 for v in range(self.model.domains[node])]
@@ -461,40 +455,43 @@ class SubspaceProposal:
     def _eff_row(self, j: int) -> Sequence[float]:
         """Free node j's unary: log psi_j plus the row of each factor to an
         assigned neighbour, added in edge-id order."""
-        model, assigned = self.model, self.assigned
-        b = model._psi[j]
-        for eid, other in model.adjacency[j]:
+        assigned = self.assigned
+        b = self.model._psi[j]
+        for eid, other in self.model.adjacency[j]:
             if other in assigned:
-                b = list(map(add, b, model._row(eid, j, assigned[other])))
+                b = list(map(add, b, self._edge_rows(eid, j)[assigned[other]]))
         return b
+
+    def _edge_rows(self, eid: int, j: int) -> list[tuple[float, ...]]:
+        """model._rows(eid, j), made once per partition: every bound split
+        from the same root reads the root's dict."""
+        rows = self._rows.get((eid, j))
+        if rows is None:
+            rows = self._rows[eid, j] = self.model._rows(eid, j)
+        return rows
 
     # -- tree passes ---------------------------------------------------------
 
     def _edge_to_parent(self, child: int) -> list[tuple[float, ...]]:
         """phi of child's forest edge as rows over child's values, one per
-        value of its parent, kept on the forest once made."""
-        rows = self.forest.rows.get(child)
-        if rows is None:
-            rows = self.forest.rows[child] = self.model._rows(
-                self.forest.edge_of[child], child)
-        return rows
+        value of its parent."""
+        return self._edge_rows(self.forest.edge_of[child], child)
 
-    def _pass(self, semiring: str, eff: dict[int, Sequence[float]],
-              base: tuple | None) -> tuple[dict, dict, dict]:
-        """Backward pass in the semiring over the unaries eff: (beta per
-        node, each non-root node's message, each node's memo), computing
-        every node, or with base, the split leaf's three dicts, copying
-        them without the split node and computing the changed set only,
-        where a new root drops its message.  Computed memos start empty."""
+    def _pass(self, semiring: str, eff: list[Sequence[float] | None],
+              base: tuple | None) -> tuple[list, list, list]:
+        """Backward pass in the semiring over the unaries eff: lists of
+        each node's beta, message (None at a root) and memo, computing every
+        node, or with base, the split leaf's three lists, copying them with
+        the split node cleared and computing the changed set only, where a
+        new root clears its message.  Computed memos start empty."""
         parent, children = self.forest.parent, self.forest.children
         if base is None:
-            beta, msg, memo = {}, {}, {}
+            beta, msg, memo = [[None] * self.model.n_nodes for _ in range(3)]
             nodes = reversed(self.forest.order)
         else:
             node, nodes = self._cut
-            beta, msg, memo = map(dict, base)
-            del beta[node], memo[node]
-            msg.pop(node, None)
+            beta, msg, memo = map(list, base)
+            beta[node] = msg[node] = memo[node] = None
         for j in nodes:
             memo[j] = {}
             b = eff[j]
@@ -502,7 +499,7 @@ class SubspaceProposal:
                 b = list(map(add, b, msg[c]))
             beta[j] = b
             if parent[j] is None:
-                msg.pop(j, None)
+                msg[j] = None
                 continue
             rows = self._edge_to_parent(j)
             if semiring == "max":
@@ -512,7 +509,7 @@ class SubspaceProposal:
                     [list(map(add, b, row)) for row in rows], axis=1).tolist()
         return beta, msg, memo
 
-    def _fold(self, semiring: str, beta: dict[int, Sequence[float]]
+    def _fold(self, semiring: str, beta: list[Sequence[float] | None]
               ) -> float:
         """const plus each root's reduced beta, in root order."""
         total = self.const
@@ -521,7 +518,7 @@ class SubspaceProposal:
                       else float(np.logaddexp.reduce(beta[r])))
         return total
 
-    def beta(self, semiring: str) -> dict[int, Sequence[float]]:
+    def beta(self, semiring: str) -> list[Sequence[float] | None]:
         if self._beta[semiring] is None:
             (self._beta[semiring], self._msg[semiring],
              self._memo[semiring]) = self._pass(
@@ -546,7 +543,7 @@ class SubspaceProposal:
         with each off-tree edge at its max entry, so score(x) >= log_p(x)
         bit for bit, with equality when every off-tree edge is at its max
         at x."""
-        return self.model._log_sum(config, self._capped)
+        return self.model._log_sum(config, self.offtree_ids)
 
     def slack(self, config) -> dict[int, float]:
         """Per free node, the sum over its off-tree edges of how far each
@@ -567,12 +564,12 @@ class SubspaceProposal:
         return tuple(self.assigned.get(i, values.get(i))
                      for i in range(self.model.n_nodes))
 
-    def _descend(self, pick, memo: dict[int, dict] | None = None
+    def _descend(self, pick, memo: list[dict | None] | None = None
                  ) -> dict | None:
         """Preorder walk setting each node j to pick(j, key), key being the
         parent's value or None at a root; None as soon as pick returns None.
-        With memo (node -> {key -> pick}) a pick already made for the same
-        key is read back instead of computed."""
+        With memo (per node, {key -> pick}) a pick already made for the
+        same key is read back instead of computed."""
         values = {}
         for j in self.forest.order:
             p = self.forest.parent[j]
@@ -588,7 +585,7 @@ class SubspaceProposal:
             values[j] = v
         return values
 
-    def _logits(self, beta: dict[int, Sequence[float]], j: int, key
+    def _logits(self, beta: list[Sequence[float] | None], j: int, key
                 ) -> Sequence[float]:
         """beta[j] plus j's forest edge at its parent's value key, or
         beta[j] alone at a root (key None)."""
@@ -623,7 +620,7 @@ class SubspaceProposal:
         are added: that only removes candidates from max reductions, so
         every surviving assignment accumulates exactly the floats of the
         unclamped pass, and equality against the unclamped max is exact."""
-        eff = dict(self.eff)
+        eff = list(self.eff)
         for j, v in clamps.items():
             eff[j] = [x + (0.0 if i == v else -math.inf)
                       for i, x in enumerate(eff[j])]

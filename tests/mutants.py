@@ -40,9 +40,13 @@ REJECTS = "tests/test_automaton.py::test_every_reject_reaches_a_refinement"
 MUTANTS = {
     "log_sum_cap": (
         "graphical.py",
-        "            total += (cap[eid] if eid in capped\n"
-        "                      else phi[at + config[u] * dv + config[v]])\n",
-        "            total += phi[at + config[u] * dv + config[v]]\n",
+        "                total += cap[eid]\n",
+        "                total += phi[at + config[u] * dv + config[v]]\n",
+        [GRID, GRID_DP, GRID_Z]),
+    "log_sum_cap_cursor_stuck": (
+        "graphical.py",
+        "                next_cap = next(capped, None)\n",
+        "",
         [GRID, GRID_DP, GRID_Z]),
     "const_ids_retest": (
         "graphical.py",
@@ -77,20 +81,29 @@ MUTANTS = {
         [FRESH, GRID, GRID_DP, GRID_Z]),
     "fresh_split_keeps_old_const_verdicts": (
         "graphical.py",
-        "            retest += old.edge_ids ^ forest.edge_ids\n",
+        "            retest += [e for j in moved for e in (old.edge_of[j],\n"
+        "                       forest.edge_of[j]) if e is not None]\n",
         "",
         [FRESH, GRID]),
     "split_node_kept_in_copies": (
         "graphical.py",
-        "            del beta[node], memo[node]\n"
-        "            msg.pop(node, None)\n",
+        "            beta[node] = msg[node] = memo[node] = None\n",
         "",
         [FRESH]),
     "new_root_keeps_message": (
         "graphical.py",
-        "                msg.pop(j, None)\n",
+        "                msg[j] = None\n",
         "",
         [FRESH]),
+    "edge_rows_keyed_by_edge_only": (
+        "graphical.py",
+        "        rows = self._rows.get((eid, j))\n"
+        "        if rows is None:\n"
+        "            rows = self._rows[eid, j] = ",
+        "        rows = self._rows.get(eid)\n"
+        "        if rows is None:\n"
+        "            rows = self._rows[eid] = ",
+        [FRESH, GRID]),
     "memo_read_from_base_in_changed_set": (
         "graphical.py",
         "            memo[j] = {}\n",
@@ -98,7 +111,7 @@ MUTANTS = {
         [GRID, GRID_Z]),
     "split_accepts_a_node_that_is_not_free": (
         "graphical.py",
-        "        if node not in self.forest.parent:\n",
+        "        if node not in self.free:\n",
         "        if False:\n",
         [SPLIT]),
     "argmax_clamped_fallback_skipped": (

@@ -348,6 +348,17 @@ def test_bad_sigma_is_a_clean_error(capsys, command, sigma):
     assert out == "" and err.startswith("error: sigma must be finite")
 
 
+@pytest.mark.parametrize("command, flag, seed", [
+    (["gm", "optimize"], "--model-seed", "-1"),
+    (["gen", "ising"], "--seed", "-3")])
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, command,
+                                                        flag, seed):
+    assert main(command + ["--grid", "2x2", flag, seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:")
+    assert f"error: argument {flag}: expected a non-negative integer" in err
+
+
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -15,6 +15,11 @@ def all_configs(model):
     return list(itertools.product(*[range(d) for d in model.domains]))
 
 
+def held(seq) -> dict:
+    """The entries of a list indexed by node that are not None, by node."""
+    return {j: x for j, x in enumerate(seq) if x is not None}
+
+
 def triangle():
     rng = np.random.default_rng(42)
     return PairwiseModel(
@@ -129,17 +134,19 @@ def rng_free_model(ranges):
 
 def test_prim_keeps_largest_ranges():
     m = rng_free_model([3.0, 1.0, 2.0])
-    assert max_spanning_forest(m, range(m.n_nodes)).edge_ids == {0, 2}
+    forest = max_spanning_forest(m, range(m.n_nodes))
+    assert set(held(forest.edge_of).values()) == {0, 2}
     # all ranges equal: ties resolved toward the smallest edge id
     m = rng_free_model([1.0, 1.0, 1.0])
-    assert max_spanning_forest(m, range(m.n_nodes)).edge_ids == {0, 1}
+    forest = max_spanning_forest(m, range(m.n_nodes))
+    assert set(held(forest.edge_of).values()) == {0, 1}
 
 
 def test_disconnected_graph_rejected_but_forest_allowed():
     m = PairwiseModel([2, 2, 2], [[0, 0]] * 3, [(0, 1, [[0, 1], [1, 0]])])
     forest = max_spanning_forest(m, [0, 1, 2])
     assert forest.roots == [0, 2]
-    assert forest.edge_ids == {0}
+    assert set(held(forest.edge_of).values()) == {0}
 
 
 def test_tree_structured_model_is_bounded_exactly():
@@ -204,22 +211,23 @@ def test_forest_without_node():
             assert g.order.index(p) < g.order.index(j)
             e = m.edges[g.edge_of[j]]
             assert {e.u, e.v} == {j, p}
-    assert 4 not in g.parent and 4 not in g.children
+    assert g.parent[4] is None and g.children[4] is None
+    assert g.edge_of[4] is None
     with pytest.raises(KeyError, match="node 4 not in forest"):
         g.without(4)
 
 
 def reference_without(f, node):
     """Forest.without by comprehensions: fresh copies of every list, and
-    the preorder of the sorted roots walked again."""
-    parent = {j: p for j, p in f.parent.items() if j != node}
+    the preorder of the sorted roots walked again.  parent and edge_of
+    hold the non-roots, children every node of the forest."""
+    parent = {j: p for j, p in held(f.parent).items() if j != node}
     children = {j: [c for c in cs if c != node]
-                for j, cs in f.children.items() if j != node}
-    edge_of = {j: e for j, e in f.edge_of.items() if j != node}
+                for j, cs in held(f.children).items() if j != node}
+    edge_of = {j: e for j, e in held(f.edge_of).items() if j != node}
     roots = [r for r in f.roots if r != node]
     for c in f.children[node]:
-        parent[c] = None
-        edge_of.pop(c, None)
+        del parent[c], edge_of[c]
         roots.append(c)
     roots.sort()
     order = []
@@ -240,7 +248,7 @@ def test_forest_without_matches_the_comprehensions(shape, seed):
     full = max_spanning_forest(m, range(m.n_nodes))
     # every node of the full forest, then every node of forests cut from
     # it, whose lists are shared with the full forest's and which have
-    # several roots; each forest first holds the edge rows of a max pass
+    # several roots
     forests = [full]
     for _ in range(3):
         f = forests[-1]
@@ -250,18 +258,13 @@ def test_forest_without_matches_the_comprehensions(shape, seed):
     assert len(forests[-1].roots) > 3
     hit = set()
     for f in forests:
-        SubspaceProposal(m, {j: 0 for j in range(m.n_nodes)
-                             if j not in f.parent}, f).beta("max")
         for k in f.order:
             g = f.without(k)
             roots, parent, children, edge_of, order = reference_without(f, k)
             assert g.order == order and g.roots == roots
-            assert g.parent == parent and g.children == children
-            assert g.edge_of == edge_of
-            assert g.edge_ids == frozenset(edge_of.values())
-            # the cached rows of every node that keeps its edge, shared
-            assert g.rows.keys() == f.rows.keys() - {k, *f.children[k]}
-            assert all(g.rows[j] is f.rows[j] for j in g.rows)
+            assert held(g.parent) == parent
+            assert held(g.children) == children
+            assert held(g.edge_of) == edge_of
             hit.add("root" if f.parent[k] is None else
                     "inner" if f.children[k] else "leaf")
     assert hit == {"root", "inner", "leaf"}
@@ -270,7 +273,8 @@ def test_forest_without_matches_the_comprehensions(shape, seed):
 def reference_forest(model, free):
     """The quadratic Prim scan: per component from its smallest free node,
     rescan every tree node's edges for the crossing edge of largest
-    (range, -edge id), then link the chosen edges in the order chosen."""
+    (range, -edge id), then link the chosen edges in the order chosen.
+    parent and edge_of hold the non-roots, children every free node."""
     free = set(free)
     roots, parent, children, edge_of = [], {}, {}, {}
     for start in sorted(free):
@@ -292,7 +296,6 @@ def reference_forest(model, free):
             in_tree.add(outside)
             chosen.append((eid, inside, outside))
         roots.append(start)
-        parent[start] = None
         for j in in_tree:
             children[j] = []
         for eid, inside, outside in chosen:
@@ -342,11 +345,11 @@ def test_max_spanning_forest_matches_the_quadratic_scan(case):
     f = max_spanning_forest(m, free)
     roots, parent, children, edge_of, order = reference_forest(m, free)
     assert f.roots == roots
-    assert f.parent == parent
-    assert f.edge_of == edge_of
-    assert f.children == children  # lists in order: messages add in it
+    assert held(f.parent) == parent
+    assert held(f.edge_of) == edge_of
+    # lists in order: messages add in it
+    assert held(f.children) == children
     assert f.order == order
-    assert f.edge_ids == set(edge_of.values())
 
 
 def test_split_rejects_a_node_that_is_not_free():
@@ -490,7 +493,7 @@ def reference_const(leaf):
         if e.u in a and e.v in a:
             const += np.array(m.log_phi(eid))[a[e.u], a[e.v]]
         elif e.u not in a and e.v not in a and \
-                eid not in leaf.forest.edge_ids:
+                eid not in held(leaf.forest.edge_of).values():
             const += np.array(m.log_phi(eid)).max()
             capped.add(eid)
     return float(const), capped
@@ -543,7 +546,7 @@ def test_rows_equal_the_numpy_pass_bit_for_bit(model):
             beta, msg, want = reference_pass(leaf, sr)
             assert all(bits(leaf.beta(sr)[j]) == bits(beta[j])
                        for j in leaf.free)
-            assert leaf._msg[sr].keys() == msg.keys()
+            assert held(leaf._msg[sr]).keys() == msg.keys()
             assert all(bits(leaf._msg[sr][j]) == bits(msg[j]) for j in msg)
             assert fold().hex() == want.hex()
         for _ in range(4):

@@ -17,7 +17,7 @@ from osstar.piecewise import (AlreadyConditioned, ImprovementQueue,
                               PolicyRefiner, policy_bench,
                               select_refinement, write_bench_csv)
 
-from test_graphical import all_configs
+from test_graphical import all_configs, held
 
 
 def logsumexp(vals):
@@ -450,7 +450,7 @@ def test_memoised_cdfs_equal_fresh_numpy_cdfs(policy, retree):
 
     def audit(proposal):
         for leaf in proposal.leaves.values():
-            for j, cdfs in (leaf._memo["sum"] or {}).items():
+            for j, cdfs in held(leaf._memo["sum"] or []).items():
                 for key, cdf in cdfs.items():
                     fresh = node_cdf(leaf, j, key).tolist()
                     assert list(map(float.hex, cdf)) == \
@@ -488,29 +488,30 @@ def assert_leaves_match_fresh_builds(m, proposal):
         assert leaf.free == fresh.free
         assert leaf.const.hex() == fresh.const.hex()
         assert leaf.offtree_ids == fresh.offtree_ids
-        assert leaf.eff.keys() == fresh.eff.keys()
+        assert held(leaf.eff).keys() == held(fresh.eff).keys()
         assert all(np.array_equal(leaf.eff[j], fresh.eff[j])
-                   for j in fresh.eff)
+                   for j in held(fresh.eff))
         for semiring in ("sum", "max"):
             if leaf._beta[semiring] is None:
                 continue
-            want, msg, _ = fresh._pass(semiring, fresh.eff, None)
-            got = leaf.beta(semiring)
+            want, msg, _ = map(held, fresh._pass(semiring, fresh.eff, None))
+            got = held(leaf.beta(semiring))
             assert got.keys() == want.keys() and \
-                leaf._msg[semiring].keys() == msg.keys()
+                held(leaf._msg[semiring]).keys() == msg.keys()
             assert all(np.array_equal(got[j], want[j]) for j in want)
             assert all(np.array_equal(leaf._msg[semiring][j], msg[j])
                        for j in msg)
         if leaf._memo["sum"] is not None:
-            assert leaf._memo["sum"].keys() == set(fresh.free)
+            assert held(leaf._memo["sum"]).keys() == set(fresh.free)
             assert all(list(map(float.hex, cdf)) ==
                        list(map(float.hex, node_cdf(fresh, j, key).tolist()))
-                       for j, cdfs in leaf._memo["sum"].items()
+                       for j, cdfs in held(leaf._memo["sum"]).items()
                        for key, cdf in cdfs.items())
         assert leaf.argmax() == fresh.argmax()
-        assert leaf._memo["max"].keys() == fresh._memo["max"].keys()
+        assert held(leaf._memo["max"]).keys() == \
+            held(fresh._memo["max"]).keys()
         assert all(v == numpy_pick(fresh, j, key)
-                   for j, picks in leaf._memo["max"].items()
+                   for j, picks in held(leaf._memo["max"]).items()
                    for key, v in picks.items())
 
 
@@ -676,9 +677,33 @@ def test_retree_run_builds_only_the_root_in_full(mode, policy, monkeypatch):
     assert full == [True] + [False] * (pw.bound_builds - 1)
 
 
+def test_retree_run_reads_each_edge_row_once(monkeypatch):
+    # the bounds of one partition, the children split derives on fresh
+    # forests included, share one edge-row cache: an 8x8 retree MAP run,
+    # seeded as `osstar gm optimize --grid 8x8 --retree` seeds it, reads
+    # the model's rows of each (edge, end) at most once
+    made = Counter()
+    rows = PairwiseModel._rows
+
+    def counting(self, eid, j):
+        made[eid, j] += 1
+        return rows(self, eid, j)
+
+    monkeypatch.setattr(PairwiseModel, "_rows", counting)
+    m = ising_grid(8, 8, sigma=0.5, seed=0)
+    pw = PiecewiseProposal(m, retree=True)
+    trial_seed, policy_seed = np.random.SeedSequence(0).spawn(2)
+    res = engine.run(Mode.OPTIMIZATION, m.log_p, pw,
+                     PolicyRefiner(pw, Policy.MAX_SLACK, seed=policy_seed),
+                     StopConfig(), trial_seed)
+    assert res.history.refine_count > 0
+    assert made and set(made.values()) == {1}
+    assert sum(made.values()) <= 2 * len(m.edges) == 224
+
+
 def subtree(forest, j):
     """j's subtree in forest as nested (node, edge id, children) tuples."""
-    return (j, forest.edge_of.get(j),
+    return (j, forest.edge_of[j],
             tuple(subtree(forest, c) for c in forest.children[j]))
 
 
