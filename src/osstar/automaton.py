@@ -372,10 +372,12 @@ def _add_state(q: QAutomaton, words: tuple, rows: list[int], i: int,
 
 
 def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int], i: int,
-               floor: float) -> None:
+               floor: float, read: tuple[int, float] | None = None) -> None:
     """Deepen the rejected path's edge at position i until its weight drops
     by more than floor (or the context order is exhausted).  rows is the
-    path's state rows, kept current as states are added."""
+    path's state rows, kept current as states are added.  read is an
+    (order, bound) pair already read at i: the bound is used, not read
+    again, while the edge's order is still that order."""
     layer = q.contexts[i]
     w = rejected[i]
     j = layer.col[w]
@@ -386,7 +388,9 @@ def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int], i: int,
         new_ctx = tuple(rejected[i - order:i])
         if len(layer.ctxs[rows[i]]) < order:
             _add_state(q, rejected, rows, i, new_ctx)
-        weight = q.tables.value(w, new_ctx, full) + q.pobs[i][w]
+        bound = (read[1] if read is not None and read[0] == order
+                 else q.tables.value(w, new_ctx, full))
+        weight = bound + q.pobs[i][w]
         layer.order[rows[i], j] = order + 1
         layer.weight[rows[i], j] = weight
         if weight < old_weight - floor or order + 1 > full:
@@ -426,9 +430,9 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     rows = last[2] if walked else q.path_rows(rejected)
     decoded = walked and last[0] == "max"
     # one scan of the positions whose edge on the path is below full order:
-    # each such edge's weight, the loose sites and the largest gap among
-    # them (leftmost on ties)
-    sites, loose = [], []
+    # each such edge's weight and next-order bound, the loose sites and the
+    # largest gap among them (leftmost on ties)
+    sites, loose, read = [], [], {}
     best_i, best_gap = None, 1e-12
     for i, (w, row) in enumerate(zip(rejected, rows)):
         layer = q.contexts[i]
@@ -439,8 +443,9 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
             continue
         weight = layer.weight.item(row, j)
         sites.append((i, weight))
-        gap = weight - q.pobs[i][w] - q.tables.value(
-            w, tuple(rejected[i - order:i]), full)
+        bound = q.tables.value(w, tuple(rejected[i - order:i]), full)
+        read[i] = order, bound
+        gap = weight - q.pobs[i][w] - bound
         if gap > 1e-12:
             loose.append(i)
         if gap > best_gap + 1e-15:
@@ -467,7 +472,7 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
                 raise NoRefinementAvailable(
                     "rejected path already scores its exact probability")
     for i in deepen:
-        _deepen_at(q, rejected, rows, i, floor)
+        _deepen_at(q, rejected, rows, i, floor, read[i])
     return q
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import csv
 import enum
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +61,24 @@ def pick(cdf: list[float], rng) -> int:
     separate total (a pairwise sum can exceed it), r < cdf[-1]: the entry
     picked exists and rises there, so its value has nonzero probability."""
     return bisect.bisect_right(cdf, rng.random() * cdf[-1])
+
+
+def logaddexp(x: float, y: float) -> float:
+    """log(exp(x) + exp(y)) by numpy's formula with libm's exp and log1p,
+    so it is np.logaddexp(x, y) bit for bit, on Python floats."""
+    if x == y:  # also equal infinities, whose difference is nan
+        return x + 0.6931471805599453  # log 2, numpy's NPY_LOGE2
+    d = x - y
+    if d > 0:
+        return x + math.log1p(math.exp(-d))
+    if d <= 0:
+        return y + math.log1p(math.exp(d))
+    return d  # nan
+
+
+def log_sum(values) -> float:
+    """np.logaddexp.reduce(values) bit for bit: a left fold from -inf."""
+    return functools.reduce(logaddexp, values, -math.inf)
 
 
 class Mode(enum.Enum):
@@ -98,8 +116,7 @@ class TrialRecord:
 @dataclass
 class History:
     """Per-trial records, refinement cost bookkeeping and the running
-    totals behind the estimators.  Counts are updated as each trial is
-    committed; the Z-hat sum catches up on its next read.
+    totals behind the estimators, each updated as a trial is committed.
 
     `window` is the length of the windowed acceptance rate that metrics()
     reports; a run takes it from its StopConfig.
@@ -113,9 +130,7 @@ class History:
     window: int = 100
     accept_count: int = 0
     window_accepts: int = 0
-    # log of the sum of r_t * Q_t(X) over the first _z_count trials
-    _z_sum_log: float = -math.inf
-    _z_count: int = 0
+    _z_sum_log: float = -math.inf  # the total z_sum_log() returns
 
     def __post_init__(self):
         # append() keeps window_accepts for this window, and a window
@@ -134,18 +149,14 @@ class History:
         self.window_accepts += record.accepted
         if len(self.records) > self.window:
             self.window_accepts -= self.records[-self.window - 1].accepted
+        self._z_sum_log = logaddexp(
+            self._z_sum_log,
+            min(0.0, record.log_p - record.log_q) + record.proposal_mass_log)
 
     def z_sum_log(self) -> float:
         """log of the sum of r_t * Q_t(X) over all trials, added in trial
-        order; each trial is folded in once, on the first call after it.
-        A trial without a mass (nan) makes the sum nan."""
-        with np.errstate(invalid="ignore"):
-            for r in itertools.islice(self.records, self._z_count, None):
-                self._z_sum_log = np.logaddexp(
-                    self._z_sum_log,
-                    min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
-        self._z_count = len(self.records)
-        return float(self._z_sum_log)
+        order.  A trial without a mass (nan) makes the sum nan."""
+        return self._z_sum_log
 
     def add_refinement(self, cost: float) -> None:
         self.refine_count += 1

@@ -31,15 +31,15 @@ same float additions, so a child and a full build agree bit for bit.
 The potentials and every per-node row of a bound (unaries, beta rows,
 messages, argmax logits) are Python floats: on small domains numpy's
 per-call cost dwarfs the arithmetic.  They are the floats numpy would
-give.  An IEEE sum or max of two doubles is exact per element, so the
-max pass reduces each column with the builtin max and every other row is
-added element by element in numpy's order.  The sum pass reduces each
-node's (parent value x child value) block with one np.logaddexp.reduce,
-the sequential ufunc numpy's formulation calls.  The one difference is
-the sign of a zero where a max ties -0.0 with +0.0, which no comparison
-and no later sum can see.  A model whose largest magnitudes overflow when
-summed is rejected, so no pass meets inf or nan, which the builtin max,
-unlike np.maximum, would not carry.
+give.  An IEEE sum or max of two doubles is exact per element, so rows
+are added element by element in numpy's order, and both passes reduce
+each row with one fold chosen by the semiring: the builtin max, or
+engine.log_sum, np.logaddexp.reduce's left fold on Python floats with
+the same libm exp and log1p.  The one difference is the sign of a zero
+where a max ties -0.0 with +0.0, which no comparison and no later sum can
+see.  A model whose largest magnitudes overflow when summed is rejected,
+so no pass meets inf or nan, which the builtin max, unlike np.maximum,
+would not carry.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import pick, tie_tolerance
+from .engine import log_sum, pick, tie_tolerance
 
 
 class ModelEdge(NamedTuple):
@@ -337,6 +337,9 @@ class _Split(NamedTuple):
     rows: dict[tuple[int, int], list]  # the partition's edge rows
 
 
+_FOLDS = {"max": max, "sum": log_sum}  # a pass's row reduction
+
+
 class SubspaceProposal:
     """Tree-exact upper bound on p restricted to one assignment subspace.
 
@@ -485,6 +488,7 @@ class SubspaceProposal:
         the split node cleared and computing the changed set only, where a
         new root clears its message.  Computed memos start empty."""
         parent, children = self.forest.parent, self.forest.children
+        fold = _FOLDS[semiring]
         if base is None:
             beta, msg, memo = [[None] * self.model.n_nodes for _ in range(3)]
             nodes = reversed(self.forest.order)
@@ -501,12 +505,8 @@ class SubspaceProposal:
             if parent[j] is None:
                 msg[j] = None
                 continue
-            rows = self._edge_to_parent(j)
-            if semiring == "max":
-                msg[j] = [max(map(add, b, row)) for row in rows]
-            else:
-                msg[j] = np.logaddexp.reduce(
-                    [list(map(add, b, row)) for row in rows], axis=1).tolist()
+            msg[j] = [fold(map(add, b, row))
+                      for row in self._edge_to_parent(j)]
         return beta, msg, memo
 
     def _fold(self, semiring: str, beta: list[Sequence[float] | None]
@@ -514,8 +514,7 @@ class SubspaceProposal:
         """const plus each root's reduced beta, in root order."""
         total = self.const
         for r in self.forest.roots:
-            total += (max(beta[r]) if semiring == "max"
-                      else float(np.logaddexp.reduce(beta[r])))
+            total += _FOLDS[semiring](beta[r])
         return total
 
     def beta(self, semiring: str) -> list[Sequence[float] | None]:

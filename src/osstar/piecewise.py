@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .engine import Mode
+from .engine import Mode, log_sum
 from .graphical import PairwiseModel, SubspaceProposal, max_spanning_forest
 
 # a later reject displaces policy_bench's round pick only when its
@@ -169,7 +169,7 @@ class ImprovementQueue:
     def _improvement_log(self, leaf: SubspaceProposal, node: int) -> float:
         mass = leaf.mass_log()  # first: the children share the leaf's pass
         masses = [c.mass_log() for c in self.proposal._split(leaf, node)]
-        diff = float(np.logaddexp.reduce(masses)) - mass
+        diff = log_sum(masses) - mass
         if diff >= -1e-15:
             return -math.inf
         return mass + math.log1p(-math.exp(diff))

@@ -35,6 +35,9 @@ FRESH = ("tests/test_piecewise.py::"
          "test_shared_children_equal_fresh_builds_on_random_models")
 SPLIT = "tests/test_graphical.py::test_split_rejects_a_node_that_is_not_free"
 REJECTS = "tests/test_automaton.py::test_every_reject_reaches_a_refinement"
+LOGS = "tests/test_engine.py::test_log_sums_equal_numpys_bit_for_bit"
+ROWS = ("tests/test_graphical.py::"
+        "test_rows_equal_the_numpy_pass_bit_for_bit[mixed]")
 
 # name: (file under src/osstar, exact old text, new text, tests that fail)
 MUTANTS = {
@@ -201,6 +204,17 @@ MUTANTS = {
         "        if not record.accepted and refiner is not None:",
         "        if refiner is not None:",
         [SENTENCE, SENTENCE_DP, GRID]),
+    "logaddexp_drops_equal_case": (
+        "engine.py",
+        "    if x == y:  # also equal infinities, whose difference is nan\n"
+        "        return x + 0.6931471805599453  # log 2, numpy's NPY_LOGE2\n",
+        "",
+        [LOGS]),
+    "log_sum_folds_right_to_left": (
+        "engine.py",
+        "    return functools.reduce(logaddexp, values, -math.inf)",
+        "    return functools.reduce(logaddexp, list(values)[::-1], -math.inf)",
+        [LOGS, ROWS]),
     "run_skips_on_refine": (
         "engine.py",
         "            if on_refine is not None:\n"

@@ -644,6 +644,29 @@ def test_refine_walks_the_rejected_path_once(monkeypatch):
     assert q.score(x) < score - 1e-15
 
 
+def test_refine_reads_each_bound_of_a_drawn_path_once(monkeypatch):
+    # the scan reads each site's next-order bound; a deepening takes its
+    # site's first step on that read and reads only for its later steps
+    lm, lattice = lm_and_lattice("sms24")
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    x, _ = am.sample_path(q, np.random.default_rng(0))
+    before = [order for _, order in path_cells(q, x)]
+    reads = []
+    value = MaxBackoffTables.value
+
+    def counting(self, word, context, full_len):
+        reads.append((word, context, full_len))
+        return value(self, word, context, full_len)
+
+    monkeypatch.setattr(MaxBackoffTables, "value", counting)
+    am.refine(q, x)
+    after = [order for _, order in path_cells(q, x)]
+    scanned = sum(order <= q.full_len(i) for i, order in enumerate(before))
+    steps = [b - a for a, b in zip(before, after) if b != a]
+    assert len(steps) >= 2
+    assert len(reads) == scanned + sum(s - 1 for s in steps)
+
+
 @pytest.mark.parametrize("mode", [Mode.SAMPLING, Mode.OPTIMIZATION])
 def test_a_run_refines_on_the_rows_its_trials_walked(mode, monkeypatch):
     # each reject is the path its trial's draw or viterbi just walked, so
@@ -682,9 +705,9 @@ def test_refine_reads_the_rows_viterbi_found(monkeypatch):
     deepened = []
     deepen_at = am._deepen_at
 
-    def recording(q, rejected, rows, i, floor):
+    def recording(q, rejected, rows, i, *rest):
         deepened.append(list(rows))
-        deepen_at(q, rejected, rows, i, floor)
+        deepen_at(q, rejected, rows, i, *rest)
 
     monkeypatch.setattr(am, "_deepen_at", recording)
     am.refine(q, x)
@@ -710,9 +733,9 @@ def test_refine_deepens_every_loose_site_of_a_drawn_path(monkeypatch):
         calls.append(words)
         return path_rows(self, words)
 
-    def recording(q, rejected, rows, i, floor):
+    def recording(q, rejected, rows, i, *rest):
         deepened.append(i)
-        deepen_at(q, rejected, rows, i, floor)
+        deepen_at(q, rejected, rows, i, *rest)
 
     monkeypatch.setattr(am.QAutomaton, "path_rows", counting)
     monkeypatch.setattr(am, "_deepen_at", recording)
@@ -763,9 +786,9 @@ def test_a_decode_deepens_one_site_per_reject_through_near_ties(
         ties.append(got[0])
         return got
 
-    def recording(q, rejected, rows, i, floor):
+    def recording(q, rejected, rows, i, *rest):
         deepened.append(i)
-        deepen_at(q, rejected, rows, i, floor)
+        deepen_at(q, rejected, rows, i, *rest)
 
     class Counting(am.AutomatonRefiner):
         def refine(self, proposal, config):

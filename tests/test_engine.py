@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import osstar
 from osstar import engine
@@ -258,6 +259,59 @@ def test_running_totals_match_a_pass_over_the_records():
         z = np.logaddexp(z, min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
     assert h.z_sum_log() == z
     assert h.accept_count == sum(r.accepted for r in h.records)
+
+
+class UnreadableRecords(list):
+    """Records that can be counted but not read."""
+
+    def __iter__(self):
+        raise AssertionError("the records were iterated")
+
+    def __getitem__(self, index):
+        raise AssertionError("the records were indexed")
+
+
+def test_metrics_read_only_the_running_totals():
+    result = frozen_run(300, seed=9)
+    h, mass = result.history, result.final_proposal.mass_log()
+    z = -math.inf
+    for r in h.records:
+        z = np.logaddexp(z, min(0.0, r.log_p - r.log_q) + r.proposal_mass_log)
+    accepts = [r.accepted for r in h.records]
+    h.records = UnreadableRecords(h.records)
+    m = metrics(h, mass)
+    assert h.z_sum_log() == z
+    assert m.z_hat_log == z - math.log(300)
+    assert m.pi_hat == math.exp(m.z_hat_log - mass)
+    assert m.ar_cumulative == sum(accepts) / 300
+    assert m.ar_window == sum(accepts[-h.window:]) / h.window
+
+
+def bits(value) -> str:
+    """A float's bits as text; every nan reads "nan"."""
+    return float(value).hex()
+
+
+# logs with infinities, nans, near-overflow magnitudes and repeats
+LOGS = st.one_of(st.floats(), st.floats(-40.0, 40.0),
+                 st.sampled_from([-math.inf, math.inf, math.nan, 1e308,
+                                  -1e308, 0.0, -0.0, 1.5]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=st.one_of(st.tuples(LOGS, LOGS), LOGS.map(lambda v: (v, v))),
+       values=st.lists(LOGS, min_size=1, max_size=8))
+@example(pair=(-math.inf, -math.inf), values=[-math.inf, -math.inf])
+@example(pair=(math.inf, math.inf), values=[math.inf, math.inf])
+@example(pair=(math.inf, -math.inf), values=[math.inf, -math.inf])
+@example(pair=(math.nan, 0.0), values=[math.nan, 0.0])
+def test_log_sums_equal_numpys_bit_for_bit(pair, values):
+    # numpy's logaddexp and these call the same libm exp and log1p; numpy
+    # warns on the nans and overflowing differences Python passes silently
+    with np.errstate(all="ignore"):
+        want = np.logaddexp(*pair), np.logaddexp.reduce(np.array(values))
+    got = engine.logaddexp(*pair), engine.log_sum(values)
+    assert list(map(bits, got)) == list(map(bits, want))
 
 
 @pytest.mark.parametrize("bad", [{"ar_window": 0}, {"max_trials": -1},
