@@ -18,14 +18,11 @@ nodes whose children list or forest edge differ from the bound's forest,
 and their ancestors (the changed set, kept in pass order) can change: a
 child builds the neighbours' unaries and, per semiring pass, the set's
 beta rows, messages and memoised draw CDFs or argmax picks, and copies
-every other node's from its parent.  Only k's edges and the edges that
-entered or left the forest can enter or leave the list of factors folded
-into the bound's constant, so a child re-tests those and keeps its
-parent's verdict on the rest, then sums the list in edge-id order.  On
-the forest minus k the only nodes whose children or edge change are k's
-parent and children, free neighbours of k, and only k's edges leave the
-forest, so that split compares no forests.  In a partition only the root
-is a full build, which computes every node and tests every edge: the
+every other node's from its parent.  Every bound, child or not, sums its
+constant in one scan of the model's edges in id order.  On the forest
+minus k the only nodes whose children or edge change are k's parent and
+children, free neighbours of k, so that split compares no forests.  In a
+partition only the root is a full build, which computes every node: the
 same float additions, so a child and a full build agree bit for bit.
 
 The potentials and every per-node row of a bound (unaries, beta rows,
@@ -320,6 +317,15 @@ def max_spanning_forest(model: PairwiseModel, free) -> Forest:
     return _rooted(roots, parent, children, edge_of)
 
 
+class _Pass(NamedTuple):
+    """One semiring pass of a bound, lists indexed by node, None off it."""
+
+    beta: list[Sequence[float] | None]
+    msg: list[list[float] | None]  # to the forest parent, None at a root
+    memo: list[dict | None]  # {parent value, None at a root -> CDF or pick}
+    log: float  # const plus each root's folded beta, in root order
+
+
 class _Split(NamedTuple):
     """What SubspaceProposal.split derives once for all the children, on
     the leaf's forest minus the split node or on a given one alike."""
@@ -331,9 +337,7 @@ class _Split(NamedTuple):
     # touched, the nodes whose children or forest edge differ from the
     # leaf's, and their ancestors in the children's forest, in pass order
     changed: list[int]
-    retest: list[int]  # node's edge ids, and those that entered or left
-    kept: set[int]  # the leaf's const ids off retest
-    base: dict[str, tuple | None]  # the leaf's passes, as _base
+    base: dict[str, _Pass | None]  # the leaf's passes, as _base
     rows: dict[tuple[int, int], list]  # the partition's edge rows
 
 
@@ -352,27 +356,25 @@ class SubspaceProposal:
                  forest: Forest | None = None, _split: _Split | None = None):
         """A bound on the subspace `assigned`, over `forest` or else a
         fresh maximum spanning forest of the free nodes: a full build,
-        which builds every unary, tests every edge for const and passes
-        over every node.  _split, passed only by split, makes the bound a
-        child of the leaf split derived it from: it builds only the
-        unaries of the split node's free neighbours, re-tests only the
-        split's retest edges, and its passes start from the leaf's (see
-        _pass).  Only the root of a partition is a full build.
+        which builds every unary and passes over every node.  _split,
+        passed only by split, makes the bound a child of the leaf split
+        derived it from: it builds only the unaries of the split node's
+        free neighbours, and its passes start from the leaf's (see _pass).
+        Only the root of a partition is a full build.
         """
         self.model = model
-        self.assigned = dict(assigned)
+        self.assigned = assigned = dict(assigned)
         if _split is None:
             self.free = [j for j in range(model.n_nodes)
-                         if j not in self.assigned]
+                         if j not in assigned]
             if forest is None:
                 forest = max_spanning_forest(model, self.free)
-            touched, retest, kept = self.free, range(len(model.edges)), set()
+            touched = self.free
             self.eff: list[Sequence[float] | None] = [None] * model.n_nodes
-            self._base: dict[str, tuple | None] = {"sum": None, "max": None}
+            self._base: dict[str, _Pass | None] = {"sum": None, "max": None}
             self._rows: dict[tuple[int, int], list] = {}  # see _edge_rows
         else:
             self.free, touched = _split.free, _split.touched
-            retest, kept = _split.retest, _split.kept
             self.eff = list(_split.eff)
             self._base = dict(_split.base)
             self._rows = _split.rows
@@ -382,37 +384,25 @@ class SubspaceProposal:
         for j in touched:
             self.eff[j] = self._eff_row(j)
         self.forest = forest
-        # the edges const sums: both ends assigned, or both free and off
-        # the forest
-        edges, assigned, edge_of = model.edges, self.assigned, forest.edge_of
-        self._const_ids = sorted(kept.union(
-            eid for eid in retest
-            if eid != edge_of[edges[eid].u] and eid != edge_of[edges[eid].v]
-            and (edges[eid].u in assigned) == (edges[eid].v in assigned)))
-        psi, phi, const = model._psi, model._phi, 0.0
+        # const: the assigned unaries in node order, then in edge-id order
+        # each edge with both ends assigned at its value and each edge with
+        # both ends free and off the forest at its max
+        psi, phi, edge_of = model._psi, model._phi, forest.edge_of
+        const = 0.0
         for i in sorted(assigned):
             const += psi[i][assigned[i]]
         self.offtree_ids: list[int] = []
-        for eid in self._const_ids:
-            u, v, at, dv = edges[eid]
+        for eid, (u, v, at, dv) in enumerate(model.edges):
             if u in assigned:
-                const += phi[at + assigned[u] * dv + assigned[v]]
-            else:
+                if v in assigned:
+                    const += phi[at + assigned[u] * dv + assigned[v]]
+            elif v not in assigned and eid != edge_of[u] and eid != edge_of[v]:
                 self.offtree_ids.append(eid)
                 const += model.phi_max_log[eid]
         self.const = const
-        # a leaf is never mutated once built, so its passes and scalars
-        # are computed at most once; per semiring, lists indexed by node
-        self._beta: dict[str, list[Sequence[float] | None] | None] = {
-            "sum": None, "max": None}
-        # per semiring, each non-root node's message to its forest parent
-        self._msg: dict[str, list[list[float] | None] | None] = {
-            "sum": None, "max": None}
-        # per semiring, per node {parent value, None at a root -> CDF or pick}
-        self._memo: dict[str, list[dict | None] | None] = {
-            "sum": None, "max": None}
-        self._mass_log: float | None = None
-        self._max_log: float | None = None
+        # a leaf is never mutated once built, so each pass is computed at
+        # most once
+        self._passes: dict[str, _Pass | None] = {"sum": None, "max": None}
 
     def split(self, node: int, forest: Forest | None = None
               ) -> list[SubspaceProposal]:
@@ -425,7 +415,6 @@ class SubspaceProposal:
             raise ValueError(f"node {node} is not free in this subspace")
         old = self.forest
         adjacency = self.model.adjacency[node]
-        retest = [eid for eid, _ in adjacency]
         if forest is None:
             # only node's parent and children change their children or
             # edge, and they are among node's free neighbours
@@ -434,8 +423,6 @@ class SubspaceProposal:
             moved = [j for j in forest.order
                      if forest.children[j] != old.children[j]
                      or forest.edge_of[j] != old.edge_of[j]]
-            retest += [e for j in moved for e in (old.edge_of[j],
-                       forest.edge_of[j]) if e is not None]
         touched = [v for _, v in adjacency if forest.children[v] is not None]
         changed = set()
         for j in touched + moved:
@@ -446,11 +433,8 @@ class SubspaceProposal:
         eff[node] = None
         split = _Split(
             node, [j for j in self.free if j != node], eff, touched,
-            [j for j in reversed(forest.order) if j in changed], retest,
-            set(self._const_ids).difference(retest),
-            {sr: None if self._beta[sr] is None else
-             (self._beta[sr], self._msg[sr], self._memo[sr])
-             for sr in ("sum", "max")}, self._rows)
+            [j for j in reversed(forest.order) if j in changed],
+            dict(self._passes), self._rows)
         return [SubspaceProposal(self.model, {**self.assigned, node: v},
                                  forest, _split=split)
                 for v in range(self.model.domains[node])]
@@ -481,12 +465,11 @@ class SubspaceProposal:
         return self._edge_rows(self.forest.edge_of[child], child)
 
     def _pass(self, semiring: str, eff: list[Sequence[float] | None],
-              base: tuple | None) -> tuple[list, list, list]:
-        """Backward pass in the semiring over the unaries eff: lists of
-        each node's beta, message (None at a root) and memo, computing every
-        node, or with base, the split leaf's three lists, copying them with
-        the split node cleared and computing the changed set only, where a
-        new root clears its message.  Computed memos start empty."""
+              base: _Pass | None) -> _Pass:
+        """Backward pass in the semiring over the unaries eff, computing
+        every node, or with base, the split leaf's pass, copying its lists
+        with the split node cleared and computing the changed set only,
+        where a new root clears its message.  Computed memos start empty."""
         parent, children = self.forest.parent, self.forest.children
         fold = _FOLDS[semiring]
         if base is None:
@@ -494,7 +477,7 @@ class SubspaceProposal:
             nodes = reversed(self.forest.order)
         else:
             node, nodes = self._cut
-            beta, msg, memo = map(list, base)
+            beta, msg, memo = map(list, base[:3])
             beta[node] = msg[node] = memo[node] = None
         for j in nodes:
             memo[j] = {}
@@ -507,33 +490,28 @@ class SubspaceProposal:
                 continue
             msg[j] = [fold(map(add, b, row))
                       for row in self._edge_to_parent(j)]
-        return beta, msg, memo
-
-    def _fold(self, semiring: str, beta: list[Sequence[float] | None]
-              ) -> float:
-        """const plus each root's reduced beta, in root order."""
-        total = self.const
+        log = self.const
         for r in self.forest.roots:
-            total += _FOLDS[semiring](beta[r])
-        return total
+            log += fold(beta[r])
+        return _Pass(beta, msg, memo, log)
 
     def beta(self, semiring: str) -> list[Sequence[float] | None]:
-        if self._beta[semiring] is None:
-            (self._beta[semiring], self._msg[semiring],
-             self._memo[semiring]) = self._pass(
+        """The semiring pass's beta rows; the pass is built on first use."""
+        if self._passes[semiring] is None:
+            self._passes[semiring] = self._pass(
                 semiring, self.eff, self._base[semiring])
             self._base[semiring] = None
-        return self._beta[semiring]
+        return self._passes[semiring].beta
 
     def mass_log(self) -> float:
-        if self._mass_log is None:
-            self._mass_log = self._fold("sum", self.beta("sum"))
-        return self._mass_log
+        if self._passes["sum"] is None:
+            self.beta("sum")
+        return self._passes["sum"].log
 
     def max_log(self) -> float:
-        if self._max_log is None:
-            self._max_log = self._fold("max", self.beta("max"))
-        return self._max_log
+        if self._passes["max"] is None:
+            self.beta("max")
+        return self._passes["max"].log
 
     # -- scoring -------------------------------------------------------------
 
@@ -563,22 +541,15 @@ class SubspaceProposal:
         return tuple(self.assigned.get(i, values.get(i))
                      for i in range(self.model.n_nodes))
 
-    def _descend(self, pick, memo: list[dict | None] | None = None
-                 ) -> dict | None:
+    def _descend(self, pick) -> dict | None:
         """Preorder walk setting each node j to pick(j, key), key being the
-        parent's value or None at a root; None as soon as pick returns None.
-        With memo (per node, {key -> pick}) a pick already made for the
-        same key is read back instead of computed."""
+        parent's value or None at a root; None as soon as pick returns
+        None."""
         values = {}
+        parent = self.forest.parent
         for j in self.forest.order:
-            p = self.forest.parent[j]
-            key = None if p is None else values[p]
-            if memo is not None and key in memo[j]:
-                v = memo[j][key]
-            else:
-                v = pick(j, key)
-                if memo is not None:
-                    memo[j][key] = v
+            p = parent[j]
+            v = pick(j, None if p is None else values[p])
             if v is None:
                 return None
             values[j] = v
@@ -595,12 +566,13 @@ class SubspaceProposal:
     def _cdf(self, j: int, key) -> list[float]:
         """The CDF over node j's values that sample draws by, given its
         parent's value key (None at a root), kept in the sum pass's memo."""
-        if self._memo["sum"] is None:
+        if self._passes["sum"] is None:
             self.beta("sum")
-        memo = self._memo["sum"][j]
+        beta, _, memos, _ = self._passes["sum"]
+        memo = memos[j]
         cdf = memo.get(key)
         if cdf is None:
-            logits = np.array(self._logits(self._beta["sum"], j, key))
+            logits = np.array(self._logits(beta, j, key))
             cdf = memo[key] = np.cumsum(
                 np.exp(logits - logits.max())).tolist()
         return cdf
@@ -623,7 +595,7 @@ class SubspaceProposal:
         for j, v in clamps.items():
             eff[j] = [x + (0.0 if i == v else -math.inf)
                       for i, x in enumerate(eff[j])]
-        return self._fold("max", self._pass("max", eff, None)[0])
+        return self._pass("max", eff, None).log
 
     def _argmax_clamped(self) -> dict[int, int]:
         """Free-node values of the lexicographically smallest maximizer:
@@ -648,19 +620,23 @@ class SubspaceProposal:
         tie_tolerance(model.abs_log_sum), the maximizer is unique and
         equals what the clamped search returns.  Otherwise (exact ties, as
         in zero-field models) it falls back to _argmax_clamped, which
-        applies the tie rule.  Picks are memoised in the max pass (see
-        _pass), near ties as None.
+        applies the tie rule.  best keeps each pick in the max pass's memo,
+        the way _cdf keeps its CDF in the sum pass's, near ties as None.
         """
         tol = tie_tolerance(self.model.abs_log_sum)
         beta = self.beta("max")
+        memo = self._passes["max"].memo
 
         def best(j, key):
-            logits = self._logits(beta, j, key)
-            top = max(logits)
-            if len(logits) > 1 and sorted(logits)[-2] >= top - tol:
-                return None
-            return logits.index(top)  # the first maximum
-        values = self._descend(best, self._memo["max"])
+            picks = memo[j]
+            if key not in picks:
+                logits = self._logits(beta, j, key)
+                top = max(logits)
+                near_tie = len(logits) > 1 and sorted(logits)[-2] >= top - tol
+                # the first maximum, None at a near tie
+                picks[key] = None if near_tie else logits.index(top)
+            return picks[key]
+        values = self._descend(best)
         if values is None:
             values = self._argmax_clamped()
         config = self._full(values)

@@ -72,6 +72,8 @@ class PiecewiseProposal:
         self.retree = retree
         root = SubspaceProposal(model, {})
         self.leaves: dict[int, SubspaceProposal] = {0: root}
+        # per conditioned-away leaf id, (its split node, child id by value)
+        self._splits: dict[int, tuple[int, dict[int, int]]] = {}
         self._next_id = 1
         self.bound_builds = 1
         self._tables_cache = None
@@ -94,10 +96,13 @@ class PiecewiseProposal:
         return self._tables()[2]
 
     def leaf_of(self, config) -> int:
-        for lid, leaf in self.leaves.items():
-            if all(config[j] == v for j, v in leaf.assigned.items()):
-                return lid
-        raise KeyError(f"no leaf contains {config!r}")
+        """The leaf holding config, routed from leaf 0 through the splits
+        in O(depth); KeyError at a value outside a split node's domain."""
+        lid = 0
+        while lid in self._splits:
+            node, children = self._splits[lid]
+            lid = children[config[node]]
+        return lid
 
     def score(self, config) -> float:
         return self.leaves[self.leaf_of(config)].score(config)
@@ -143,6 +148,7 @@ class PiecewiseProposal:
                         for c, f in zip(children, fresh)]
         child_ids = list(range(self._next_id, self._next_id + len(children)))
         self.leaves.update(zip(child_ids, children))
+        self._splits[leaf_id] = (node, dict(enumerate(child_ids)))
         self._next_id += len(children)
         del self.leaves[leaf_id]
         self._tables_cache = None

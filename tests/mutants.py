@@ -7,7 +7,8 @@ file).  Each mutant below replaces one exact piece of text in src/osstar by
 a broken version, in a fresh temporary copy of src/, and runs only the
 tests it names against that copy, under the hypothesis profile "mutants"
 (fixed examples, no shrinking, nothing saved; see conftest.py).  Every
-named test must fail.  The script first runs every named test on an
+named test must fail; a name without a [id] fails when any of its
+parametrizations does.  The script first runs every named test on an
 unbroken copy, where all must pass, and exits non-zero if a mutant
 survives or its text does not occur exactly once.
 
@@ -51,10 +52,10 @@ MUTANTS = {
         "                next_cap = next(capped, None)\n",
         "",
         [GRID, GRID_DP, GRID_Z]),
-    "const_ids_retest": (
+    "const_keeps_forest_edges": (
         "graphical.py",
-        "        retest = [eid for eid, _ in adjacency]\n",
-        "        retest = []\n",
+        " and eid != edge_of[v]:",
+        ":",
         [GRID, GRID_DP, GRID_Z]),
     "forest_without_cut": (
         "graphical.py",
@@ -65,11 +66,11 @@ MUTANTS = {
         "graphical.py",
         "        cdf = memo.get(key)\n"
         "        if cdf is None:\n"
-        "            logits = np.array(self._logits(self._beta[\"sum\"], j, key))\n"
+        "            logits = np.array(self._logits(beta, j, key))\n"
         "            cdf = memo[key] = np.cumsum(",
         "        cdf = memo.get(None)\n"
         "        if cdf is None:\n"
-        "            logits = np.array(self._logits(self._beta[\"sum\"], j, key))\n"
+        "            logits = np.array(self._logits(beta, j, key))\n"
         "            cdf = memo[None] = np.cumsum(",
         [GRID, GRID_Z]),
     "child_reads_base_in_changed_set": (
@@ -82,12 +83,6 @@ MUTANTS = {
         "        for j in touched + moved:\n",
         "        for j in touched:\n",
         [FRESH, GRID, GRID_DP, GRID_Z]),
-    "fresh_split_keeps_old_const_verdicts": (
-        "graphical.py",
-        "            retest += [e for j in moved for e in (old.edge_of[j],\n"
-        "                       forest.edge_of[j]) if e is not None]\n",
-        "",
-        [FRESH, GRID]),
     "split_node_kept_in_copies": (
         "graphical.py",
         "            beta[node] = msg[node] = memo[node] = None\n",
@@ -119,9 +114,9 @@ MUTANTS = {
         [SPLIT]),
     "argmax_clamped_fallback_skipped": (
         "graphical.py",
-        "            if len(logits) > 1 and sorted(logits)[-2] >= top - tol:\n"
-        "                return None\n",
-        "",
+        "                near_tie = len(logits) > 1 and "
+        "sorted(logits)[-2] >= top - tol\n",
+        "                near_tie = False\n",
         [GRID]),
     "argmax_tie_max": (
         "piecewise.py",
@@ -130,9 +125,8 @@ MUTANTS = {
         [GRID]),
     "leaf_of_routes_to_the_next_leaf": (
         "piecewise.py",
-        "                return lid\n",
-        "                return next((k for k in self.leaves if k > lid),"
-        " lid)\n",
+        "            lid = children[config[node]]\n",
+        "            lid = children[(config[node] + 1) % len(children)]\n",
         [GRID, GRID_DP, GRID_Z]),
     "leaf_cdf_reversed": (
         "piecewise.py",
@@ -276,7 +270,8 @@ def main(names: list[str]) -> int:
             path = src / "osstar" / file
             path.write_text(path.read_text().replace(old, new))
             failed, took, text = failed_tests(src, named)
-            alive = [t for t in named if t not in failed]
+            alive = [t for t in named if not any(
+                f == t or f.startswith(t + "[") for f in failed)]
             verdict = "SURVIVED" if alive else "killed"
             print(f"{verdict:8} {name} ({file}, {took:.1f}s)")
             if alive:

@@ -526,16 +526,20 @@ def mixed_grid():
 def test_rows_equal_the_numpy_pass_bit_for_bit(model):
     # full and child builds, both semirings, with the parent's passes
     # computed or not before each split, then scores with and without
-    # capped edges at configurations inside each leaf
+    # capped edges at configurations inside each leaf; every split leaf is
+    # also split on a fresh forest of the other free nodes, as retree does
     rng = np.random.default_rng(0)
-    leaves = [SubspaceProposal(model, {})]
+    leaves, fresh = [SubspaceProposal(model, {})], []
     for step in range(12):
         leaf = leaves[int(rng.integers(len(leaves)))]
         for sr in ("sum", "max")[:step % 3]:
             leaf.beta(sr)
-        leaves += leaf.split(leaf.free[int(rng.integers(len(leaf.free)))])
+        node = leaf.free[int(rng.integers(len(leaf.free)))]
+        leaves += leaf.split(node)
+        fresh += leaf.split(node, max_spanning_forest(
+            model, [j for j in leaf.free if j != node]))
     leaves += [SubspaceProposal(model, leaf.assigned, leaf.forest)
-               for leaf in leaves]
+               for leaf in leaves] + fresh
     for leaf in leaves:
         const, capped = reference_const(leaf)
         assert leaf.const.hex() == const.hex()
@@ -546,8 +550,9 @@ def test_rows_equal_the_numpy_pass_bit_for_bit(model):
             beta, msg, want = reference_pass(leaf, sr)
             assert all(bits(leaf.beta(sr)[j]) == bits(beta[j])
                        for j in leaf.free)
-            assert held(leaf._msg[sr]).keys() == msg.keys()
-            assert all(bits(leaf._msg[sr][j]) == bits(msg[j]) for j in msg)
+            assert held(leaf._passes[sr].msg).keys() == msg.keys()
+            assert all(bits(leaf._passes[sr].msg[j]) == bits(msg[j])
+                       for j in msg)
             assert fold().hex() == want.hex()
         for _ in range(4):
             x = tuple(leaf.assigned.get(i, int(rng.integers(d)))

@@ -284,7 +284,7 @@ def count_sum_passes(monkeypatch):
     beta = SubspaceProposal.beta
 
     def counting(self, semiring):
-        if semiring == "sum" and self._beta["sum"] is None:
+        if semiring == "sum" and self._passes["sum"] is None:
             built["sum"] += 1
         return beta(self, semiring)
 
@@ -302,7 +302,7 @@ def test_map_run_builds_no_leaf_sum_pass(policy, monkeypatch):
     assert res.history.refine_count > 0
     assert res.certificate_gap_log == 0.0
     assert built["sum"] == 0
-    assert all(leaf._beta["sum"] is None for leaf in pw.leaves.values())
+    assert all(leaf._passes["sum"] is None for leaf in pw.leaves.values())
     assert pw._tables_cache is None
 
 
@@ -450,7 +450,8 @@ def test_memoised_cdfs_equal_fresh_numpy_cdfs(policy, retree):
 
     def audit(proposal):
         for leaf in proposal.leaves.values():
-            for j, cdfs in held(leaf._memo["sum"] or []).items():
+            for j, cdfs in held(getattr(leaf._passes["sum"], "memo", [])
+                                ).items():
                 for key, cdf in cdfs.items():
                     fresh = node_cdf(leaf, j, key).tolist()
                     assert list(map(float.hex, cdf)) == \
@@ -492,26 +493,27 @@ def assert_leaves_match_fresh_builds(m, proposal):
         assert all(np.array_equal(leaf.eff[j], fresh.eff[j])
                    for j in held(fresh.eff))
         for semiring in ("sum", "max"):
-            if leaf._beta[semiring] is None:
+            if leaf._passes[semiring] is None:
                 continue
-            want, msg, _ = map(held, fresh._pass(semiring, fresh.eff, None))
+            want, msg, _ = map(held,
+                               fresh._pass(semiring, fresh.eff, None)[:3])
             got = held(leaf.beta(semiring))
             assert got.keys() == want.keys() and \
-                held(leaf._msg[semiring]).keys() == msg.keys()
+                held(leaf._passes[semiring].msg).keys() == msg.keys()
             assert all(np.array_equal(got[j], want[j]) for j in want)
-            assert all(np.array_equal(leaf._msg[semiring][j], msg[j])
+            assert all(np.array_equal(leaf._passes[semiring].msg[j], msg[j])
                        for j in msg)
-        if leaf._memo["sum"] is not None:
-            assert held(leaf._memo["sum"]).keys() == set(fresh.free)
+        if leaf._passes["sum"] is not None:
+            assert held(leaf._passes["sum"].memo).keys() == set(fresh.free)
             assert all(list(map(float.hex, cdf)) ==
                        list(map(float.hex, node_cdf(fresh, j, key).tolist()))
-                       for j, cdfs in held(leaf._memo["sum"]).items()
+                       for j, cdfs in held(leaf._passes["sum"].memo).items()
                        for key, cdf in cdfs.items())
         assert leaf.argmax() == fresh.argmax()
-        assert held(leaf._memo["max"]).keys() == \
-            held(fresh._memo["max"]).keys()
+        assert held(leaf._passes["max"].memo).keys() == \
+            held(fresh._passes["max"].memo).keys()
         assert all(v == numpy_pick(fresh, j, key)
-                   for j, picks in held(leaf._memo["max"]).items()
+                   for j, picks in held(leaf._passes["max"].memo).items()
                    for key, v in picks.items())
 
 
@@ -616,6 +618,52 @@ def test_p_and_q_are_one_sum_bit_for_bit(case, retree):
             if all(m.log_phi(e)[x[m.edges[e].u]][x[m.edges[e].v]]
                    == m.phi_max_log[e] for e in leaf.offtree_ids):
                 assert s == m.log_p(x)
+
+
+def scan_leaf_of(pw, x):
+    """The one leaf whose assignment x agrees with, by a scan of all."""
+    (lid,) = [lid for lid, leaf in pw.leaves.items()
+              if all(x[j] == v for j, v in leaf.assigned.items())]
+    return lid
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_sequences(), st.booleans())
+def test_leaf_of_routes_like_a_scan_on_random_partitions(case, retree):
+    m, steps = case
+    pw = PiecewiseProposal(m, retree=retree)
+    for leaf_pick, node_pick, _ in steps:
+        open_ids = [lid for lid, leaf in pw.leaves.items() if leaf.free]
+        if not open_ids:
+            break
+        lid = open_ids[leaf_pick % len(open_ids)]
+        leaf = pw.leaves[lid]
+        pw.condition(lid, leaf.free[node_pick % len(leaf.free)])
+    for x in all_configs(m):
+        assert pw.leaf_of(x) == scan_leaf_of(pw, x), x
+
+
+class UnscannableLeaves(dict):
+    """A leaf dict that fails when anything walks all of it."""
+
+    def __iter__(self):
+        raise AssertionError("the leaves were scanned")
+
+    keys = values = items = __iter__
+
+
+def test_leaf_of_routes_without_scanning_the_leaves():
+    m = ising_grid(3, 3, sigma=0.5, seed=1)
+    pw = PiecewiseProposal(m)
+    pw.condition(0, 4)
+    pw.condition(pw.leaf_of((1,) * 9), 0)
+    pw.condition(pw.leaf_of((1,) * 9), 8)
+    want = {x: scan_leaf_of(pw, x) for x in all_configs(m)}
+    pw.leaves = UnscannableLeaves(pw.leaves)
+    assert {x: pw.leaf_of(x) for x in want} == want
+    for value in (-1, 2):  # outside node 4's domain; -1 must not wrap
+        with pytest.raises(KeyError):
+            pw.leaf_of((1,) * 4 + (value,) + (1,) * 4)
 
 
 @pytest.mark.parametrize("policy", [Policy.MAX_SLACK, Policy.QUEUE])
@@ -744,7 +792,7 @@ def test_children_share_everything_outside_the_changed_set(monkeypatch):
         root.argmax()
         root_beta = root.beta("max")
         root.sample(np.random.default_rng(0))
-        seen = {j: set(root._memo["max"][j]) for j in root.free}
+        seen = {j: set(root._passes["max"].memo[j]) for j in root.free}
         node = 12  # the centre: four free neighbours
         assert root.forest.parent[node] is not None and \
             root.forest.children[node]
@@ -762,7 +810,8 @@ def test_children_share_everything_outside_the_changed_set(monkeypatch):
                 assert (beta[j] is root_beta[j]) == (j not in changed), j
                 # a node outside the changed set reads the root's memo dicts
                 for sr in ("sum", "max"):
-                    assert (child._memo[sr][j] is root._memo[sr][j]) == \
+                    assert (child._passes[sr].memo[j]
+                            is root._passes[sr].memo[j]) == \
                         (j not in changed), (sr, j)
             # a non-root pick is computed only in the changed set, or for a
             # parent value the root's descent never met
