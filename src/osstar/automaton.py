@@ -24,23 +24,15 @@ layer i - 1 whose longest stored suffix it now is.
 One walk, `_walk`, follows every path (score, path_rows, sample_path,
 viterbi, _smallest_argmax): a column per layer, edge weights added left to
 right, so every sentence log q is that one sum.  sample_path and viterbi
-record their walk until the structure changes, and refine reads a rejected
-path's rows from that record when it is the path walked.
-
-Cached, per semiring ("sum" for sampling, "max" for the argmax):
-  beta[i]   downstream aggregate of every state of layer i, one numpy
-            reduction over vals[i] = weight + beta[i + 1][dest];
-  vals[i]   kept for the readers: a state's draw CDF (sum) or its best
-            edge (max) is computed from its row on first visit and memoised.
-A deepening at position i marks layers 0..i dirty; the next read rebuilds
-beta and vals of exactly those layers, top down, and drops their memos.
-Layers above i keep their arrays, beta rows and memos.  The dirty mark
-keeps the deepest layer marked, so a refinement that deepens several
-edges costs one rebuild.
+record their walk until the structure changes: its words, rows and the
+bounds read on it, each read once through `_bound`.  refine reads a
+rejected path's rows and bounds from that record when it is the path
+walked.  Each semiring's backward pass is cached in one `_Pass`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -97,6 +89,25 @@ class Layer:
         return row
 
 
+@dataclasses.dataclass
+class _Pass:
+    """One semiring's cached backward pass ("sum" for sampling, "max" for
+    the argmax), built by QAutomaton.beta only.  beta[i] is the downstream
+    aggregate of every state of layer i, one numpy reduction over
+    vals[i] = weight + beta[i + 1][dest]; vals[i] is kept for the readers,
+    which compute a state's draw CDF (sum) or best edge (max) from its row
+    on first visit and keep it in memo[i].  A deepening at position i marks
+    layers 0..i dirty; the next read rebuilds beta and vals of exactly
+    those layers, top down, and drops their memos.  `dirty` is the deepest
+    layer marked (-1 for none), so a refinement that deepens several edges
+    costs one rebuild."""
+
+    beta: list
+    vals: list
+    memo: list[dict]
+    dirty: int
+
+
 class HmmTarget:
     """log p(x) = sum_i [ lm(x_i | preceding words) + obs(i, x_i) ], at the
     LM's order: the bound tables must read this same (capped) LM."""
@@ -105,7 +116,7 @@ class HmmTarget:
         self.lm = lm
         self.lattice = lattice
         self.order = lm.order
-        self._pobs = [dict(col) for col in lattice.candidates]
+        self._pobs = lattice.pobs
 
     def __call__(self, words: tuple) -> float:
         total = 0.0
@@ -122,16 +133,13 @@ class QAutomaton:
         self.tables = tables
         self.order = tables.order
         self.length = lattice.length
-        self.pobs = [dict(col) for col in lattice.candidates]
+        self.pobs = lattice.pobs
         # contexts[i]: the compiled layer i; layer `length` is final
         self.contexts: list[Layer] = []
         self.table_builds = 0
-        self._beta: dict[str, list | None] = {"sum": None, "max": None}
-        self._dirty: dict[str, int] = {"sum": -1, "max": -1}
-        self._vals: dict[str, list] = {}
-        self._memo: dict[str, list[dict]] = {}
-        # (semiring, words, rows) of the path sample_path or viterbi last
-        # returned, for refine; dropped on any change of structure
+        self._passes: dict[str, _Pass | None] = {"sum": None, "max": None}
+        # (semiring, words, rows, reads) of the path sample_path or viterbi
+        # last returned, for refine; dropped on any change of structure
         self._last: tuple | None = None
 
     # -- structure ---------------------------------------------------------
@@ -142,52 +150,51 @@ class QAutomaton:
 
     def _invalidate(self, layer: int) -> None:
         self._last = None
-        for semiring in ("sum", "max"):
-            if self._beta[semiring] is not None:
-                self._dirty[semiring] = max(self._dirty[semiring], layer)
+        for p in self._passes.values():
+            if p is not None:
+                p.dirty = max(p.dirty, layer)
 
     def beta(self, semiring: str) -> list:
         """Per-layer arrays of downstream aggregates, indexed by row, with
         only the dirty layers rebuilt: one numpy reduction per layer."""
-        cached = self._beta[semiring]
-        dirty = self._dirty[semiring]
-        if cached is not None and dirty < 0:
-            return cached
-        if cached is None:
-            cached = [None] * self.length + [np.zeros(1)]
-            self._vals[semiring] = [None] * self.length
-            self._memo[semiring] = [{} for _ in range(self.length)]
-            dirty = self.length - 1
-        vals, memo = self._vals[semiring], self._memo[semiring]
-        for i in range(dirty, -1, -1):
+        p = self._passes[semiring]
+        if p is None:
+            n = self.length
+            p = self._passes[semiring] = _Pass(
+                [None] * n + [np.zeros(1)], [None] * n,
+                [{} for _ in range(n)], n - 1)
+        elif p.dirty < 0:
+            return p.beta
+        for i in range(p.dirty, -1, -1):
             layer = self.contexts[i]
-            v = layer.weight + cached[i + 1][layer.dest]
-            cached[i] = (np.logaddexp.reduce(v, axis=1) if semiring == "sum"
+            v = layer.weight + p.beta[i + 1][layer.dest]
+            p.beta[i] = (np.logaddexp.reduce(v, axis=1) if semiring == "sum"
                          else v.max(axis=1))
-            vals[i] = v
-            memo[i] = {}
-        self._beta[semiring] = cached
-        self._dirty[semiring] = -1
+            p.vals[i] = v
+            p.memo[i] = {}
+        p.dirty = -1
         self.table_builds += 1
-        return cached
+        return p.beta
 
     def _draw_table(self, i: int, row: int) -> list[float]:
         """CDF over the columns of state `row` at layer i, built from its
         vals row and memoised until that layer's sum beta is rebuilt.
         Called on a memo miss only."""
-        logits = self._vals["sum"][i][row].tolist()
+        p = self._passes["sum"]
+        logits = p.vals[i][row].tolist()
         m = max(logits)
         # math.exp, not np.exp: the two can differ in the last bit, and a
         # changed CDF bit can change a draw of a fixed seed
-        got = self._memo["sum"][i][row] = list(itertools.accumulate(
+        got = p.memo[i][row] = list(itertools.accumulate(
             math.exp(l - m) for l in logits))
         return got
 
     def _best_col(self, i: int, row: int) -> int:
         """Column of the first maximum of state `row`'s edges, memoised until
         that layer's max beta is rebuilt.  Called on a memo miss only."""
-        vrow = self._vals["max"][i][row].tolist()
-        got = self._memo["max"][i][row] = vrow.index(max(vrow))
+        p = self._passes["max"]
+        vrow = p.vals[i][row].tolist()
+        got = p.memo[i][row] = vrow.index(max(vrow))
         return got
 
     # -- proposal interface (engine duck type) ------------------------------
@@ -263,29 +270,33 @@ def viterbi(q: QAutomaton):
     whose left-to-right totals (p's order of summation) are equal an ulp
     apart, so when some pick of the descent was a near tie and the path is
     one the engine could certify, the answer is _smallest_argmax's instead.
+    The bounds the certifiability test reads are recorded with the walk for
+    refine; an answer that replaces the path starts a record of its own.
     """
     q.beta("max")
-    memo = q._memo["max"]
+    maxes = q._passes["max"]
 
     def best(i, row, total):
-        j = memo[i].get(row)
+        j = maxes.memo[i].get(row)
         return q._best_col(i, row) if j is None else j
 
     words, rows, total = _walk(q, best)
     # whether some edge below full order is above p's term by more than
     # 1e-12: the engine cannot certify such a path
+    reads = {}
     loose = any(layer.order.item(row, j) <= q.full_len(i)
-                and _excess(q, words, i, layer.weight.item(row, j)) > 1e-12
+                and _excess(q, words, i, layer.weight.item(row, j),
+                            reads) > 1e-12
                 for i, (layer, row) in enumerate(zip(q.contexts, rows))
                 for j in (layer.col[words[i]],))
     if not loose:
         # a near tie: a runner-up within tol of a pick on the path
         tol = _tie_tol(q)
-        vals = q._vals["max"]
         if any(np.count_nonzero(v >= v.max() - tol) > 1
-               for v in (vals[i][row] for i, row in enumerate(rows))):
+               for v in (maxes.vals[i][row] for i, row in enumerate(rows))):
             words, rows, total = _smallest_argmax(q, tol)
-    q._last = ("max", words, rows)
+            reads = {}
+    q._last = ("max", words, rows, reads)
     return words, total
 
 
@@ -318,7 +329,7 @@ def _smallest_argmax(q: QAutomaton, tol: float):
     outside the top trails by more than summation roundoff, so it cannot
     reach the largest total, and the last top column must reach it."""
     target = _forward_max(q, 0, 0, 0.0)
-    vals = q._vals["max"]
+    vals = q._passes["max"].vals
 
     def first_reaching(i, row, total):
         layer = q.contexts[i]
@@ -334,13 +345,13 @@ def _smallest_argmax(q: QAutomaton, tol: float):
 def sample_path(q: QAutomaton, rng: np.random.Generator):
     """Exact draw x ~ q / Q(X): backward sums, forward edge sampling."""
     q.beta("sum")
-    memo = q._memo["sum"]
+    memo = q._passes["sum"].memo
 
     def draw(i, row, total):
         return pick(memo[i].get(row) or q._draw_table(i, row), rng)
 
     words, rows, total = _walk(q, draw)
-    q._last = ("sum", words, rows)
+    q._last = ("sum", words, rows, {})
     return words, total
 
 
@@ -372,12 +383,11 @@ def _add_state(q: QAutomaton, words: tuple, rows: list[int], i: int,
 
 
 def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int], i: int,
-               floor: float, read: tuple[int, float] | None = None) -> None:
+               floor: float, reads: dict) -> None:
     """Deepen the rejected path's edge at position i until its weight drops
     by more than floor (or the context order is exhausted).  rows is the
-    path's state rows, kept current as states are added.  read is an
-    (order, bound) pair already read at i: the bound is used, not read
-    again, while the edge's order is still that order."""
+    path's state rows, kept current as states are added, and reads its map
+    of bounds read (see _bound), which the deepening reads through."""
     layer = q.contexts[i]
     w = rejected[i]
     j = layer.col[w]
@@ -385,12 +395,9 @@ def _deepen_at(q: QAutomaton, rejected: tuple, rows: list[int], i: int,
     old_weight = layer.weight.item(rows[i], j)
     while True:
         order = layer.order.item(rows[i], j)
-        new_ctx = tuple(rejected[i - order:i])
         if len(layer.ctxs[rows[i]]) < order:
-            _add_state(q, rejected, rows, i, new_ctx)
-        bound = (read[1] if read is not None and read[0] == order
-                 else q.tables.value(w, new_ctx, full))
-        weight = bound + q.pobs[i][w]
+            _add_state(q, rejected, rows, i, tuple(rejected[i - order:i]))
+        weight = _bound(q, rejected, i, order, reads) + q.pobs[i][w]
         layer.order[rows[i], j] = order + 1
         layer.weight[rows[i], j] = weight
         if weight < old_weight - floor or order + 1 > full:
@@ -418,34 +425,31 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     every position with any slack is deepened to full order, right to
     left: one site's drop can be below an ulp of the path's total, while
     at full order each edge weight is p's own term, so the path then
-    scores exactly p.
+    scores exactly p.  Each bound is read once per path, through _bound.
 
     Raises NoRefinementAvailable when the path already scores p term by
     term.
     """
-    # the rows of the last walk, when the path it returned is the one
-    # rejected; a path viterbi returned gets the one-site rule
+    # the rows and bounds read of the last walk, when the path it returned
+    # is the one rejected; a path viterbi returned gets the one-site rule
     last = q._last
     walked = last is not None and last[1] == rejected
-    rows = last[2] if walked else q.path_rows(rejected)
+    rows, reads = (last[2], last[3]) if walked else (q.path_rows(rejected), {})
     decoded = walked and last[0] == "max"
     # one scan of the positions whose edge on the path is below full order:
     # each such edge's weight and next-order bound, the loose sites and the
     # largest gap among them (leftmost on ties)
-    sites, loose, read = [], [], {}
+    sites, loose = [], []
     best_i, best_gap = None, 1e-12
     for i, (w, row) in enumerate(zip(rejected, rows)):
         layer = q.contexts[i]
         j = layer.col[w]
         order = layer.order.item(row, j)
-        full = q.full_len(i)
-        if order > full:
+        if order > q.full_len(i):
             continue
         weight = layer.weight.item(row, j)
         sites.append((i, weight))
-        bound = q.tables.value(w, tuple(rejected[i - order:i]), full)
-        read[i] = order, bound
-        gap = weight - q.pobs[i][w] - bound
+        gap = weight - q.pobs[i][w] - _bound(q, rejected, i, order, reads)
         if gap > 1e-12:
             loose.append(i)
         if gap > best_gap + 1e-15:
@@ -458,7 +462,7 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
     elif best_i is not None:
         deepen, floor = (best_i,), 1e-15
     else:
-        excess = [(i, _excess(q, rejected, i, weight))
+        excess = [(i, _excess(q, rejected, i, weight, reads))
                   for i, weight in sites]
         best_i = next((i for i, e in excess if e > 1e-12), None)
         if best_i is not None:
@@ -472,17 +476,27 @@ def refine(q: QAutomaton, rejected: tuple) -> QAutomaton:
                 raise NoRefinementAvailable(
                     "rejected path already scores its exact probability")
     for i in deepen:
-        _deepen_at(q, rejected, rows, i, floor, read[i])
+        _deepen_at(q, rejected, rows, i, floor, reads)
     return q
 
 
-def _excess(q: QAutomaton, words, i: int, weight: float) -> float:
+def _excess(q: QAutomaton, words, i: int, weight: float, reads: dict) -> float:
     """How far `weight`, the weight of the path's edge at position i, is
     above p's term there: the weight of the edge's full-context bound."""
-    w = words[i]
-    full = q.full_len(i)
-    return weight - (q.tables.value(w, tuple(words[i - full:i]), full)
-                     + q.pobs[i][w])
+    return weight - (_bound(q, words, i, q.full_len(i), reads)
+                     + q.pobs[i][words[i]])
+
+
+def _bound(q: QAutomaton, words, i: int, n: int, reads: dict) -> float:
+    """The bound of words[i] given the n words before it, cached in the
+    path's map `reads` at (i, n).  The tables never change and a bound
+    depends only on the word, its context and the full length, so a read
+    holds across every refinement of that path, and for no other path."""
+    got = reads.get((i, n))
+    if got is None:
+        got = reads[i, n] = q.tables.value(
+            words[i], tuple(words[i - n:i]), q.full_len(i))
+    return got
 
 
 class AutomatonRefiner:

@@ -19,6 +19,7 @@ both read the order of the LM they are given.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -381,6 +382,11 @@ class TokenLattice:
     @property
     def length(self) -> int:
         return len(self.candidates)
+
+    @functools.cached_property
+    def pobs(self) -> list[dict[str, float]]:
+        """Per position, word -> observation log-probability."""
+        return [dict(col) for col in self.candidates]
 
 
 def build_lattice(observations: list[str], vocab: list[str],

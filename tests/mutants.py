@@ -1,6 +1,5 @@
 """Mutation check of the guarantee contract in tests/test_contract.py
-(and of one refinement property in tests/test_automaton.py and one
-sharing property in tests/test_piecewise.py).
+(and of the mechanism properties named below, from the other test files).
 
 Run from anywhere as `python tests/mutants.py` (pytest does not collect this
 file).  Each mutant below replaces one exact piece of text in src/osstar by
@@ -36,6 +35,8 @@ FRESH = ("tests/test_piecewise.py::"
          "test_shared_children_equal_fresh_builds_on_random_models")
 SPLIT = "tests/test_graphical.py::test_split_rejects_a_node_that_is_not_free"
 REJECTS = "tests/test_automaton.py::test_every_reject_reaches_a_refinement"
+LAYERS = ("tests/test_automaton.py::"
+          "test_every_refinement_keeps_the_compiled_automaton_exact")
 LOGS = "tests/test_engine.py::test_log_sums_equal_numpys_bit_for_bit"
 ROWS = ("tests/test_graphical.py::"
         "test_rows_equal_the_numpy_pass_bit_for_bit[mixed]")
@@ -140,13 +141,13 @@ MUTANTS = {
         [SENTENCE, SENTENCE_DP]),
     "dirty_mark_keeps_the_latest_layer": (
         "automaton.py",
-        "                self._dirty[semiring] = max(self._dirty[semiring], layer)",
-        "                self._dirty[semiring] = layer",
+        "                p.dirty = max(p.dirty, layer)",
+        "                p.dirty = layer",
         [SENTENCE, SENTENCE_DP]),
     "rebuild_keeps_the_draw_memo": (
         "automaton.py",
-        "            vals[i] = v\n            memo[i] = {}\n",
-        "            vals[i] = v\n",
+        "            p.vals[i] = v\n            p.memo[i] = {}\n",
+        "            p.vals[i] = v\n",
         [SENTENCE, SENTENCE_DP]),
     "refine_picks_roundoff_gap": (
         "automaton.py",
@@ -173,6 +174,12 @@ MUTANTS = {
         "            deepen = [i for i, e in reversed(excess) if e > 0]\n",
         "            deepen = [i for i, e in excess if e > 0][:1]\n",
         [SENTENCE]),
+    "viterbi_keeps_reads_of_the_replaced_path": (
+        "automaton.py",
+        "            words, rows, total = _smallest_argmax(q, tol)\n"
+        "            reads = {}\n",
+        "            words, rows, total = _smallest_argmax(q, tol)\n",
+        [LAYERS]),
     "viterbi_near_tie_fallback_skipped": (
         "automaton.py",
         "    if not loose:\n        # a near tie",

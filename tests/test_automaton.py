@@ -130,7 +130,9 @@ def test_ngram_count_report():
 
 
 def test_target_order_cap():
-    lm, lattice, _, _ = make_instance()
+    lm, lattice, q, target = make_instance()
+    # one observation table per lattice, read by the target and the bound
+    assert q.pobs is target._pobs
     t2 = am.HmmTarget(lm.capped(2), lattice)
     x = ("a", "a", "b")
     want = sum(lm.cond_logprob(w, tuple(x[max(0, i - 1):i]))
@@ -179,8 +181,8 @@ def test_decode_builds_no_sum_tables():
                      am.AutomatonRefiner(), StopConfig(), 0)
     assert res.history.refine_count > 0
     assert res.certificate_gap_log == 0.0
-    assert q._beta["sum"] is None
-    assert q._beta["max"] is not None
+    assert q._passes["sum"] is None
+    assert q._passes["max"] is not None
 
 
 # -- the dict-walking oracle ---------------------------------------------
@@ -537,10 +539,10 @@ def test_refinement_at_i_keeps_every_layer_above_i():
             q.draw(rng)
         q.argmax()
         return [(layer, layer.weight, layer.order, layer.dest)
-                + tuple(q._beta[sr][k] for sr in ("sum", "max"))
-                + tuple(q._vals[sr][k] if k < q.length else None
+                + tuple(q._passes[sr].beta[k] for sr in ("sum", "max"))
+                + tuple(q._passes[sr].vals[k] if k < q.length else None
                         for sr in ("sum", "max"))
-                + tuple(q._memo[sr][k] if k < q.length else None
+                + tuple(q._passes[sr].memo[k] if k < q.length else None
                         for sr in ("sum", "max"))
                 for k, layer in enumerate(q.contexts)]
 
@@ -551,7 +553,7 @@ def test_refinement_at_i_keeps_every_layer_above_i():
              > len(q.contexts[i].ctxs[q.path_rows(p)[i]]))
     before = snapshot()
     states = len(q.contexts[i].ctxs)
-    am._deepen_at(q, x, q.path_rows(x), i, 1e-15)
+    am._deepen_at(q, x, q.path_rows(x), i, 1e-15, {})
     assert len(q.contexts[i].ctxs) > states  # the deepening added a state
     after = snapshot()
     for k in range(len(q.contexts)):
@@ -665,6 +667,38 @@ def test_refine_reads_each_bound_of_a_drawn_path_once(monkeypatch):
     steps = [b - a for a, b in zip(before, after) if b != a]
     assert len(steps) >= 2
     assert len(reads) == scanned + sum(s - 1 for s in steps)
+
+
+@pytest.mark.parametrize("mode, stop", [
+    (Mode.OPTIMIZATION, StopConfig()),
+    (Mode.SAMPLING, StopConfig(ar_threshold=1.1, max_trials=100))])
+def test_a_trial_reads_each_bound_once(mode, stop, monkeypatch):
+    # a trial's walk and its refinement read bounds through one map per
+    # path: viterbi's certifiability test, refine's scan, its slack
+    # fallback and the deepenings never read one bound twice
+    lm, lattice = lm_and_lattice("sms24")
+    q = am.build_q0(lattice, MaxBackoffTables(lm))
+    trials = []
+    value = MaxBackoffTables.value
+
+    def counting(self, word, context, full_len):
+        trials[-1].append((word, context, full_len))
+        return value(self, word, context, full_len)
+
+    def starting(walk):
+        def started(*args):
+            trials.append([])
+            return walk(*args)
+        return started
+
+    monkeypatch.setattr(MaxBackoffTables, "value", counting)
+    monkeypatch.setattr(am, "sample_path", starting(am.sample_path))
+    monkeypatch.setattr(am, "viterbi", starting(am.viterbi))
+    res = engine.run(mode, am.HmmTarget(lm, lattice), q,
+                     am.AutomatonRefiner(), stop, 0)
+    assert len(trials) == res.history.trial_count
+    assert res.history.refine_count > 0 and any(trials)
+    assert [t for t in trials if len(set(t)) < len(t)] == []
 
 
 @pytest.mark.parametrize("mode", [Mode.SAMPLING, Mode.OPTIMIZATION])
@@ -835,7 +869,7 @@ def test_deepening_keeps_the_threaded_rows_current():
             c = copy.deepcopy(q, {id(q.tables): q.tables})
             rows = c.path_rows(x)
             states = [len(layer.ctxs) for layer in c.contexts]
-            am._deepen_at(c, x, rows, i, 1e-15)
+            am._deepen_at(c, x, rows, i, 1e-15, {})
             assert rows == c.path_rows(x)
             added[sum(len(layer.ctxs) > n
                       for layer, n in zip(c.contexts, states))] += 1

@@ -179,7 +179,7 @@ def sentence_pick_probabilities(q, paths, scores) -> list[tuple]:
         prob, us, row = 1.0, [], 0
         for i, w in enumerate(x):
             layer = q.contexts[i]
-            cdf = q._memo["sum"][i].get(row) or q._draw_table(i, row)
+            cdf = q._passes["sum"].memo[i].get(row) or q._draw_table(i, row)
             p, u = cdf_pick(cdf, layer.col[w])
             prob *= p
             us.append(u)
