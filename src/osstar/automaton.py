@@ -33,12 +33,11 @@ walked.  Each semiring's backward pass is cached in one `_Pass`.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
 
-from .engine import pick, tie_tolerance
+from .engine import cdf, pick, tie_tolerance
 from .ngram import MaxBackoffTables, NGramLM, NoCandidate, TokenLattice
 
 
@@ -177,16 +176,10 @@ class QAutomaton:
         return p.beta
 
     def _draw_table(self, i: int, row: int) -> list[float]:
-        """CDF over the columns of state `row` at layer i, built from its
-        vals row and memoised until that layer's sum beta is rebuilt.
-        Called on a memo miss only."""
+        """engine.cdf of state `row`'s edges at layer i, memoised until that
+        layer's sum beta is rebuilt.  Called on a memo miss only."""
         p = self._passes["sum"]
-        logits = p.vals[i][row].tolist()
-        m = max(logits)
-        # math.exp, not np.exp: the two can differ in the last bit, and a
-        # changed CDF bit can change a draw of a fixed seed
-        got = p.memo[i][row] = list(itertools.accumulate(
-            math.exp(l - m) for l in logits))
+        got = p.memo[i][row] = cdf(p.vals[i][row].tolist())
         return got
 
     def _best_col(self, i: int, row: int) -> int:

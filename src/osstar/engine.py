@@ -41,6 +41,7 @@ import bisect
 import csv
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +62,14 @@ def pick(cdf: list[float], rng) -> int:
     separate total (a pairwise sum can exceed it), r < cdf[-1]: the entry
     picked exists and rises there, so its value has nonzero probability."""
     return bisect.bisect_right(cdf, rng.random() * cdf[-1])
+
+
+def cdf(logits: list[float]) -> list[float]:
+    """The CDF pick draws from for a row of logits with a finite maximum:
+    libm's exp of each less the maximum, added left to right.  Not numpy's
+    exp, which numpy picks by CPU: one bit off can move a seeded draw."""
+    m = max(logits)
+    return list(itertools.accumulate(math.exp(l - m) for l in logits))
 
 
 def logaddexp(x: float, y: float) -> float:

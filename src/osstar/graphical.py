@@ -36,7 +36,7 @@ the same libm exp and log1p.  The one difference is the sign of a zero
 where a max ties -0.0 with +0.0, which no comparison and no later sum can
 see.  A model whose largest magnitudes overflow when summed is rejected,
 so no pass meets inf or nan, which the builtin max, unlike np.maximum,
-would not carry.
+would not carry.  Draw CDFs are engine.cdf's: libm's exp, not numpy's.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import log_sum, pick, tie_tolerance
+from .engine import cdf, log_sum, pick, tie_tolerance
 
 
 class ModelEdge(NamedTuple):
@@ -564,18 +564,13 @@ class SubspaceProposal:
         return list(map(add, beta[j], self._edge_to_parent(j)[key]))
 
     def _cdf(self, j: int, key) -> list[float]:
-        """The CDF over node j's values that sample draws by, given its
-        parent's value key (None at a root), kept in the sum pass's memo."""
-        if self._passes["sum"] is None:
-            self.beta("sum")
-        beta, _, memos, _ = self._passes["sum"]
-        memo = memos[j]
-        cdf = memo.get(key)
-        if cdf is None:
-            logits = np.array(self._logits(beta, j, key))
-            cdf = memo[key] = np.cumsum(
-                np.exp(logits - logits.max())).tolist()
-        return cdf
+        """engine.cdf of node j's logits given its parent's value key (None
+        at a root): the CDF sample draws by, kept in the sum pass's memo."""
+        beta = self.beta("sum")
+        memo = self._passes["sum"].memo[j]
+        if key not in memo:
+            memo[key] = cdf(self._logits(beta, j, key))
+        return memo[key]
 
     def sample(self, rng: np.random.Generator):
         """Exact draw from q restricted to this subspace."""

@@ -65,14 +65,12 @@ MUTANTS = {
         [GRID, GRID_DP, GRID_Z]),
     "cdf_memo_without_parent_value": (
         "graphical.py",
-        "        cdf = memo.get(key)\n"
-        "        if cdf is None:\n"
-        "            logits = np.array(self._logits(beta, j, key))\n"
-        "            cdf = memo[key] = np.cumsum(",
-        "        cdf = memo.get(None)\n"
-        "        if cdf is None:\n"
-        "            logits = np.array(self._logits(beta, j, key))\n"
-        "            cdf = memo[None] = np.cumsum(",
+        "        if key not in memo:\n"
+        "            memo[key] = cdf(self._logits(beta, j, key))\n"
+        "        return memo[key]\n",
+        "        if None not in memo:\n"
+        "            memo[None] = cdf(self._logits(beta, j, key))\n"
+        "        return memo[None]\n",
         [GRID, GRID_Z]),
     "child_reads_base_in_changed_set": (
         "graphical.py",
@@ -205,6 +203,11 @@ MUTANTS = {
         "        if not record.accepted and refiner is not None:",
         "        if refiner is not None:",
         [SENTENCE, SENTENCE_DP, GRID]),
+    "cdf_inverts_weights": (
+        "engine.py",
+        "math.exp(l - m)",
+        "math.exp(m - l)",
+        [SENTENCE, GRID]),
     "logaddexp_drops_equal_case": (
         "engine.py",
         "    if x == y:  # also equal infinities, whose difference is nan\n"

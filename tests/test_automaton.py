@@ -344,6 +344,7 @@ def assert_fresh_compile(q):
         assert np.array_equal(layer.dest, np.array(dest))
 
 
+@pytest.mark.fresh_seeds
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
        cluster_size=st.integers(2, 3), length=st.integers(2, 5),
@@ -352,10 +353,15 @@ def assert_fresh_compile(q):
 @example(seed=404755, order=4, cluster_size=3, length=5, mode=Mode.SAMPLING)
 @example(seed=4194305, order=3, cluster_size=2, length=4,
          mode=Mode.OPTIMIZATION)
+# viterbi's near-tie fallback replaces the path its descent walked, so the
+# bounds read on that path must not be handed to refine
+@example(seed=2, order=2, cluster_size=3, length=3, mode=Mode.OPTIMIZATION)
 def test_every_refinement_keeps_the_compiled_automaton_exact(
         seed, order, cluster_size, length, mode):
     """After every refinement each layer equals a fresh compile; the
-    guarantees themselves are test_contract's."""
+    guarantees themselves are test_contract's.  Fresh seeds draw new LMs,
+    lattices and modes; this is the property that sees a bound read for
+    one path reused on another."""
     vocab, arpa, _, obs = synthetic_instance(
         seed, order=order, n_clusters=3, cluster_size=cluster_size,
         length=length, n_sentences=30)
@@ -371,6 +377,7 @@ def test_every_refinement_keeps_the_compiled_automaton_exact(
     assert len(audits) == res.history.refine_count
 
 
+@pytest.mark.fresh_seeds
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
        cluster_size=st.integers(2, 3), length=st.integers(2, 8),
@@ -390,7 +397,8 @@ def test_every_reject_reaches_a_refinement(seed, order, cluster_size,
     with no loose site gets the slack fallback, whose deepening drops its
     edge by more than 1e-12 or lands on p's term there (full order).  The
     rate threshold above 1 keeps a sampling run refining to its trial
-    budget, deep into full-order edges, past what enumeration reaches."""
+    budget, deep into full-order edges, past what enumeration reaches.
+    Fresh seeds draw new LMs, lattices and modes."""
     vocab, arpa, _, obs = synthetic_instance(
         seed, order=order, n_clusters=3, cluster_size=cluster_size,
         length=length, n_sentences=30)

@@ -37,6 +37,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from osstar import automaton as am
@@ -195,6 +196,7 @@ SENTENCE_RUNS = [
 ]
 
 
+@pytest.mark.fresh_seeds
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), order=st.integers(2, 5),
        cluster_size=st.integers(2, 3), length=st.integers(2, 5),
@@ -217,7 +219,8 @@ SENTENCE_RUNS = [
 def test_sentence_runs_keep_the_contract(seed, order, cluster_size, length,
                                          cap):
     """A synthetic order 2-5 LM over lattices of 2-8 positions, with or
-    without an order cap on target and bound, sampled and decoded."""
+    without an order cap on target and bound, sampled and decoded.  Fresh
+    seeds draw new LMs, lattices and order caps."""
     vocab, arpa, _, obs = synthetic_instance(
         seed, order=order, n_clusters=3, cluster_size=cluster_size,
         length=length, n_sentences=30)
@@ -318,6 +321,7 @@ GRID_STOPS = {
 }
 
 
+@pytest.mark.fresh_seeds
 @settings(max_examples=200, deadline=None)
 @given(models(), st.integers(0, 2**16), st.sampled_from(list(Mode)))
 # every maximizer of this tree ties at node 2 with its parent 0 set, where
@@ -326,7 +330,8 @@ GRID_STOPS = {
 def test_grid_runs_keep_the_contract(model, seed, mode):
     """Each model sampled or decoded under every policy, with and without
     retree.  A fully assigned leaf scores exactly p, so no reject reaches
-    one and NoUnassignedNode never escapes the refiner."""
+    one and NoUnassignedNode never escapes the refiner.  Fresh seeds draw
+    new pairwise models, whose grid children split builds."""
     configs = list(itertools.product(*map(range, model.domains)))
     for policy, retree in itertools.product(Policy, (False, True)):
         pw = PiecewiseProposal(model, retree=retree)

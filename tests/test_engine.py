@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -298,6 +299,7 @@ LOGS = st.one_of(st.floats(), st.floats(-40.0, 40.0),
                                   -1e308, 0.0, -0.0, 1.5]))
 
 
+@pytest.mark.fresh_seeds
 @settings(max_examples=500, deadline=None)
 @given(pair=st.one_of(st.tuples(LOGS, LOGS), LOGS.map(lambda v: (v, v))),
        values=st.lists(LOGS, min_size=1, max_size=8))
@@ -306,12 +308,38 @@ LOGS = st.one_of(st.floats(), st.floats(-40.0, 40.0),
 @example(pair=(math.inf, -math.inf), values=[math.inf, -math.inf])
 @example(pair=(math.nan, 0.0), values=[math.nan, 0.0])
 def test_log_sums_equal_numpys_bit_for_bit(pair, values):
+    """engine.logaddexp and log_sum are numpy's bit for bit.  Fresh seeds
+    draw new floats.  The claim rests on numpy and Python calling the same
+    libm, which every CI Python checks in its tier-1 run."""
     # numpy's logaddexp and these call the same libm exp and log1p; numpy
     # warns on the nans and overflowing differences Python passes silently
     with np.errstate(all="ignore"):
         want = np.logaddexp(*pair), np.logaddexp.reduce(np.array(values))
     got = engine.logaddexp(*pair), engine.log_sum(values)
     assert list(map(bits, got)) == list(map(bits, want))
+
+
+# rows of log weights with a finite maximum, some entries -inf
+ROWS = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.just(-math.inf)), min_size=1, max_size=8
+                ).filter(lambda row: max(row) > -math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(row=ROWS, u=st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                             st.just(math.nextafter(1.0, 0.0))))
+def test_cdf_is_libms_left_fold_and_pick_skips_minus_inf(row, u):
+    """engine.cdf is libm's exp of each logit less the largest, added left
+    to right, bit for bit; it never decreases and ends at or above 1.0 (the
+    largest adds exp(0)); and pick, at any uniform, lands on an entry of
+    nonzero weight, never a -inf one."""
+    m = max(row)
+    want = list(itertools.accumulate(math.exp(l - m) for l in row))
+    got = engine.cdf(row)
+    assert list(map(bits, got)) == list(map(bits, want))
+    assert all(a <= b for a, b in zip(got, got[1:])) and got[-1] >= 1.0
+    assert row[engine.pick(got, types.SimpleNamespace(random=lambda: u))] \
+        > -math.inf
 
 
 @pytest.mark.parametrize("bad", [{"ar_window": 0}, {"max_trials": -1},

@@ -1,13 +1,14 @@
 """Partition-proposal tests: conditioning, policies, and the bench."""
 
 import gc
+import itertools
 import math
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from osstar import engine, graphical, piecewise
 from osstar.engine import Mode, StopConfig
@@ -400,12 +401,15 @@ def test_every_bound_build_is_counted(retree, monkeypatch):
 
 def node_cdf(leaf, j, key):
     """The CDF over node j's values that SubspaceProposal.sample draws by,
-    given its parent's value key (None at a root), computed afresh by
-    numpy."""
+    given its parent's value key (None at a root), computed afresh: numpy
+    adds the logits, and libm's exp of each less their max is added left
+    to right."""
     beta = leaf.beta("sum")
     logits = np.array(beta[j]) if key is None else \
         np.array(beta[j]) + np.array(leaf._edge_to_parent(j))[key]
-    return np.cumsum(np.exp(logits - logits.max()))
+    m = logits.max()
+    return list(itertools.accumulate(math.exp(l - m)
+                                     for l in logits.tolist()))
 
 
 def test_frozen_run_builds_no_bound_and_each_cdf_once(monkeypatch):
@@ -441,9 +445,9 @@ def test_frozen_run_builds_no_bound_and_each_cdf_once(monkeypatch):
 
 @pytest.mark.parametrize("retree", [False, True])
 @pytest.mark.parametrize("policy", list(Policy))
-def test_memoised_cdfs_equal_fresh_numpy_cdfs(policy, retree):
+def test_memoised_cdfs_equal_fresh_cdfs(policy, retree):
     """After every refinement of a sampling run, each CDF a leaf has kept
-    for its draws is the fresh numpy CDF bit for bit."""
+    for its draws is the fresh CDF bit for bit."""
     m = ising_grid(4, 4, sigma=1.0, seed=1)
     pw = PiecewiseProposal(m, retree=retree)
     compared = []
@@ -453,7 +457,7 @@ def test_memoised_cdfs_equal_fresh_numpy_cdfs(policy, retree):
             for j, cdfs in held(getattr(leaf._passes["sum"], "memo", [])
                                 ).items():
                 for key, cdf in cdfs.items():
-                    fresh = node_cdf(leaf, j, key).tolist()
+                    fresh = node_cdf(leaf, j, key)
                     assert list(map(float.hex, cdf)) == \
                         list(map(float.hex, fresh)), (j, key)
                     compared.append((j, key))
@@ -506,7 +510,7 @@ def assert_leaves_match_fresh_builds(m, proposal):
         if leaf._passes["sum"] is not None:
             assert held(leaf._passes["sum"].memo).keys() == set(fresh.free)
             assert all(list(map(float.hex, cdf)) ==
-                       list(map(float.hex, node_cdf(fresh, j, key).tolist()))
+                       list(map(float.hex, node_cdf(fresh, j, key)))
                        for j, cdfs in held(leaf._passes["sum"].memo).items()
                        for key, cdf in cdfs.items())
         assert leaf.argmax() == fresh.argmax()
@@ -564,9 +568,18 @@ def split_sequences(draw, values=st.integers(-2, 2)):
     return PairwiseModel(domains, log_psi, edges), steps
 
 
+@pytest.mark.fresh_seeds
 @settings(max_examples=150, deadline=None)
 @given(split_sequences(), st.booleans())
+# node 1 has no neighbours, yet the fresh forest retree gives its split
+# moves nodes 2 and 3
+@example((PairwiseModel([3, 1, 1, 2, 1], [[0.0] * d for d in (3, 1, 1, 2, 1)],
+                        [(0, 3, [[0.0] * 2] * 3), (2, 3, [[0.0] * 2])]),
+          [(0, 0, set()), (0, 0, set())]), True)
 def test_shared_children_equal_fresh_builds_on_random_models(case, retree):
+    """Every leaf a split derives equals a full build of it.  Fresh seeds
+    draw new models, splits, what each leaf computes before them and
+    retree, whose fresh forests split derives children on too."""
     # with retree a leaf on its parent's forest minus a node may be split
     # on a fresh forest, where nodes that are no neighbours of the split
     # node move too
@@ -593,9 +606,13 @@ def test_shared_children_equal_fresh_builds_on_random_models(case, retree):
         assert_leaves_match_fresh_builds(m, pw)
 
 
+@pytest.mark.fresh_seeds
 @settings(max_examples=100, deadline=None)
 @given(split_sequences(st.floats(-3, 3, allow_nan=False)), st.booleans())
 def test_p_and_q_are_one_sum_bit_for_bit(case, retree):
+    """Every leaf scores log q >= log p, with equality where its capped
+    edges sit at their max.  Fresh seeds draw new models, with non-integer
+    potentials, and retree."""
     # non-integer potentials, so the order of the sums shows in the bits
     m, steps = case
     pw = PiecewiseProposal(m, retree=retree)
@@ -627,9 +644,12 @@ def scan_leaf_of(pw, x):
     return lid
 
 
+@pytest.mark.fresh_seeds
 @settings(max_examples=100, deadline=None)
 @given(split_sequences(), st.booleans())
 def test_leaf_of_routes_like_a_scan_on_random_partitions(case, retree):
+    """leaf_of finds the leaf a scan of all leaves finds.  Fresh seeds draw
+    new models, retree and the partitions leaf_of routes through."""
     m, steps = case
     pw = PiecewiseProposal(m, retree=retree)
     for leaf_pick, node_pick, _ in steps:
