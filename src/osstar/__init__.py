@@ -11,12 +11,11 @@ from .ngram import (MaxBackoffTables, NGramLM, NoCandidate, OrderUnsupported,
 from .automaton import (AutomatonRefiner, HmmTarget, NoRefinementAvailable,
                         QAutomaton, build_q0, refine, report_ngram_counts,
                         sample_path, viterbi)
-from .graphical import (Forest, PairwiseModel, SubspaceProposal, ising_grid,
-                        max_spanning_forest)
-from .piecewise import (AlreadyConditioned, BenchRow, ImprovementQueue,
-                        NoUnassignedNode, PiecewiseProposal, Policy,
-                        PolicyRefiner, policy_bench, select_refinement,
-                        write_bench_csv)
+from .graphical import (AlreadyConditioned, Forest, PairwiseModel,
+                        SubspaceProposal, ising_grid, max_spanning_forest)
+from .piecewise import (BenchRow, ImprovementQueue, NoUnassignedNode,
+                        PiecewiseProposal, Policy, PolicyRefiner,
+                        policy_bench, select_refinement, write_bench_csv)
 
 __version__ = "0.1.0"
 

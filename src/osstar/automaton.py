@@ -113,7 +113,6 @@ class HmmTarget:
 
     def __init__(self, lm: NGramLM, lattice: TokenLattice):
         self.lm = lm
-        self.lattice = lattice
         self.order = lm.order
         self._pobs = lattice.pobs
 

@@ -47,65 +47,7 @@ def _hmm_setup(args):
     lattice = build_lattice(args.obs, vocab,
                             noise_epsilon=args.noise_epsilon)
     q = am.build_q0(lattice, MaxBackoffTables(lm))
-    return q, am.HmmTarget(lm, lattice)
-
-
-def _print_counts(q) -> None:
-    counts = am.report_ngram_counts(q)
-    parts = [f"order-{k}: {counts[k]}" for k in sorted(counts)]
-    print("bound contexts  " + "  ".join(parts))
-
-
-def _print_run_stats(history, mass_log, stop: StopConfig) -> None:
-    met = engine.metrics(history, mass_log)
-    print(f"trials: {history.trial_count}  accepts: {history.accept_count}"
-          f"  refinements: {history.refine_count}")
-    print(f"acceptance rate: {met.ar_cumulative:.4f} cumulative"
-          f"  {met.ar_window:.4f} last-{history.window}")
-    if not engine.should_stop(history, Mode.SAMPLING, stop):
-        print(f"trial budget of {stop.max_trials} ran out before the stop "
-              f"rule (last-{stop.ar_window} rate >= {stop.ar_threshold:g})")
-    print(f"log Z-hat: {met.z_hat_log:.6f}  pi-hat: {met.pi_hat:.4f}"
-          f"  est. cost per sample: {met.tau_tot_est:.1f}")
-
-
-def cmd_hmm_decode(args) -> int:
-    q, target = _hmm_setup(args)
-    stop = StopConfig(max_trials=args.max_trials)
-    res = engine.run(Mode.OPTIMIZATION, target, q, am.AutomatonRefiner(),
-                     stop, args.seed)
-    print("decoded:", " ".join(res.argmax))
-    print(f"log p: {res.history.records[-1].log_p:.6f}")
-    print(f"certificate gap (log): {res.certificate_gap_log:.6g}")
-    print(f"trials: {res.history.trial_count}"
-          f"  refinements: {res.history.refine_count}")
-    _print_counts(q)
-    if args.metrics_out:
-        engine.write_trial_csv(res.history, args.metrics_out)
-    return 0
-
-
-def cmd_hmm_sample(args) -> int:
-    q, target = _hmm_setup(args)
-    stop = StopConfig(ar_window=args.ar_window,
-                      ar_threshold=args.ar_threshold,
-                      max_trials=args.max_trials)
-    res = engine.run(Mode.SAMPLING, target, q, am.AutomatonRefiner(), stop,
-                     args.seed)
-    _print_run_stats(res.history, q.mass_log(), stop)
-    print(f"table builds: {q.table_builds}")
-    _print_counts(q)
-    freq: dict[tuple, int] = {}
-    for s in res.samples:
-        freq[s] = freq.get(s, 0) + 1
-    top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-    if top:
-        print("top samples:")
-        for words, n in top:
-            print(f"  {n / len(res.samples):.3f}  {' '.join(words)}")
-    if args.metrics_out:
-        engine.write_trial_csv(res.history, args.metrics_out)
-    return 0
+    return am.HmmTarget(lm, lattice), q, am.AutomatonRefiner(), args.seed
 
 
 def _gm_model(args) -> PairwiseModel:
@@ -134,36 +76,88 @@ def _gm_setup(args):
     pw = PiecewiseProposal(model, retree=args.retree)
     trial_seed, policy_seed = np.random.SeedSequence(args.seed).spawn(2)
     refiner = PolicyRefiner(pw, Policy(args.policy), seed=policy_seed)
-    return model, pw, refiner, trial_seed
+    return model.log_p, pw, refiner, trial_seed
+
+
+def _run(args, mode: Mode, target, proposal, refiner, seed):
+    """One run of a subcommand: the stop rule from its flags (the budget
+    alone in optimization), the loop, the per-trial CSV of --metrics-out
+    and, in sampling, the run summary.  The CSV is written before anything
+    is printed, so a path that cannot be written prints no report."""
+    if mode is Mode.SAMPLING:
+        stop = StopConfig(ar_window=args.ar_window,
+                          ar_threshold=args.ar_threshold,
+                          max_trials=args.max_trials)
+    else:
+        stop = StopConfig(max_trials=args.max_trials)
+    res = engine.run(mode, target, proposal, refiner, stop, seed)
+    history = res.history
+    if args.metrics_out:
+        engine.write_trial_csv(history, args.metrics_out)
+    if mode is Mode.SAMPLING:
+        met = engine.metrics(history, res.final_proposal.mass_log())
+        print(f"trials: {history.trial_count}  accepts: {history.accept_count}"
+              f"  refinements: {history.refine_count}")
+        print(f"acceptance rate: {met.ar_cumulative:.4f} cumulative"
+              f"  {met.ar_window:.4f} last-{history.window}")
+        if not engine.should_stop(history, mode, stop):
+            print(f"trial budget of {stop.max_trials} ran out before the "
+                  f"stop rule (last-{stop.ar_window} rate >= "
+                  f"{stop.ar_threshold:g})")
+        print(f"log Z-hat: {met.z_hat_log:.6f}  pi-hat: {met.pi_hat:.4f}"
+              f"  est. cost per sample: {met.tau_tot_est:.1f}")
+    return res
+
+
+def _print_optimum(res, answer: str, extra: str = "") -> None:
+    """The certified answer line, its log p (the last trial's, which
+    certified it), the gap and the trial counts, then `extra`."""
+    print(answer)
+    print(f"log p: {res.history.records[-1].log_p:.6f}")
+    print(f"certificate gap (log): {res.certificate_gap_log:.6g}")
+    print(f"trials: {res.history.trial_count}"
+          f"  refinements: {res.history.refine_count}{extra}")
+
+
+def _print_counts(q) -> None:
+    counts = am.report_ngram_counts(q)
+    parts = [f"order-{k}: {counts[k]}" for k in sorted(counts)]
+    print("bound contexts  " + "  ".join(parts))
+
+
+def cmd_hmm_decode(args) -> int:
+    res = _run(args, Mode.OPTIMIZATION, *_hmm_setup(args))
+    _print_optimum(res, "decoded: " + " ".join(res.argmax))
+    _print_counts(res.final_proposal)
+    return 0
+
+
+def cmd_hmm_sample(args) -> int:
+    res = _run(args, Mode.SAMPLING, *_hmm_setup(args))
+    q = res.final_proposal
+    print(f"table builds: {q.table_builds}")
+    _print_counts(q)
+    freq: dict[tuple, int] = {}
+    for s in res.samples:
+        freq[s] = freq.get(s, 0) + 1
+    top = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+    if top:
+        print("top samples:")
+        for words, n in top:
+            print(f"  {n / len(res.samples):.3f}  {' '.join(words)}")
+    return 0
 
 
 def cmd_gm_sample(args) -> int:
-    model, pw, refiner, trial_seed = _gm_setup(args)
-    stop = StopConfig(ar_window=args.ar_window,
-                      ar_threshold=args.ar_threshold,
-                      max_trials=args.max_trials)
-    res = engine.run(Mode.SAMPLING, model.log_p, pw, refiner, stop,
-                     trial_seed)
-    _print_run_stats(res.history, pw.mass_log(), stop)
+    pw = _run(args, Mode.SAMPLING, *_gm_setup(args)).final_proposal
     print(f"subspaces: {len(pw.leaves)}  bound builds: {pw.bound_builds}")
-    if args.metrics_out:
-        engine.write_trial_csv(res.history, args.metrics_out)
     return 0
 
 
 def cmd_gm_optimize(args) -> int:
-    model, pw, refiner, trial_seed = _gm_setup(args)
-    stop = StopConfig(max_trials=args.max_trials)
-    res = engine.run(Mode.OPTIMIZATION, model.log_p, pw, refiner, stop,
-                     trial_seed)
-    print("argmax:", "".join(str(v) for v in res.argmax))
-    print(f"log p: {model.log_p(res.argmax):.6f}")
-    print(f"certificate gap (log): {res.certificate_gap_log:.6g}")
-    print(f"trials: {res.history.trial_count}"
-          f"  refinements: {res.history.refine_count}"
-          f"  subspaces: {len(pw.leaves)}")
-    if args.metrics_out:
-        engine.write_trial_csv(res.history, args.metrics_out)
+    res = _run(args, Mode.OPTIMIZATION, *_gm_setup(args))
+    _print_optimum(res, "argmax: " + "".join(str(v) for v in res.argmax),
+                   f"  subspaces: {len(res.final_proposal.leaves)}")
     return 0
 
 

@@ -54,6 +54,10 @@ import numpy as np
 from .engine import cdf, log_sum, pick, tie_tolerance
 
 
+class AlreadyConditioned(ValueError):
+    """The node is already assigned in that subspace."""
+
+
 class ModelEdge(NamedTuple):
     """Edge (u, v): phi(x_u, x_v) is the model's flat phi tuple at
     at + x_u * dv + x_v, dv being v's domain."""
@@ -409,9 +413,13 @@ class SubspaceProposal:
         """The children of this bound on the free node `node`, one per
         value, on `forest`, a forest of the other free nodes, or else on
         this bound's forest minus node.  On either, split derives once
-        what they share (see the module docstring).  Raises ValueError
-        when node is not free here."""
+        what they share (see the module docstring).  Raises
+        AlreadyConditioned when node is assigned here and ValueError when
+        it is not a node of the model."""
         if node not in self.free:
+            if node in self.assigned:
+                raise AlreadyConditioned(
+                    f"node {node} is already set in this subspace")
             raise ValueError(f"node {node} is not free in this subspace")
         old = self.forest
         adjacency = self.model.adjacency[node]

@@ -27,15 +27,12 @@ import numpy as np
 
 from . import engine
 from .engine import Mode, log_sum
-from .graphical import PairwiseModel, SubspaceProposal, max_spanning_forest
+from .graphical import (AlreadyConditioned,  # noqa: F401 (re-exported)
+                        PairwiseModel, SubspaceProposal, max_spanning_forest)
 
 # a later reject displaces policy_bench's round pick only when its
 # log q - log p is larger by more than this: roundoff ties go to the earliest
 LOG_TOL = 1e-9
-
-
-class AlreadyConditioned(ValueError):
-    """The node is already assigned in that subspace."""
 
 
 class NoUnassignedNode(RuntimeError):
@@ -137,9 +134,6 @@ class PiecewiseProposal:
         leaf = self.leaves.get(leaf_id)
         if leaf is None:
             raise KeyError(f"no active subspace {leaf_id}")
-        if node in leaf.assigned:
-            raise AlreadyConditioned(f"node {node} already set in "
-                                     f"subspace {leaf_id}")
         children = self._split(leaf, node)
         if self.retree:
             fresh = self._split(leaf, node, max_spanning_forest(
@@ -188,9 +182,8 @@ class ImprovementQueue:
 
     def pop(self) -> tuple[int, int]:
         while self.heap:
-            neg_imp, lid, node = heapq.heappop(self.heap)
-            leaf = self.proposal.leaves.get(lid)
-            if leaf is not None and node not in leaf.assigned:
+            _, lid, node = heapq.heappop(self.heap)
+            if lid in self.proposal.leaves:
                 return lid, node
         raise NoUnassignedNode("improvement queue is empty")
 

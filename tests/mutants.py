@@ -5,7 +5,8 @@ Run from anywhere as `python tests/mutants.py` (pytest does not collect this
 file).  Each mutant below replaces one exact piece of text in src/osstar by
 a broken version, in a fresh temporary copy of src/, and runs only the
 tests it names against that copy, under the hypothesis profile "mutants"
-(fixed examples, no shrinking, nothing saved; see conftest.py).  Every
+(no shrinking, nothing saved; see conftest.py) and hypothesis seed 0, so
+each property draws the same examples whatever its source text.  Every
 named test must fail; a name without a [id] fails when any of its
 parametrizations does.  The script first runs every named test on an
 unbroken copy, where all must pass, and exits non-zero if a mutant
@@ -236,7 +237,8 @@ def failed_tests(src: Path, tests: list[str]) -> tuple[set[str], float, str]:
     try:
         out = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rf", "-p",
-             "no:cacheprovider", "--hypothesis-profile=mutants", *tests],
+             "no:cacheprovider", "--hypothesis-profile=mutants",
+             "--hypothesis-seed=0", *tests],
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     except subprocess.TimeoutExpired:
         # a hang is not a failing test: the mutant counts as surviving

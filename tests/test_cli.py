@@ -157,12 +157,14 @@ def test_hmm_sample_has_no_batch_option(hmm_files, capsys):
     assert "Traceback" not in err
 
 
-def test_hmm_sample_reports_the_run_window(hmm_files, tmp_path, capsys):
+@pytest.mark.parametrize("command", [["hmm", "sample", "--obs", "2", "2"],
+                                     ["gm", "sample", "--grid", "2x2"]])
+def test_sample_reports_the_run_window(hmm_files, tmp_path, capsys, command):
     arpa, vocab = hmm_files
+    io = ["--arpa", arpa, "--vocab", vocab] if command[0] == "hmm" else []
     f = tmp_path / "m.csv"
-    assert main(["hmm", "sample", "--arpa", arpa, "--vocab", vocab,
-                 "--obs", "2", "2", "--ar-threshold", "0.8",
-                 "--ar-window", "50", "--metrics-out", str(f)]) == 0
+    assert main(command + io + ["--ar-threshold", "0.8", "--ar-window", "50",
+                                "--metrics-out", str(f)]) == 0
     assert "last-50" in capsys.readouterr().out
     rows = f.read_text().splitlines()[1:]
     accepted = [int(r.split(",")[1]) for r in rows]
@@ -366,17 +368,31 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
 
 
-@pytest.mark.parametrize("command", [
-    ["hmm", "sample", "--obs", "2", "2"],
-    ["hmm", "decode", "--obs", "2", "2"],
-    ["gm", "sample", "--grid", "3x3"],
-    ["gm", "optimize", "--grid", "3x3"]])
+RUN_COMMANDS = [["hmm", "sample", "--obs", "2", "2"],
+                ["hmm", "decode", "--obs", "2", "2"],
+                ["gm", "sample", "--grid", "3x3"],
+                ["gm", "optimize", "--grid", "3x3"]]
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS)
 def test_zero_trial_budget_is_a_clean_error(hmm_files, capsys, command):
     arpa, vocab = hmm_files
     io = ["--arpa", arpa, "--vocab", vocab] if command[0] == "hmm" else []
     assert main(command + io + ["--max-trials", "0"]) == 1
     err = capsys.readouterr().err
     assert err == "error: trial budget of 0 ran out before any trial\n"
+
+
+@pytest.mark.parametrize("command", RUN_COMMANDS)
+def test_unwritable_metrics_path_prints_no_report(hmm_files, tmp_path,
+                                                  capsys, command):
+    # every run command writes the CSV before it prints a line
+    arpa, vocab = hmm_files
+    io = ["--arpa", arpa, "--vocab", vocab] if command[0] == "hmm" else []
+    bad = str(tmp_path / "missing" / "m.csv")
+    assert main(command + io + ["--metrics-out", bad]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and bad in err
 
 
 def test_optimization_trial_csv_has_no_mass_estimators(hmm_files, tmp_path):

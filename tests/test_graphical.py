@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from osstar.graphical import (PairwiseModel, SubspaceProposal, ising_grid,
+from osstar.graphical import (AlreadyConditioned, PairwiseModel,
+                              SubspaceProposal, ising_grid,
                               max_spanning_forest)
 
 
@@ -358,13 +359,16 @@ def test_max_spanning_forest_matches_the_quadratic_scan(case):
 def test_split_rejects_a_node_that_is_not_free():
     # without a forest, cutting the node would raise a KeyError; on a given
     # forest nothing else would notice, and the children of node 0 would
-    # re-assign it, one of them covering {0: 1}, outside this leaf
+    # re-assign it, one of them covering {0: 1}, outside this leaf; an
+    # assigned node is AlreadyConditioned, any other node a plain ValueError
     m = ising_grid(2, 2, 1.0, seed=3)
     leaf = SubspaceProposal(m, {0: 0})
     for forest in (None, max_spanning_forest(m, leaf.free)):
-        for node in (0, 4):
-            with pytest.raises(ValueError, match=f"node {node} is not free"):
-                leaf.split(node, forest)
+        with pytest.raises(AlreadyConditioned, match="node 0 is already set"):
+            leaf.split(0, forest)
+        with pytest.raises(ValueError, match="node 4 is not free") as info:
+            leaf.split(4, forest)
+        assert not isinstance(info.value, AlreadyConditioned)
 
 
 def test_argmax_tie_takes_lexicographically_smallest():
